@@ -33,7 +33,7 @@ from .errors import (
     SingularMatrix,
     VelocityBarDegenerate,
 )
-from .target_store import BallTree, _query_arrays
+from .target_store import NonEmptyStore, _query_arrays
 from .value import RewardSpec, candidate_costs
 
 logger = logging.getLogger(__name__)
@@ -131,29 +131,29 @@ def make_controller(cfg: ControllerConfig, n_controls: int, seed) -> ControllerS
 def cpc_loop(
     x0: State,
     B: np.ndarray,
-    tree: BallTree,
+    targets: NonEmptyStore,
     cfg: ControllerConfig,
     spec: Optional[RewardSpec] = None,
 ) -> np.ndarray:
     """One control cycle: candidate query, cost-ranked selection and torque
     with gain backoff. Raises NoValidCandidates when every stored point is
     guard-rejected."""
-    tau, _ = _cpc_loop_detail(x0, B, tree, cfg, spec)
+    tau, _ = _cpc_loop_detail(x0, B, targets, cfg, spec)
     return tau
 
 
-def _cpc_loop_detail(x0, B, tree, cfg, spec=None):
+def _cpc_loop_detail(x0, B, targets, cfg, spec=None):
     """cpc_loop plus the selected renormalized target line (anchor, rate)."""
     if spec is None:
         spec = RewardSpec(C_tau=-np.eye(np.atleast_2d(B).shape[1]))
     split = split_coordinates(B)
     b = null_covector(B, split)
-    idx, t0s, ss, losses, _ = _query_arrays(
-        tree, x0, b, cfg.omega, cfg.s_g, cfg.n_d, cfg.guard_tol
+    idx, t0s, ss, _ = _query_arrays(
+        targets, x0, b, cfg.omega, cfg.s_g, cfg.n_d, cfg.guard_tol
     )
     if len(idx) == 0:
         raise NoValidCandidates("all stored points rejected by the velocity guard")
-    store = tree.store
+    store = targets.store
     q_d = store.q[idx]
     qdot_d = store.qdot[idx]
     if cfg.use_stored_tau_d:
@@ -212,7 +212,7 @@ def _track_line(x0, B, q_r0, qdot_r, elapsed, cfg):
 def controller_step(
     ctrl: ControllerState,
     x0: State,
-    tree: BallTree,
+    targets: NonEmptyStore,
     cfg: ControllerConfig,
     spec: Optional[RewardSpec] = None,
 ) -> np.ndarray:
@@ -236,14 +236,14 @@ def controller_step(
                 taus, us, ridge=cfg.ridge, affine=cfg.affine_regression
             )
             ctrl.last_B = B
-            tau, (q_r0, qdot_r) = _cpc_loop_detail(x0, B, tree, cfg, spec)
+            tau, (q_r0, qdot_r) = _cpc_loop_detail(x0, B, targets, cfg, spec)
             if cfg.fallback == "hold_target":
                 ctrl.held_target = (q_r0, qdot_r, x0.t)
             if float(np.linalg.norm(tau)) >= cfg.tau_c:
                 ctrl.unclamped_exits += 1
         except (NoValidCandidates, VelocityBarDegenerate, RankDeficient, SingularMatrix):
             ctrl.fallback_count += 1
-            tau = _fallback_tau(ctrl, x0, tree, cfg)
+            tau = _fallback_tau(ctrl, x0, targets, cfg)
     if not np.all(np.isfinite(tau)):
         ctrl.fallback_count += 1
         tau = np.zeros(ctrl.n_controls)
@@ -253,7 +253,7 @@ def controller_step(
     return tau
 
 
-def _fallback_tau(ctrl: ControllerState, x0: State, tree: BallTree, cfg: ControllerConfig) -> np.ndarray:
+def _fallback_tau(ctrl: ControllerState, x0: State, targets: NonEmptyStore, cfg: ControllerConfig) -> np.ndarray:
     """Torque applied when retrieval is degenerate.
 
     Zero fallback idles the actuated coordinates, which lets the fast
@@ -267,7 +267,7 @@ def _fallback_tau(ctrl: ControllerState, x0: State, tree: BallTree, cfg: Control
     if cfg.fallback != "hold_target" or ctrl.last_B is None:
         return np.zeros(ctrl.n_controls)
     if ctrl.held_target is None:
-        store = tree.store
+        store = targets.store
         j = int(np.argmin(np.square(store.qdot).sum(axis=1)))
         ctrl.held_target = (store.q[j].copy(), np.zeros_like(store.q[j]), x0.t)
     q_r0, qdot_r, t_sel = ctrl.held_target

@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._jit import njit
 from .errors import NonFiniteState, SingularMatrix
 
 
@@ -142,19 +141,13 @@ def torque_distribution(params: ChainParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Compiled kernels. The manipulator terms are formed in absolute link angles
-# (where the planar-chain closed form is a plain cos/sin coupling) and then
+# Kernels. The manipulator terms are formed in absolute link angles (where
+# the planar-chain closed form is a plain cos/sin coupling) and then
 # transformed to relative coordinates with the constant lower-triangular map
 # phi = T q, giving D_q = T' D_phi T and H_q = T' (h_phi + g_phi).
-#
-# A kernel gives the same result compiled and interpreted, also on NaN or
-# infinite input: the NaN propagates to the outputs and no math call raises
-# (see _jit). The callers (accel, step, simulate) turn such outputs into
-# NonFiniteState.
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
 def _terms_rel(q, qdot, coef, grav_w, i_cap, D_out, H_out):
     n = q.shape[0]
     phi = np.empty(n)
@@ -173,9 +166,12 @@ def _terms_rel(q, qdot, coef, grav_w, i_cap, D_out, H_out):
         s = 0.0
         for k in range(n):
             djk = pj - phi[k]
-            # Interpreted math.sin/cos raise on +-inf where compiled code
-            # returns NaN. At k == j, djk is NaN unless phi[j] is finite, so
-            # this also guards sin(phi[j]) below.
+            # NaN or infinite input must come out as NaN terms, never as an
+            # exception: math.sin/cos raise ValueError on +-inf, so the
+            # argument is checked first and NaN written instead. The callers
+            # (accel, step, simulate) turn NaN outputs into NonFiniteState.
+            # At k == j, djk is NaN unless phi[j] is finite, so this also
+            # guards sin(phi[j]) below.
             if not math.isfinite(djk):
                 D_out[:] = np.nan
                 H_out[:] = np.nan
@@ -201,7 +197,6 @@ def _terms_rel(q, qdot, coef, grav_w, i_cap, D_out, H_out):
         H_out[j] = acc
 
 
-@njit(cache=True)
 def _spd_solve(D, rhs):
     """Cholesky solve for the small SPD inertia matrix; returns (x, ok)."""
     n = D.shape[0]
@@ -231,7 +226,6 @@ def _spd_solve(D, rhs):
     return x, True
 
 
-@njit(cache=True)
 def _accel_gen(q, qdot, gen_force, coef, grav_w, i_cap):
     """Acceleration under a generalized force already mapped to joint space."""
     n = q.shape[0]
@@ -244,7 +238,6 @@ def _accel_gen(q, qdot, gen_force, coef, grav_w, i_cap):
     return x
 
 
-@njit(cache=True)
 def _rk4_step(q, qdot, gen_force, dt, coef, grav_w, i_cap):
     k1v = _accel_gen(q, qdot, gen_force, coef, grav_w, i_cap)
     q2 = q + 0.5 * dt * qdot
@@ -261,7 +254,6 @@ def _rk4_step(q, qdot, gen_force, dt, coef, grav_w, i_cap):
     return qn, vn
 
 
-@njit(cache=True)
 def _semi_euler_step(q, qdot, gen_force, dt, coef, grav_w, i_cap):
     a = _accel_gen(q, qdot, gen_force, coef, grav_w, i_cap)
     vn = qdot + dt * a

@@ -13,10 +13,6 @@ class RankDeficient(CpcError):
     """A least-squares or elimination problem has insufficient rank."""
 
 
-class DegeneratePolynomial(CpcError):
-    """Root finding was asked for a constant polynomial."""
-
-
 class NonFiniteState(CpcError):
     """Integration produced NaN or infinite state values."""
 

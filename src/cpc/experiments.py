@@ -23,7 +23,8 @@ from . import dynamics
 from .control_law import feedforward_tau
 from .controller import ControllerConfig, controller_step, make_controller
 from .dynamics import ChainParams, State, acrobot_params, exact_control_matrix
-from .target_store import BallTree, TargetStore
+from .target_store import NonEmptyStore as BallTree  # hook: bench/tracing.py target_store.index_build
+from .target_store import TargetStore
 from .value import RewardSpec
 
 
@@ -132,7 +133,7 @@ def run_balance_trial(
     """Balance from upright rest under controller torque plus disturbance
     noise on the actuated joint; returns the fall time (capped)."""
     params = params or acrobot_params()
-    tree = BallTree(store)
+    targets = BallTree(store)
     ctrl_cfg = controller_config_for_balance(cfg)
     ctrl = make_controller(ctrl_cfg, params.n_controls, seed=np.random.SeedSequence([seed, 0]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
@@ -142,7 +143,7 @@ def run_balance_trial(
     t_f = cfg.t_max
     fell = False
     for _ in range(n_steps):
-        tau = controller_step(ctrl, st, tree, ctrl_cfg, spec)
+        tau = controller_step(ctrl, st, targets, ctrl_cfg, spec)
         disturbed = tau + noise_rng.normal(0.0, noise_amp, size=params.n_controls)
         st = dynamics.step(params, st, disturbed, cfg.dt)
         if has_fallen(st.q):

@@ -1,4 +1,4 @@
-"""Small dense linear-algebra and root-finding utilities.
+"""Small dense linear-algebra utilities.
 
 Matrices and vectors are plain float64 numpy arrays. Everything here is
 sized for chains with at most a handful of links, so numerical robustness
@@ -9,8 +9,7 @@ import math
 
 import numpy as np
 
-from ._jit import njit
-from .errors import DegeneratePolynomial, RankDeficient, SingularMatrix
+from .errors import RankDeficient, SingularMatrix
 
 # Condition-number cap: above this, solves are treated as singular instead
 # of silently returning garbage.
@@ -66,201 +65,3 @@ def expm_crit_damped(kappa: float, t: float) -> np.ndarray:
     return math.exp(-kt) * np.array(
         [[1.0 + kt, t], [-kappa * kappa * t, 1.0 - kt]]
     )
-
-
-def quartic_real_roots(c4: float, c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """All real roots of c4 x^4 + c3 x^3 + c2 x^2 + c1 x + c0, with multiplicity.
-
-    Closed-form (Ferrari) resolution with a Newton polish per root; roots are
-    returned sorted ascending. Raises DegeneratePolynomial for a constant
-    polynomial.
-    """
-    if c4 == 0.0 and c3 == 0.0 and c2 == 0.0 and c1 == 0.0:
-        raise DegeneratePolynomial("all non-constant coefficients are zero")
-    out = np.empty(4)
-    n = _quartic_roots_core(c4, c3, c2, c1, c0, out)
-    return sorted(out[:n].tolist())
-
-
-# ---------------------------------------------------------------------------
-# Compiled cores. These are shared with the ball-tree search kernel, so they
-# avoid exceptions and allocate nothing.
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _poly4(c4, c3, c2, c1, c0, x):
-    return (((c4 * x + c3) * x + c2) * x + c1) * x + c0
-
-
-@njit(cache=True)
-def _dpoly4(c4, c3, c2, c1, x):
-    return ((4.0 * c4 * x + 3.0 * c3) * x + 2.0 * c2) * x + c1
-
-
-@njit(cache=True)
-def _polish4(c4, c3, c2, c1, c0, x):
-    # A couple of guarded Newton steps; keep the iterate only while the
-    # residual improves.
-    fx = _poly4(c4, c3, c2, c1, c0, x)
-    for _ in range(3):
-        d = _dpoly4(c4, c3, c2, c1, x)
-        if d == 0.0:
-            break
-        xn = x - fx / d
-        fn = _poly4(c4, c3, c2, c1, c0, xn)
-        if abs(fn) >= abs(fx):
-            break
-        x, fx = xn, fn
-    return x
-
-
-@njit(cache=True)
-def _quad_monic(b, c, out, n):
-    """Real roots of x^2 + b x + c appended to out[n:]; returns new count."""
-    disc = b * b - 4.0 * c
-    tol = 4e-16 * max(b * b, abs(4.0 * c))
-    if disc < -tol:
-        return n
-    if disc <= tol:
-        out[n] = -0.5 * b
-        out[n + 1] = -0.5 * b
-        return n + 2
-    sq = math.sqrt(disc)
-    # Citardauq form for the smaller-magnitude root to avoid cancellation.
-    if b >= 0.0:
-        r1 = (-b - sq) * 0.5
-    else:
-        r1 = (-b + sq) * 0.5
-    r2 = c / r1 if r1 != 0.0 else -b - r1
-    out[n] = r1
-    out[n + 1] = r2
-    return n + 2
-
-
-@njit(cache=True)
-def _cbrt(x):
-    if x >= 0.0:
-        return x ** (1.0 / 3.0)
-    return -((-x) ** (1.0 / 3.0))
-
-
-@njit(cache=True)
-def _cubic_monic_real(a, b, c, out):
-    """Real roots of x^3 + a x^2 + b x + c written to out[:n]; returns n."""
-    # Depressed form t^3 + p t + q with x = t - a/3.
-    p = b - a * a / 3.0
-    q = 2.0 * a * a * a / 27.0 - a * b / 3.0 + c
-    shift = -a / 3.0
-    half_q = 0.5 * q
-    disc = half_q * half_q + (p / 3.0) ** 3
-    tol = 4e-16 * max(half_q * half_q, abs(p / 3.0) ** 3)
-    if disc > tol:
-        sq = math.sqrt(disc)
-        u = _cbrt(-half_q + sq)
-        v = _cbrt(-half_q - sq)
-        out[0] = u + v + shift
-        return 1
-    if disc >= -tol:
-        if p == 0.0 and q == 0.0:
-            out[0] = shift
-            out[1] = shift
-            out[2] = shift
-            return 3
-        t1 = 3.0 * q / p
-        t2 = -1.5 * q / p
-        out[0] = t1 + shift
-        out[1] = t2 + shift
-        out[2] = t2 + shift
-        return 3
-    # Three distinct real roots.
-    rho = 2.0 * math.sqrt(-p / 3.0)
-    arg = 3.0 * q / (p * rho)
-    if arg > 1.0:
-        arg = 1.0
-    elif arg < -1.0:
-        arg = -1.0
-    theta = math.acos(arg)
-    for k in range(3):
-        out[k] = rho * math.cos((theta - 2.0 * math.pi * k) / 3.0) + shift
-    return 3
-
-
-@njit(cache=True)
-def _quartic_roots_core(c4, c3, c2, c1, c0, out):
-    """Real roots (with multiplicity) of the quartic written to out[:n].
-
-    Lower-degree polynomials (exact zero leading coefficients) are handled
-    so bound computations can call this unconditionally. Returns the count;
-    the caller must reject the all-constant case.
-    """
-    if c4 == 0.0:
-        if c3 == 0.0:
-            if c2 == 0.0:
-                if c1 == 0.0:
-                    return 0
-                out[0] = -c0 / c1
-                return 1
-            n = _quad_monic(c1 / c2, c0 / c2, out, 0)
-        else:
-            n = _cubic_monic_real(c2 / c3, c1 / c3, c0 / c3, out)
-        for i in range(n):
-            out[i] = _polish4(c4, c3, c2, c1, c0, out[i])
-        return n
-
-    a = c3 / c4
-    b = c2 / c4
-    c = c1 / c4
-    d = c0 / c4
-    # Depressed quartic y^4 + p y^2 + q y + r with x = y - a/4.
-    p = b - 0.375 * a * a
-    q = c - 0.5 * a * b + 0.125 * a * a * a
-    r = d - 0.25 * a * c + a * a * b / 16.0 - 3.0 * a * a * a * a / 256.0
-    shift = -0.25 * a
-
-    tmp = np.empty(4)
-    n = 0
-    if abs(q) <= 4e-16 * (1.0 + abs(p) + abs(r)):
-        # Biquadratic: z^2 + p z + r with y^2 = z.
-        nz = _quad_monic(p, r, tmp, 0)
-        ztol = 4e-16 * (1.0 + abs(p) + abs(r))
-        for i in range(nz):
-            z = tmp[i]
-            if z > ztol:
-                sz = math.sqrt(z)
-                out[n] = sz + shift
-                out[n + 1] = -sz + shift
-                n += 2
-            elif z >= -ztol:
-                out[n] = shift
-                out[n + 1] = shift
-                n += 2
-    else:
-        # Ferrari: split using the largest real root m of the resolvent
-        # m^3 + p m^2 + (p^2/4 - r) m - q^2/8 = 0 (positive since q != 0).
-        nm = _cubic_monic_real(p, 0.25 * p * p - r, -q * q / 8.0, tmp)
-        m = tmp[0]
-        for i in range(1, nm):
-            if tmp[i] > m:
-                m = tmp[i]
-        if m < 1e-300:
-            m = 1e-300
-        s = math.sqrt(2.0 * m)
-        base = 0.5 * p + m
-        qs = q / (2.0 * s)
-        n = _quad_monic(-s, base + qs, out, n)
-        n = _quad_monic(s, base - qs, out, n)
-        for i in range(n):
-            out[i] += shift
-
-    for i in range(n):
-        out[i] = _polish4(c4, c3, c2, c1, c0, out[i])
-    # Insertion sort (n <= 4).
-    for i in range(1, n):
-        key = out[i]
-        j = i - 1
-        while j >= 0 and out[j] > key:
-            out[j + 1] = out[j]
-            j -= 1
-        out[j + 1] = key
-    return n

@@ -1,36 +1,38 @@
-"""Store of recorded trajectory points with a ball-tree candidate search.
+"""Store of recorded trajectory points and the candidate retrieval over it.
 
-The store keeps (state, torque, return) triples. For a query state, each
-stored point gets a time offset ``t0`` and time scale ``s`` from the
-unactuated-direction projections, scored by the proximity loss
-``(omega * t0)^2 + (s - s_g)^2``. The best ``n_d`` points are retrieved by
-branch-and-bound over a ball tree: on a sphere of radius ``rho`` the loss is
-an affine-squared function of the offset from the center, whose extrema on
-the sphere reduce to the real roots of a quartic in ``cos(theta)``, giving
-tight lower/upper bounds per node.
+The store keeps (state, torque, return) triples. For a query state ``x0``
+and the unactuated direction ``b``, each stored point gets a time offset
+``t0`` and time scale ``s`` from the projections onto ``b``: with
+``qdbar0 = b . qdot0``, ``t0 = (b . q - b . q0) / qdbar0`` and
+``s = (b . qdot) / qdbar0``. A point is scored by the proximity loss
+``(omega * t0)^2 + (s - s_g)^2``, and the ``n_d`` lowest losses are
+retrieved, ties broken by dataset order. Points whose own projected
+velocity ``|b . qdot|`` is at most the guard tolerance cannot be
+reparameterized and are never returned; a query whose ``|qdbar0|`` is at
+most the tolerance raises ``VelocityBarDegenerate``.
 
-Only a single unactuated direction is supported by the search (the covector
-``b`` must have one column); datasets are serialized as JSON Lines with a
-header row carrying the chain layout.
+``b`` changes every control cycle with the regressed control matrix, so no
+static spatial index over the store can prune; retrieval is one vectorized
+scan over all points.
+
+Only a single unactuated direction is supported (the covector ``b`` must
+have one column); datasets are serialized as JSON Lines with a header row
+carrying the chain layout.
 """
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._jit import njit
 from .dynamics import State
 from .errors import (
     DatasetSchemaMismatch,
     EmptyDataset,
     VelocityBarDegenerate,
 )
-from .mathkit import _quartic_roots_core
 
 DATASET_FORMAT = "chain-targets-v1"
-DEFAULT_LEAF_SIZE = 16
 DEFAULT_GUARD_TOL = 1e-6
 
 
@@ -53,55 +55,6 @@ class TargetCandidate:
     t0: float
     s: float
     loss: float
-
-
-@dataclass(frozen=True)
-class QueryContext:
-    """Affine loss coefficients of a query state.
-
-    For a point at offset ``(xi, eta)`` from a sphere center the loss is
-    ``(alpha_xi + beta_xi . xi)^2 + (alpha_eta + beta_eta . eta)^2`` once the
-    center terms are folded in; ``alpha_xi``/``alpha_eta`` here hold the
-    state-only parts, the center dots are added per node.
-    """
-
-    beta_xi: np.ndarray
-    beta_eta: np.ndarray
-    alpha_xi: float  # -beta_xi . q0
-    alpha_eta: float  # -s_g
-
-    @classmethod
-    def from_state(
-        cls,
-        x0: State,
-        b: np.ndarray,
-        omega: float,
-        s_g: float,
-        guard_tol: float = DEFAULT_GUARD_TOL,
-    ) -> "QueryContext":
-        b = np.asarray(b, dtype=float)
-        if b.ndim == 2:
-            if b.shape[1] != 1:
-                raise ValueError("candidate search supports one unactuated direction")
-            b = b[:, 0]
-        qdbar0 = float(b @ x0.qdot)
-        if abs(qdbar0) <= guard_tol:
-            raise VelocityBarDegenerate(
-                f"|unactuated velocity projection| = {abs(qdbar0):.3g} <= {guard_tol:g}"
-            )
-        beta_xi = omega * b / qdbar0
-        beta_eta = b / qdbar0
-        return cls(beta_xi, beta_eta, -float(beta_xi @ x0.q), -float(s_g))
-
-
-@dataclass(frozen=True)
-class BallTreeNode:
-    """Read-only view of one tree node."""
-
-    center: np.ndarray  # (2N,) stacked [q_c; qdot_c]
-    radius: float
-    count: int
-    is_leaf: bool
 
 
 def proximity_loss(t0: float, s: float, omega: float, s_g: float) -> float:
@@ -221,115 +174,27 @@ class TargetStore:
         return cls(t, q, qdot, tau, G, n_links, joints)
 
 
-class BallTree:
-    """Bounding-sphere tree over the stacked [q; qdot] embedding.
+@dataclass(frozen=True)
+class NonEmptyStore:
+    """A target store that retrieval may run on: it holds at least one point,
+    so a query that passes the guard always has a store to scan."""
 
-    Construction splits on the dimension of maximal spread at the median
-    (stable order), so rebuilding from the same store is deterministic. The
-    tree is immutable after construction; concurrent queries are safe.
-    """
+    store: TargetStore
 
-    def __init__(self, store: TargetStore, leaf_size: int = DEFAULT_LEAF_SIZE):
-        if len(store) == 0:
-            raise EmptyDataset("cannot build a ball tree over zero points")
-        if leaf_size < 1:
-            raise ValueError("leaf_size must be >= 1")
-        self.store = store
-        self.leaf_size = leaf_size
-        pts = np.hstack([store.q, store.qdot])
-        n = len(store)
-        self._perm = np.arange(n, dtype=np.int64)
-        centers, radii, lefts, rights, starts, ends = [], [], [], [], [], []
-
-        def build(lo: int, hi: int) -> int:
-            node_id = len(centers)
-            sub = pts[self._perm[lo:hi]]
-            center = sub.mean(axis=0)
-            d2 = np.square(sub - center).sum(axis=1)
-            radius = math.sqrt(float(d2.max()))
-            radius += 1e-12 * (1.0 + radius)  # absorb rounding in containment
-            centers.append(center)
-            radii.append(radius)
-            starts.append(lo)
-            ends.append(hi)
-            lefts.append(-1)
-            rights.append(-1)
-            if hi - lo > leaf_size:
-                spread = sub.max(axis=0) - sub.min(axis=0)
-                dim = int(np.argmax(spread))
-                order = np.argsort(sub[:, dim], kind="stable")
-                self._perm[lo:hi] = self._perm[lo:hi][order]
-                mid = lo + (hi - lo) // 2
-                lefts[node_id] = build(lo, mid)
-                rights[node_id] = build(mid, hi)
-            return node_id
-
-        build(0, n)
-        self._centers = np.array(centers)
-        self._radii = np.array(radii)
-        self._lefts = np.array(lefts, dtype=np.int64)
-        self._rights = np.array(rights, dtype=np.int64)
-        self._starts = np.array(starts, dtype=np.int64)
-        self._ends = np.array(ends, dtype=np.int64)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self._radii)
-
-    def node(self, i: int) -> BallTreeNode:
-        return BallTreeNode(
-            self._centers[i].copy(),
-            float(self._radii[i]),
-            int(self._ends[i] - self._starts[i]),
-            self._lefts[i] < 0,
-        )
-
-    def node_points(self, i: int) -> np.ndarray:
-        """Dataset indices stored under node i."""
-        return self._perm[self._starts[i] : self._ends[i]].copy()
+    def __post_init__(self):
+        if len(self.store) == 0:
+            raise EmptyDataset("cannot retrieve from zero points")
 
 
-def build(points: list[DataPoint], n_links: int, actuated_joints: tuple[int, ...],
-          leaf_size: int = DEFAULT_LEAF_SIZE) -> BallTree:
-    """Build a ball tree directly from a list of data points."""
+def build(points: list[DataPoint], n_links: int, actuated_joints: tuple[int, ...]) -> NonEmptyStore:
+    """Retrieval handle over a list of data points."""
     if not points:
-        raise EmptyDataset("cannot build a ball tree over zero points")
-    return BallTree(TargetStore.from_points(points, n_links, actuated_joints), leaf_size)
-
-
-def node_bounds(node: BallTreeNode, ctx: QueryContext) -> tuple[float, float]:
-    """Tight lower/upper bounds of the proximity loss over a node's sphere.
-
-    The lower bound is zero when the unconstrained loss minimizer lies inside
-    the sphere; otherwise both extrema come from the stationary points on the
-    boundary circle, i.e. the admissible real roots of the quartic in
-    cos(theta) (endpoints are always included to guard against roots lost by
-    squaring).
-    """
-    n = len(ctx.beta_xi)
-    alpha_xi = ctx.alpha_xi + float(ctx.beta_xi @ node.center[:n])
-    alpha_eta = ctx.alpha_eta + float(ctx.beta_eta @ node.center[n:])
-    p = float(np.linalg.norm(ctx.beta_xi))
-    qn = float(np.linalg.norm(ctx.beta_eta))
-    lo, hi = _node_bounds_core(alpha_xi, alpha_eta, p, qn, node.radius)
-    return float(lo), float(hi)
-
-
-@dataclass
-class QueryStats:
-    """Work counters of one candidate query (pruning regression guard)."""
-
-    leaf_evals: int
-    nodes_visited: int
-    total_points: int
-
-    @property
-    def leaf_fraction(self) -> float:
-        return self.leaf_evals / max(1, self.total_points)
+        raise EmptyDataset("cannot retrieve from zero points")
+    return NonEmptyStore(TargetStore.from_points(points, n_links, actuated_joints))
 
 
 def query_candidates(
-    tree: BallTree,
+    targets: NonEmptyStore,
     x0: State,
     b: np.ndarray,
     omega: float,
@@ -339,31 +204,18 @@ def query_candidates(
 ) -> list[TargetCandidate]:
     """The n_d lowest-loss stored points for the query state, each with its
     time reparameterization; ties break on dataset order."""
-    cands, _ = query_candidates_with_stats(tree, x0, b, omega, s_g, n_d, guard_tol)
-    return cands
-
-
-def query_candidates_with_stats(
-    tree: BallTree,
-    x0: State,
-    b: np.ndarray,
-    omega: float,
-    s_g: float,
-    n_d: int,
-    guard_tol: float = DEFAULT_GUARD_TOL,
-) -> tuple[list[TargetCandidate], QueryStats]:
     if n_d < 1:
         raise ValueError("n_d must be >= 1")
-    idx, t0, s, loss, stats = _query_arrays(tree, x0, b, omega, s_g, n_d, guard_tol)
-    cands = [
-        TargetCandidate(tree.store.point(int(i)), int(i), float(a), float(c), float(l))
+    idx, t0, s, loss = _query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol)
+    return [
+        TargetCandidate(targets.store.point(int(i)), int(i), float(a), float(c), float(l))
         for i, a, c, l in zip(idx, t0, s, loss)
     ]
-    return cands, stats
 
 
-def _query_arrays(tree, x0, b, omega, s_g, n_d, guard_tol):
-    """Array-level query used by the runtime control loop."""
+def _query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
+    """Array-level query used by the runtime control loop: (indices, t0, s,
+    loss) of the selected points in ascending (loss, index) order."""
     b = np.asarray(b, dtype=float)
     if b.ndim == 2:
         if b.shape[1] != 1:
@@ -375,346 +227,27 @@ def _query_arrays(tree, x0, b, omega, s_g, n_d, guard_tol):
             f"|unactuated velocity projection| = {abs(qdbar0):.3g} <= {guard_tol:g}"
         )
     qbar0 = float(b @ x0.q)
-    cap = min(n_d, len(tree.store))
-    out_idx = np.empty(cap, dtype=np.int64)
-    out_t0 = np.empty(cap)
-    out_s = np.empty(cap)
-    out_loss = np.empty(cap)
-    count, leaf_evals, visited = _query_kernel(
-        tree._centers, tree._radii, tree._lefts, tree._rights,
-        tree._starts, tree._ends, tree._perm,
-        tree.store.q, tree.store.qdot,
-        b, qbar0, qdbar0, float(omega), float(s_g), float(guard_tol),
-        cap, out_idx, out_t0, out_s, out_loss,
-    )
-    stats = QueryStats(int(leaf_evals), int(visited), len(tree.store))
-    return out_idx[:count], out_t0[:count], out_s[:count], out_loss[:count], stats
-
-
-def brute_force_candidates(
-    store: TargetStore,
-    x0: State,
-    b: np.ndarray,
-    omega: float,
-    s_g: float,
-    n_d: int,
-    guard_tol: float = DEFAULT_GUARD_TOL,
-) -> list[TargetCandidate]:
-    """Linear-scan oracle with the same guards and tie-breaking."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 2:
-        b = b[:, 0]
-    qdbar0 = float(b @ x0.qdot)
-    if abs(qdbar0) <= guard_tol:
-        raise VelocityBarDegenerate("unactuated velocity projection too small")
-    qbar0 = float(b @ x0.q)
-    qb = store.q @ b
-    qdb = store.qdot @ b
-    ok = np.abs(qdb) > guard_tol
-    t0 = (qb - qbar0) / qdbar0
-    s = qdb / qdbar0
+    qb = _project(targets.store.q, b)
+    qdb = _project(targets.store.qdot, b)
+    idx = np.flatnonzero(np.abs(qdb) > guard_tol)
+    t0 = (qb[idx] - qbar0) / qdbar0
+    s = qdb[idx] / qdbar0
     loss = (omega * t0) ** 2 + (s - s_g) ** 2
-    idx = np.nonzero(ok)[0]
-    order = np.lexsort((idx, loss[idx]))[: min(n_d, len(idx))]
-    sel = idx[order]
-    return [
-        TargetCandidate(store.point(int(i)), int(i), float(t0[i]), float(s[i]), float(loss[i]))
-        for i in sel
-    ]
+    if len(idx) > n_d:
+        # Only points at or below the n_d-th smallest loss can be selected;
+        # keeping every point that ties it leaves the index tie-break intact.
+        kth = np.partition(loss, n_d - 1)[n_d - 1]
+        near = np.flatnonzero(loss <= kth)
+        idx, t0, s, loss = idx[near], t0[near], s[near], loss[near]
+    order = np.lexsort((idx, loss))[:n_d]
+    return idx[order], t0[order], s[order], loss[order]
 
 
-# ---------------------------------------------------------------------------
-# Compiled kernels
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _node_bounds_core(alpha_xi, alpha_eta, p, qn, rho):
-    """Tight (lower, upper) loss bounds over a sphere of radius rho."""
-    # Unconstrained minimizer inside the sphere: the loss reaches zero.
-    u0 = -alpha_xi / p
-    v0 = -alpha_eta / qn
-    interior = u0 * u0 + v0 * v0 <= rho * rho
-    # Stationary points on the boundary circle (u, v) = rho (cos t, sin t).
-    a1 = rho * (p * p - qn * qn)
-    a2 = alpha_xi * p
-    a3 = alpha_eta * qn
-    c4 = -a1 * a1
-    c3 = -2.0 * a1 * a2
-    c2 = a1 * a1 - a2 * a2 - a3 * a3
-    c1 = 2.0 * a1 * a2
-    c0 = a2 * a2
-    roots = np.empty(4)
-    cand_c = np.empty(10)
-    cand_s = np.empty(10)
-    m = 0
-    if c4 != 0.0 or c3 != 0.0 or c2 != 0.0 or c1 != 0.0:
-        nr = _quartic_roots_core(c4, c3, c2, c1, c0, roots)
-        scale = abs(a1) + abs(a2) + abs(a3) + 1e-300
-        for i in range(nr):
-            c = roots[i]
-            if c > 1.0:
-                c = 1.0
-            elif c < -1.0:
-                c = -1.0
-            elif not (-1.0 <= c <= 1.0):
-                continue
-            smag = math.sqrt(max(0.0, 1.0 - c * c))
-            den = a1 * c + a2
-            num = a3 * c
-            if abs(den) <= 1e-12 * scale:
-                cand_c[m] = c
-                cand_s[m] = smag
-                m += 1
-                cand_c[m] = c
-                cand_s[m] = -smag
-                m += 1
-            else:
-                cand_c[m] = c
-                cand_s[m] = smag if num / den >= 0.0 else -smag
-                m += 1
-    # Endpoints guard against roots lost under squaring.
-    cand_c[m] = 1.0
-    cand_s[m] = 0.0
-    m += 1
-    cand_c[m] = -1.0
-    cand_s[m] = 0.0
-    m += 1
-    gmin = math.inf
-    gmax = -math.inf
-    for i in range(m):
-        fu = alpha_xi + p * rho * cand_c[i]
-        fv = alpha_eta + qn * rho * cand_s[i]
-        g = fu * fu + fv * fv
-        if g < gmin:
-            gmin = g
-        if g > gmax:
-            gmax = g
-    lo = 0.0 if interior else gmin
-    return lo, gmax
-
-
-@njit(cache=True)
-def _heap_push(keys, vals, size, key, val):
-    i = size
-    keys[i] = key
-    vals[i] = val
-    while i > 0:
-        parent = (i - 1) // 2
-        if keys[parent] <= keys[i]:
-            break
-        keys[parent], keys[i] = keys[i], keys[parent]
-        vals[parent], vals[i] = vals[i], vals[parent]
-        i = parent
-    return size + 1
-
-
-@njit(cache=True)
-def _heap_pop(keys, vals, size):
-    top_key = keys[0]
-    top_val = vals[0]
-    size -= 1
-    keys[0] = keys[size]
-    vals[0] = vals[size]
-    i = 0
-    while True:
-        l = 2 * i + 1
-        r = l + 1
-        small = i
-        if l < size and keys[l] < keys[small]:
-            small = l
-        if r < size and keys[r] < keys[small]:
-            small = r
-        if small == i:
-            break
-        keys[small], keys[i] = keys[i], keys[small]
-        vals[small], vals[i] = vals[i], vals[small]
-        i = small
-    return top_key, top_val, size
-
-
-@njit(cache=True)
-def _worse(l1, i1, l2, i2):
-    """Lexicographic (loss, index) comparison: True when 1 is worse than 2."""
-    return l1 > l2 or (l1 == l2 and i1 > i2)
-
-
-@njit(cache=True)
-def _best_insert(best_loss, best_idx, size, cap, loss, idx):
-    """Max-heap of the current best candidates keyed by (loss, index)."""
-    if size < cap:
-        i = size
-        best_loss[i] = loss
-        best_idx[i] = idx
-        while i > 0:
-            parent = (i - 1) // 2
-            if not _worse(best_loss[i], best_idx[i], best_loss[parent], best_idx[parent]):
-                break
-            best_loss[parent], best_loss[i] = best_loss[i], best_loss[parent]
-            best_idx[parent], best_idx[i] = best_idx[i], best_idx[parent]
-            i = parent
-        return size + 1
-    if not _worse(best_loss[0], best_idx[0], loss, idx):
-        return size
-    best_loss[0] = loss
-    best_idx[0] = idx
-    i = 0
-    while True:
-        l = 2 * i + 1
-        r = l + 1
-        big = i
-        if l < size and _worse(best_loss[l], best_idx[l], best_loss[big], best_idx[big]):
-            big = l
-        if r < size and _worse(best_loss[r], best_idx[r], best_loss[big], best_idx[big]):
-            big = r
-        if big == i:
-            break
-        best_loss[big], best_loss[i] = best_loss[i], best_loss[big]
-        best_idx[big], best_idx[i] = best_idx[i], best_idx[big]
-        i = big
-    return size
-
-
-@njit(cache=True)
-def _node_alpha_bounds(centers, radii, node, n, beta_xi, beta_eta, axi0, aeta0, p, qn):
-    axi = axi0
-    aeta = aeta0
-    for d in range(n):
-        axi += beta_xi[d] * centers[node, d]
-        aeta += beta_eta[d] * centers[node, n + d]
-    return _node_bounds_core(axi, aeta, p, qn, radii[node])
-
-
-@njit(cache=True)
-def _query_kernel(
-    centers, radii, lefts, rights, starts, ends, perm,
-    Q, QD, b, qbar0, qdbar0, omega, s_g, guard_tol, n_d,
-    out_idx, out_t0, out_s, out_loss,
-):
-    n = Q.shape[1]
-    beta_xi = omega * b / qdbar0
-    beta_eta = b / qdbar0
-    p = 0.0
-    qn = 0.0
-    for d in range(n):
-        p += beta_xi[d] * beta_xi[d]
-        qn += beta_eta[d] * beta_eta[d]
-    p = math.sqrt(p)
-    qn = math.sqrt(qn)
-    # State-only affine parts; node centers contribute the rest.
-    axi0 = -(omega / qdbar0) * qbar0
-    aeta0 = -s_g
-    # Guard-excluded points have |s| <= s_min, hence loss >= excl_floor.
-    # Upper-bound threshold tightening counts a node's points as admissible
-    # only when its whole sphere sits below that floor.
-    s_min = guard_tol / abs(qdbar0)
-    margin = abs(s_g) - s_min
-    excl_floor = margin * margin if margin > 0.0 else -1.0
-
-    n_nodes = radii.shape[0]
-    pq_key = np.empty(n_nodes)
-    pq_val = np.empty(n_nodes, dtype=np.int64)
-    pq_size = 0
-    best_loss = np.empty(n_d)
-    best_idx = np.empty(n_d, dtype=np.int64)
-    best_size = 0
-    t_upper = math.inf
-    leaf_evals = 0
-    visited = 0
-
-    lo0, hi0 = _node_alpha_bounds(centers, radii, 0, n, beta_xi, beta_eta, axi0, aeta0, p, qn)
-    if ends[0] - starts[0] >= n_d and hi0 < excl_floor and hi0 < t_upper:
-        t_upper = hi0
-    pq_size = _heap_push(pq_key, pq_val, pq_size, lo0, 0)
-
-    while pq_size > 0:
-        ll, node, pq_size = _heap_pop(pq_key, pq_val, pq_size)
-        if best_size == n_d and ll > best_loss[0]:
-            break
-        if ll > t_upper:
-            break
-        visited += 1
-        if lefts[node] < 0:
-            for i in range(starts[node], ends[node]):
-                j = perm[i]
-                qb = 0.0
-                qdb = 0.0
-                for d in range(n):
-                    qb += b[d] * Q[j, d]
-                    qdb += b[d] * QD[j, d]
-                leaf_evals += 1
-                if abs(qdb) <= guard_tol:
-                    continue
-                t0 = (qb - qbar0) / qdbar0
-                s = qdb / qdbar0
-                dxi = omega * t0
-                deta = s - s_g
-                loss = dxi * dxi + deta * deta
-                best_size = _best_insert(best_loss, best_idx, best_size, n_d, loss, j)
-        else:
-            for child in (lefts[node], rights[node]):
-                axi = axi0
-                aeta = aeta0
-                for d in range(n):
-                    axi += beta_xi[d] * centers[child, d]
-                    aeta += beta_eta[d] * centers[child, n + d]
-                rho = radii[child]
-                threshold = t_upper
-                if best_size == n_d and best_loss[0] < threshold:
-                    threshold = best_loss[0]
-                # Cheap pre-bound (each affine term minimized independently
-                # over the ball) never exceeds the tight bound, so pruning on
-                # it makes the same decision without solving the quartic.
-                fu = abs(axi) - p * rho
-                fv = abs(aeta) - qn * rho
-                cheap = 0.0
-                if fu > 0.0:
-                    cheap += fu * fu
-                if fv > 0.0:
-                    cheap += fv * fv
-                if cheap > threshold:
-                    continue
-                clo, chi = _node_bounds_core(axi, aeta, p, qn, rho)
-                if ends[child] - starts[child] >= n_d and chi < excl_floor and chi < t_upper:
-                    t_upper = chi
-                if clo <= threshold:
-                    pq_size = _heap_push(pq_key, pq_val, pq_size, clo, child)
-
-    # Drain the best-heap into ascending (loss, index) order.
-    count = best_size
-    for pos in range(count - 1, -1, -1):
-        out_loss[pos] = best_loss[0]
-        out_idx[pos] = best_idx[0]
-        best_size = _best_insert_pop(best_loss, best_idx, best_size)
-    for pos in range(count):
-        j = out_idx[pos]
-        qb = 0.0
-        qdb = 0.0
-        for d in range(n):
-            qb += b[d] * Q[j, d]
-            qdb += b[d] * QD[j, d]
-        out_t0[pos] = (qb - qbar0) / qdbar0
-        out_s[pos] = qdb / qdbar0
-    return count, leaf_evals, visited
-
-
-@njit(cache=True)
-def _best_insert_pop(best_loss, best_idx, size):
-    size -= 1
-    best_loss[0] = best_loss[size]
-    best_idx[0] = best_idx[size]
-    i = 0
-    while True:
-        l = 2 * i + 1
-        r = l + 1
-        big = i
-        if l < size and _worse(best_loss[l], best_idx[l], best_loss[big], best_idx[big]):
-            big = l
-        if r < size and _worse(best_loss[r], best_idx[r], best_loss[big], best_idx[big]):
-            big = r
-        if big == i:
-            break
-        best_loss[big], best_loss[i] = best_loss[i], best_loss[big]
-        best_idx[big], best_idx[i] = best_idx[i], best_idx[big]
-        i = big
-    return size
+def _project(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products a @ b, added column by column in a fixed order
+    without fused multiply-adds, so the result does not depend on the BLAS
+    build and retrieval reproduces bit for bit across hosts."""
+    out = a[:, 0] * b[0]
+    for d in range(1, len(b)):
+        out += a[:, d] * b[d]
+    return out

@@ -15,11 +15,11 @@ from cpc.controller import (
     make_controller,
 )
 from cpc.dynamics import State, acrobot_params, exact_control_matrix
-from cpc.target_store import BallTree, DataPoint, TargetStore, build
+from cpc.target_store import DataPoint, build
 from cpc.value import RewardSpec
 
 
-def _one_point_tree(xd, tau=0.0, G=0.0):
+def _one_point_targets(xd, tau=0.0, G=0.0):
     pts = [DataPoint(0.0, xd, np.array([tau]), G)]
     return build(pts, 2, (1,))
 
@@ -46,9 +46,9 @@ def _engineered_setup(chi_offset):
 
 def test_cpc_loop_single_candidate_no_backoff():
     x0, xd, B, split = _engineered_setup(1e-4)
-    tree = _one_point_tree(xd)
+    targets = _one_point_targets(xd)
     cfg = ControllerConfig(s_g=1.0)
-    tau = cpc_loop(x0, B, tree, cfg)
+    tau = cpc_loop(x0, B, targets, cfg)
     # Small error: no backoff, so the torque equals the direct law at k0.
     direct = cpc_tau(x0, xd, B, split, Reparam(0.0, 1.0), GainSpec(cfg.k0), np.zeros(1))
     assert np.linalg.norm(tau) < cfg.tau_c
@@ -65,8 +65,8 @@ def test_cpc_loop_backoff_iteration_count():
     base_norm = cfg.k0 * abs(dchi / b_chi)
     factor = 10.0 * cfg.tau_c / base_norm
     x0 = State(xd.q + (x0.q - xd.q) * factor, x0.qdot)
-    tree = _one_point_tree(xd)
-    tau = cpc_loop(x0, B, tree, cfg)
+    targets = _one_point_targets(xd)
+    tau = cpc_loop(x0, B, targets, cfg)
     assert np.linalg.norm(tau) == pytest.approx(10.0 / 16.0 * cfg.tau_c, rel=1e-6)
 
 
@@ -84,8 +84,8 @@ def test_cpc_loop_gain_floor_returns_unclamped():
     k_last = cfg.k0 / 2**9  # last gain tried before dropping below k_c
     assert k_last >= cfg.k_c and k_last / 2 < cfg.k_c
     x0, xd, B, split = _offset_for_norm_at(cfg, 1.5 * cfg.tau_c, k_last)
-    tree = _one_point_tree(xd)
-    tau = cpc_loop(x0, B, tree, cfg)
+    targets = _one_point_targets(xd)
+    tau = cpc_loop(x0, B, targets, cfg)
     assert np.linalg.norm(tau) == pytest.approx(1.5 * cfg.tau_c, rel=1e-9)
     assert np.linalg.norm(tau) >= cfg.tau_c
 
@@ -103,8 +103,8 @@ def test_cpc_loop_backoff_bounded_iterations(monkeypatch):
     monkeypatch.setattr(ctl, "candidate_costs", counting)
     cfg = ControllerConfig(s_g=1.0)
     x0, xd, B, _ = _offset_for_norm_at(cfg, 1.5 * cfg.tau_c, cfg.k0 / 2**9)
-    tree = _one_point_tree(xd)
-    cpc_loop(x0, B, tree, cfg)
+    targets = _one_point_targets(xd)
+    cpc_loop(x0, B, targets, cfg)
     assert calls["n"] == 10  # floor(log2(k0 / k_c)) + 1
 
 
@@ -123,11 +123,11 @@ def test_cpc_loop_reselects_candidates_per_gain():
         DataPoint(0.0, State(q, qdot), np.zeros(1), 0.0),
         DataPoint(0.0, State(q + 0.08 * perp, qdot), np.zeros(1), 5.0),
     ]
-    tree = build(pts, 2, (1,))
+    targets = build(pts, 2, (1,))
     cfg_hi = ControllerConfig(s_g=1.0, k0=1e7, k_c=5e6, tau_c=1e9)
     cfg_lo = ControllerConfig(s_g=1.0, k0=2.0001, k_c=1.0, tau_c=1e9)
-    tau_hi = cpc_loop(x0, B, tree, cfg_hi)
-    tau_lo = cpc_loop(x0, B, tree, cfg_lo)
+    tau_hi = cpc_loop(x0, B, targets, cfg_hi)
+    tau_lo = cpc_loop(x0, B, targets, cfg_lo)
     # High gain picks the on-target point (zero feedback); low gain accepts
     # the offset for its recorded return.
     assert np.abs(tau_hi).max() < 1e-9
@@ -137,7 +137,7 @@ def test_cpc_loop_reselects_candidates_per_gain():
 def test_controller_bootstrap_then_estimation(rng):
     cfg = ControllerConfig(s_g=1.0)
     ctrl = make_controller(cfg, 1, seed=42)
-    tree = _one_point_tree(State(np.array([0.1, -0.1]), np.array([0.8, 0.5])))
+    targets = _one_point_targets(State(np.array([0.1, -0.1]), np.array([0.8, 0.5])))
     # Synthetic linear plant: qdot accumulates B0 tau dt.
     B0 = np.array([[30.0], [-45.0]])
     q = np.array([0.1, -0.1])
@@ -146,7 +146,7 @@ def test_controller_bootstrap_then_estimation(rng):
     for step in range(cfg.history_n + 1):
         x = State(q.copy(), qdot.copy())
         states.append(x)
-        tau = controller_step(ctrl, x, tree, cfg)
+        tau = controller_step(ctrl, x, targets, cfg)
         if step < cfg.history_n:
             assert ctrl.last_B is None  # still bootstrapping
         qdot = qdot + cfg.dt * (B0 @ tau)
@@ -154,30 +154,30 @@ def test_controller_bootstrap_then_estimation(rng):
     # to the ridge bias) and the torque matches a direct loop call with it.
     assert ctrl.last_B is not None
     assert np.abs(ctrl.last_B - B0).max() < 1e-3
-    direct = cpc_loop(states[-1], ctrl.last_B, tree, cfg)
+    direct = cpc_loop(states[-1], ctrl.last_B, targets, cfg)
     assert np.abs(ctrl.prev_tau - direct).max() < 1e-12
 
 
 def test_controller_fallback_on_degenerate_velocity():
     cfg = ControllerConfig(s_g=1.0)
     ctrl = make_controller(cfg, 1, seed=0)
-    tree = _one_point_tree(State(np.array([0.1, -0.1]), np.array([0.8, 0.5])))
+    targets = _one_point_targets(State(np.array([0.1, -0.1]), np.array([0.8, 0.5])))
     # Fill history artificially, then query from a rest state.
     for _ in range(cfg.history_n):
         ctrl.history.append((np.array([0.01]), np.array([0.3, -0.45])))
     x = State(np.array([0.05, 0.0]), np.zeros(2))
-    tau = controller_step(ctrl, x, tree, cfg)
+    tau = controller_step(ctrl, x, targets, cfg)
     assert np.array_equal(tau, np.zeros(1))
     assert ctrl.fallback_count == 1
     # The controller keeps going on the next step.
     x2 = State(np.array([0.05, 0.0]), np.array([0.4, 0.3]))
-    tau2 = controller_step(ctrl, x2, tree, cfg)
+    tau2 = controller_step(ctrl, x2, targets, cfg)
     assert np.all(np.isfinite(tau2))
 
 
 def test_controller_determinism():
     cfg = ControllerConfig(s_g=1.0)
-    tree = _one_point_tree(State(np.array([0.1, -0.1]), np.array([0.8, 0.5])))
+    targets = _one_point_targets(State(np.array([0.1, -0.1]), np.array([0.8, 0.5])))
 
     def run():
         ctrl = make_controller(cfg, 1, seed=7)
@@ -186,7 +186,7 @@ def test_controller_determinism():
         taus = []
         for _ in range(12):
             x = State(q.copy(), qdot.copy())
-            tau = controller_step(ctrl, x, tree, cfg)
+            tau = controller_step(ctrl, x, targets, cfg)
             taus.append(tau.copy())
             qdot = qdot + 0.01 * np.array([25.0, -40.0]) * tau[0]
             q = q + 0.01 * qdot
@@ -199,14 +199,14 @@ def test_controller_determinism():
 def test_controller_never_emits_nonfinite():
     cfg = ControllerConfig(s_g=1.0)
     ctrl = make_controller(cfg, 1, seed=1)
-    tree = _one_point_tree(State(np.array([0.1, -0.1]), np.array([0.8, 0.5])))
+    targets = _one_point_targets(State(np.array([0.1, -0.1]), np.array([0.8, 0.5])))
     # Poisoned history with zero torques: regression is ridge-saved but the
     # resulting B is ~0, making the feedback blow up to huge-but-finite or
     # the split fail; either way the output must be finite.
     for _ in range(cfg.history_n):
         ctrl.history.append((np.zeros(1), np.array([1.0, 1.0])))
     x = State(np.array([0.3, -0.2]), np.array([0.7, 0.4]))
-    tau = controller_step(ctrl, x, tree, cfg)
+    tau = controller_step(ctrl, x, targets, cfg)
     assert np.all(np.isfinite(tau))
 
 

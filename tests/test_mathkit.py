@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from cpc.errors import DegeneratePolynomial, RankDeficient, SingularMatrix
+from cpc.errors import RankDeficient, SingularMatrix
 from cpc.mathkit import (
     expm_crit_damped,
     least_squares,
-    quartic_real_roots,
     right_pseudoinverse,
 )
 
@@ -96,82 +95,6 @@ def test_lsq_ridge_shrinks(rng):
 def test_lsq_underdetermined_raises(rng):
     with pytest.raises(RankDeficient):
         least_squares(rng.normal(size=(2, 4)), np.ones(2))
-
-
-# ---------------------------------------------------------------------------
-# quartic_real_roots
-# ---------------------------------------------------------------------------
-
-
-def _poly(coeffs, x):
-    c4, c3, c2, c1, c0 = coeffs
-    return (((c4 * x + c3) * x + c2) * x + c1) * x + c0
-
-
-def _bisect_roots(coeffs, lo=-10.0, hi=10.0, n_grid=20001):
-    """Sign-change bisection scan, independent of the closed-form path."""
-    xs = np.linspace(lo, hi, n_grid)
-    vals = _poly(coeffs, xs)
-    roots = []
-    for i in range(n_grid - 1):
-        a, b = xs[i], xs[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                fm = _poly(coeffs, m)
-                if fa * fm <= 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
-    return roots
-
-
-def test_quartic_double_pair():
-    assert np.allclose(quartic_real_roots(1, 0, -2, 0, 1), [-1, -1, 1, 1])
-
-
-def test_quartic_pure_power():
-    assert np.allclose(quartic_real_roots(1, 0, 0, 0, 0), [0, 0, 0, 0])
-
-
-def test_quartic_degenerate_raises():
-    with pytest.raises(DegeneratePolynomial):
-        quartic_real_roots(0, 0, 0, 0, 5.0)
-
-
-def test_quartic_lower_degrees():
-    assert np.allclose(quartic_real_roots(0, 0, 0, 2.0, -4.0), [2.0])
-    assert np.allclose(quartic_real_roots(0, 0, 1.0, -3.0, 2.0), [1.0, 2.0])
-    assert np.allclose(quartic_real_roots(0, 1.0, -6.0, 11.0, -6.0), [1.0, 2.0, 3.0])
-
-
-def test_quartic_random_vs_bisection_oracle(rng):
-    for _ in range(100):
-        coeffs = rng.normal(size=5)
-        coeffs[0] = coeffs[0] + np.sign(coeffs[0]) * 0.1  # keep quartic degree
-        roots = quartic_real_roots(*coeffs)
-        assert len(roots) <= 4
-        scale = max(1.0, np.linalg.norm(coeffs))
-        for r in roots:
-            assert abs(_poly(coeffs, r)) <= 1e-8 * scale
-        for r_oracle in _bisect_roots(coeffs):
-            assert min(abs(r - r_oracle) for r in roots) < 1e-7
-
-
-def test_quartic_constructed_roots(rng):
-    for _ in range(100):
-        rts = np.sort(rng.uniform(-3, 3, size=4))
-        c = np.poly(rts)  # monic coefficients, highest first
-        roots = quartic_real_roots(*c)
-        assert len(roots) == 4
-        assert np.abs(np.array(roots) - rts).max() < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -5,18 +5,47 @@ from cpc.control_law import null_covector, split_coordinates
 from cpc.dynamics import State, acrobot_params, exact_control_matrix, step
 from cpc.errors import DatasetSchemaMismatch, EmptyDataset, VelocityBarDegenerate
 from cpc.target_store import (
-    BallTree,
-    BallTreeNode,
+    DEFAULT_GUARD_TOL,
     DataPoint,
-    QueryContext,
+    NonEmptyStore,
+    TargetCandidate,
     TargetStore,
-    brute_force_candidates,
     build,
-    node_bounds,
     proximity_loss,
     query_candidates,
-    query_candidates_with_stats,
 )
+
+
+def brute_force_candidates(
+    store: TargetStore,
+    x0: State,
+    b: np.ndarray,
+    omega: float,
+    s_g: float,
+    n_d: int,
+    guard_tol: float = DEFAULT_GUARD_TOL,
+) -> list[TargetCandidate]:
+    """Linear-scan oracle with the same guards and tie-breaking."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 2:
+        b = b[:, 0]
+    qdbar0 = float(b @ x0.qdot)
+    if abs(qdbar0) <= guard_tol:
+        raise VelocityBarDegenerate("unactuated velocity projection too small")
+    qbar0 = float(b @ x0.q)
+    qb = store.q @ b
+    qdb = store.qdot @ b
+    ok = np.abs(qdb) > guard_tol
+    t0 = (qb - qbar0) / qdbar0
+    s = qdb / qdbar0
+    loss = (omega * t0) ** 2 + (s - s_g) ** 2
+    idx = np.nonzero(ok)[0]
+    order = np.lexsort((idx, loss[idx]))[: min(n_d, len(idx))]
+    sel = idx[order]
+    return [
+        TargetCandidate(store.point(int(i)), int(i), float(t0[i]), float(s[i]), float(loss[i]))
+        for i in sel
+    ]
 
 
 def _fall_like_store(n_traj=100, n_pts=100, seed=5, sigma=0.02):
@@ -43,8 +72,8 @@ def fall_store():
 
 
 @pytest.fixture(scope="module")
-def fall_tree(fall_store):
-    return BallTree(fall_store)
+def fall_targets(fall_store):
+    return NonEmptyStore(fall_store)
 
 
 def _acrobot_b(q):
@@ -79,117 +108,48 @@ def test_loss_reversed_goal():
 
 
 # ---------------------------------------------------------------------------
-# tree construction
+# retrieval handle
 # ---------------------------------------------------------------------------
-
-
-def test_single_point_tree():
-    pts = [DataPoint(0.0, State(np.zeros(2), np.zeros(2)), np.zeros(1), 0.0)]
-    tree = build(pts, 2, (1,))
-    assert tree.n_nodes == 1
-    node = tree.node(0)
-    assert node.is_leaf
-    assert node.radius < 1e-9
 
 
 def test_empty_dataset_raises():
     with pytest.raises(EmptyDataset):
         build([], 2, (1,))
-
-
-def test_containment_audit(fall_tree):
-    pts = np.hstack([fall_tree.store.q, fall_tree.store.qdot])
-    for i in range(fall_tree.n_nodes):
-        node = fall_tree.node(i)
-        sub = pts[fall_tree.node_points(i)]
-        d = np.sqrt(np.square(sub - node.center).sum(axis=1))
-        assert d.max() <= node.radius + 1e-12
-
-
-def test_build_deterministic(fall_store):
-    t1 = BallTree(fall_store)
-    t2 = BallTree(fall_store)
-    assert np.array_equal(t1._perm, t2._perm)
-    assert np.array_equal(t1._centers, t2._centers)
+    empty = TargetStore(
+        np.empty(0), np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 1)), np.empty(0), 2, (1,)
+    )
+    with pytest.raises(EmptyDataset):
+        NonEmptyStore(empty)
 
 
 def test_duplicates_returned_as_distinct(rng):
     st = State(np.array([0.1, 0.2]), np.array([0.5, 0.4]))
     pts = [DataPoint(0.0, st, np.zeros(1), 0.0) for _ in range(5)]
-    tree = build(pts, 2, (1,))
+    targets = build(pts, 2, (1,))
     x0, b = _random_query_state(rng)
-    cands = query_candidates(tree, x0, b, 10.0, 1.0, 3)
+    cands = query_candidates(targets, x0, b, 10.0, 1.0, 3)
     assert [c.index for c in cands] == [0, 1, 2]
     assert len({c.loss for c in cands}) == 1
 
-
-# ---------------------------------------------------------------------------
-# node bounds
-# ---------------------------------------------------------------------------
-
-
-def _ctx_for(x0, b, omega=10.0, s_g=1.0):
-    return QueryContext.from_state(x0, b, omega, s_g)
-
-
-def _loss_of_point(x0, b, qd, qdotd, omega, s_g):
-    bb = b[:, 0]
-    qdbar0 = bb @ x0.qdot
-    t0 = (bb @ qd - bb @ x0.q) / qdbar0
-    s = (bb @ qdotd) / qdbar0
-    return proximity_loss(t0, s, omega, s_g)
-
-
-def test_bounds_zero_radius_equals_center_loss(rng):
-    x0, b = _random_query_state(rng)
-    center = rng.normal(size=4)
-    node = BallTreeNode(center, 0.0, 1, True)
-    lo, hi = node_bounds(node, _ctx_for(x0, b))
-    val = _loss_of_point(x0, b, center[:2], center[2:], 10.0, 1.0)
-    assert lo == pytest.approx(val, abs=1e-9)
-    assert hi == pytest.approx(val, abs=1e-9)
-
-
-def test_bounds_minimizer_inside_gives_zero(rng):
-    x0, b = _random_query_state(rng)
-    bb = b[:, 0]
-    qdbar0 = bb @ x0.qdot
-    # A center whose loss vanishes: bb.q_c = bb.q0 and bb.qdot_c = s_g qdbar0.
-    qc = x0.q.copy()
-    qdc = x0.qdot.copy()
-    node = BallTreeNode(np.concatenate([qc, qdc * (1.0 * qdbar0 / qdbar0)]), 0.5, 1, True)
-    ctx = _ctx_for(x0, b, s_g=1.0)
-    lo, _ = node_bounds(node, ctx)
-    assert lo == 0.0
-
-
-def test_bounds_monte_carlo_sandwich(rng, fall_tree):
-    node_ids = rng.integers(0, fall_tree.n_nodes, size=200)
-    for nid in node_ids:
-        x0, b = _random_query_state(rng)
-        ctx = _ctx_for(x0, b)
-        node = fall_tree.node(int(nid))
-        lo, hi = node_bounds(node, ctx)
-        # Uniform samples in the 4-ball around the center.
-        g = rng.normal(size=(500, 4))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        radii = node.radius * rng.uniform(0, 1, size=500) ** 0.25
-        pts = node.center + g * radii[:, None]
-        for pt in pts[:: 25]:
-            val = _loss_of_point(x0, b, pt[:2], pt[2:], 10.0, 1.0)
-            assert lo - 1e-9 <= val <= hi + 1e-9
-
-
-def test_bounds_monotone_in_radius(rng):
-    x0, b = _random_query_state(rng)
-    ctx = _ctx_for(x0, b)
-    center = rng.normal(size=4)
-    prev_lo, prev_hi = node_bounds(BallTreeNode(center, 0.0, 1, True), ctx)
-    for rho in [0.1, 0.3, 1.0, 3.0]:
-        lo, hi = node_bounds(BallTreeNode(center, rho, 1, True), ctx)
-        assert lo <= prev_lo + 1e-12
-        assert hi >= prev_hi - 1e-12
-        prev_lo, prev_hi = lo, hi
+    # 200 copies of one point scattered among 300 distinct ones, with n_d
+    # ending inside the tie group: the lowest dataset indices of the group
+    # must be the ones returned.
+    n_tie, n_distinct = 200, 300
+    slots = rng.permutation(n_tie + n_distinct)
+    tie_idx = np.sort(slots[:n_tie])
+    pts = [
+        DataPoint(0.0, State(rng.uniform(-0.5, 0.5, 2), rng.uniform(-2.0, 2.0, 2)), np.zeros(1), 0.0)
+        for _ in range(n_tie + n_distinct)
+    ]
+    for i in tie_idx:
+        pts[i] = DataPoint(0.0, st, np.zeros(1), 0.0)
+    targets = build(pts, 2, (1,))
+    ranked = [c.index for c in brute_force_candidates(targets.store, x0, b, 10.0, 1.0, len(pts))]
+    n_d = ranked.index(tie_idx[0]) + n_tie // 2
+    cands = query_candidates(targets, x0, b, 10.0, 1.0, n_d)
+    assert [c.index for c in cands] == ranked[:n_d]
+    tie_set = set(tie_idx.tolist())
+    assert [c.index for c in cands if c.index in tie_set] == tie_idx[: n_tie // 2].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -199,47 +159,38 @@ def test_bounds_monotone_in_radius(rng):
 
 def test_query_exhaustive_returns_all_sorted(rng):
     store = _fall_like_store(n_traj=2, n_pts=30, seed=9)
-    tree = BallTree(store)
+    targets = NonEmptyStore(store)
     x0, b = _random_query_state(rng)
-    cands = query_candidates(tree, x0, b, 10.0, 1.0, n_d=1000)
+    cands = query_candidates(targets, x0, b, 10.0, 1.0, n_d=1000)
     assert len(cands) == len([c for c in brute_force_candidates(store, x0, b, 10.0, 1.0, 1000)])
     losses = [c.loss for c in cands]
     assert losses == sorted(losses)
 
 
-def test_query_matches_brute_force(rng, fall_tree):
+def test_query_matches_brute_force(rng, fall_targets):
     for _ in range(50):
         x0, b = _random_query_state(rng)
-        cands = query_candidates(fall_tree, x0, b, 10.0, 1.0, 20)
-        oracle = brute_force_candidates(fall_tree.store, x0, b, 10.0, 1.0, 20)
+        cands = query_candidates(fall_targets, x0, b, 10.0, 1.0, 20)
+        oracle = brute_force_candidates(fall_targets.store, x0, b, 10.0, 1.0, 20)
         assert [c.index for c in cands] == [c.index for c in oracle]
         assert np.allclose([c.loss for c in cands], [c.loss for c in oracle], rtol=1e-12)
         assert np.allclose([c.t0 for c in cands], [c.t0 for c in oracle], rtol=1e-12)
         assert np.allclose([c.s for c in cands], [c.s for c in oracle], rtol=1e-12)
 
 
-def test_query_matches_brute_force_reversed_goal(rng, fall_tree):
+def test_query_matches_brute_force_reversed_goal(rng, fall_targets):
     for _ in range(25):
         x0, b = _random_query_state(rng)
-        cands = query_candidates(fall_tree, x0, b, 10.0, -1.0, 20)
-        oracle = brute_force_candidates(fall_tree.store, x0, b, 10.0, -1.0, 20)
+        cands = query_candidates(fall_targets, x0, b, 10.0, -1.0, 20)
+        oracle = brute_force_candidates(fall_targets.store, x0, b, 10.0, -1.0, 20)
         assert [c.index for c in cands] == [c.index for c in oracle]
 
 
-def test_query_pruning_ratio(rng, fall_tree):
-    fracs = []
-    for _ in range(50):
-        x0, b = _random_query_state(rng)
-        _, stats = query_candidates_with_stats(fall_tree, x0, b, 10.0, 1.0, 20)
-        fracs.append(stats.leaf_fraction)
-    assert np.mean(fracs) <= 0.30
-
-
-def test_query_guard_rejects_degenerate_state(fall_tree):
+def test_query_guard_rejects_degenerate_state(fall_targets):
     x0 = State(np.array([0.1, 0.2]), np.zeros(2))
     b = _acrobot_b(x0.q)
     with pytest.raises(VelocityBarDegenerate):
-        query_candidates(fall_tree, x0, b, 10.0, 1.0, 20)
+        query_candidates(fall_targets, x0, b, 10.0, 1.0, 20)
 
 
 def test_query_excludes_guarded_targets(rng):
@@ -253,8 +204,8 @@ def test_query_excludes_guarded_targets(rng):
         DataPoint(0.0, State(x0.q.copy(), v_perp * 1e-9), np.zeros(1), 0.0),
         DataPoint(0.0, State(x0.q + 0.5, x0.qdot.copy()), np.zeros(1), 0.0),
     ]
-    tree = build(pts, 2, (1,))
-    cands = query_candidates(tree, x0, b, 10.0, 1.0, 2)
+    targets = build(pts, 2, (1,))
+    cands = query_candidates(targets, x0, b, 10.0, 1.0, 2)
     assert [c.index for c in cands] == [1]
 
 
