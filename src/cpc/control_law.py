@@ -21,8 +21,7 @@ from .errors import (
     SingularMatrix,
     VelocityBarDegenerate,
 )
-
-DEFAULT_GUARD_TOL = 1e-6
+from .target_store import DEFAULT_GUARD_TOL
 
 
 @dataclass(frozen=True)

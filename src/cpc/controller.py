@@ -8,12 +8,14 @@ halved (re-ranking candidates, since the cost depends on the gain) until the
 torque fits or the gain floor is reached; the last torque is returned either
 way. The control matrix is regressed online from the most recent
 (torque, finite-difference acceleration) pairs; before enough pairs exist
-the controller emits small exploratory torques.
+the controller emits small exploratory torques. When a cycle cannot produce
+a torque (degenerate retrieval, rank-deficient or singular B, or a
+non-finite result) the controller applies zero torque for that cycle.
 """
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -33,12 +35,10 @@ from .errors import (
     SingularMatrix,
     VelocityBarDegenerate,
 )
-from .target_store import NonEmptyStore, _query_arrays
+from .target_store import DEFAULT_GUARD_TOL, NonEmptyStore, _query_arrays
 from .value import RewardSpec, candidate_costs
 
 logger = logging.getLogger(__name__)
-
-_FALLBACKS = ("zero", "hold_target")
 
 
 @dataclass(frozen=True)
@@ -53,53 +53,16 @@ class ControllerConfig:
     k_c: float = 2.0
     dt: float = 0.01
     history_n: int = 7
-    guard_tol: float = 1e-6
+    guard_tol: float = DEFAULT_GUARD_TOL
     ridge: float = 1e-8
     sigma_boot: float = 0.02
     use_stored_tau_d: bool = True
-    affine_regression: bool = False
-    fallback: str = "zero"
 
     def __post_init__(self):
         if not (self.k0 > self.k_c > 0):
             raise ValueError("need k0 > k_c > 0")
         if self.tau_c <= 0 or self.dt <= 0 or self.n_d < 1 or self.history_n < 1:
             raise ValueError("bad controller configuration")
-        if self.fallback not in _FALLBACKS:
-            raise ValueError(f"unknown fallback policy {self.fallback!r}")
-
-    # -- key = value config file -------------------------------------------
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("# controller configuration\n")
-            for fld in fields(self):
-                f.write(f"{fld.name} = {getattr(self, fld.name)}\n")
-
-    @classmethod
-    def load(cls, path) -> "ControllerConfig":
-        kwargs = {}
-        types = {fld.name: fld.type for fld in fields(cls)}
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, raw in enumerate(f, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-                key, val = (part.strip() for part in line.split("=", 1))
-                if key not in types:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                t = types[key]
-                if t in ("bool", bool):
-                    kwargs[key] = val.lower() in ("1", "true", "yes")
-                elif t in ("int", int):
-                    kwargs[key] = int(val)
-                elif t in ("float", float):
-                    kwargs[key] = float(val)
-                else:
-                    kwargs[key] = val
-        return cls(**kwargs)
 
 
 @dataclass
@@ -115,9 +78,6 @@ class ControllerState:
     steps: int = 0
     fallback_count: int = 0
     unclamped_exits: int = 0
-    # Last accepted renormalized target line (anchor, velocity, time) for the
-    # hold-target fallback.
-    held_target: Optional[tuple[np.ndarray, np.ndarray, float]] = None
 
 
 def make_controller(cfg: ControllerConfig, n_controls: int, seed) -> ControllerState:
@@ -138,12 +98,6 @@ def cpc_loop(
     """One control cycle: candidate query, cost-ranked selection and torque
     with gain backoff. Raises NoValidCandidates when every stored point is
     guard-rejected."""
-    tau, _ = _cpc_loop_detail(x0, B, targets, cfg, spec)
-    return tau
-
-
-def _cpc_loop_detail(x0, B, targets, cfg, spec=None):
-    """cpc_loop plus the selected renormalized target line (anchor, rate)."""
     if spec is None:
         spec = RewardSpec(C_tau=-np.eye(np.atleast_2d(B).shape[1]))
     split = split_coordinates(B)
@@ -187,25 +141,6 @@ def _cpc_loop_detail(x0, B, targets, cfg, spec=None):
                     norm,
                     cfg.tau_c,
                 )
-            from .control_law import renormalized_target
-
-            q_r0, qdot_r = renormalized_target(xd, rep)
-            return tau, (q_r0, qdot_r)
-
-
-def _track_line(x0, B, q_r0, qdot_r, elapsed, cfg):
-    """Feedback onto a frozen target line, with the usual gain backoff."""
-    split = split_coordinates(B)
-    ci = list(split.controlled)
-    b_chi = np.atleast_2d(np.asarray(B, dtype=float))[ci, :]
-    dchi = x0.q[ci] - (q_r0[ci] + qdot_r[ci] * elapsed)
-    dchidot = x0.qdot[ci] - qdot_r[ci]
-    k = cfg.k0
-    while True:
-        kappa = np.sqrt(k)
-        tau = -np.linalg.solve(b_chi, k * dchi + 2.0 * kappa * dchidot)
-        k = 0.5 * k
-        if float(np.linalg.norm(tau)) < cfg.tau_c or k < cfg.k_c:
             return tau
 
 
@@ -220,8 +155,9 @@ def controller_step(
 
     Updates the regression history with the previous cycle's torque and the
     finite-difference acceleration it produced; while the history is shorter
-    than the regression window, returns exploratory bootstrap noise. All
-    retrieval/estimation failures degrade to the fallback torque.
+    than the regression window, returns exploratory bootstrap noise. Every
+    retrieval or estimation failure, and a non-finite torque, gives zero
+    torque instead and counts in ``fallback_count``.
     """
     if ctrl.prev_tau is not None:
         u = (x0.qdot - ctrl.prev_qdot) / cfg.dt
@@ -232,18 +168,14 @@ def controller_step(
         taus = np.array([h[0] for h in ctrl.history])
         us = np.array([h[1] for h in ctrl.history])
         try:
-            B = estimate_control_matrix(
-                taus, us, ridge=cfg.ridge, affine=cfg.affine_regression
-            )
+            B = estimate_control_matrix(taus, us, ridge=cfg.ridge)
             ctrl.last_B = B
-            tau, (q_r0, qdot_r) = _cpc_loop_detail(x0, B, targets, cfg, spec)
-            if cfg.fallback == "hold_target":
-                ctrl.held_target = (q_r0, qdot_r, x0.t)
+            tau = cpc_loop(x0, B, targets, cfg, spec)
             if float(np.linalg.norm(tau)) >= cfg.tau_c:
                 ctrl.unclamped_exits += 1
         except (NoValidCandidates, VelocityBarDegenerate, RankDeficient, SingularMatrix):
             ctrl.fallback_count += 1
-            tau = _fallback_tau(ctrl, x0, targets, cfg)
+            tau = np.zeros(ctrl.n_controls)
     if not np.all(np.isfinite(tau)):
         ctrl.fallback_count += 1
         tau = np.zeros(ctrl.n_controls)
@@ -252,26 +184,3 @@ def controller_step(
     ctrl.steps += 1
     return tau
 
-
-def _fallback_tau(ctrl: ControllerState, x0: State, targets: NonEmptyStore, cfg: ControllerConfig) -> np.ndarray:
-    """Torque applied when retrieval is degenerate.
-
-    Zero fallback idles the actuated coordinates, which lets the fast
-    actuated-direction instability of an inverted chain grow unchecked
-    during the windows where the unactuated-velocity projection vanishes.
-    The hold-target policy instead keeps servoing the last accepted
-    renormalized target line until retrieval recovers; before any selection
-    has succeeded it holds the dataset's rest point (the minimum-speed
-    stored state), which is where every recorded trajectory originates.
-    """
-    if cfg.fallback != "hold_target" or ctrl.last_B is None:
-        return np.zeros(ctrl.n_controls)
-    if ctrl.held_target is None:
-        store = targets.store
-        j = int(np.argmin(np.square(store.qdot).sum(axis=1)))
-        ctrl.held_target = (store.q[j].copy(), np.zeros_like(store.q[j]), x0.t)
-    q_r0, qdot_r, t_sel = ctrl.held_target
-    try:
-        return _track_line(x0, ctrl.last_B, q_r0, qdot_r, x0.t - t_sel, cfg)
-    except (RankDeficient, SingularMatrix, np.linalg.LinAlgError):
-        return np.zeros(ctrl.n_controls)

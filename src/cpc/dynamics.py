@@ -16,7 +16,7 @@ There are no joint limits and no friction.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -238,27 +238,40 @@ def _accel_gen(q, qdot, gen_force, coef, grav_w, i_cap):
     return x
 
 
-def _rk4_step(q, qdot, gen_force, dt, coef, grav_w, i_cap):
-    k1v = _accel_gen(q, qdot, gen_force, coef, grav_w, i_cap)
+# Integrators. ``deriv(t, q, qdot)`` returns the joint accelerations; each
+# scheme returns the next (q, qdot).
+
+
+def _rk4_step(deriv, t, q, qdot, dt):
+    k1v = deriv(t, q, qdot)
     q2 = q + 0.5 * dt * qdot
     v2 = qdot + 0.5 * dt * k1v
-    k2v = _accel_gen(q2, v2, gen_force, coef, grav_w, i_cap)
+    k2v = deriv(t + 0.5 * dt, q2, v2)
     q3 = q + 0.5 * dt * v2
     v3 = qdot + 0.5 * dt * k2v
-    k3v = _accel_gen(q3, v3, gen_force, coef, grav_w, i_cap)
+    k3v = deriv(t + 0.5 * dt, q3, v3)
     q4 = q + dt * v3
     v4 = qdot + dt * k3v
-    k4v = _accel_gen(q4, v4, gen_force, coef, grav_w, i_cap)
+    k4v = deriv(t + dt, q4, v4)
     qn = q + dt / 6.0 * (qdot + 2.0 * v2 + 2.0 * v3 + v4)
     vn = qdot + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
     return qn, vn
 
 
-def _semi_euler_step(q, qdot, gen_force, dt, coef, grav_w, i_cap):
-    a = _accel_gen(q, qdot, gen_force, coef, grav_w, i_cap)
-    vn = qdot + dt * a
+def _semi_euler_step(deriv, t, q, qdot, dt):
+    vn = qdot + dt * deriv(t, q, qdot)
     qn = q + dt * vn
     return qn, vn
+
+
+_INTEGRATORS = {"rk4": _rk4_step, "semi_euler": _semi_euler_step}
+
+
+def _integrator(method: str):
+    try:
+        return _INTEGRATORS[method]
+    except KeyError:
+        raise ValueError(f"unknown method {method!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +332,14 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float, method: 
     """Advance one fixed step with tau held constant (zero-order hold)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
+    integrate = _integrator(method)
     c = _chain_consts(params)
-    tau = np.asarray(tau, dtype=float)
-    gen = c.b_tau @ tau
-    if method == "rk4":
-        qn, vn = _rk4_step(state.q, state.qdot, gen, dt, c.coef, c.grav_w, c.i_cap)
-    elif method == "semi_euler":
-        qn, vn = _semi_euler_step(state.q, state.qdot, gen, dt, c.coef, c.grav_w, c.i_cap)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    gen = c.b_tau @ np.asarray(tau, dtype=float)
+
+    def deriv(t, q, qdot):
+        return _accel_gen(q, qdot, gen, c.coef, c.grav_w, c.i_cap)
+
+    qn, vn = integrate(deriv, state.t, state.q, state.qdot, dt)
     if not (np.all(np.isfinite(qn)) and np.all(np.isfinite(vn))):
         raise NonFiniteState(f"integration diverged at t={state.t:.6g}")
     return State(qn, vn, state.t + dt)
@@ -347,6 +359,7 @@ def simulate(
     stage, so smooth feedback laws integrate at full RK4 order. Returns the
     trajectory including the initial state.
     """
+    integrate = _integrator(method)
     c = _chain_consts(params)
 
     def deriv(t, q, qdot):
@@ -356,21 +369,7 @@ def simulate(
     out = [state]
     q, qdot, t = state.q.copy(), state.qdot.copy(), state.t
     for _ in range(n_steps):
-        if method == "rk4":
-            k1v = deriv(t, q, qdot)
-            v2 = qdot + 0.5 * dt * k1v
-            k2v = deriv(t + 0.5 * dt, q + 0.5 * dt * qdot, v2)
-            v3 = qdot + 0.5 * dt * k2v
-            k3v = deriv(t + 0.5 * dt, q + 0.5 * dt * v2, v3)
-            v4 = qdot + dt * k3v
-            k4v = deriv(t + dt, q + dt * v3, v4)
-            q = q + dt / 6.0 * (qdot + 2.0 * v2 + 2.0 * v3 + v4)
-            qdot = qdot + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        elif method == "semi_euler":
-            qdot = qdot + dt * deriv(t, q, qdot)
-            q = q + dt * qdot
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        q, qdot = integrate(deriv, t, q, qdot, dt)
         t += dt
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
             raise NonFiniteState(f"integration diverged at t={t:.6g}")

@@ -15,7 +15,7 @@ import csv
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,32 +164,18 @@ def balance_trials(
     n_f: int,
     noise_amp: float,
     experiment_id: str,
-    resample_falls: bool = True,
-    shared_store: TargetStore | None = None,
 ) -> list[TrialRecord]:
-    """Run cfg.trials independent balance trials at one sample count.
-
-    With ``resample_falls`` each trial records its own fresh fall data;
-    otherwise all trials share ``shared_store``.
-    """
+    """Run cfg.trials independent balance trials at one sample count, each
+    on its own freshly recorded fall data."""
     jobs = []
     for i in range(cfg.trials):
         seed = trial_seed(cfg.master_seed, experiment_id, i)
         jobs.append((cfg, n_f, noise_amp, seed, i))
-    if resample_falls:
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                records = list(pool.map(_one_sweep_trial, jobs))
-        else:
-            records = [_one_sweep_trial(j) for j in jobs]
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            records = list(pool.map(_one_sweep_trial, jobs))
     else:
-        store = shared_store
-        if store is None:
-            store = generate_falls(cfg, n_f, seed=trial_seed(cfg.master_seed, experiment_id + "-falls", 0))
-        records = [
-            run_balance_trial(store, cfg, noise_amp, seed, trial_id=i, n_f=n_f)
-            for (_, _, _, seed, i) in jobs
-        ]
+        records = [_one_sweep_trial(j) for j in jobs]
     return sorted(records, key=lambda r: r.trial_id)
 
 

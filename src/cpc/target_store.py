@@ -75,7 +75,8 @@ class TargetStore:
         self.actuated_joints = tuple(int(j) for j in actuated_joints)
         n = len(self.t)
         if not (
-            self.q.shape == (n, self.n_links)
+            self.t.shape == (n,)
+            and self.q.shape == (n, self.n_links)
             and self.qdot.shape == (n, self.n_links)
             and self.tau.shape == (n, len(self.actuated_joints))
             and self.G.shape == (n,)
@@ -142,10 +143,15 @@ class TargetStore:
                 header = json.loads(header_line)
             except json.JSONDecodeError as e:
                 raise DatasetSchemaMismatch(f"bad header: {e}") from e
+            if not isinstance(header, dict):
+                raise DatasetSchemaMismatch("header is not a JSON object")
             if header.get("format") != DATASET_FORMAT:
                 raise DatasetSchemaMismatch(f"unknown dataset format {header.get('format')!r}")
-            n_links = header["n_links"]
-            joints = tuple(header["actuated_joints"])
+            try:
+                n_links = header["n_links"]
+                joints = tuple(header["actuated_joints"])
+            except (KeyError, TypeError) as e:
+                raise DatasetSchemaMismatch(f"bad header: {e!r}") from e
             t, q, qdot, tau, G = [], [], [], [], []
             for lineno, line in enumerate(f, start=2):
                 if not line.strip():
@@ -164,14 +170,20 @@ class TargetStore:
                     qdot.append(row["qdot"])
                     tau.append(row["tau"])
                     G.append(row["G"])
-                except KeyError as e:
-                    raise DatasetSchemaMismatch(f"line {lineno}: missing field {e}") from e
-        if not t:
-            return cls(
-                np.empty(0), np.empty((0, n_links)), np.empty((0, n_links)),
-                np.empty((0, len(joints))), np.empty(0), n_links, joints,
-            )
-        return cls(t, q, qdot, tau, G, n_links, joints)
+                except (KeyError, TypeError) as e:
+                    # A missing field, a row that is not an object, or a
+                    # field without a length.
+                    raise DatasetSchemaMismatch(f"line {lineno}: bad row: {e!r}") from e
+        try:
+            if not t:
+                return cls(
+                    np.empty(0), np.empty((0, n_links)), np.empty((0, n_links)),
+                    np.empty((0, len(joints))), np.empty(0), n_links, joints,
+                )
+            return cls(t, q, qdot, tau, G, n_links, joints)
+        except (TypeError, ValueError) as e:
+            # Values that do not convert to floats or integers.
+            raise DatasetSchemaMismatch(f"malformed values: {e}") from e
 
 
 @dataclass(frozen=True)

@@ -51,18 +51,6 @@ class ValueBreakdown:
     v_II: float
 
 
-def discounted_return(rewards, gamma: float) -> float:
-    """Partial sum of the discounted reward series."""
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must be in [0, 1)")
-    out = 0.0
-    g = 1.0
-    for r in rewards:
-        out += g * float(r)
-        g *= gamma
-    return out
-
-
 def _transition_matrices(b_chi: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """Z_i = (z_i kron I_M) (B_chi^-1)' for z_1 = [0; 1], z_2 = [kappa; 2]."""
     m = b_chi.shape[0]

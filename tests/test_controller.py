@@ -210,16 +210,6 @@ def test_controller_never_emits_nonfinite():
     assert np.all(np.isfinite(tau))
 
 
-def test_config_file_roundtrip(tmp_path):
-    cfg = ControllerConfig(s_g=-1.0, n_d=17, sigma_boot=0.05, use_stored_tau_d=False)
-    path = tmp_path / "controller.cfg"
-    cfg.save(path)
-    loaded = ControllerConfig.load(path)
-    assert loaded == cfg
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ControllerConfig(k0=1.0, k_c=2.0)
-    with pytest.raises(ValueError):
-        ControllerConfig(fallback="nonsense")

@@ -1,6 +1,15 @@
+import csv
 import gc
 
-from cpc.experiments import ExperimentConfig, generate_falls, run_balance_trial, trial_seed
+from cpc.experiments import (
+    ExperimentConfig,
+    generate_falls,
+    mean_fall_times,
+    run_balance_trial,
+    sweep_sample_counts,
+    track_demo,
+    trial_seed,
+)
 
 
 def test_balance_trial_leaves_no_reference_cycles():
@@ -17,3 +26,23 @@ def test_balance_trial_leaves_no_reference_cycles():
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+def test_track_demo_holds_reference_and_decays_on_envelope():
+    out = track_demo(duration=2.0)
+    assert out["max_tracking_error"] <= 1e-10
+    assert out["envelope_max_rel_dev"] <= 1e-5
+    # Negative control: feed-forward alone leaves the perturbation in place.
+    assert out["feedforward_only_final_error"] > 0.1
+
+
+def test_sweep_csv_byte_identical_across_runs(tmp_path):
+    cfg = ExperimentConfig(n_f_list=(1, 3), trials=3, t_max=1.5)
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    results = [sweep_sample_counts(cfg, out_csv=p) for p in paths]
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    n_fs, means = mean_fall_times(results[0])
+    with open(paths[0], newline="") as f:
+        summary = [row for row in csv.DictReader(f) if row["trial_id"] == "summary"]
+    assert [int(row["n_f"]) for row in summary] == list(n_fs)
+    assert [float(row["t_f"]) for row in summary] == list(means)

@@ -243,3 +243,26 @@ def test_jsonl_bad_row(tmp_path):
     )
     with pytest.raises(DatasetSchemaMismatch):
         TargetStore.load_jsonl(f)
+
+
+_HEADER = '{"actuated_joints": [1], "format": "chain-targets-v1", "n_links": 2}\n'
+_ROW = '{"t": 0.0, "q": [0.0, 0.0], "qdot": [0.0, 0.0], "tau": [0.0], "G": 0.0}\n'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"actuated_joints": [1], "format": "chain-targets-v1"}\n' + _ROW,
+        "[1, 2]\n" + _ROW,
+        _HEADER + "[0.0, [0.0, 0.0]]\n",
+        _HEADER + _ROW.replace('"q": [0.0, 0.0]', '"q": 5'),
+        _HEADER + _ROW.replace('"q": [0.0, 0.0]', '"q": ["a", "b"]'),
+        _HEADER + _ROW.replace('"t": 0.0', '"t": [0.0, 1.0]'),
+    ],
+    ids=["header_without_n_links", "header_list", "row_list", "q_scalar", "q_strings", "t_list"],
+)
+def test_jsonl_malformed_raises_schema_mismatch(tmp_path, text):
+    f = tmp_path / "bad.jsonl"
+    f.write_text(text)
+    with pytest.raises(DatasetSchemaMismatch):
+        TargetStore.load_jsonl(f)

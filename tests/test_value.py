@@ -18,7 +18,6 @@ from cpc.value import (
     RewardSpec,
     candidate_costs,
     cost,
-    discounted_return,
     value_estimate,
 )
 
@@ -38,26 +37,6 @@ def _random_instance(rng, kappa, n=2):
     rep = reparam_params(x0, xd, b)
     cand = _make_candidate(xd, rng.normal(size=1), rng.normal(), rep.t0, rep.s)
     return x0, cand, B, split, GainSpec(kappa * kappa)
-
-
-# ---------------------------------------------------------------------------
-# discounted_return
-# ---------------------------------------------------------------------------
-
-
-def test_return_geometric_series():
-    g = 1.0 - 0.01 / 1.0  # dt = 0.01, discount time scale 1 s
-    assert g == pytest.approx(0.99)
-    total = discounted_return([2.0] * 5000, g)
-    assert total == pytest.approx(2.0 / (1 - g), rel=1e-12)
-
-
-def test_return_single_term():
-    assert discounted_return([3.5, 0.0, 0.0], 0.9) == 3.5
-
-
-def test_return_empty():
-    assert discounted_return([], 0.5) == 0.0
 
 
 # ---------------------------------------------------------------------------
