@@ -63,6 +63,8 @@ class ControllerConfig:
             raise ValueError("need k0 > k_c > 0")
         if self.tau_c <= 0 or self.dt <= 0 or self.n_d < 1 or self.history_n < 1:
             raise ValueError("bad controller configuration")
+        if self.ridge < 0 or self.sigma_boot < 0:
+            raise ValueError("ridge and sigma_boot must be >= 0")
 
 
 @dataclass

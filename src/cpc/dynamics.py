@@ -13,8 +13,14 @@ Conventions:
   ``q[j]``, so the torque distribution matrix is a 0/1 column selection.
 
 There are no joint limits and no friction.
+
+A state is one chain, with ``q`` and ``qdot`` of shape (N,), or, for
+``step``, a batch of K independent chains advanced in lockstep, with ``q``
+and ``qdot`` of shape (K, N). Each row of a batch evolves bit for bit as it
+would alone.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,7 +66,8 @@ def acrobot_params(gravity: float = 10.0) -> ChainParams:
 
 @dataclass
 class State:
-    """Configuration, velocity and time of the chain."""
+    """Configuration, velocity and time of the chain: q and qdot are (N,),
+    or (K, N) for a batch of K chains sharing the time t."""
 
     q: np.ndarray
     qdot: np.ndarray
@@ -72,8 +79,8 @@ class State:
 
     @property
     def x(self) -> np.ndarray:
-        """Stacked state vector [q; qdot]."""
-        return np.concatenate([self.q, self.qdot])
+        """Stacked state vector [q; qdot], (2N,) or (K, 2N) for a batch."""
+        return np.concatenate([self.q, self.qdot], axis=-1)
 
 
 @dataclass
@@ -107,8 +114,10 @@ def capsule_mass_props(length: float, radius: float, density: float) -> tuple[fl
 
 
 class _ChainConsts(NamedTuple):
-    coef: np.ndarray  # (N, N) cos/sin coupling coefficients
-    grav_w: np.ndarray  # (N,) gravity weights m g (l_com + links above * L)
+    # coef and grav_w hold Python floats: the kernel's float lanes must not
+    # mix in numpy scalars.
+    coef: tuple  # N rows of N cos/sin coupling coefficients
+    grav_w: tuple  # N gravity weights m g (l_com + links above * L)
     i_cap: float  # per-link capsule inertia about its com
     b_tau: np.ndarray  # (N, M) torque distribution selection
     mass: float
@@ -120,15 +129,14 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
     n = params.n_links
     L = params.segment_length
     mass, l_com, i_com = capsule_mass_props(L, params.capsule_radius, params.density)
-    coef = np.empty((n, n))
-    for j in range(n):
-        for k in range(n):
-            hi = max(j, k)
-            if j == k:
-                coef[j, k] = mass * (l_com * l_com + (n - 1 - hi) * L * L)
-            else:
-                coef[j, k] = mass * (l_com * L + (n - 1 - hi) * L * L)
-    grav_w = np.array([mass * params.gravity * (l_com + (n - 1 - j) * L) for j in range(n)])
+    coef = tuple(
+        tuple(
+            mass * ((l_com * l_com if j == k else l_com * L) + (n - 1 - max(j, k)) * L * L)
+            for k in range(n)
+        )
+        for j in range(n)
+    )
+    grav_w = tuple(mass * params.gravity * (l_com + (n - 1 - j) * L) for j in range(n))
     b_tau = np.zeros((n, params.n_controls))
     for col, j in enumerate(params.actuated_joints):
         b_tau[j, col] = 1.0
@@ -141,101 +149,134 @@ def torque_distribution(params: ChainParams) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kernels. The manipulator terms are formed in absolute link angles (where
+# Kernel. The manipulator terms are formed in absolute link angles (where
 # the planar-chain closed form is a plain cos/sin coupling) and then
 # transformed to relative coordinates with the constant lower-triangular map
 # phi = T q, giving D_q = T' D_phi T and H_q = T' (h_phi + g_phi).
+#
+# The kernel runs over lanes. A lane list holds the N per-coordinate values
+# of a state: Python floats for one state, or (K,) arrays for K states in
+# lockstep. Both lane types execute the same statements in the same order,
+# so a row of a batch comes out bit-equal to the same state run alone,
+# provided numpy's float64 sin/cos return the same bits as math.sin/cos
+# (they do with numpy 2.4 on x86-64; the batched-step tests check it). No
+# statement updates a lane in place (no +=), because an array lane may be a
+# view of the caller's state.
+#
+# NaN or infinite input must come out as NaN terms, never as an exception or
+# a numpy warning. math.sin/cos raise ValueError on +-inf, so float lanes
+# catch it and return all-NaN terms; np.sin/cos return NaN, and ``step`` runs
+# array lanes under np.errstate. The callers (accel, step, simulate) turn
+# NaN outputs into NonFiniteState.
 # ---------------------------------------------------------------------------
 
 
-def _terms_rel(q, qdot, coef, grav_w, i_cap, D_out, H_out):
-    n = q.shape[0]
-    phi = np.empty(n)
-    phidot = np.empty(n)
+def _pivot_root(s):
+    # math.sqrt raises on a negative pivot; a non-positive pivot (a failed
+    # Cholesky test) gives NaN instead.
+    return math.sqrt(s) if s > 0.0 else math.nan
+
+
+class _LaneOps(NamedTuple):
+    sin: Callable
+    cos: Callable
+    sqrt: Callable
+
+
+_FLOAT_LANES = _LaneOps(math.sin, math.cos, _pivot_root)
+_ARRAY_LANES = _LaneOps(np.sin, np.cos, np.sqrt)
+
+
+def _lane_terms(ops, c, q, qdot):
+    """Inertia matrix D (N lists of N lanes) and bias H (N lanes)."""
+    n = len(q)
+    phi = []
+    phidot = []
     acc_q = 0.0
     acc_qd = 0.0
     for i in range(n):
-        acc_q += q[i]
-        acc_qd += qdot[i]
-        phi[i] = acc_q
-        phidot[i] = acc_qd
-    d_phi = np.empty((n, n))
-    h_phi = np.empty(n)
-    for j in range(n):
-        pj = phi[j]
-        s = 0.0
-        for k in range(n):
-            djk = pj - phi[k]
-            # NaN or infinite input must come out as NaN terms, never as an
-            # exception: math.sin/cos raise ValueError on +-inf, so the
-            # argument is checked first and NaN written instead. The callers
-            # (accel, step, simulate) turn NaN outputs into NonFiniteState.
-            # At k == j, djk is NaN unless phi[j] is finite, so this also
-            # guards sin(phi[j]) below.
-            if not math.isfinite(djk):
-                D_out[:] = np.nan
-                H_out[:] = np.nan
-                return
-            d_phi[j, k] = coef[j, k] * math.cos(djk)
-            s += coef[j, k] * math.sin(djk) * phidot[k] * phidot[k]
-        d_phi[j, j] += i_cap
-        h_phi[j] = s - grav_w[j] * math.sin(pj)
-    # Suffix sums implement the congruence with the lower-ones matrix.
+        acc_q = acc_q + q[i]
+        acc_qd = acc_qd + qdot[i]
+        phi.append(acc_q)
+        phidot.append(acc_qd)
+    D = []
+    h_phi = []
+    try:
+        for j in range(n):
+            pj = phi[j]
+            coef = c.coef[j]
+            row = []
+            s = 0.0
+            for k in range(n):
+                djk = pj - phi[k]
+                row.append(coef[k] * ops.cos(djk))
+                s = s + coef[k] * ops.sin(djk) * phidot[k] * phidot[k]
+            row[j] = row[j] + c.i_cap
+            D.append(row)
+            h_phi.append(s - c.grav_w[j] * ops.sin(pj))
+    except ValueError:
+        # Float lanes only, from math.sin/cos of +-inf: an infinite angle,
+        # or a difference of finite angles that overflows.
+        return [[math.nan] * n for _ in range(n)], [math.nan] * n
+    # Suffix sums implement the congruence with the lower-ones matrix; each
+    # entry is read as D_phi before it is overwritten.
     for j in range(n - 1, -1, -1):
         for k in range(n - 1, -1, -1):
-            v = d_phi[j, k]
+            v = D[j][k]
             if j + 1 < n:
-                v += D_out[j + 1, k]
+                v = v + D[j + 1][k]
             if k + 1 < n:
-                v += D_out[j, k + 1]
+                v = v + D[j][k + 1]
             if j + 1 < n and k + 1 < n:
-                v -= D_out[j + 1, k + 1]
-            D_out[j, k] = v
+                v = v - D[j + 1][k + 1]
+            D[j][k] = v
+    H = [0.0] * n
     acc = 0.0
     for j in range(n - 1, -1, -1):
-        acc += h_phi[j]
-        H_out[j] = acc
+        acc = acc + h_phi[j]
+        H[j] = acc
+    return D, H
 
 
-def _spd_solve(D, rhs):
-    """Cholesky solve for the small SPD inertia matrix; returns (x, ok)."""
-    n = D.shape[0]
-    L = np.zeros((n, n))
+def _lane_solve(ops, D, rhs):
+    """Cholesky solve of the small SPD inertia matrix over lanes.
+
+    Returns (x, singular); ``singular`` is true (per lane) where a pivot is
+    not positive, which makes x NaN or infinite there. A NaN pivot passes
+    the test (NaN <= 0 is false), so NaN terms are not reported singular.
+    """
+    n = len(rhs)
+    L = [[0.0] * n for _ in range(n)]
+    singular = False
     for i in range(n):
         for j in range(i + 1):
-            s = D[i, j]
+            s = D[i][j]
             for k in range(j):
-                s -= L[i, k] * L[j, k]
+                s = s - L[i][k] * L[j][k]
             if i == j:
-                if s <= 0.0:
-                    return np.zeros(n), False
-                L[i, i] = math.sqrt(s)
+                singular = singular | (s <= 0.0)
+                L[i][i] = ops.sqrt(s)
             else:
-                L[i, j] = s / L[j, j]
-    x = np.empty(n)
+                L[i][j] = s / L[j][j]
+    x = [0.0] * n
     for i in range(n):
         s = rhs[i]
         for k in range(i):
-            s -= L[i, k] * x[k]
-        x[i] = s / L[i, i]
+            s = s - L[i][k] * x[k]
+        x[i] = s / L[i][i]
     for i in range(n - 1, -1, -1):
         s = x[i]
         for k in range(i + 1, n):
-            s -= L[k, i] * x[k]
-        x[i] = s / L[i, i]
-    return x, True
+            s = s - L[k][i] * x[k]
+        x[i] = s / L[i][i]
+    return x, singular
 
 
-def _accel_gen(q, qdot, gen_force, coef, grav_w, i_cap):
-    """Acceleration under a generalized force already mapped to joint space."""
-    n = q.shape[0]
-    D = np.empty((n, n))
-    H = np.empty(n)
-    _terms_rel(q, qdot, coef, grav_w, i_cap, D, H)
-    x, ok = _spd_solve(D, gen_force - H)
-    if not ok:
-        x = np.full(n, np.nan)
-    return x
+def _lane_accel(ops, c, q, qdot, gen):
+    """Accelerations under generalized forces ``gen`` (lanes), plus the
+    singular flag of the solve."""
+    D, H = _lane_terms(ops, c, q, qdot)
+    return _lane_solve(ops, D, [g - h for g, h in zip(gen, H)])
 
 
 # Integrators. ``deriv(t, q, qdot)`` returns the joint accelerations; each
@@ -287,13 +328,10 @@ def manipulator_terms(params: ChainParams, q: np.ndarray, qdot: np.ndarray) -> D
     gives NaN in every entry of D and H.
     """
     c = _chain_consts(params)
-    n = params.n_links
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
-    D = np.empty((n, n))
-    H = np.empty(n)
-    _terms_rel(q, qdot, c.coef, c.grav_w, c.i_cap, D, H)
-    return DynamicsTerms(D, H)
+    D, H = _lane_terms(_FLOAT_LANES, c, q.tolist(), qdot.tolist())
+    return DynamicsTerms(np.array(D), np.array(H))
 
 
 def accel(params: ChainParams, state: State, tau: np.ndarray) -> np.ndarray:
@@ -307,12 +345,12 @@ def accel(params: ChainParams, state: State, tau: np.ndarray) -> np.ndarray:
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (params.n_controls,):
         raise ValueError(f"tau must have shape ({params.n_controls},)")
-    terms = manipulator_terms(params, state.q, state.qdot)
-    # NaN terms pass the Cholesky test (NaN <= 0 is false), so ok is false
-    # only when a finite inertia matrix fails it.
-    out, ok = _spd_solve(terms.D, c.b_tau @ tau - terms.H)
-    if not ok:
+    x, singular = _lane_accel(
+        _FLOAT_LANES, c, state.q.tolist(), state.qdot.tolist(), (c.b_tau @ tau).tolist()
+    )
+    if singular:
         raise SingularMatrix("inertia matrix lost positive definiteness")
+    out = np.array(x)
     if not np.all(np.isfinite(out)):
         raise NonFiniteState(f"non-finite acceleration at t={state.t:.6g}")
     return out
@@ -329,20 +367,41 @@ def exact_control_matrix(params: ChainParams, q: np.ndarray) -> np.ndarray:
 
 
 def step(params: ChainParams, state: State, tau: np.ndarray, dt: float, method: str = "rk4") -> State:
-    """Advance one fixed step with tau held constant (zero-order hold)."""
+    """Advance one fixed step with tau held constant (zero-order hold).
+
+    ``state`` is one state, with q and qdot of shape (N,) and tau of shape
+    (M,), or a batch of K states advanced in lockstep, with q and qdot of
+    shape (K, N) and tau of shape (K, M). Each row of a batch comes out
+    bit-equal to stepping it alone. Raises NonFiniteState if any row
+    diverges.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     integrate = _integrator(method)
     c = _chain_consts(params)
-    gen = c.b_tau @ np.asarray(tau, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    q, qdot = state.q, state.qdot
+    if q.ndim == 2 and len(q) > 1:
+        if tau.shape != (len(q), params.n_controls):
+            raise ValueError(f"tau must have shape ({len(q)}, {params.n_controls})")
+        # Array lanes: integrate the (N, K) transposes, whose rows are lanes.
+        ops, lanes, quiet = _ARRAY_LANES, list, np.errstate(all="ignore")
+        q, qdot, gen = q.T, qdot.T, c.b_tau @ tau.T
+    else:
+        # Float lanes, also for a one-row batch.
+        ops, lanes, quiet = _FLOAT_LANES, np.ndarray.tolist, contextlib.nullcontext()
+        q, qdot, gen = q.reshape(-1), qdot.reshape(-1), c.b_tau @ tau.reshape(-1)
+    gen = lanes(gen)
 
     def deriv(t, q, qdot):
-        return _accel_gen(q, qdot, gen, c.coef, c.grav_w, c.i_cap)
+        return np.array(_lane_accel(ops, c, lanes(q), lanes(qdot), gen)[0])
 
-    qn, vn = integrate(deriv, state.t, state.q, state.qdot, dt)
+    with quiet:
+        qn, vn = integrate(deriv, state.t, q, qdot, dt)
     if not (np.all(np.isfinite(qn)) and np.all(np.isfinite(vn))):
         raise NonFiniteState(f"integration diverged at t={state.t:.6g}")
-    return State(qn, vn, state.t + dt)
+    shape = state.q.shape
+    return State(qn.T.reshape(shape), vn.T.reshape(shape), state.t + dt)
 
 
 def simulate(
@@ -353,7 +412,8 @@ def simulate(
     n_steps: int,
     method: str = "rk4",
 ) -> list[State]:
-    """Closed-loop rollout with ``tau_fn(t, q, qdot)`` sampled continuously.
+    """Closed-loop rollout of one state with ``tau_fn(t, q, qdot)`` sampled
+    continuously.
 
     Unlike ``step``, the feedback law is re-evaluated at every integrator
     stage, so smooth feedback laws integrate at full RK4 order. Returns the
@@ -364,7 +424,7 @@ def simulate(
 
     def deriv(t, q, qdot):
         gen = c.b_tau @ np.asarray(tau_fn(t, q, qdot), dtype=float)
-        return _accel_gen(q, qdot, gen, c.coef, c.grav_w, c.i_cap)
+        return np.array(_lane_accel(_FLOAT_LANES, c, q.tolist(), qdot.tolist(), gen.tolist())[0])
 
     out = [state]
     q, qdot, t = state.q.copy(), state.qdot.copy(), state.t
@@ -382,7 +442,7 @@ def energy(params: ChainParams, state: State) -> float:
     c = _chain_consts(params)
     terms = manipulator_terms(params, state.q, state.qdot)
     phi = np.cumsum(state.q)
-    return 0.5 * state.qdot @ terms.D @ state.qdot + float(c.grav_w @ np.cos(phi))
+    return 0.5 * state.qdot @ terms.D @ state.qdot + float(np.array(c.grav_w) @ np.cos(phi))
 
 
 def link_angles(q: np.ndarray) -> np.ndarray:

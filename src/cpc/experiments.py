@@ -23,6 +23,7 @@ from . import dynamics
 from .control_law import feedforward_tau
 from .controller import ControllerConfig, controller_step, make_controller
 from .dynamics import ChainParams, State, acrobot_params, exact_control_matrix
+from .errors import DatasetSchemaMismatch
 from .target_store import NonEmptyStore as BallTree  # hook: bench/tracing.py target_store.index_build
 from .target_store import TargetStore
 from .value import RewardSpec
@@ -97,19 +98,27 @@ def generate_falls(
     params = params or acrobot_params()
     rng = np.random.default_rng(seed)
     n_steps = round(cfg.fall_duration / cfg.dt)
-    m = params.n_controls
-    t, q, qdot, tau, G = [], [], [], [], []
-    for _ in range(n_f):
-        st = State(np.zeros(params.n_links), np.zeros(params.n_links), 0.0)
-        for _ in range(n_steps):
-            u = rng.normal(0.0, cfg.sigma0, size=m)
-            t.append(st.t)
-            q.append(st.q.copy())
-            qdot.append(st.qdot.copy())
-            tau.append(u)
-            G.append(0.0)
-            st = dynamics.step(params, st, u, cfg.dt)
-    store = TargetStore(t, q, qdot, tau, G, params.n_links, params.actuated_joints)
+    n, m = params.n_links, params.n_controls
+    # One draw in (fall, step, control) order is the same stream as drawing
+    # each step's noise in turn, fall after fall.
+    tau = rng.normal(0.0, cfg.sigma0, size=(n_f, n_steps, m))
+    t = np.empty(n_steps)
+    q = np.empty((n_f, n_steps, n))
+    qdot = np.empty((n_f, n_steps, n))
+    # The falls are independent, so they advance together as one batch.
+    st = State(np.zeros((n_f, n)), np.zeros((n_f, n)), 0.0)
+    for i in range(n_steps):
+        t[i], q[:, i], qdot[:, i] = st.t, st.q, st.qdot
+        st = dynamics.step(params, st, tau[:, i], cfg.dt)
+    store = TargetStore(
+        np.tile(t, n_f),
+        q.reshape(-1, n),
+        qdot.reshape(-1, n),
+        tau.reshape(-1, m),
+        np.zeros(n_f * n_steps),
+        n,
+        params.actuated_joints,
+    )
     if out is not None:
         store.save_jsonl(out)
     return store
@@ -131,8 +140,18 @@ def run_balance_trial(
     params: ChainParams | None = None,
 ) -> TrialRecord:
     """Balance from upright rest under controller torque plus disturbance
-    noise on the actuated joint; returns the fall time (capped)."""
+    noise on the actuated joint; returns the fall time (capped).
+
+    Raises DatasetSchemaMismatch when the store was recorded on a chain
+    with another link count or actuated joints than ``params``.
+    """
     params = params or acrobot_params()
+    if (store.n_links, store.actuated_joints) != (params.n_links, params.actuated_joints):
+        raise DatasetSchemaMismatch(
+            f"store recorded on n_links={store.n_links}, actuated_joints="
+            f"{store.actuated_joints}; trial chain has n_links={params.n_links}, "
+            f"actuated_joints={params.actuated_joints}"
+        )
     targets = BallTree(store)
     ctrl_cfg = controller_config_for_balance(cfg)
     ctrl = make_controller(ctrl_cfg, params.n_controls, seed=np.random.SeedSequence([seed, 0]))

@@ -211,5 +211,6 @@ def test_controller_never_emits_nonfinite():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ControllerConfig(k0=1.0, k_c=2.0)
+    for kwargs in ({"k0": 1.0, "k_c": 2.0}, {"ridge": -1e-8}, {"sigma_boot": -0.02}):
+        with pytest.raises(ValueError):
+            ControllerConfig(**kwargs)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -365,6 +367,54 @@ def test_simulate_nonfinite_detection():
     st = State(np.array([0.1, 0.1]), np.array([1e155, 0.0]))
     with pytest.raises(NonFiniteState):
         simulate(p, st, lambda t, q, qd: np.zeros(1), 1e-2, 100)
+
+
+_N5 = ChainParams(n_links=5, actuated_joints=(1, 2, 3, 4))
+
+
+@pytest.mark.parametrize("params", [acrobot_params(), _N5], ids=["n2", "n5"])
+@pytest.mark.parametrize("method", ["rk4", "semi_euler"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_batched_step_matches_single_steps(params, method, k):
+    # A (K, N) batch must give, row for row, the bits of K single-state
+    # steps; K = 1 is a one-row batch.
+    rng = np.random.default_rng(11)
+    n, m = params.n_links, params.n_controls
+    batch = State(rng.uniform(-0.3, 0.3, (k, n)), rng.uniform(-0.3, 0.3, (k, n)))
+    singles = [State(batch.q[r].copy(), batch.qdot[r].copy()) for r in range(k)]
+    for _ in range(200):
+        tau = rng.normal(0.0, 0.05, (k, m))
+        batch = step(params, batch, tau, 5e-3, method=method)
+        singles = [step(params, s, tau[r], 5e-3, method=method) for r, s in enumerate(singles)]
+    assert batch.q.shape == batch.qdot.shape == (k, n)
+    assert batch.x.shape == (k, 2 * n)
+    assert batch.t == singles[0].t
+    assert batch.q.tobytes() == np.stack([s.q for s in singles]).tobytes()
+    assert batch.qdot.tobytes() == np.stack([s.qdot for s in singles]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "q, qdot",
+    [
+        ([0.1, 0.1], [1e155, 0.0]),
+        ([np.inf, 0.1], [0.0, 0.0]),
+        ([np.nan, 0.1], [0.0, 0.0]),
+    ],
+    ids=["overflow_qdot", "inf_q", "nan_q"],
+)
+def test_batched_step_nonfinite_row(q, qdot):
+    # One bad row fails the whole batch, silently apart from the exception.
+    qs = np.array([[0.1, -0.1], q, [0.2, 0.0]])
+    qdots = np.array([[0.0, 0.1], qdot, [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState):
+            step(acrobot_params(), State(qs, qdots), np.zeros((3, 1)), 1e-2)
+
+
+def test_batched_step_rejects_unbatched_tau():
+    with pytest.raises(ValueError):
+        step(acrobot_params(), State(np.zeros((3, 2)), np.zeros((3, 2))), np.zeros(1), 1e-2)
 
 
 def test_simulate_matches_step_for_constant_tau():

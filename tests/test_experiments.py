@@ -1,6 +1,10 @@
 import csv
 import gc
 
+import pytest
+
+from cpc.dynamics import ChainParams
+from cpc.errors import DatasetSchemaMismatch
 from cpc.experiments import (
     ExperimentConfig,
     generate_falls,
@@ -26,6 +30,24 @@ def test_balance_trial_leaves_no_reference_cycles():
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ChainParams(n_links=3, actuated_joints=(2,)),
+        ChainParams(n_links=5, actuated_joints=(1, 2, 3, 4)),
+        ChainParams(n_links=2, actuated_joints=(0,)),
+    ],
+    ids=["n3", "n5", "n2_shoulder"],
+)
+def test_balance_trial_rejects_store_of_other_chain(params):
+    # The trial balances the acrobot; a store recorded on any other chain
+    # layout must be refused before the first cycle.
+    cfg = ExperimentConfig(t_max=0.5)
+    store = generate_falls(cfg, 1, seed=trial_seed(0, "chain", 0), params=params)
+    with pytest.raises(DatasetSchemaMismatch):
+        run_balance_trial(store, cfg, cfg.noise_mult * cfg.sigma0, seed=trial_seed(0, "chain", 1))
 
 
 def test_track_demo_holds_reference_and_decays_on_envelope():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cpc.control_law import null_covector, split_coordinates
-from cpc.dynamics import State, acrobot_params, exact_control_matrix, step
+from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matrix, step
 from cpc.errors import DatasetSchemaMismatch, EmptyDataset, VelocityBarDegenerate
+from cpc.experiments import ExperimentConfig, generate_falls
 from cpc.target_store import (
     DEFAULT_GUARD_TOL,
     DataPoint,
@@ -48,27 +49,46 @@ def brute_force_candidates(
     ]
 
 
-def _fall_like_store(n_traj=100, n_pts=100, seed=5, sigma=0.02):
-    """Noisy passive trajectories from upright rest: clustered, fall-shaped data."""
-    p = acrobot_params()
+def _fall_like_store(n_traj=100, n_pts=100, seed=5, sigma=0.02, p=None):
+    """Noisy passive trajectories from upright rest, recorded one state and
+    one step at a time: clustered, fall-shaped data."""
+    p = p or acrobot_params()
     rng = np.random.default_rng(seed)
     t, q, qdot, tau, G = [], [], [], [], []
     for _ in range(n_traj):
-        st = State(np.zeros(2), np.zeros(2))
+        st = State(np.zeros(p.n_links), np.zeros(p.n_links))
         for _ in range(n_pts):
-            u = rng.normal(0.0, sigma, size=1)
+            u = rng.normal(0.0, sigma, size=p.n_controls)
             t.append(st.t)
             q.append(st.q.copy())
             qdot.append(st.qdot.copy())
             tau.append(u.copy())
             G.append(0.0)
             st = step(p, st, u, 0.01)
-    return TargetStore(t, q, qdot, tau, G, 2, (1,))
+    return TargetStore(t, q, qdot, tau, G, p.n_links, p.actuated_joints)
 
 
 @pytest.fixture(scope="module")
 def fall_store():
     return _fall_like_store()
+
+
+_N5 = ChainParams(n_links=5, actuated_joints=(1, 2, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "n_f, seed, params",
+    [(100, 5, None), (1, 6, None), (2, 7, _N5), (1, 8, _N5)],
+    ids=["n2_nf100", "n2_nf1", "n5_nf2", "n5_nf1"],
+)
+def test_generate_falls_matches_per_fall_recorder(fall_store, n_f, seed, params):
+    # generate_falls advances all falls in one batch; the store must hold
+    # the bytes of recording each fall alone with single-state steps.
+    store = generate_falls(ExperimentConfig(), n_f, seed=seed, params=params)
+    ref = fall_store if n_f == 100 else _fall_like_store(n_f, seed=seed, p=params)
+    assert (store.n_links, store.actuated_joints) == (ref.n_links, ref.actuated_joints)
+    for name in ("t", "q", "qdot", "tau", "G"):
+        assert getattr(store, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 @pytest.fixture(scope="module")
