@@ -22,6 +22,7 @@ would alone.
 
 import contextlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -163,6 +164,15 @@ def torque_distribution(params: ChainParams) -> np.ndarray:
 # statement updates a lane in place (no +=), because an array lane may be a
 # view of the caller's state.
 #
+# The integrators take their vector arithmetic from the same ``_LaneOps``
+# as the kernel takes sin/cos/sqrt. On float lanes a state vector is a list
+# of N Python floats, so one state stays on float lanes from the first RK4
+# stage to the last: ``step`` and ``simulate`` convert it from numpy once on
+# the way in and once on the way out. On array lanes a state vector is one
+# (N, K) array, and the integrators run whole-array expressions. Both do the
+# same operations in the same order (``q + (0.5*dt)*qdot``, then
+# ``q + (dt/6)*(((k1 + 2k2) + 2k3) + k4)``), so the two agree bit for bit.
+#
 # NaN or infinite input must come out as NaN terms, never as an exception or
 # a numpy warning. math.sin/cos raise ValueError on +-inf, so float lanes
 # catch it and return all-NaN terms; np.sin/cos return NaN, and ``step`` runs
@@ -177,14 +187,42 @@ def _pivot_root(s):
     return math.sqrt(s) if s > 0.0 else math.nan
 
 
+def _float_axpy(x, a, y):
+    return [xi + a * yi for xi, yi in zip(x, y)]
+
+
+def _float_add(x, y):
+    return [xi + yi for xi, yi in zip(x, y)]
+
+
+def _float_finite(x):
+    return all(map(math.isfinite, x))
+
+
+def _array_axpy(x, a, y):
+    return x + a * y
+
+
+def _array_finite(x):
+    return bool(np.all(np.isfinite(x)))
+
+
 class _LaneOps(NamedTuple):
     sin: Callable
     cos: Callable
     sqrt: Callable
+    vector: Callable  # kernel lanes -> the integrators' state vector
+    axpy: Callable  # (x, a, y) -> x + a*y, elementwise
+    add: Callable
+    finite: Callable  # true if every entry of a vector is finite
 
 
-_FLOAT_LANES = _LaneOps(math.sin, math.cos, _pivot_root)
-_ARRAY_LANES = _LaneOps(np.sin, np.cos, np.sqrt)
+_FLOAT_LANES = _LaneOps(
+    math.sin, math.cos, _pivot_root, list, _float_axpy, _float_add, _float_finite
+)
+_ARRAY_LANES = _LaneOps(
+    np.sin, np.cos, np.sqrt, np.array, _array_axpy, operator.add, _array_finite
+)
 
 
 def _lane_terms(ops, c, q, qdot):
@@ -279,29 +317,32 @@ def _lane_accel(ops, c, q, qdot, gen):
     return _lane_solve(ops, D, [g - h for g, h in zip(gen, H)])
 
 
-# Integrators. ``deriv(t, q, qdot)`` returns the joint accelerations; each
-# scheme returns the next (q, qdot).
+# Integrators. ``deriv(t, q, qdot)`` returns the joint accelerations as a
+# vector of ``ops``; each scheme returns the next (q, qdot).
 
 
-def _rk4_step(deriv, t, q, qdot, dt):
+def _rk4_step(ops, deriv, t, q, qdot, dt):
+    axpy = ops.axpy
+    h = 0.5 * dt
     k1v = deriv(t, q, qdot)
-    q2 = q + 0.5 * dt * qdot
-    v2 = qdot + 0.5 * dt * k1v
-    k2v = deriv(t + 0.5 * dt, q2, v2)
-    q3 = q + 0.5 * dt * v2
-    v3 = qdot + 0.5 * dt * k2v
-    k3v = deriv(t + 0.5 * dt, q3, v3)
-    q4 = q + dt * v3
-    v4 = qdot + dt * k3v
+    q2 = axpy(q, h, qdot)
+    v2 = axpy(qdot, h, k1v)
+    k2v = deriv(t + h, q2, v2)
+    q3 = axpy(q, h, v2)
+    v3 = axpy(qdot, h, k2v)
+    k3v = deriv(t + h, q3, v3)
+    q4 = axpy(q, dt, v3)
+    v4 = axpy(qdot, dt, k3v)
     k4v = deriv(t + dt, q4, v4)
-    qn = q + dt / 6.0 * (qdot + 2.0 * v2 + 2.0 * v3 + v4)
-    vn = qdot + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    w = dt / 6.0
+    qn = axpy(q, w, ops.add(axpy(axpy(qdot, 2.0, v2), 2.0, v3), v4))
+    vn = axpy(qdot, w, ops.add(axpy(axpy(k1v, 2.0, k2v), 2.0, k3v), k4v))
     return qn, vn
 
 
-def _semi_euler_step(deriv, t, q, qdot, dt):
-    vn = qdot + dt * deriv(t, q, qdot)
-    qn = q + dt * vn
+def _semi_euler_step(ops, deriv, t, q, qdot, dt):
+    vn = ops.axpy(qdot, dt, deriv(t, q, qdot))
+    qn = ops.axpy(q, dt, vn)
     return qn, vn
 
 
@@ -313,6 +354,19 @@ def _integrator(method: str):
         return _INTEGRATORS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}") from None
+
+
+def _one_state(params: ChainParams, q, qdot) -> tuple[list, list]:
+    """Float lanes of one state; a batch or a wrong size raises ValueError."""
+    q = np.asarray(q, dtype=float)
+    qdot = np.asarray(qdot, dtype=float)
+    n = params.n_links
+    if q.shape != (n,) or qdot.shape != (n,):
+        raise ValueError(
+            f"takes one state, with q and qdot of shape ({n},); "
+            f"got {q.shape} and {qdot.shape}"
+        )
+    return q.tolist(), qdot.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +381,7 @@ def manipulator_terms(params: ChainParams, q: np.ndarray, qdot: np.ndarray) -> D
     motion reads D qddot + H = B_tau tau. An angle that is NaN or infinite
     gives NaN in every entry of D and H.
     """
-    c = _chain_consts(params)
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    D, H = _lane_terms(_FLOAT_LANES, c, q.tolist(), qdot.tolist())
+    D, H = _lane_terms(_FLOAT_LANES, _chain_consts(params), *_one_state(params, q, qdot))
     return DynamicsTerms(np.array(D), np.array(H))
 
 
@@ -345,9 +396,8 @@ def accel(params: ChainParams, state: State, tau: np.ndarray) -> np.ndarray:
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (params.n_controls,):
         raise ValueError(f"tau must have shape ({params.n_controls},)")
-    x, singular = _lane_accel(
-        _FLOAT_LANES, c, state.q.tolist(), state.qdot.tolist(), (c.b_tau @ tau).tolist()
-    )
+    q, qdot = _one_state(params, state.q, state.qdot)
+    x, singular = _lane_accel(_FLOAT_LANES, c, q, qdot, (c.b_tau @ tau).tolist())
     if singular:
         raise SingularMatrix("inertia matrix lost positive definiteness")
     out = np.array(x)
@@ -385,23 +435,23 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float, method: 
         if tau.shape != (len(q), params.n_controls):
             raise ValueError(f"tau must have shape ({len(q)}, {params.n_controls})")
         # Array lanes: integrate the (N, K) transposes, whose rows are lanes.
-        ops, lanes, quiet = _ARRAY_LANES, list, np.errstate(all="ignore")
-        q, qdot, gen = q.T, qdot.T, c.b_tau @ tau.T
+        ops, quiet = _ARRAY_LANES, np.errstate(all="ignore")
+        q, qdot, gen = q.T, qdot.T, list(c.b_tau @ tau.T)
     else:
         # Float lanes, also for a one-row batch.
-        ops, lanes, quiet = _FLOAT_LANES, np.ndarray.tolist, contextlib.nullcontext()
-        q, qdot, gen = q.reshape(-1), qdot.reshape(-1), c.b_tau @ tau.reshape(-1)
-    gen = lanes(gen)
+        ops, quiet = _FLOAT_LANES, contextlib.nullcontext()
+        q, qdot = q.reshape(-1).tolist(), qdot.reshape(-1).tolist()
+        gen = (c.b_tau @ tau.reshape(-1)).tolist()
 
     def deriv(t, q, qdot):
-        return np.array(_lane_accel(ops, c, lanes(q), lanes(qdot), gen)[0])
+        return ops.vector(_lane_accel(ops, c, q, qdot, gen)[0])
 
     with quiet:
-        qn, vn = integrate(deriv, state.t, q, qdot, dt)
-    if not (np.all(np.isfinite(qn)) and np.all(np.isfinite(vn))):
+        qn, vn = integrate(ops, deriv, state.t, q, qdot, dt)
+    if not (ops.finite(qn) and ops.finite(vn)):
         raise NonFiniteState(f"integration diverged at t={state.t:.6g}")
     shape = state.q.shape
-    return State(qn.T.reshape(shape), vn.T.reshape(shape), state.t + dt)
+    return State(np.asarray(qn).T.reshape(shape), np.asarray(vn).T.reshape(shape), state.t + dt)
 
 
 def simulate(
@@ -416,24 +466,26 @@ def simulate(
     continuously.
 
     Unlike ``step``, the feedback law is re-evaluated at every integrator
-    stage, so smooth feedback laws integrate at full RK4 order. Returns the
-    trajectory including the initial state.
+    stage, so smooth feedback laws integrate at full RK4 order; it receives
+    q and qdot as (N,) arrays. Returns the trajectory including the initial
+    state.
     """
     integrate = _integrator(method)
     c = _chain_consts(params)
+    q, qdot = _one_state(params, state.q, state.qdot)
 
     def deriv(t, q, qdot):
-        gen = c.b_tau @ np.asarray(tau_fn(t, q, qdot), dtype=float)
-        return np.array(_lane_accel(_FLOAT_LANES, c, q.tolist(), qdot.tolist(), gen.tolist())[0])
+        tau = np.asarray(tau_fn(t, np.array(q), np.array(qdot)), dtype=float)
+        return _lane_accel(_FLOAT_LANES, c, q, qdot, (c.b_tau @ tau).tolist())[0]
 
     out = [state]
-    q, qdot, t = state.q.copy(), state.qdot.copy(), state.t
+    t = state.t
     for _ in range(n_steps):
-        q, qdot = integrate(deriv, t, q, qdot, dt)
+        q, qdot = integrate(_FLOAT_LANES, deriv, t, q, qdot, dt)
         t += dt
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(qdot))):
+        if not (_float_finite(q) and _float_finite(qdot)):
             raise NonFiniteState(f"integration diverged at t={t:.6g}")
-        out.append(State(q.copy(), qdot.copy(), t))
+        out.append(State(np.array(q), np.array(qdot), t))
     return out
 
 

@@ -13,7 +13,11 @@ most the tolerance raises ``VelocityBarDegenerate``.
 
 ``b`` changes every control cycle with the regressed control matrix, so no
 static spatial index over the store can prune; retrieval is one vectorized
-scan over all points.
+scan over all points. The scan runs on a retrieval handle,
+``NonEmptyStore``, built once per trial: it holds column-major copies of the
+store's ``q`` and ``qdot`` and a fixed scratch block, so a warm query writes
+every store-length intermediate into that block and allocates only arrays
+the size of its result. A handle serves one query at a time.
 
 Only a single unactuated direction is supported (the covector ``b`` must
 have one column); datasets are serialized as JSON Lines with a header row
@@ -186,16 +190,28 @@ class TargetStore:
             raise DatasetSchemaMismatch(f"malformed values: {e}") from e
 
 
-@dataclass(frozen=True)
 class NonEmptyStore:
-    """A target store that retrieval may run on: it holds at least one point,
-    so a query that passes the guard always has a store to scan."""
+    """Retrieval handle over a target store holding at least one point.
 
-    store: TargetStore
+    Built once per trial, it holds column-major copies of the store's ``q``
+    and ``qdot`` (one contiguous array per coordinate) and a fixed scratch
+    block that every query writes its store-length intermediates into, so a
+    warm query allocates nothing the length of the store. It therefore
+    serves one query at a time: do not share a handle between threads.
+    Arrays a query returns are fresh copies, never views of the scratch.
+    The store must not change while the handle exists.
+    """
 
-    def __post_init__(self):
-        if len(self.store) == 0:
+    def __init__(self, store: TargetStore):
+        if len(store) == 0:
             raise EmptyDataset("cannot retrieve from zero points")
+        self.store = store
+        q = np.asfortranarray(store.q)
+        qdot = np.asfortranarray(store.qdot)
+        self._q_cols = tuple(q[:, d] for d in range(store.n_links))
+        self._qdot_cols = tuple(qdot[:, d] for d in range(store.n_links))
+        self._rows = np.empty((4, len(store)))
+        self._masks = np.empty((2, len(store)), dtype=bool)
 
 
 def build(points: list[DataPoint], n_links: int, actuated_joints: tuple[int, ...]) -> NonEmptyStore:
@@ -239,27 +255,40 @@ def _query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
             f"|unactuated velocity projection| = {abs(qdbar0):.3g} <= {guard_tol:g}"
         )
     qbar0 = float(b @ x0.q)
-    qb = _project(targets.store.q, b)
-    qdb = _project(targets.store.qdot, b)
-    idx = np.flatnonzero(np.abs(qdb) > guard_tol)
-    t0 = (qb[idx] - qbar0) / qdbar0
-    s = qdb[idx] / qdbar0
-    loss = (omega * t0) ** 2 + (s - s_g) ** 2
-    if len(idx) > n_d:
+    b = b.tolist()
+    # Every store-length intermediate lives in the handle's scratch rows;
+    # guard-failing points stay in place and are masked out by ``ok``.
+    t0, s, loss, tmp = targets._rows
+    ok, near = targets._masks
+    _project(targets._q_cols, b, t0, tmp)
+    _project(targets._qdot_cols, b, s, tmp)
+    np.greater(np.absolute(s, out=tmp), guard_tol, out=ok)
+    np.divide(np.subtract(t0, qbar0, out=t0), qdbar0, out=t0)
+    np.divide(s, qdbar0, out=s)
+    np.square(np.multiply(t0, omega, out=loss), out=loss)
+    np.add(loss, np.square(np.subtract(s, s_g, out=tmp), out=tmp), out=loss)
+    if np.count_nonzero(ok) > n_d:
         # Only points at or below the n_d-th smallest loss can be selected;
         # keeping every point that ties it leaves the index tie-break intact.
-        kth = np.partition(loss, n_d - 1)[n_d - 1]
-        near = np.flatnonzero(loss <= kth)
-        idx, t0, s, loss = idx[near], t0[near], s[near], loss[near]
+        tmp.fill(np.inf)
+        np.copyto(tmp, loss, where=ok)
+        tmp.partition(n_d - 1)
+        np.logical_and(np.less_equal(loss, tmp[n_d - 1], out=near), ok, out=near)
+        idx = np.flatnonzero(near)
+    else:
+        idx = np.flatnonzero(ok)
+    loss = loss[idx]
     order = np.lexsort((idx, loss))[:n_d]
-    return idx[order], t0[order], s[order], loss[order]
+    idx = idx[order]
+    return idx, t0[idx], s[idx], loss[order]
 
 
-def _project(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products a @ b, added column by column in a fixed order
-    without fused multiply-adds, so the result does not depend on the BLAS
-    build and retrieval reproduces bit for bit across hosts."""
-    out = a[:, 0] * b[0]
+def _project(cols, b, out, tmp):
+    """Row-wise dot products of the store columns ``cols`` with b, written
+    into ``out`` (``tmp`` is scratch of the same length). The products are
+    added column by column in a fixed order without fused multiply-adds, so
+    the result does not depend on the BLAS build and retrieval reproduces
+    bit for bit across hosts."""
+    np.multiply(cols[0], b[0], out=out)
     for d in range(1, len(b)):
-        out += a[:, d] * b[d]
-    return out
+        np.add(out, np.multiply(cols[d], b[d], out=tmp), out=out)

@@ -417,6 +417,23 @@ def test_batched_step_rejects_unbatched_tau():
         step(acrobot_params(), State(np.zeros((3, 2)), np.zeros((3, 2))), np.zeros(1), 1e-2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, st: accel(p, st, np.zeros(1)),
+        lambda p, st: energy(p, st),
+        lambda p, st: manipulator_terms(p, st.q, st.qdot),
+        lambda p, st: simulate(p, st, lambda t, q, qd: np.zeros(1), 1e-2, 1),
+    ],
+    ids=["accel", "energy", "manipulator_terms", "simulate"],
+)
+def test_single_state_functions_reject_batch(call):
+    # Only step takes a batch; the others say so instead of failing inside
+    # the kernel.
+    with pytest.raises(ValueError, match="one state"):
+        call(acrobot_params(), State(np.zeros((3, 2)), np.zeros((3, 2))))
+
+
 def test_simulate_matches_step_for_constant_tau():
     p = acrobot_params()
     st = State(np.array([0.2, -0.1]), np.array([0.3, 0.1]))

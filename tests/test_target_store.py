@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from cpc.target_store import (
     TargetCandidate,
     TargetStore,
     build,
+    _query_arrays,
     proximity_loss,
     query_candidates,
 )
@@ -47,6 +50,45 @@ def brute_force_candidates(
         TargetCandidate(store.point(int(i)), int(i), float(t0[i]), float(s[i]), float(loss[i]))
         for i in sel
     ]
+
+
+def reference_query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
+    """Bit-for-bit reference for ``_query_arrays``: the same scan written
+    with fresh temporaries, gathering the guard-passing points before the
+    loss and partitioning a copy of it."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 2:
+        b = b[:, 0]
+    qdbar0 = float(b @ x0.qdot)
+    if abs(qdbar0) <= guard_tol:
+        raise VelocityBarDegenerate("unactuated velocity projection too small")
+    qbar0 = float(b @ x0.q)
+
+    def project(a):
+        out = a[:, 0] * b[0]
+        for d in range(1, len(b)):
+            out += a[:, d] * b[d]
+        return out
+
+    qb = project(targets.store.q)
+    qdb = project(targets.store.qdot)
+    idx = np.flatnonzero(np.abs(qdb) > guard_tol)
+    t0 = (qb[idx] - qbar0) / qdbar0
+    s = qdb[idx] / qdbar0
+    loss = (omega * t0) ** 2 + (s - s_g) ** 2
+    if len(idx) > n_d:
+        kth = np.partition(loss, n_d - 1)[n_d - 1]
+        near = np.flatnonzero(loss <= kth)
+        idx, t0, s, loss = idx[near], t0[near], s[near], loss[near]
+    order = np.lexsort((idx, loss))[:n_d]
+    return idx[order], t0[order], s[order], loss[order]
+
+
+def _same_bytes(got, want):
+    return all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want, strict=True)
+    )
 
 
 def _fall_like_store(n_traj=100, n_pts=100, seed=5, sigma=0.02, p=None):
@@ -142,6 +184,20 @@ def test_empty_dataset_raises():
         NonEmptyStore(empty)
 
 
+def _tie_heavy_store(rng, st, n_tie=200, n_distinct=300):
+    """``n_tie`` copies of the state ``st`` scattered among ``n_distinct``
+    random states; returns the handle and the sorted indices of the copies."""
+    slots = rng.permutation(n_tie + n_distinct)
+    tie_idx = np.sort(slots[:n_tie])
+    pts = [
+        DataPoint(0.0, State(rng.uniform(-0.5, 0.5, 2), rng.uniform(-2.0, 2.0, 2)), np.zeros(1), 0.0)
+        for _ in range(n_tie + n_distinct)
+    ]
+    for i in tie_idx:
+        pts[i] = DataPoint(0.0, st, np.zeros(1), 0.0)
+    return build(pts, 2, (1,)), tie_idx
+
+
 def test_duplicates_returned_as_distinct(rng):
     st = State(np.array([0.1, 0.2]), np.array([0.5, 0.4]))
     pts = [DataPoint(0.0, st, np.zeros(1), 0.0) for _ in range(5)]
@@ -154,17 +210,10 @@ def test_duplicates_returned_as_distinct(rng):
     # 200 copies of one point scattered among 300 distinct ones, with n_d
     # ending inside the tie group: the lowest dataset indices of the group
     # must be the ones returned.
-    n_tie, n_distinct = 200, 300
-    slots = rng.permutation(n_tie + n_distinct)
-    tie_idx = np.sort(slots[:n_tie])
-    pts = [
-        DataPoint(0.0, State(rng.uniform(-0.5, 0.5, 2), rng.uniform(-2.0, 2.0, 2)), np.zeros(1), 0.0)
-        for _ in range(n_tie + n_distinct)
-    ]
-    for i in tie_idx:
-        pts[i] = DataPoint(0.0, st, np.zeros(1), 0.0)
-    targets = build(pts, 2, (1,))
-    ranked = [c.index for c in brute_force_candidates(targets.store, x0, b, 10.0, 1.0, len(pts))]
+    n_tie = 200
+    targets, tie_idx = _tie_heavy_store(rng, st, n_tie)
+    n = len(targets.store)
+    ranked = [c.index for c in brute_force_candidates(targets.store, x0, b, 10.0, 1.0, n)]
     n_d = ranked.index(tie_idx[0]) + n_tie // 2
     cands = query_candidates(targets, x0, b, 10.0, 1.0, n_d)
     assert [c.index for c in cands] == ranked[:n_d]
@@ -227,6 +276,56 @@ def test_query_excludes_guarded_targets(rng):
     targets = build(pts, 2, (1,))
     cands = query_candidates(targets, x0, b, 10.0, 1.0, 2)
     assert [c.index for c in cands] == [1]
+
+
+@pytest.mark.parametrize("kind", ["nf1", "nf3", "nf100", "ties"])
+def test_query_arrays_bit_identical_to_reference(rng, fall_store, kind):
+    st = State(np.array([0.1, 0.2]), np.array([0.5, 0.4]))
+    if kind == "ties":
+        targets, _ = _tie_heavy_store(rng, st)
+    elif kind == "nf100":
+        targets = NonEmptyStore(fall_store)
+    else:
+        targets = NonEmptyStore(generate_falls(ExperimentConfig(), int(kind[2:]), seed=3))
+    n = len(targets.store)
+    for _ in range(15):
+        x0, b = _random_query_state(rng)
+        other, b_other = _random_query_state(rng)
+        proj = np.abs(targets.store.qdot @ b[:, 0])
+        # The default guard, and one that rejects 95% of the points.
+        for guard_tol in (DEFAULT_GUARD_TOL, float(np.quantile(proj, 0.95))):
+            qdbar0 = abs(float(b[:, 0] @ x0.qdot))
+            x = State(x0.q, x0.qdot * max(1.0, 2.0 * guard_tol / qdbar0))
+            # One point, a partition, and more than the guard lets through.
+            for n_d in (1, 20, n + 1):
+                for s_g in (1.0, -1.0):
+                    args = (b, 10.0, s_g, n_d, guard_tol)
+                    got = _query_arrays(targets, x, *args)
+                    assert _same_bytes(got, reference_query_arrays(targets, x, *args))
+                    kept = [a.copy() for a in got]
+                    _query_arrays(targets, other, b_other, 1.0, -s_g, 5, DEFAULT_GUARD_TOL)
+                    assert _same_bytes(got, kept)
+    if kind == "ties":
+        # n_d ending inside the tie group, as in test_duplicates_returned_as_distinct.
+        ranked = reference_query_arrays(targets, x0, b, 10.0, 1.0, n, DEFAULT_GUARD_TOL)[0]
+        n_d = int(np.flatnonzero(targets.store.q[ranked, 0] == st.q[0])[0]) + 100
+        args = (x0, b, 10.0, 1.0, n_d, DEFAULT_GUARD_TOL)
+        assert _same_bytes(_query_arrays(targets, *args), reference_query_arrays(targets, *args))
+
+
+def test_warm_query_allocates_no_store_length_array(rng, fall_store):
+    # Every store-length intermediate lives in the handle's scratch, so one
+    # query allocates less than one float64 column of the store.
+    targets = NonEmptyStore(fall_store)
+    x0, b = _random_query_state(rng)
+    _query_arrays(targets, x0, b, 10.0, -1.0, 20, DEFAULT_GUARD_TOL)
+    tracemalloc.start()
+    try:
+        _query_arrays(targets, x0, b, 10.0, -1.0, 20, DEFAULT_GUARD_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(fall_store)
 
 
 # ---------------------------------------------------------------------------
