@@ -31,10 +31,6 @@ class CoordSplit:
     controlled: tuple[int, ...]
     free: tuple[int, ...]
 
-    @property
-    def n_controlled(self) -> int:
-        return len(self.controlled)
-
 
 @dataclass(frozen=True)
 class Reparam:
@@ -191,23 +187,15 @@ def estimate_control_matrix(
     taus: np.ndarray,
     us: np.ndarray,
     ridge: float = 1e-8,
-    affine: bool = False,
 ) -> np.ndarray:
     """Regress the control matrix from recorded (torque, acceleration) pairs.
 
     Minimizes sum_i ||u_i - B tau_i||^2 (+ ridge penalty) over the N x M
-    matrix B. With ``affine=True`` an intercept column absorbs bias forces;
-    it is discarded from the returned matrix.
+    matrix B.
     """
     taus = np.atleast_2d(np.asarray(taus, dtype=float))
     us = np.atleast_2d(np.asarray(us, dtype=float))
     if taus.shape[0] != us.shape[0]:
         raise ValueError("torque and acceleration histories differ in length")
-    A = taus
-    if affine:
-        A = np.hstack([taus, np.ones((taus.shape[0], 1))])
-    X = mathkit.least_squares(A, us, ridge=ridge)  # maps tau -> u, transposed
-    B = X.T
-    if affine:
-        B = B[:, :-1]
-    return B
+    X = mathkit.least_squares(taus, us, ridge=ridge)  # maps tau -> u, transposed
+    return X.T

@@ -121,8 +121,6 @@ class _ChainConsts(NamedTuple):
     grav_w: tuple  # N gravity weights m g (l_com + links above * L)
     i_cap: float  # per-link capsule inertia about its com
     b_tau: np.ndarray  # (N, M) torque distribution selection
-    mass: float
-    l_com: float
 
 
 @lru_cache(maxsize=32)
@@ -141,7 +139,7 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
     b_tau = np.zeros((n, params.n_controls))
     for col, j in enumerate(params.actuated_joints):
         b_tau[j, col] = 1.0
-    return _ChainConsts(coef, grav_w, i_com, b_tau, mass, l_com)
+    return _ChainConsts(coef, grav_w, i_com, b_tau)
 
 
 def torque_distribution(params: ChainParams) -> np.ndarray:
@@ -164,12 +162,12 @@ def torque_distribution(params: ChainParams) -> np.ndarray:
 # statement updates a lane in place (no +=), because an array lane may be a
 # view of the caller's state.
 #
-# The integrators take their vector arithmetic from the same ``_LaneOps``
-# as the kernel takes sin/cos/sqrt. On float lanes a state vector is a list
+# The RK4 step takes its vector arithmetic from the same ``_LaneOps`` as
+# the kernel takes sin/cos/sqrt. On float lanes a state vector is a list
 # of N Python floats, so one state stays on float lanes from the first RK4
 # stage to the last: ``step`` and ``simulate`` convert it from numpy once on
 # the way in and once on the way out. On array lanes a state vector is one
-# (N, K) array, and the integrators run whole-array expressions. Both do the
+# (N, K) array, and the step runs whole-array expressions. Both do the
 # same operations in the same order (``q + (0.5*dt)*qdot``, then
 # ``q + (dt/6)*(((k1 + 2k2) + 2k3) + k4)``), so the two agree bit for bit.
 #
@@ -211,7 +209,7 @@ class _LaneOps(NamedTuple):
     sin: Callable
     cos: Callable
     sqrt: Callable
-    vector: Callable  # kernel lanes -> the integrators' state vector
+    vector: Callable  # kernel lanes -> the RK4 step's state vector
     axpy: Callable  # (x, a, y) -> x + a*y, elementwise
     add: Callable
     finite: Callable  # true if every entry of a vector is finite
@@ -317,11 +315,9 @@ def _lane_accel(ops, c, q, qdot, gen):
     return _lane_solve(ops, D, [g - h for g, h in zip(gen, H)])
 
 
-# Integrators. ``deriv(t, q, qdot)`` returns the joint accelerations as a
-# vector of ``ops``; each scheme returns the next (q, qdot).
-
-
 def _rk4_step(ops, deriv, t, q, qdot, dt):
+    """The next (q, qdot) after one classical RK4 step; ``deriv(t, q, qdot)``
+    returns the joint accelerations as a vector of ``ops``."""
     axpy = ops.axpy
     h = 0.5 * dt
     k1v = deriv(t, q, qdot)
@@ -338,22 +334,6 @@ def _rk4_step(ops, deriv, t, q, qdot, dt):
     qn = axpy(q, w, ops.add(axpy(axpy(qdot, 2.0, v2), 2.0, v3), v4))
     vn = axpy(qdot, w, ops.add(axpy(axpy(k1v, 2.0, k2v), 2.0, k3v), k4v))
     return qn, vn
-
-
-def _semi_euler_step(ops, deriv, t, q, qdot, dt):
-    vn = ops.axpy(qdot, dt, deriv(t, q, qdot))
-    qn = ops.axpy(q, dt, vn)
-    return qn, vn
-
-
-_INTEGRATORS = {"rk4": _rk4_step, "semi_euler": _semi_euler_step}
-
-
-def _integrator(method: str):
-    try:
-        return _INTEGRATORS[method]
-    except KeyError:
-        raise ValueError(f"unknown method {method!r}") from None
 
 
 def _one_state(params: ChainParams, q, qdot) -> tuple[list, list]:
@@ -416,8 +396,8 @@ def exact_control_matrix(params: ChainParams, q: np.ndarray) -> np.ndarray:
         raise SingularMatrix(str(e)) from e
 
 
-def step(params: ChainParams, state: State, tau: np.ndarray, dt: float, method: str = "rk4") -> State:
-    """Advance one fixed step with tau held constant (zero-order hold).
+def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State:
+    """Advance one fixed RK4 step with tau held constant (zero-order hold).
 
     ``state`` is one state, with q and qdot of shape (N,) and tau of shape
     (M,), or a batch of K states advanced in lockstep, with q and qdot of
@@ -427,7 +407,6 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float, method: 
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    integrate = _integrator(method)
     c = _chain_consts(params)
     tau = np.asarray(tau, dtype=float)
     q, qdot = state.q, state.qdot
@@ -447,7 +426,7 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float, method: 
         return ops.vector(_lane_accel(ops, c, q, qdot, gen)[0])
 
     with quiet:
-        qn, vn = integrate(ops, deriv, state.t, q, qdot, dt)
+        qn, vn = _rk4_step(ops, deriv, state.t, q, qdot, dt)
     if not (ops.finite(qn) and ops.finite(vn)):
         raise NonFiniteState(f"integration diverged at t={state.t:.6g}")
     shape = state.q.shape
@@ -460,7 +439,6 @@ def simulate(
     tau_fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     dt: float,
     n_steps: int,
-    method: str = "rk4",
 ) -> list[State]:
     """Closed-loop rollout of one state with ``tau_fn(t, q, qdot)`` sampled
     continuously.
@@ -470,7 +448,6 @@ def simulate(
     q and qdot as (N,) arrays. Returns the trajectory including the initial
     state.
     """
-    integrate = _integrator(method)
     c = _chain_consts(params)
     q, qdot = _one_state(params, state.q, state.qdot)
 
@@ -481,7 +458,7 @@ def simulate(
     out = [state]
     t = state.t
     for _ in range(n_steps):
-        q, qdot = integrate(_FLOAT_LANES, deriv, t, q, qdot, dt)
+        q, qdot = _rk4_step(_FLOAT_LANES, deriv, t, q, qdot, dt)
         t += dt
         if not (_float_finite(q) and _float_finite(qdot)):
             raise NonFiniteState(f"integration diverged at t={t:.6g}")

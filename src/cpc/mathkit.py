@@ -1,11 +1,10 @@
-"""Small dense linear-algebra utilities.
+"""Small dense linear-algebra utilities: the right pseudoinverse and
+(ridge) least squares.
 
 Matrices and vectors are plain float64 numpy arrays. Everything here is
 sized for chains with at most a handful of links, so numerical robustness
 is favored over large-matrix performance.
 """
-
-import math
 
 import numpy as np
 
@@ -52,16 +51,3 @@ def least_squares(A: np.ndarray, y: np.ndarray, ridge: float = 0.0) -> np.ndarra
     else:
         filt = s / (s * s + ridge)
     return (vt.T * filt) @ (u.T @ y)
-
-
-def expm_crit_damped(kappa: float, t: float) -> np.ndarray:
-    """Matrix exponential e^{F t} for F = [[0, 1], [-kappa^2, -2 kappa]].
-
-    F is the companion matrix of a critically damped unit oscillator with
-    rate ``kappa``; the exponential has the closed form
-    e^{-kappa t} [[1 + kappa t, t], [-kappa^2 t, 1 - kappa t]].
-    """
-    kt = kappa * t
-    return math.exp(-kt) * np.array(
-        [[1.0 + kt, t], [-kappa * kappa * t, 1.0 - kt]]
-    )

@@ -1,4 +1,4 @@
-"""Store of recorded trajectory points and the candidate retrieval over it.
+"""Store of recorded trajectory points and the retrieval scan over it.
 
 The store keeps (state, torque, return) triples. For a query state ``x0``
 and the unactuated direction ``b``, each stored point gets a time offset
@@ -6,10 +6,11 @@ and the unactuated direction ``b``, each stored point gets a time offset
 ``qdbar0 = b . qdot0``, ``t0 = (b . q - b . q0) / qdbar0`` and
 ``s = (b . qdot) / qdbar0``. A point is scored by the proximity loss
 ``(omega * t0)^2 + (s - s_g)^2``, and the ``n_d`` lowest losses are
-retrieved, ties broken by dataset order. Points whose own projected
-velocity ``|b . qdot|`` is at most the guard tolerance cannot be
-reparameterized and are never returned; a query whose ``|qdbar0|`` is at
-most the tolerance raises ``VelocityBarDegenerate``.
+retrieved as arrays of indices, ``t0``, ``s`` and losses, ties broken by
+dataset order. Points whose own projected velocity ``|b . qdot|`` is at
+most the guard tolerance cannot be reparameterized and are never returned;
+a query whose ``|qdbar0|`` is at most the tolerance raises
+``VelocityBarDegenerate``.
 
 ``b`` changes every control cycle with the regressed control matrix, so no
 static spatial index over the store can prune; retrieval is one vectorized
@@ -25,11 +26,9 @@ carrying the chain layout.
 """
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import State
 from .errors import (
     DatasetSchemaMismatch,
     EmptyDataset,
@@ -40,34 +39,8 @@ DATASET_FORMAT = "chain-targets-v1"
 DEFAULT_GUARD_TOL = 1e-6
 
 
-@dataclass
-class DataPoint:
-    """One recorded sample: time, state, applied torques and return."""
-
-    t: float
-    x: State
-    tau: np.ndarray
-    G: float
-
-
-@dataclass
-class TargetCandidate:
-    """A stored point paired with its reparameterization and loss."""
-
-    point: DataPoint
-    index: int
-    t0: float
-    s: float
-    loss: float
-
-
-def proximity_loss(t0: float, s: float, omega: float, s_g: float) -> float:
-    """Candidate quality score; zero only for t0 = 0 and s = s_g."""
-    return (omega * t0) ** 2 + (s - s_g) ** 2
-
-
 class TargetStore:
-    """Immutable arrays of recorded data points plus chain layout metadata."""
+    """Immutable arrays of recorded points plus chain layout metadata."""
 
     def __init__(self, t, q, qdot, tau, G, n_links: int, actuated_joints: tuple[int, ...]):
         self.t = np.asarray(t, dtype=float)
@@ -92,28 +65,6 @@ class TargetStore:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def point(self, i: int) -> DataPoint:
-        return DataPoint(
-            float(self.t[i]),
-            State(self.q[i].copy(), self.qdot[i].copy(), float(self.t[i])),
-            self.tau[i].copy(),
-            float(self.G[i]),
-        )
-
-    @classmethod
-    def from_points(
-        cls, points: list[DataPoint], n_links: int, actuated_joints: tuple[int, ...]
-    ) -> "TargetStore":
-        return cls(
-            [p.t for p in points],
-            [p.x.q for p in points],
-            [p.x.qdot for p in points],
-            [p.tau for p in points],
-            [p.G for p in points],
-            n_links,
-            actuated_joints,
-        )
 
     # -- serialization ------------------------------------------------------
 
@@ -214,36 +165,9 @@ class NonEmptyStore:
         self._masks = np.empty((2, len(store)), dtype=bool)
 
 
-def build(points: list[DataPoint], n_links: int, actuated_joints: tuple[int, ...]) -> NonEmptyStore:
-    """Retrieval handle over a list of data points."""
-    if not points:
-        raise EmptyDataset("cannot retrieve from zero points")
-    return NonEmptyStore(TargetStore.from_points(points, n_links, actuated_joints))
-
-
-def query_candidates(
-    targets: NonEmptyStore,
-    x0: State,
-    b: np.ndarray,
-    omega: float,
-    s_g: float,
-    n_d: int,
-    guard_tol: float = DEFAULT_GUARD_TOL,
-) -> list[TargetCandidate]:
-    """The n_d lowest-loss stored points for the query state, each with its
-    time reparameterization; ties break on dataset order."""
-    if n_d < 1:
-        raise ValueError("n_d must be >= 1")
-    idx, t0, s, loss = _query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol)
-    return [
-        TargetCandidate(targets.store.point(int(i)), int(i), float(a), float(c), float(l))
-        for i, a, c, l in zip(idx, t0, s, loss)
-    ]
-
-
 def _query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
-    """Array-level query used by the runtime control loop: (indices, t0, s,
-    loss) of the selected points in ascending (loss, index) order."""
+    """The n_d lowest-loss stored points for the query state: (indices, t0,
+    s, loss) of the selected points in ascending (loss, index) order."""
     b = np.asarray(b, dtype=float)
     if b.ndim == 2:
         if b.shape[1] != 1:

@@ -1,9 +1,10 @@
-"""Expected-return machinery for ranking target candidates.
+"""Expected-return cost of a batch of retrieved target candidates.
 
 The estimate splits into two stages: the transition onto the renormalized
 target (dominated by the control work penalty of the critically damped
 feedback transient, evaluated in closed form) and the recorded return of the
-target point, shifted linearly by the time offset.
+target point, shifted linearly by the time offset. Every candidate of a
+batch is costed at once, on arrays.
 """
 
 from dataclasses import dataclass, field
@@ -11,10 +12,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .control_law import CoordSplit, GainSpec, Reparam, renormalized_target
+from .control_law import CoordSplit, GainSpec
 from .dynamics import State
 from .errors import SingularMatrix
-from .target_store import TargetCandidate
 
 
 @dataclass(frozen=True)
@@ -42,76 +42,6 @@ class RewardSpec:
         return 0.0 if self.state_reward is None else float(self.state_reward(x))
 
 
-@dataclass(frozen=True)
-class ValueBreakdown:
-    """Total value estimate and its transition/recorded components."""
-
-    v_total: float
-    v_I: float
-    v_II: float
-
-
-def _transition_matrices(b_chi: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray]:
-    """Z_i = (z_i kron I_M) (B_chi^-1)' for z_1 = [0; 1], z_2 = [kappa; 2]."""
-    m = b_chi.shape[0]
-    try:
-        binv_t = np.linalg.inv(b_chi).T
-    except np.linalg.LinAlgError as e:
-        raise SingularMatrix("controlled block of B is singular") from e
-    z1 = np.kron(np.array([[0.0], [1.0]]), np.eye(m)) @ binv_t
-    z2 = np.kron(np.array([[kappa], [2.0]]), np.eye(m)) @ binv_t
-    return z1, z2
-
-
-def value_estimate(
-    x0: State,
-    cand: TargetCandidate,
-    B: np.ndarray,
-    split: CoordSplit,
-    gain: GainSpec,
-    spec: RewardSpec,
-    tau_d: Optional[np.ndarray] = None,
-) -> ValueBreakdown:
-    """Two-stage value estimate of steering from x0 onto the candidate's
-    renormalized target and following it.
-
-    ``tau_d`` overrides the candidate's stored torque (used when no trusted
-    reference policy exists and the feedforward is taken to be zero).
-    """
-    if tau_d is None:
-        tau_d = cand.point.tau
-    tau_d = np.asarray(tau_d, dtype=float)
-    ci = list(split.controlled)
-    q_r0, qdot_r = renormalized_target(cand.point.x, Reparam(cand.t0, cand.s))
-    dx = np.concatenate([x0.q[ci] - q_r0[ci], x0.qdot[ci] - qdot_r[ci]])
-    kappa = gain.kappa
-    b_chi = np.atleast_2d(np.asarray(B, dtype=float))[ci, :]
-    z1, z2 = _transition_matrices(b_chi, kappa)
-    C = spec.C_tau
-    tg = spec.T_gamma
-    v1 = float(
-        -(2.0 / tg) * tau_d @ C @ (z1.T @ dx)
-        + (kappa / (4.0 * tg)) * dx @ (z1 @ C @ z1.T + z2 @ C @ z2.T) @ dx
-    )
-    g_d = cand.point.G
-    r_d = spec.reward_at(cand.point.x)
-    v2 = float(g_d + (cand.t0 / tg) * (tau_d @ C @ tau_d + r_d - g_d))
-    return ValueBreakdown(v1 + v2, v1, v2)
-
-
-def cost(
-    x0: State,
-    cand: TargetCandidate,
-    B: np.ndarray,
-    split: CoordSplit,
-    gain: GainSpec,
-    spec: RewardSpec,
-    tau_d: Optional[np.ndarray] = None,
-) -> float:
-    """Negated value estimate; candidate selection minimizes this."""
-    return -value_estimate(x0, cand, B, split, gain, spec, tau_d).v_total
-
-
 def candidate_costs(
     x0: State,
     q_d: np.ndarray,
@@ -126,14 +56,30 @@ def candidate_costs(
     gain: GainSpec,
     spec: RewardSpec,
 ) -> np.ndarray:
-    """Vectorized cost over a candidate batch (single-actuator fast path).
+    """Negated two-stage value estimate of each candidate; candidate
+    selection minimizes it.
 
     Arrays are per candidate: target states (n, N), torques (n, M), recorded
-    returns, state rewards and reparameterizations (n,). Must agree with
-    ``cost`` applied candidate by candidate.
+    returns, state rewards and reparameterizations (n,). For a candidate
+    with renormalized-target errors dchi, dchidot in the controlled
+    coordinates, let U and W solve B_chi [U W] = [dchi dchidot] (one solve
+    for the whole batch) and Z = kappa U + 2 W. With C = C_tau and
+    T = T_gamma, the transition value, the integral of the feedback
+    transient's work penalty, is
+
+        v_I = -(2/T) tau_d' C W + kappa/(4T) (W' C W + Z' C Z),
+
+    and the recorded value is v_II = G + (t0/T) (tau_d' C tau_d + r_d - G).
+    A single actuator takes the same formula written out in scalars, which
+    is faster on the control loop's path.
+
+    Raises ValueError when C_tau is not M x M, and SingularMatrix when the
+    controlled block of B is singular.
     """
     ci = list(split.controlled)
     m = len(ci)
+    if spec.C_tau.shape != (m, m):
+        raise ValueError(f"C_tau must be {m} x {m} for {m} actuators, got {spec.C_tau.shape}")
     kappa = gain.kappa
     tg = spec.T_gamma
     if m == 1:
@@ -149,26 +95,21 @@ def candidate_costs(
         )
         v2 = g_d + (t0 / tg) * (c * td * td + r_d - g_d)
         return -(v1 + v2)
-    out = np.empty(len(t0))
-    for i in range(len(t0)):
-        cand = TargetCandidate(
-            point=_RawPoint(q_d[i], qdot_d[i], tau_d[i], g_d[i]),
-            index=i,
-            t0=float(t0[i]),
-            s=float(s[i]),
-            loss=0.0,
-        )
-        out[i] = cost(x0, cand, B, split, gain, spec, tau_d[i])
-    return out
+    b_chi = np.atleast_2d(np.asarray(B, dtype=float))[ci, :]
+    dchi = x0.q[ci] - (q_d[:, ci] - qdot_d[:, ci] * (t0 / s)[:, None])
+    dchidot = x0.qdot[ci] - qdot_d[:, ci] / s[:, None]
+    n = len(t0)
+    try:
+        uw = np.linalg.solve(b_chi, np.concatenate([dchi, dchidot]).T)
+    except np.linalg.LinAlgError as e:
+        raise SingularMatrix("controlled block of B is singular") from e
+    U, W = uw[:, :n].T, uw[:, n:].T
+    Z = kappa * U + 2.0 * W
 
+    def quad(a, b):
+        """Row-wise a_i' C b_i."""
+        return ((a @ spec.C_tau) * b).sum(axis=1)
 
-class _RawPoint:
-    """Array-backed stand-in for DataPoint in the batch path."""
-
-    __slots__ = ("x", "tau", "G", "t")
-
-    def __init__(self, q, qdot, tau, G):
-        self.x = State(q, qdot)
-        self.tau = np.asarray(tau, dtype=float)
-        self.G = float(G)
-        self.t = 0.0
+    v1 = -(2.0 / tg) * quad(tau_d, W) + (kappa / (4.0 * tg)) * (quad(W, W) + quad(Z, Z))
+    v2 = g_d + (t0 / tg) * (quad(tau_d, tau_d) + r_d - g_d)
+    return -(v1 + v2)

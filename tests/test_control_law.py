@@ -314,17 +314,6 @@ def test_estimate_zero_torques_rank_deficient():
         estimate_control_matrix(np.zeros((7, 1)), np.ones((7, 2)), ridge=0.0)
 
 
-def test_estimate_affine_removes_constant_bias(rng):
-    B0 = rng.normal(size=(2, 1))
-    bias = np.array([0.5, -0.2])
-    taus = rng.normal(size=(20, 1))
-    us = taus @ B0.T + bias
-    B_plain = estimate_control_matrix(taus, us, ridge=0.0)
-    B_affine = estimate_control_matrix(taus, us, ridge=0.0, affine=True)
-    assert np.abs(B_affine - B0).max() < 1e-9
-    assert np.abs(B_plain - B0).max() > 1e-3
-
-
 def test_estimate_on_acrobot_rollout(rng):
     # Small noisy motions near upright: the regressed matrix lands within
     # 25% of the true torque-to-acceleration map, which is all the runtime

@@ -14,14 +14,23 @@ from cpc.controller import (
     controller_step,
     make_controller,
 )
-from cpc.dynamics import State, acrobot_params, exact_control_matrix
-from cpc.target_store import DataPoint, build
+from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matrix
+from cpc.target_store import NonEmptyStore, TargetStore
 from cpc.value import RewardSpec
+from oracles import cost, query_candidates
 
 
-def _one_point_targets(xd, tau=0.0, G=0.0):
-    pts = [DataPoint(0.0, xd, np.array([tau]), G)]
-    return build(pts, 2, (1,))
+def _acrobot_targets(states, G):
+    """Retrieval handle over acrobot states with zero torque and the given
+    recorded returns."""
+    n = len(states)
+    return NonEmptyStore(TargetStore(
+        np.zeros(n), [x.q for x in states], [x.qdot for x in states], np.zeros((n, 1)), G, 2, (1,)
+    ))
+
+
+def _one_point_targets(xd):
+    return _acrobot_targets([xd], [0.0])
 
 
 def _acrobot_B(q):
@@ -119,11 +128,7 @@ def test_cpc_loop_reselects_candidates_per_gain():
     split = split_coordinates(B)
     b = null_covector(B, split)[:, 0]
     perp = np.array([-b[1], b[0]]) / np.hypot(*null_covector(B, split)[:, 0])
-    pts = [
-        DataPoint(0.0, State(q, qdot), np.zeros(1), 0.0),
-        DataPoint(0.0, State(q + 0.08 * perp, qdot), np.zeros(1), 5.0),
-    ]
-    targets = build(pts, 2, (1,))
+    targets = _acrobot_targets([State(q, qdot), State(q + 0.08 * perp, qdot)], [0.0, 5.0])
     cfg_hi = ControllerConfig(s_g=1.0, k0=1e7, k_c=5e6, tau_c=1e9)
     cfg_lo = ControllerConfig(s_g=1.0, k0=2.0001, k_c=1.0, tau_c=1e9)
     tau_hi = cpc_loop(x0, B, targets, cfg_hi)
@@ -132,6 +137,36 @@ def test_cpc_loop_reselects_candidates_per_gain():
     # the offset for its recorded return.
     assert np.abs(tau_hi).max() < 1e-9
     assert np.abs(tau_lo).max() > 1e-6
+
+
+def test_cpc_loop_two_actuators_follows_oracle(rng):
+    # Three links with joints 1 and 2 actuated: the loop's torque is the path
+    # law on the oracle's cheapest candidate at the gain where backoff stops.
+    n = 200
+    x0 = State(rng.uniform(-0.3, 0.3, 3), rng.uniform(-1.0, 1.0, 3))
+    B = exact_control_matrix(ChainParams(n_links=3, actuated_joints=(1, 2)), x0.q)
+    store = TargetStore(
+        np.zeros(n), x0.q + rng.normal(0.0, 0.2, (n, 3)), x0.qdot + rng.normal(0.0, 0.4, (n, 3)),
+        rng.normal(0.0, 0.3, (n, 2)), rng.normal(size=n), 3, (1, 2),
+    )
+    cfg = ControllerConfig(s_g=1.0, n_d=10)
+    spec = RewardSpec(
+        T_gamma=0.7, C_tau=-np.array([[1.0, 0.2], [0.2, 0.5]]), state_reward=lambda x: -(x.q @ x.q)
+    )
+    tau = cpc_loop(x0, B, NonEmptyStore(store), cfg, spec)
+
+    split = split_coordinates(B)
+    cands = query_candidates(store, x0, null_covector(B, split), cfg.omega, cfg.s_g, cfg.n_d)
+    k = cfg.k0
+    while True:
+        gain = GainSpec(k)
+        best = min(cands, key=lambda c: cost(x0, c, B, split, gain, spec))
+        want = cpc_tau(x0, best.x, B, split, Reparam(best.t0, best.s), gain, best.tau)
+        if np.linalg.norm(want) < cfg.tau_c or 0.5 * k < cfg.k_c:
+            break
+        k *= 0.5
+    assert cfg.k_c <= k < cfg.k0
+    assert np.allclose(tau, want, rtol=1e-9, atol=1e-12)
 
 
 def test_controller_bootstrap_then_estimation(rng):

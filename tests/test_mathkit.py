@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from cpc.errors import RankDeficient, SingularMatrix
-from cpc.mathkit import (
-    expm_crit_damped,
-    least_squares,
-    right_pseudoinverse,
-)
+from cpc.mathkit import least_squares, right_pseudoinverse
+from oracles import expm_crit_damped
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +95,7 @@ def test_lsq_underdetermined_raises(rng):
 
 
 # ---------------------------------------------------------------------------
-# expm_crit_damped
+# expm_crit_damped, the closed form the value oracle in oracles.py builds on
 # ---------------------------------------------------------------------------
 
 

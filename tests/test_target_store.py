@@ -9,47 +9,11 @@ from cpc.errors import DatasetSchemaMismatch, EmptyDataset, VelocityBarDegenerat
 from cpc.experiments import ExperimentConfig, generate_falls
 from cpc.target_store import (
     DEFAULT_GUARD_TOL,
-    DataPoint,
     NonEmptyStore,
-    TargetCandidate,
     TargetStore,
-    build,
     _query_arrays,
-    proximity_loss,
-    query_candidates,
 )
-
-
-def brute_force_candidates(
-    store: TargetStore,
-    x0: State,
-    b: np.ndarray,
-    omega: float,
-    s_g: float,
-    n_d: int,
-    guard_tol: float = DEFAULT_GUARD_TOL,
-) -> list[TargetCandidate]:
-    """Linear-scan oracle with the same guards and tie-breaking."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 2:
-        b = b[:, 0]
-    qdbar0 = float(b @ x0.qdot)
-    if abs(qdbar0) <= guard_tol:
-        raise VelocityBarDegenerate("unactuated velocity projection too small")
-    qbar0 = float(b @ x0.q)
-    qb = store.q @ b
-    qdb = store.qdot @ b
-    ok = np.abs(qdb) > guard_tol
-    t0 = (qb - qbar0) / qdbar0
-    s = qdb / qdbar0
-    loss = (omega * t0) ** 2 + (s - s_g) ** 2
-    idx = np.nonzero(ok)[0]
-    order = np.lexsort((idx, loss[idx]))[: min(n_d, len(idx))]
-    sel = idx[order]
-    return [
-        TargetCandidate(store.point(int(i)), int(i), float(t0[i]), float(s[i]), float(loss[i]))
-        for i in sel
-    ]
+from oracles import proximity_loss, query_candidates
 
 
 def reference_query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
@@ -175,8 +139,6 @@ def test_loss_reversed_goal():
 
 
 def test_empty_dataset_raises():
-    with pytest.raises(EmptyDataset):
-        build([], 2, (1,))
     empty = TargetStore(
         np.empty(0), np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 1)), np.empty(0), 2, (1,)
     )
@@ -184,28 +146,33 @@ def test_empty_dataset_raises():
         NonEmptyStore(empty)
 
 
+def _acrobot_targets(q, qdot):
+    """Retrieval handle over acrobot states with zero torque and return."""
+    n = len(q)
+    return NonEmptyStore(TargetStore(np.zeros(n), q, qdot, np.zeros((n, 1)), np.zeros(n), 2, (1,)))
+
+
 def _tie_heavy_store(rng, st, n_tie=200, n_distinct=300):
     """``n_tie`` copies of the state ``st`` scattered among ``n_distinct``
     random states; returns the handle and the sorted indices of the copies."""
     slots = rng.permutation(n_tie + n_distinct)
     tie_idx = np.sort(slots[:n_tie])
-    pts = [
-        DataPoint(0.0, State(rng.uniform(-0.5, 0.5, 2), rng.uniform(-2.0, 2.0, 2)), np.zeros(1), 0.0)
-        for _ in range(n_tie + n_distinct)
-    ]
-    for i in tie_idx:
-        pts[i] = DataPoint(0.0, st, np.zeros(1), 0.0)
-    return build(pts, 2, (1,)), tie_idx
+    n = n_tie + n_distinct
+    q = np.empty((n, 2))
+    qdot = np.empty((n, 2))
+    for i in range(n):
+        q[i], qdot[i] = rng.uniform(-0.5, 0.5, 2), rng.uniform(-2.0, 2.0, 2)
+    q[tie_idx], qdot[tie_idx] = st.q, st.qdot
+    return _acrobot_targets(q, qdot), tie_idx
 
 
 def test_duplicates_returned_as_distinct(rng):
     st = State(np.array([0.1, 0.2]), np.array([0.5, 0.4]))
-    pts = [DataPoint(0.0, st, np.zeros(1), 0.0) for _ in range(5)]
-    targets = build(pts, 2, (1,))
+    targets = _acrobot_targets(np.tile(st.q, (5, 1)), np.tile(st.qdot, (5, 1)))
     x0, b = _random_query_state(rng)
-    cands = query_candidates(targets, x0, b, 10.0, 1.0, 3)
-    assert [c.index for c in cands] == [0, 1, 2]
-    assert len({c.loss for c in cands}) == 1
+    idx, _, _, loss = _query_arrays(targets, x0, b, 10.0, 1.0, 3, DEFAULT_GUARD_TOL)
+    assert idx.tolist() == [0, 1, 2]
+    assert len(set(loss.tolist())) == 1
 
     # 200 copies of one point scattered among 300 distinct ones, with n_d
     # ending inside the tie group: the lowest dataset indices of the group
@@ -213,12 +180,12 @@ def test_duplicates_returned_as_distinct(rng):
     n_tie = 200
     targets, tie_idx = _tie_heavy_store(rng, st, n_tie)
     n = len(targets.store)
-    ranked = [c.index for c in brute_force_candidates(targets.store, x0, b, 10.0, 1.0, n)]
+    ranked = [c.index for c in query_candidates(targets.store, x0, b, 10.0, 1.0, n)]
     n_d = ranked.index(tie_idx[0]) + n_tie // 2
-    cands = query_candidates(targets, x0, b, 10.0, 1.0, n_d)
-    assert [c.index for c in cands] == ranked[:n_d]
+    idx = _query_arrays(targets, x0, b, 10.0, 1.0, n_d, DEFAULT_GUARD_TOL)[0].tolist()
+    assert idx == ranked[:n_d]
     tie_set = set(tie_idx.tolist())
-    assert [c.index for c in cands if c.index in tie_set] == tie_idx[: n_tie // 2].tolist()
+    assert [i for i in idx if i in tie_set] == tie_idx[: n_tie // 2].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -230,36 +197,35 @@ def test_query_exhaustive_returns_all_sorted(rng):
     store = _fall_like_store(n_traj=2, n_pts=30, seed=9)
     targets = NonEmptyStore(store)
     x0, b = _random_query_state(rng)
-    cands = query_candidates(targets, x0, b, 10.0, 1.0, n_d=1000)
-    assert len(cands) == len([c for c in brute_force_candidates(store, x0, b, 10.0, 1.0, 1000)])
-    losses = [c.loss for c in cands]
-    assert losses == sorted(losses)
+    idx, _, _, loss = _query_arrays(targets, x0, b, 10.0, 1.0, 1000, DEFAULT_GUARD_TOL)
+    assert len(idx) == len(query_candidates(store, x0, b, 10.0, 1.0, 1000))
+    assert loss.tolist() == sorted(loss.tolist())
 
 
 def test_query_matches_brute_force(rng, fall_targets):
     for _ in range(50):
         x0, b = _random_query_state(rng)
-        cands = query_candidates(fall_targets, x0, b, 10.0, 1.0, 20)
-        oracle = brute_force_candidates(fall_targets.store, x0, b, 10.0, 1.0, 20)
-        assert [c.index for c in cands] == [c.index for c in oracle]
-        assert np.allclose([c.loss for c in cands], [c.loss for c in oracle], rtol=1e-12)
-        assert np.allclose([c.t0 for c in cands], [c.t0 for c in oracle], rtol=1e-12)
-        assert np.allclose([c.s for c in cands], [c.s for c in oracle], rtol=1e-12)
+        idx, t0, s, loss = _query_arrays(fall_targets, x0, b, 10.0, 1.0, 20, DEFAULT_GUARD_TOL)
+        oracle = query_candidates(fall_targets.store, x0, b, 10.0, 1.0, 20)
+        assert idx.tolist() == [c.index for c in oracle]
+        assert np.allclose(loss, [c.loss for c in oracle], rtol=1e-12)
+        assert np.allclose(t0, [c.t0 for c in oracle], rtol=1e-12)
+        assert np.allclose(s, [c.s for c in oracle], rtol=1e-12)
 
 
 def test_query_matches_brute_force_reversed_goal(rng, fall_targets):
     for _ in range(25):
         x0, b = _random_query_state(rng)
-        cands = query_candidates(fall_targets, x0, b, 10.0, -1.0, 20)
-        oracle = brute_force_candidates(fall_targets.store, x0, b, 10.0, -1.0, 20)
-        assert [c.index for c in cands] == [c.index for c in oracle]
+        idx = _query_arrays(fall_targets, x0, b, 10.0, -1.0, 20, DEFAULT_GUARD_TOL)[0]
+        oracle = query_candidates(fall_targets.store, x0, b, 10.0, -1.0, 20)
+        assert idx.tolist() == [c.index for c in oracle]
 
 
 def test_query_guard_rejects_degenerate_state(fall_targets):
     x0 = State(np.array([0.1, 0.2]), np.zeros(2))
     b = _acrobot_b(x0.q)
     with pytest.raises(VelocityBarDegenerate):
-        query_candidates(fall_targets, x0, b, 10.0, 1.0, 20)
+        _query_arrays(fall_targets, x0, b, 10.0, 1.0, 20, DEFAULT_GUARD_TOL)
 
 
 def test_query_excludes_guarded_targets(rng):
@@ -269,13 +235,9 @@ def test_query_excludes_guarded_targets(rng):
     bb = b[:, 0]
     v_perp = np.array([-bb[1], bb[0]])  # b . v_perp = 0 up to rounding
     v_perp -= bb * (bb @ v_perp) / (bb @ bb)
-    pts = [
-        DataPoint(0.0, State(x0.q.copy(), v_perp * 1e-9), np.zeros(1), 0.0),
-        DataPoint(0.0, State(x0.q + 0.5, x0.qdot.copy()), np.zeros(1), 0.0),
-    ]
-    targets = build(pts, 2, (1,))
-    cands = query_candidates(targets, x0, b, 10.0, 1.0, 2)
-    assert [c.index for c in cands] == [1]
+    targets = _acrobot_targets(np.stack([x0.q, x0.q + 0.5]), np.stack([v_perp * 1e-9, x0.qdot]))
+    idx = _query_arrays(targets, x0, b, 10.0, 1.0, 2, DEFAULT_GUARD_TOL)[0]
+    assert idx.tolist() == [1]
 
 
 @pytest.mark.parametrize("kind", ["nf1", "nf3", "nf100", "ties"])

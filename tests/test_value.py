@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from cpc.control_law import (
+    CoordSplit,
     GainSpec,
     Reparam,
     null_covector,
@@ -10,20 +11,14 @@ from cpc.control_law import (
     reparam_params,
     split_coordinates,
 )
-from cpc.dynamics import State, acrobot_params, exact_control_matrix
-from cpc.errors import VelocityBarDegenerate
-from cpc.mathkit import expm_crit_damped
-from cpc.target_store import DataPoint, TargetCandidate
-from cpc.value import (
-    RewardSpec,
-    candidate_costs,
-    cost,
-    value_estimate,
-)
+from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matrix
+from cpc.errors import SingularMatrix, VelocityBarDegenerate
+from cpc.value import RewardSpec, candidate_costs
+from oracles import Candidate, cost, expm_crit_damped, value_estimate
 
 
 def _make_candidate(xd, tau, G, t0, s):
-    return TargetCandidate(DataPoint(0.0, xd, np.asarray(tau, float), G), 0, t0, s, 0.0)
+    return Candidate(0, t0, s, 0.0, xd, np.asarray(tau, float), G)
 
 
 def _random_instance(rng, kappa, n=2):
@@ -40,7 +35,7 @@ def _random_instance(rng, kappa, n=2):
 
 
 # ---------------------------------------------------------------------------
-# value_estimate
+# value_estimate (the per-candidate oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -80,10 +75,10 @@ def test_value_quadrature_oracle(rng):
             continue
         out = value_estimate(x0, cand, B, split, gain, spec)
         ci = list(split.controlled)
-        q_r0, qdot_r = renormalized_target(cand.point.x, Reparam(cand.t0, cand.s))
+        q_r0, qdot_r = renormalized_target(cand.x, Reparam(cand.t0, cand.s))
         dx = np.array([x0.q[ci[0]] - q_r0[ci[0]], x0.qdot[ci[0]] - qdot_r[ci[0]]])
         beta = float(B[ci[0], 0])
-        tau_d = cand.point.tau[0]
+        tau_d = cand.tau[0]
         c = float(spec.C_tau[0, 0])
 
         def dtau(t):
@@ -115,7 +110,7 @@ def test_value_quadrature_oracle_two_actuators(rng):
     q_r0, qdot_r = renormalized_target(xd, Reparam(cand.t0, cand.s))
     dx = np.concatenate([x0.q[ci] - q_r0[ci], x0.qdot[ci] - qdot_r[ci]])
     b_chi = B[ci, :]
-    tau_d = cand.point.tau
+    tau_d = cand.tau
 
     def dtau_vec(t):
         em = np.kron(expm_crit_damped(kappa, t), np.eye(2))
@@ -133,12 +128,12 @@ def test_value_quadrature_oracle_two_actuators(rng):
 def test_value_v2_linear_in_t0(rng):
     spec = RewardSpec()
     x0, cand, B, split, gain = _random_instance(rng, 20.0)
-    tau_d = cand.point.tau
+    tau_d = cand.tau
     c = float(spec.C_tau[0, 0])
-    slope_expect = (c * tau_d[0] ** 2 + 0.0 - cand.point.G) / spec.T_gamma
+    slope_expect = (c * tau_d[0] ** 2 + 0.0 - cand.G) / spec.T_gamma
     v2 = []
     for dt0 in (0.0, 0.01):
-        c2 = _make_candidate(cand.point.x, tau_d, cand.point.G, cand.t0 + dt0, cand.s)
+        c2 = _make_candidate(cand.x, tau_d, cand.G, cand.t0 + dt0, cand.s)
         v2.append(value_estimate(x0, c2, B, split, gain, spec).v_II)
     assert (v2[1] - v2[0]) / 0.01 == pytest.approx(slope_expect, rel=1e-9)
 
@@ -147,8 +142,6 @@ def test_value_split_invariance_high_gain(rng):
     # With one free coordinate both coordinate splits give the same
     # transition value (the projected target errors vanish identically).
     p = acrobot_params()
-    from cpc.control_law import CoordSplit
-
     for _ in range(20):
         q = rng.uniform(-1, 1, size=2)
         B = exact_control_matrix(p, q)
@@ -172,8 +165,8 @@ def test_value_split_invariance_high_gain(rng):
 
 def test_cost_prefers_higher_return(rng):
     x0, cand, B, split, gain = _random_instance(rng, 20.0)
-    lo = _make_candidate(cand.point.x, cand.point.tau, 1.0, cand.t0, cand.s)
-    hi = _make_candidate(cand.point.x, cand.point.tau, 2.0, cand.t0, cand.s)
+    lo = _make_candidate(cand.x, cand.tau, 1.0, cand.t0, cand.s)
+    hi = _make_candidate(cand.x, cand.tau, 2.0, cand.t0, cand.s)
     spec = RewardSpec()
     assert cost(x0, hi, B, split, gain, spec) < cost(x0, lo, B, split, gain, spec)
 
@@ -208,7 +201,7 @@ def test_cost_argmin_invariant_to_penalty_scale(rng):
     cands = []
     for _ in range(10):
         _, cand, _, _, _ = _random_instance(rng, 25.0)
-        cands.append(_make_candidate(cand.point.x, np.zeros(1), 0.0, cand.t0, cand.s))
+        cands.append(_make_candidate(cand.x, np.zeros(1), 0.0, cand.t0, cand.s))
     for scale in (1.0, 7.3):
         spec = RewardSpec(C_tau=-scale * np.eye(1))
         costs = [cost(x0, c, B, split, gain, spec, tau_d=np.zeros(1)) for c in cands]
@@ -236,3 +229,82 @@ def test_candidate_costs_matches_scalar_path(rng):
     for i in range(n):
         cand = _make_candidate(State(q_d[i], qdot_d[i]), tau_d[i], g_d[i], t0[i], s[i])
         assert batch[i] == pytest.approx(cost(x0, cand, B, split, gain, spec), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# candidate_costs against the per-candidate oracle, M in {1, 2, 4}
+# ---------------------------------------------------------------------------
+
+_CHAINS = {
+    "M1": ChainParams(n_links=2, actuated_joints=(1,)),
+    "M2": ChainParams(n_links=3, actuated_joints=(1, 2)),
+    "M4": ChainParams(n_links=5, actuated_joints=(1, 2, 3, 4)),
+}
+
+
+def _state_reward(x):
+    return 0.3 * x.qdot[0] - x.q @ x.q
+
+
+def _batch_instance(rng, params, n=12):
+    """Query state, exact control matrix and split, a reward spec with a
+    random SPD -C_tau, and a batch of n candidate arrays (q_d, qdot_d,
+    tau_d, g_d, r_d, t0, s) on either time-scale branch."""
+    N, M = params.n_links, params.n_controls
+    q = rng.uniform(-0.5, 0.5, N)
+    B = exact_control_matrix(params, q)
+    x0 = State(q, rng.uniform(-1.0, 1.0, N))
+    A = rng.normal(size=(M, M))
+    spec = RewardSpec(
+        T_gamma=0.7, C_tau=-(A @ A.T + 0.1 * np.eye(M)), state_reward=_state_reward
+    )
+    q_d = x0.q + rng.normal(0.0, 0.2, (n, N))
+    qdot_d = x0.qdot + rng.normal(0.0, 0.4, (n, N))
+    r_d = np.array([spec.reward_at(State(q_d[i], qdot_d[i])) for i in range(n)])
+    t0 = rng.normal(0.0, 0.05, n)
+    s = rng.choice([-1.0, 1.0], n) * (1.0 + rng.normal(0.0, 0.1, n))
+    batch = (q_d, qdot_d, rng.normal(size=(n, M)), rng.normal(size=n), r_d, t0, s)
+    return x0, B, split_coordinates(B), spec, batch
+
+
+def _oracle_costs(x0, batch, B, split, gain, spec):
+    q_d, qdot_d, tau_d, g_d, _, t0, s = batch
+    return np.array([
+        cost(x0, Candidate(i, t0[i], s[i], 0.0, State(q_d[i], qdot_d[i]), tau_d[i], g_d[i]),
+             B, split, gain, spec)
+        for i in range(len(t0))
+    ])
+
+
+@pytest.mark.parametrize("chain", list(_CHAINS))
+def test_candidate_costs_matches_oracle(rng, chain):
+    for _ in range(20):
+        x0, B, split, spec, batch = _batch_instance(rng, _CHAINS[chain])
+        for k in (2000.0, 37.5):
+            got = candidate_costs(x0, *batch, B, split, GainSpec(k), spec)
+            want = _oracle_costs(x0, batch, B, split, GainSpec(k), spec)
+            # Relative to the batch's cost scale: a candidate whose two value
+            # stages cancel to near zero keeps only the rounding of the terms.
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.argmin(got) == np.argmin(want)
+
+
+def test_candidate_costs_rejects_wide_C_tau_for_one_actuator(rng):
+    # A 2 x 2 penalty for one actuator must not be ranked by its [0, 0] entry.
+    x0, B, split, _, batch = _batch_instance(rng, _CHAINS["M1"])
+    with pytest.raises(ValueError, match="C_tau"):
+        candidate_costs(x0, *batch, B, split, GainSpec(100.0), RewardSpec(C_tau=-np.eye(2)))
+
+
+def test_candidate_costs_rejects_scalar_C_tau_for_two_actuators(rng):
+    # Two actuators with the default 1 x 1 penalty: the package's error, not numpy's.
+    x0, B, split, _, batch = _batch_instance(rng, _CHAINS["M2"])
+    with pytest.raises(ValueError, match="C_tau"):
+        candidate_costs(x0, *batch, B, split, GainSpec(100.0), RewardSpec())
+
+
+def test_candidate_costs_singular_block_raises(rng):
+    x0, B, _, spec, batch = _batch_instance(rng, _CHAINS["M2"])
+    B[1] = 0.0  # a zero row of the controlled block
+    with pytest.raises(SingularMatrix):
+        candidate_costs(x0, *batch, B, CoordSplit((0, 1), (2,)), GainSpec(100.0), spec)
