@@ -2,34 +2,65 @@
 
 Given a torque-to-acceleration control matrix ``B`` (N x M, full column
 rank), the configuration coordinates are split into M controlled ones, whose
-rows of B form a well-conditioned invertible block, and N-M free ones. The
-covector block ``b`` annihilates B, so the projection ``b' q`` evolves
+rows of B form the invertible block ``B_chi``, and N-M free ones. The split
+is the one place that decides that block: it picks the rows, runs the one
+condition-number check on them, and keeps ``B_chi`` and the covector block
+``b`` for every later solve, so no split with an unusable block exists. The
+covector ``b`` annihilates B, so the projection ``b' q`` evolves
 independently of the applied torques; matching that projection between the
 current motion and a stored target trajectory yields a time offset ``t0``
 and time scale ``s``, and feedback is applied only to the controlled
 coordinates of the correspondingly renormalized target.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from . import dynamics, mathkit
-from .errors import (
-    NotFullyActuated,
-    RankDeficient,
-    SingularMatrix,
-    VelocityBarDegenerate,
-)
-from .target_store import DEFAULT_GUARD_TOL
+from . import dynamics
+from .errors import NotFullyActuated, RankDeficient, SingularMatrix
+from .target_store import DEFAULT_GUARD_TOL, _project_state
+
+# Condition-number cap on B_chi B_chi': above it the controlled block is
+# treated as singular instead of letting its solves return garbage.
+DEFAULT_COND_CAP = 1e12
 
 
 @dataclass(frozen=True)
 class CoordSplit:
-    """Index split of the configuration coordinates (both ascending)."""
+    """Split of the configuration coordinates of control matrix ``B`` into
+    the given controlled rows and the remaining free rows (both ascending).
 
+    Building a split checks the controlled block: it raises SingularMatrix
+    when cond(B_chi)^2 exceeds DEFAULT_COND_CAP. It then holds the block
+    ``b_chi`` (M x M) and the covector block ``b`` (N x (N-M)) with b' B = 0
+    and -I on the free rows. Equality compares the index tuples only.
+    """
+
+    B: InitVar[np.ndarray]
     controlled: tuple[int, ...]
-    free: tuple[int, ...]
+    free: tuple[int, ...] = field(init=False)
+    b_chi: np.ndarray = field(init=False, repr=False, compare=False)
+    b: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, B):
+        B = np.atleast_2d(np.asarray(B, dtype=float))
+        n, m = B.shape
+        controlled = tuple(sorted(int(i) for i in self.controlled))
+        if m == 0 or len(set(controlled)) != m or not set(controlled) <= set(range(n)):
+            raise ValueError(f"need {m} distinct controlled rows of {n}, got {self.controlled}")
+        free = tuple(i for i in range(n) if i not in controlled)
+        b_chi = B[list(controlled), :]
+        s = np.linalg.svd(b_chi, compute_uv=False)
+        if s[-1] == 0.0 or (s[0] / s[-1]) ** 2 > DEFAULT_COND_CAP:
+            raise SingularMatrix("controlled block of B is numerically singular")
+        # W = B_psi B_chi^-1, shape (N-M, M).
+        W = np.linalg.solve(b_chi.T, B[list(free), :].T).T
+        b = np.zeros((n, n - m))
+        b[list(controlled), :] = W.T
+        b[list(free), :] = -np.eye(n - m)
+        for name, value in (("controlled", controlled), ("free", free), ("b_chi", b_chi), ("b", b)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -57,11 +88,13 @@ class GainSpec:
 
 
 def split_coordinates(B: np.ndarray) -> CoordSplit:
-    """Choose M controlled coordinate indices by row-pivoted elimination.
+    """Split B's coordinates, choosing the M controlled rows by row-pivoted
+    elimination.
 
     Pivot rows are picked greedily to maximize each pivot magnitude, which
     keeps the controlled block of B well conditioned. Deterministic: ties go
-    to the lowest row index.
+    to the lowest row index. Raises RankDeficient when a pivot vanishes and
+    SingularMatrix when the chosen block fails the condition check.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n, m = B.shape
@@ -84,24 +117,7 @@ def split_coordinates(B: np.ndarray) -> CoordSplit:
         for r in remaining:
             factor = work[r, col] / pivot
             work[r, col:] -= factor * work[row, col:]
-    return CoordSplit(tuple(sorted(picked)), tuple(sorted(remaining)))
-
-
-def null_covector(B: np.ndarray, split: CoordSplit) -> np.ndarray:
-    """Covector block b (N x (N-M)) with b' B = 0 and -I on the free rows."""
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    n, m = B.shape
-    b_chi = B[list(split.controlled), :]
-    b_psi = B[list(split.free), :]
-    s = np.linalg.svd(b_chi, compute_uv=False)
-    if m > 0 and (s[-1] == 0.0 or (s[0] / s[-1]) ** 2 > mathkit.DEFAULT_COND_CAP):
-        raise SingularMatrix("controlled block of B is numerically singular")
-    # W = B_psi B_chi^-1, shape (N-M, M).
-    W = np.linalg.solve(b_chi.T, b_psi.T).T
-    b = np.zeros((n, n - m))
-    b[list(split.controlled), :] = W.T
-    b[list(split.free), :] = -np.eye(n - m)
-    return b
+    return CoordSplit(B, tuple(picked))
 
 
 def reparam_params(
@@ -111,26 +127,15 @@ def reparam_params(
     guard_tol: float = DEFAULT_GUARD_TOL,
 ) -> Reparam:
     """Time offset and scale aligning the target's unactuated motion with the
-    current one.
+    current one, for a covector ``b`` with one column.
 
-    For one free coordinate this is exact; for more, it is the minimizer of
-    the projected position/velocity mismatch. Raises VelocityBarDegenerate
-    when the projected-velocity inner product is below ``guard_tol``.
+    Applies retrieval's rule: raises VelocityBarDegenerate when either
+    projected velocity |b . qdot| is at most ``guard_tol``, and ValueError
+    when b has more than one column.
     """
-    qbar0 = b.T @ x0.q
-    qdbar0 = b.T @ x0.qdot
-    qbard = b.T @ xd.q
-    qdbard = b.T @ xd.qdot
-    denom = float(qdbard @ qdbar0)
-    if abs(denom) <= guard_tol:
-        raise VelocityBarDegenerate(f"|qdbar_d . qdbar_0| = {abs(denom):.3g} <= {guard_tol:g}")
-    if b.shape[1] == 1:
-        t0 = float(qbard[0] - qbar0[0]) / float(qdbar0[0])
-        s = float(qdbard[0]) / float(qdbar0[0])
-    else:
-        t0 = float(qdbard @ (qbard - qbar0)) / denom
-        s = float(qdbard @ qdbard) / denom
-    return Reparam(t0, s)
+    b, qbar0, qdbar0 = _project_state(b, x0, guard_tol)
+    _, qbard, qdbard = _project_state(b, xd, guard_tol)
+    return Reparam((qbard - qbar0) / qdbar0, qdbard / qdbar0)
 
 
 def renormalized_target(xd: dynamics.State, rep: Reparam) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +149,6 @@ def renormalized_target(xd: dynamics.State, rep: Reparam) -> tuple[np.ndarray, n
 def cpc_tau(
     x0: dynamics.State,
     xd: dynamics.State,
-    B: np.ndarray,
     split: CoordSplit,
     rep: Reparam,
     gain: GainSpec,
@@ -158,12 +162,7 @@ def cpc_tau(
     dchidot = x0.qdot[ci] - qdot_r[ci]
     kappa = gain.kappa
     fb = gain.k * dchi + 2.0 * kappa * dchidot
-    b_chi = np.atleast_2d(np.asarray(B, dtype=float))[ci, :]
-    try:
-        corr = np.linalg.solve(b_chi, fb)
-    except np.linalg.LinAlgError as e:
-        raise SingularMatrix("controlled block of B is singular") from e
-    return np.asarray(tau_d, dtype=float) - corr
+    return np.asarray(tau_d, dtype=float) - np.linalg.solve(split.b_chi, fb)
 
 
 def feedforward_tau(
@@ -173,14 +172,15 @@ def feedforward_tau(
     u: np.ndarray,
 ) -> np.ndarray:
     """Torques producing the desired acceleration ``u`` on a fully actuated
-    chain (minimum-norm when actuation is redundant)."""
+    chain."""
     b_tau = dynamics.torque_distribution(params)
     n, m = b_tau.shape
-    if m < n or np.linalg.matrix_rank(b_tau) < n:
+    if m < n:
         raise NotFullyActuated("feedforward needs one actuator per degree of freedom")
     terms = dynamics.manipulator_terms(params, q, qdot)
-    pinv = mathkit.right_pseudoinverse(b_tau)
-    return pinv @ (terms.D @ np.asarray(u, dtype=float) + terms.H)
+    # Actuated joints are distinct, so with one per joint b_tau is a
+    # permutation matrix and its inverse is its transpose.
+    return b_tau.T @ (terms.D @ np.asarray(u, dtype=float) + terms.H)
 
 
 def estimate_control_matrix(
@@ -191,11 +191,21 @@ def estimate_control_matrix(
     """Regress the control matrix from recorded (torque, acceleration) pairs.
 
     Minimizes sum_i ||u_i - B tau_i||^2 (+ ridge penalty) over the N x M
-    matrix B.
+    matrix B. With ridge=0 the torques must have full column rank;
+    otherwise RankDeficient is raised.
     """
     taus = np.atleast_2d(np.asarray(taus, dtype=float))
     us = np.atleast_2d(np.asarray(us, dtype=float))
     if taus.shape[0] != us.shape[0]:
         raise ValueError("torque and acceleration histories differ in length")
-    X = mathkit.least_squares(taus, us, ridge=ridge)  # maps tau -> u, transposed
-    return X.T
+    if ridge < 0.0:
+        raise ValueError("ridge must be >= 0")
+    u, s, vt = np.linalg.svd(taus, full_matrices=False)
+    if ridge == 0.0:
+        if not (len(s) == taus.shape[1] and s[0] > 0.0 and s[-1] > s[0] * 1e-12):
+            raise RankDeficient("torques are numerically rank deficient and ridge=0")
+        filt = 1.0 / s
+    else:
+        filt = s / (s * s + ridge)
+    # (vt' diag(filt) u') us is the transposed B, mapping tau to u.
+    return ((vt.T * filt) @ (u.T @ us)).T

@@ -25,7 +25,6 @@ from .control_law import (
     Reparam,
     cpc_tau,
     estimate_control_matrix,
-    null_covector,
     split_coordinates,
 )
 from .dynamics import State
@@ -77,7 +76,6 @@ class ControllerState:
     prev_tau: Optional[np.ndarray] = None
     prev_qdot: Optional[np.ndarray] = None
     last_B: Optional[np.ndarray] = None
-    steps: int = 0
     fallback_count: int = 0
     unclamped_exits: int = 0
 
@@ -103,9 +101,8 @@ def cpc_loop(
     if spec is None:
         spec = RewardSpec(C_tau=-np.eye(np.atleast_2d(B).shape[1]))
     split = split_coordinates(B)
-    b = null_covector(B, split)
     idx, t0s, ss, _ = _query_arrays(
-        targets, x0, b, cfg.omega, cfg.s_g, cfg.n_d, cfg.guard_tol
+        targets, x0, split.b, cfg.omega, cfg.s_g, cfg.n_d, cfg.guard_tol
     )
     if len(idx) == 0:
         raise NoValidCandidates("all stored points rejected by the velocity guard")
@@ -128,12 +125,12 @@ def cpc_loop(
     while True:
         gain = GainSpec(k)
         costs = candidate_costs(
-            x0, q_d, qdot_d, tau_d, g_d, r_d, t0s, ss, B, split, gain, spec
+            x0, q_d, qdot_d, tau_d, g_d, r_d, t0s, ss, split, gain, spec
         )
         j = int(np.argmin(costs))
         xd = State(q_d[j], qdot_d[j])
         rep = Reparam(float(t0s[j]), float(ss[j]))
-        tau = cpc_tau(x0, xd, B, split, rep, gain, tau_d[j])
+        tau = cpc_tau(x0, xd, split, rep, gain, tau_d[j])
         k = 0.5 * k
         norm = float(np.linalg.norm(tau))
         if norm < cfg.tau_c or k < cfg.k_c:
@@ -183,6 +180,5 @@ def controller_step(
         tau = np.zeros(ctrl.n_controls)
     ctrl.prev_tau = tau
     ctrl.prev_qdot = x0.qdot.copy()
-    ctrl.steps += 1
     return tau
 

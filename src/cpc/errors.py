@@ -39,10 +39,5 @@ class PhasingDegenerate(CpcError):
     """The phasing covector is orthogonal to the reference velocity."""
 
 
-class SingularDecoupling(CpcError):
-    """The output-to-torque decoupling matrix of the constraint controller
-    is singular."""
-
-
 class DatasetSchemaMismatch(CpcError):
     """A dataset file does not match the expected schema or chain layout."""

@@ -168,17 +168,7 @@ class NonEmptyStore:
 def _query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
     """The n_d lowest-loss stored points for the query state: (indices, t0,
     s, loss) of the selected points in ascending (loss, index) order."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 2:
-        if b.shape[1] != 1:
-            raise ValueError("candidate search supports one unactuated direction")
-        b = b[:, 0]
-    qdbar0 = float(b @ x0.qdot)
-    if abs(qdbar0) <= guard_tol:
-        raise VelocityBarDegenerate(
-            f"|unactuated velocity projection| = {abs(qdbar0):.3g} <= {guard_tol:g}"
-        )
-    qbar0 = float(b @ x0.q)
+    b, qbar0, qdbar0 = _project_state(b, x0, guard_tol)
     b = b.tolist()
     # Every store-length intermediate lives in the handle's scratch rows;
     # guard-failing points stay in place and are masked out by ``ok``.
@@ -205,6 +195,24 @@ def _query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
     order = np.lexsort((idx, loss))[:n_d]
     idx = idx[order]
     return idx, t0[idx], s[idx], loss[order]
+
+
+def _project_state(b, x, guard_tol):
+    """(b, b . q, b . qdot) for one state, with b flattened to its single
+    unactuated direction. Raises ValueError when b has more than one column,
+    and VelocityBarDegenerate when |b . qdot| is at most ``guard_tol``: the
+    same rule that keeps a stored point out of retrieval."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 2:
+        if b.shape[1] != 1:
+            raise ValueError("candidate search supports one unactuated direction")
+        b = b[:, 0]
+    qdbar = float(b @ x.qdot)
+    if abs(qdbar) <= guard_tol:
+        raise VelocityBarDegenerate(
+            f"|unactuated velocity projection| = {abs(qdbar):.3g} <= {guard_tol:g}"
+        )
+    return b, float(b @ x.q), qdbar
 
 
 def _project(cols, b, out, tmp):

@@ -4,7 +4,9 @@ The estimate splits into two stages: the transition onto the renormalized
 target (dominated by the control work penalty of the critically damped
 feedback transient, evaluated in closed form) and the recorded return of the
 target point, shifted linearly by the time offset. Every candidate of a
-batch is costed at once, on arrays.
+batch is costed at once, on arrays. The controlled block of B comes from the
+coordinate split, which has already checked it, so costing cannot meet a
+singular block.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +16,6 @@ import numpy as np
 
 from .control_law import CoordSplit, GainSpec
 from .dynamics import State
-from .errors import SingularMatrix
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ def candidate_costs(
     r_d: np.ndarray,
     t0: np.ndarray,
     s: np.ndarray,
-    B: np.ndarray,
     split: CoordSplit,
     gain: GainSpec,
     spec: RewardSpec,
@@ -62,10 +62,10 @@ def candidate_costs(
     Arrays are per candidate: target states (n, N), torques (n, M), recorded
     returns, state rewards and reparameterizations (n,). For a candidate
     with renormalized-target errors dchi, dchidot in the controlled
-    coordinates, let U and W solve B_chi [U W] = [dchi dchidot] (one solve
-    for the whole batch) and Z = kappa U + 2 W. With C = C_tau and
-    T = T_gamma, the transition value, the integral of the feedback
-    transient's work penalty, is
+    coordinates, let U and W solve B_chi [U W] = [dchi dchidot] with the
+    split's controlled block B_chi (one solve for the whole batch) and
+    Z = kappa U + 2 W. With C = C_tau and T = T_gamma, the transition value,
+    the integral of the feedback transient's work penalty, is
 
         v_I = -(2/T) tau_d' C W + kappa/(4T) (W' C W + Z' C Z),
 
@@ -73,8 +73,7 @@ def candidate_costs(
     A single actuator takes the same formula written out in scalars, which
     is faster on the control loop's path.
 
-    Raises ValueError when C_tau is not M x M, and SingularMatrix when the
-    controlled block of B is singular.
+    Raises ValueError when C_tau is not M x M.
     """
     ci = list(split.controlled)
     m = len(ci)
@@ -83,9 +82,7 @@ def candidate_costs(
     kappa = gain.kappa
     tg = spec.T_gamma
     if m == 1:
-        beta = float(np.atleast_2d(B)[ci[0], 0])
-        if beta == 0.0:
-            raise SingularMatrix("controlled block of B is singular")
+        beta = float(split.b_chi[0, 0])
         c = float(spec.C_tau[0, 0])
         td = tau_d[:, 0]
         dchi = x0.q[ci[0]] - (q_d[:, ci[0]] - qdot_d[:, ci[0]] * t0 / s)
@@ -95,14 +92,10 @@ def candidate_costs(
         )
         v2 = g_d + (t0 / tg) * (c * td * td + r_d - g_d)
         return -(v1 + v2)
-    b_chi = np.atleast_2d(np.asarray(B, dtype=float))[ci, :]
     dchi = x0.q[ci] - (q_d[:, ci] - qdot_d[:, ci] * (t0 / s)[:, None])
     dchidot = x0.qdot[ci] - qdot_d[:, ci] / s[:, None]
     n = len(t0)
-    try:
-        uw = np.linalg.solve(b_chi, np.concatenate([dchi, dchidot]).T)
-    except np.linalg.LinAlgError as e:
-        raise SingularMatrix("controlled block of B is singular") from e
+    uw = np.linalg.solve(split.b_chi, np.concatenate([dchi, dchidot]).T)
     U, W = uw[:, :n].T, uw[:, n:].T
     Z = kappa * U + 2.0 * W
 

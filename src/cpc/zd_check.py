@@ -1,12 +1,15 @@
-"""Virtual-constraint output controller and its agreement with the path law.
+"""Virtual-constraint feedback and its agreement with the path law.
 
 A virtual constraint pins the controlled coordinates to an affine function
 of a scalar phasing variable theta = c' q. Driving the constraint output to
 zero with exact dynamics is the classical output-linearization route; with
 the phasing covector proportional to the unactuated covector and the
 constraint built from the renormalized target, its feedback term agrees with
-the path feedback in the high-gain regime. Everything here needs the exact
-model and is intended for verification, not for the runtime loop.
+the path feedback in the high-gain regime. ``correspondence_gap`` measures
+that agreement; both sides take the controlled block and the covector from
+the coordinate split of the exact control matrix, so they share its one
+conditioning check. Everything here needs the exact model and is intended
+for verification, not for the runtime loop.
 """
 
 from dataclasses import dataclass
@@ -18,14 +21,12 @@ from .control_law import (
     CoordSplit,
     GainSpec,
     cpc_tau,
-    null_covector,
     renormalized_target,
     reparam_params,
     split_coordinates,
 )
-from .dynamics import ChainParams, State, exact_control_matrix, manipulator_terms
-from .errors import PhasingDegenerate, SingularDecoupling
-from .mathkit import DEFAULT_COND_CAP
+from .dynamics import ChainParams, State, exact_control_matrix
+from .errors import PhasingDegenerate
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,6 @@ class VirtualConstraint:
     def output(self, q: np.ndarray) -> np.ndarray:
         theta = float(self.c @ q)
         return q[list(self.controlled)] - (self.chi0 + self.slope * (theta - self.theta0))
-
-    def output_rate(self, qdot: np.ndarray) -> np.ndarray:
-        return self.jacobian(len(self.c)) @ qdot
 
 
 def build_constraint(xd: State, split: CoordSplit, c: np.ndarray) -> VirtualConstraint:
@@ -77,40 +75,6 @@ def build_constraint(xd: State, split: CoordSplit, c: np.ndarray) -> VirtualCons
     )
 
 
-def tau_zd(
-    params: ChainParams,
-    x: State,
-    vc: VirtualConstraint,
-    gain: GainSpec,
-) -> np.ndarray:
-    """Output-linearizing torque driving the constraint output critically
-    damped to zero; the feedforward part cancels the drift acceleration seen
-    by the output (the constraint is affine, so no curvature term appears)."""
-    n = params.n_links
-    B = exact_control_matrix(params, x.q)
-    dh = vc.jacobian(n)
-    A = dh @ B
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[-1] == 0.0 or (s[0] / s[-1]) ** 2 > DEFAULT_COND_CAP:
-        raise SingularDecoupling("constraint decoupling matrix is singular")
-    terms = manipulator_terms(params, x.q, x.qdot)
-    drift = dh @ np.linalg.solve(terms.D, terms.H)
-    y = vc.output(x.q)
-    ydot = dh @ x.qdot
-    kappa = gain.kappa
-    return np.linalg.solve(A, drift) - np.linalg.solve(A, gain.k * y + 2.0 * kappa * ydot)
-
-
-def tau_zd_reference(params: ChainParams, x: State, vc: VirtualConstraint) -> np.ndarray:
-    """Feedforward part of the constraint controller (zero-output torque)."""
-    n = params.n_links
-    B = exact_control_matrix(params, x.q)
-    dh = vc.jacobian(n)
-    A = dh @ B
-    terms = manipulator_terms(params, x.q, x.qdot)
-    return np.linalg.solve(A, dh @ np.linalg.solve(terms.D, terms.H))
-
-
 def correspondence_gap(
     params: ChainParams,
     x: State,
@@ -129,22 +93,19 @@ def correspondence_gap(
     """
     B = exact_control_matrix(params, x.q)
     split = split_coordinates(B)
-    b = null_covector(B, split)
-    rep = reparam_params(x, xd, b)
+    rep = reparam_params(x, xd, split.b)
     kappa = np.sqrt(k_p) / epsilon
     gain = GainSpec(kappa * kappa)
     m = len(split.controlled)
-    dtau_cpc = cpc_tau(x, xd, B, split, rep, gain, np.zeros(m))
+    dtau_cpc = cpc_tau(x, xd, split, rep, gain, np.zeros(m))
 
     if c is None:
-        B_d = exact_control_matrix(params, xd.q)
-        split_d = split_coordinates(B_d)
-        c = null_covector(B_d, split_d)[:, 0]
+        c = split_coordinates(exact_control_matrix(params, xd.q)).b[:, 0]
     q_r0, qdot_r = renormalized_target(xd, rep)
     vc = build_constraint(State(q_r0, qdot_r), split, c)
     dh = vc.jacobian(params.n_links)
     A = dh @ B
     y = vc.output(x.q)
     ydot = dh @ x.qdot
-    dtau_zd = -np.linalg.solve(A, gain.k * y + 2.0 * kappa * ydot)
-    return float(np.linalg.norm(dtau_cpc - dtau_zd))
+    dtau_vc = -np.linalg.solve(A, gain.k * y + 2.0 * kappa * ydot)
+    return float(np.linalg.norm(dtau_cpc - dtau_vc))

@@ -8,7 +8,6 @@ from cpc.control_law import (
     cpc_tau,
     estimate_control_matrix,
     feedforward_tau,
-    null_covector,
     renormalized_target,
     reparam_params,
     split_coordinates,
@@ -25,12 +24,14 @@ from cpc.dynamics import (
 from cpc.errors import (
     NotFullyActuated,
     RankDeficient,
+    SingularMatrix,
     VelocityBarDegenerate,
 )
+from cpc.target_store import NonEmptyStore, TargetStore, _query_arrays
 
 
 # ---------------------------------------------------------------------------
-# split_coordinates / null_covector
+# split_coordinates / CoordSplit
 # ---------------------------------------------------------------------------
 
 
@@ -46,6 +47,28 @@ def test_split_rank_deficient():
         split_coordinates(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
 
 
+def test_split_hand_rows_checked():
+    # Near-singular block: a 3-link chain's row 1 replaced by a rounded copy
+    # of row 0. LAPACK solves it without complaint (the path law gives
+    # torques near 1e15), so the split must refuse it. The zero-row case is
+    # test_candidate_costs_singular_block_raises.
+    params = ChainParams(n_links=3, actuated_joints=(1, 2))
+    B = exact_control_matrix(params, np.array([0.1, -0.2, 0.3]))
+    B[1] = B[0] * 0.1 * 10
+    with pytest.raises((SingularMatrix, RankDeficient)):
+        CoordSplit(B, (0, 1))
+
+
+def test_split_hand_rows_validated():
+    B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    split = CoordSplit(B, (2, 0))
+    assert (split.controlled, split.free) == ((0, 2), (1,))
+    assert CoordSplit(B, (1, 0)) == split_coordinates(B)
+    for rows in ((0,), (0, 0), (0, 3)):
+        with pytest.raises(ValueError):
+            CoordSplit(B, rows)
+
+
 def test_split_deterministic(rng):
     B = rng.normal(size=(4, 2))
     assert split_coordinates(B) == split_coordinates(B.copy())
@@ -54,14 +77,14 @@ def test_split_deterministic(rng):
 def test_null_covector_hand_case():
     B = np.array([[1.0], [0.5]])
     split = split_coordinates(B)
-    b = null_covector(B, split)
+    b = split.b
     assert np.allclose(b, [[0.5], [-1.0]])
     assert abs(b.T @ B).max() < 1e-12
 
 
 def test_null_covector_fully_actuated_empty():
     B = np.array([[2.0, 0.1], [0.3, 1.5]])
-    b = null_covector(B, split_coordinates(B))
+    b = split_coordinates(B).b
     assert b.shape == (2, 0)
 
 
@@ -71,7 +94,7 @@ def test_null_identity_random(rng):
         m = int(rng.integers(1, n))
         B = rng.normal(size=(n, m))
         split = split_coordinates(B)
-        b = null_covector(B, split)
+        b = split.b
         assert np.abs(b.T @ B).max() < 1e-9
         # Free rows carry minus identity.
         assert np.allclose(b[list(split.free), :], -np.eye(n - m))
@@ -88,7 +111,7 @@ def _acrobot_split_b(q):
     p = acrobot_params()
     B = exact_control_matrix(p, q)
     split = split_coordinates(B)
-    return B, split, null_covector(B, split)
+    return B, split, split.b
 
 
 def test_reparam_identity_state(rng):
@@ -119,22 +142,55 @@ def test_reparam_guard():
         reparam_params(x0, xd, b)
 
 
-def test_reparam_general_matches_scalar_reduction(rng):
-    # Two free coordinates with parallel projected velocities reduce to the
-    # scalar formulas applied along the common direction.
-    d = np.array([2.0, 1.0])
-    x0 = State(np.zeros(3), np.zeros(3))
-    xd = State(np.zeros(3), np.zeros(3))
-    # Choose q, qdot giving qdbar0 = 1.5 d, qdbard = 0.75 d, qbard - qbar0 = 0.2 d.
-    x0.qdot[:2] = 1.5 * d
-    xd.qdot[:2] = 0.75 * d
-    xd.q[:2] = 0.2 * d
-    bt = np.zeros((3, 2))
-    bt[0, 0] = 1.0
-    bt[1, 1] = 1.0
-    rep = reparam_params(x0, xd, bt)
-    assert rep.t0 == pytest.approx(0.2 / 1.5)
-    assert rep.s == pytest.approx(0.75 / 1.5)
+def test_reparam_rejects_two_free_directions():
+    b = np.zeros((3, 2))
+    b[0, 0] = b[1, 1] = 1.0
+    x = State(np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match="one unactuated direction"):
+        reparam_params(x, x, b)
+
+
+def _retrieve_one(x0, xd, b, guard_tol):
+    """(t0, s) of a one-point store holding xd, or None when the guard
+    rejects the query or the point."""
+    store = TargetStore(np.zeros(1), [xd.q], [xd.qdot], np.zeros((1, 1)), [0.0], len(xd.q), (1,))
+    try:
+        idx, t0, s, _ = _query_arrays(NonEmptyStore(store), x0, b, 10.0, 1.0, 1, guard_tol)
+    except VelocityBarDegenerate:
+        return None
+    return (float(t0[0]), float(s[0])) if len(idx) else None
+
+
+def _reparam_or_none(x0, xd, b, guard_tol):
+    try:
+        rep = reparam_params(x0, xd, b, guard_tol)
+    except VelocityBarDegenerate:
+        return None
+    return rep.t0, rep.s
+
+
+def test_reparam_guard_matches_retrieval(rng):
+    # Small velocities whose product is under the guard but each of which
+    # passes it: retrieval accepts the point, so reparam_params must too.
+    b = np.array([[1.0], [0.0]])
+    x0 = State(np.zeros(2), np.array([1e-3, 0.0]))
+    xd = State(np.array([2e-4, 0.0]), np.array([1e-3, 0.0]))
+    assert _retrieve_one(x0, xd, b, 1e-6) == pytest.approx((0.2, 1.0), rel=1e-12)
+    assert _reparam_or_none(x0, xd, b, 1e-6) == pytest.approx((0.2, 1.0), rel=1e-12)
+    # Random one-point stores, with the guard tolerance near the projected
+    # velocities so that both accepted and rejected cases occur.
+    decisions = set()
+    for _ in range(300):
+        b = rng.normal(size=(2, 1))
+        x0 = State(rng.normal(size=2), rng.normal(size=2))
+        xd = State(rng.normal(size=2), rng.normal(size=2))
+        tol = float(rng.choice([1e-6, 0.3, 1.0]))
+        got, want = _reparam_or_none(x0, xd, b, tol), _retrieve_one(x0, xd, b, tol)
+        decisions.add(want is None)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert decisions == {True, False}
 
 
 def test_reparam_reduction_bitlevel(rng):
@@ -197,16 +253,16 @@ def test_cpc_tau_on_target_returns_tau_d(rng):
     x0 = State(q, qdot)
     rep = reparam_params(x0, x0, b)
     tau_d = rng.normal(size=1)
-    tau = cpc_tau(x0, x0, B, split, rep, GainSpec(100.0), tau_d)
+    tau = cpc_tau(x0, x0, split, rep, GainSpec(100.0), tau_d)
     assert np.abs(tau - tau_d).max() < 1e-9
 
 
 def test_cpc_tau_scalar_hand_case():
     B = np.array([[1.0], [0.5]])
-    split = CoordSplit((0,), (1,))
+    split = CoordSplit(B, (0,))
     x0 = State(np.array([0.1, 0.0]), np.zeros(2))
     xd = State(np.zeros(2), np.zeros(2))
-    tau = cpc_tau(x0, xd, B, split, Reparam(0.0, 1.0), GainSpec(4.0), np.zeros(1))
+    tau = cpc_tau(x0, xd, split, Reparam(0.0, 1.0), GainSpec(4.0), np.zeros(1))
     assert tau[0] == pytest.approx(-0.4)
 
 
@@ -220,7 +276,7 @@ def test_cpc_tau_fully_actuated_reduces_to_linear_feedback(rng):
     xd = State(rng.normal(size=2), rng.normal(size=2))
     gain = GainSpec(25.0)
     tau_d = rng.normal(size=2)
-    tau = cpc_tau(x0, xd, B, split, Reparam(0.0, 1.0), gain, tau_d)
+    tau = cpc_tau(x0, xd, split, Reparam(0.0, 1.0), gain, tau_d)
     expected = tau_d - np.linalg.solve(B, 25.0 * (x0.q - xd.q) + 10.0 * (x0.qdot - xd.qdot))
     assert np.abs(tau - expected).max() < 1e-12
 
@@ -237,13 +293,12 @@ def test_cpc_tau_invariant_under_coordinate_maps(rng):
         B = exact_control_matrix(acrobot_params(), q)
         x0, xd = State(q, qdot), State(qd, qdd)
         split = split_coordinates(B)
-        b = null_covector(B, split)
         try:
-            rep = reparam_params(x0, xd, b)
+            rep = reparam_params(x0, xd, split.b)
         except VelocityBarDegenerate:
             continue
         gain = GainSpec(400.0)
-        tau = cpc_tau(x0, xd, B, split, rep, gain, np.zeros(1))
+        tau = cpc_tau(x0, xd, split, rep, gain, np.zeros(1))
 
         C = rng.normal(size=(2, 2))
         while abs(np.linalg.det(C)) < 0.3:
@@ -252,9 +307,8 @@ def test_cpc_tau_invariant_under_coordinate_maps(rng):
         x0t = State(C @ q, C @ qdot)
         xdt = State(C @ qd, C @ qdd)
         splitt = split_coordinates(Bt)
-        btt = null_covector(Bt, splitt)
-        rept = reparam_params(x0t, xdt, btt)
-        taut = cpc_tau(x0t, xdt, Bt, splitt, rept, gain, np.zeros(1))
+        rept = reparam_params(x0t, xdt, splitt.b)
+        taut = cpc_tau(x0t, xdt, splitt, rept, gain, np.zeros(1))
         scale = max(1.0, np.abs(tau).max())
         assert np.abs(taut - tau).max() / scale < 1e-7
 
@@ -286,6 +340,19 @@ def test_feedforward_roundtrip_acceleration(rng):
         q = rng.uniform(-2, 2, size=2)
         qdot = rng.uniform(-2, 2, size=2)
         u = rng.normal(size=2)
+        tau = feedforward_tau(p, q, qdot, u)
+        a = accel(p, State(q, qdot), tau)
+        assert np.abs(a - u).max() < 1e-9
+
+
+def test_feedforward_permuted_actuators_roundtrip(rng):
+    # Motors listed out of joint order: b_tau is a permutation matrix, and
+    # the torques still produce the requested acceleration.
+    p = ChainParams(n_links=3, actuated_joints=(2, 0, 1))
+    for _ in range(10):
+        q = rng.uniform(-2, 2, size=3)
+        qdot = rng.uniform(-2, 2, size=3)
+        u = rng.normal(size=3)
         tau = feedforward_tau(p, q, qdot, u)
         a = accel(p, State(q, qdot), tau)
         assert np.abs(a - u).max() < 1e-9

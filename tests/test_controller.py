@@ -5,7 +5,6 @@ from cpc.control_law import (
     GainSpec,
     Reparam,
     cpc_tau,
-    null_covector,
     split_coordinates,
 )
 from cpc.controller import (
@@ -45,7 +44,7 @@ def _engineered_setup(chi_offset):
     qdot = np.array([0.8, 0.5])
     B = _acrobot_B(q)
     split = split_coordinates(B)
-    b = null_covector(B, split)[:, 0]
+    b = split.b[:, 0]
     perp = np.array([-b[1], b[0]])
     perp /= np.linalg.norm(perp)
     x0 = State(q + chi_offset * perp, qdot)
@@ -59,7 +58,7 @@ def test_cpc_loop_single_candidate_no_backoff():
     cfg = ControllerConfig(s_g=1.0)
     tau = cpc_loop(x0, B, targets, cfg)
     # Small error: no backoff, so the torque equals the direct law at k0.
-    direct = cpc_tau(x0, xd, B, split, Reparam(0.0, 1.0), GainSpec(cfg.k0), np.zeros(1))
+    direct = cpc_tau(x0, xd, split, Reparam(0.0, 1.0), GainSpec(cfg.k0), np.zeros(1))
     assert np.linalg.norm(tau) < cfg.tau_c
     assert np.abs(tau - direct).max() < 1e-9
 
@@ -126,8 +125,8 @@ def test_cpc_loop_reselects_candidates_per_gain():
     x0 = State(q, qdot)
     B = _acrobot_B(q)
     split = split_coordinates(B)
-    b = null_covector(B, split)[:, 0]
-    perp = np.array([-b[1], b[0]]) / np.hypot(*null_covector(B, split)[:, 0])
+    b = split.b[:, 0]
+    perp = np.array([-b[1], b[0]]) / np.hypot(*split.b[:, 0])
     targets = _acrobot_targets([State(q, qdot), State(q + 0.08 * perp, qdot)], [0.0, 5.0])
     cfg_hi = ControllerConfig(s_g=1.0, k0=1e7, k_c=5e6, tau_c=1e9)
     cfg_lo = ControllerConfig(s_g=1.0, k0=2.0001, k_c=1.0, tau_c=1e9)
@@ -156,12 +155,12 @@ def test_cpc_loop_two_actuators_follows_oracle(rng):
     tau = cpc_loop(x0, B, NonEmptyStore(store), cfg, spec)
 
     split = split_coordinates(B)
-    cands = query_candidates(store, x0, null_covector(B, split), cfg.omega, cfg.s_g, cfg.n_d)
+    cands = query_candidates(store, x0, split.b, cfg.omega, cfg.s_g, cfg.n_d)
     k = cfg.k0
     while True:
         gain = GainSpec(k)
         best = min(cands, key=lambda c: cost(x0, c, B, split, gain, spec))
-        want = cpc_tau(x0, best.x, B, split, Reparam(best.t0, best.s), gain, best.tau)
+        want = cpc_tau(x0, best.x, split, Reparam(best.t0, best.s), gain, best.tau)
         if np.linalg.norm(want) < cfg.tau_c or 0.5 * k < cfg.k_c:
             break
         k *= 0.5

@@ -1,62 +1,31 @@
+"""Linear-algebra checks: the ridge least-squares solve inside
+``estimate_control_matrix`` (called here with y as columns, so the
+regressed matrix is the transposed solution) and the closed-form matrix
+exponential that the value oracle in oracles.py builds on."""
+
 import numpy as np
 import pytest
 
-from cpc.errors import RankDeficient, SingularMatrix
-from cpc.mathkit import least_squares, right_pseudoinverse
+from cpc.control_law import estimate_control_matrix
+from cpc.errors import RankDeficient
 from oracles import expm_crit_damped
 
 
 # ---------------------------------------------------------------------------
-# right_pseudoinverse
-# ---------------------------------------------------------------------------
-
-
-def test_pinv_identity():
-    assert np.allclose(right_pseudoinverse(np.eye(2)), np.eye(2))
-
-
-def test_pinv_row_vector():
-    P = right_pseudoinverse(np.array([[1.0, 0.0]]))
-    assert np.allclose(P, np.array([[1.0], [0.0]]))
-
-
-def test_pinv_random_full_rank(rng):
-    B = rng.normal(size=(2, 3))
-    P = right_pseudoinverse(B)
-    # Residual oracle via generic linear solve: B P must reproduce I exactly.
-    assert np.abs(B @ P - np.eye(2)).max() < 1e-10
-
-
-def test_pinv_property_random(rng):
-    for _ in range(200):
-        m = rng.integers(1, 5)
-        n = rng.integers(m, 8)
-        B = rng.normal(size=(m, n))
-        P = right_pseudoinverse(B)
-        assert np.abs(B @ P - np.eye(m)).max() < 1e-9
-
-
-def test_pinv_singular_raises():
-    B = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
-    with pytest.raises(SingularMatrix):
-        right_pseudoinverse(B)
-
-
-# ---------------------------------------------------------------------------
-# least_squares
+# estimate_control_matrix as a least-squares solver
 # ---------------------------------------------------------------------------
 
 
 def test_lsq_square_exact(rng):
     A = rng.normal(size=(3, 3)) + 3 * np.eye(3)
     X0 = rng.normal(size=(3, 2))
-    assert np.abs(least_squares(A, A @ X0) - X0).max() < 1e-10
+    assert np.abs(estimate_control_matrix(A, A @ X0, ridge=0.0).T - X0).max() < 1e-10
 
 
 def test_lsq_overdetermined_recovery(rng):
     A = rng.normal(size=(10, 2))
     X0 = rng.normal(size=(2, 1))
-    X = least_squares(A, A @ X0)
+    X = estimate_control_matrix(A, A @ X0, ridge=0.0).T
     assert np.abs(X - X0).max() < 1e-10
     # Normal-equations oracle.
     Xn = np.linalg.solve(A.T @ A, A.T @ (A @ X0))
@@ -65,14 +34,14 @@ def test_lsq_overdetermined_recovery(rng):
 
 def test_lsq_zero_matrix_raises():
     with pytest.raises(RankDeficient):
-        least_squares(np.zeros((4, 2)), np.ones(4), ridge=0.0)
+        estimate_control_matrix(np.zeros((4, 2)), np.ones((4, 1)), ridge=0.0)
 
 
 def test_lsq_residual_orthogonal(rng):
     for _ in range(50):
         A = rng.normal(size=(12, 3))
-        y = rng.normal(size=12)
-        x = least_squares(A, y)
+        y = rng.normal(size=(12, 1))
+        x = estimate_control_matrix(A, y, ridge=0.0).T
         resid = A @ x - y
         # Zero residual gradient: A' r = 0.
         assert np.abs(A.T @ resid).max() < 1e-9
@@ -80,9 +49,9 @@ def test_lsq_residual_orthogonal(rng):
 
 def test_lsq_ridge_shrinks(rng):
     A = rng.normal(size=(8, 2))
-    y = rng.normal(size=8)
-    x0 = least_squares(A, y)
-    x1 = least_squares(A, y, ridge=10.0)
+    y = rng.normal(size=(8, 1))
+    x0 = estimate_control_matrix(A, y, ridge=0.0).T
+    x1 = estimate_control_matrix(A, y, ridge=10.0).T
     assert np.linalg.norm(x1) < np.linalg.norm(x0)
     # Ridge normal equations oracle.
     xn = np.linalg.solve(A.T @ A + 10.0 * np.eye(2), A.T @ y)
@@ -91,7 +60,7 @@ def test_lsq_ridge_shrinks(rng):
 
 def test_lsq_underdetermined_raises(rng):
     with pytest.raises(RankDeficient):
-        least_squares(rng.normal(size=(2, 4)), np.ones(2))
+        estimate_control_matrix(rng.normal(size=(2, 4)), np.ones((2, 1)), ridge=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -28,3 +28,52 @@ def test_src_imports_declared():
                 found.add(node.module.partition(".")[0])
     assert found - allowed == set()
     assert "numpy" in found
+
+
+def _public_definitions(tree):
+    """Public top-level functions and classes, and public methods of those
+    classes, as (name, line) pairs."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            defs.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            defs.extend(
+                (item.name, item.lineno)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            )
+    return defs
+
+
+def _referenced_names(tree):
+    """Every name a module uses: loads, attributes, imports, keywords, and
+    string constants (attributes patched or looked up by name)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_public_names_are_referenced():
+    # Public code that nothing in the package, its tests or the benchmark
+    # names is dead: delete it rather than keep a second path unexercised.
+    used = set()
+    for top in ("src", "tests", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            used |= _referenced_names(ast.parse(path.read_text(), str(path)))
+    unused = []
+    for path in sorted((ROOT / "src" / "cpc").rglob("*.py")):
+        for name, line in _public_definitions(ast.parse(path.read_text(), str(path))):
+            if name not in used:
+                unused.append(f"{path.relative_to(ROOT)}:{line} {name}")
+    assert unused == []

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cpc.control_law import null_covector, split_coordinates
+from cpc.control_law import split_coordinates
 from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matrix, step
 from cpc.errors import DatasetSchemaMismatch, EmptyDataset, VelocityBarDegenerate
 from cpc.experiments import ExperimentConfig, generate_falls
@@ -104,7 +104,7 @@ def fall_targets(fall_store):
 
 def _acrobot_b(q):
     B = exact_control_matrix(acrobot_params(), q)
-    return null_covector(B, split_coordinates(B))
+    return split_coordinates(B).b
 
 
 def _random_query_state(rng, min_proj=0.05):

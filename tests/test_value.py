@@ -6,7 +6,6 @@ from cpc.control_law import (
     CoordSplit,
     GainSpec,
     Reparam,
-    null_covector,
     renormalized_target,
     reparam_params,
     split_coordinates,
@@ -26,10 +25,9 @@ def _random_instance(rng, kappa, n=2):
     q = rng.uniform(-1, 1, size=n)
     B = exact_control_matrix(p, q)
     split = split_coordinates(B)
-    b = null_covector(B, split)
     x0 = State(q, rng.uniform(-2, 2, size=n))
     xd = State(q + rng.uniform(-0.3, 0.3, size=n), x0.qdot + rng.uniform(-0.5, 0.5, size=n))
-    rep = reparam_params(x0, xd, b)
+    rep = reparam_params(x0, xd, split.b)
     cand = _make_candidate(xd, rng.normal(size=1), rng.normal(), rep.t0, rep.s)
     return x0, cand, B, split, GainSpec(kappa * kappa)
 
@@ -148,9 +146,8 @@ def test_value_split_invariance_high_gain(rng):
         x0 = State(q, rng.uniform(0.3, 2.0, size=2))
         xd = State(q + rng.uniform(-0.05, 0.05, size=2), x0.qdot + rng.uniform(-0.1, 0.1, size=2))
         vals = []
-        for split in (CoordSplit((0,), (1,)), CoordSplit((1,), (0,))):
-            b = null_covector(B, split)
-            rep = reparam_params(x0, xd, b)
+        for split in (CoordSplit(B, (0,)), CoordSplit(B, (1,))):
+            rep = reparam_params(x0, xd, split.b)
             cand = _make_candidate(xd, np.zeros(1), 0.0, rep.t0, rep.s)
             vals.append(
                 value_estimate(x0, cand, B, split, GainSpec(10000.0), RewardSpec()).v_I
@@ -185,9 +182,8 @@ def test_cost_zero_error_candidate_minimal(rng):
     assert c0 == pytest.approx(0.0, abs=1e-12)
     for _ in range(20):
         xd = State(q + rng.normal(0, 0.2, size=2), qdot + rng.normal(0, 0.3, size=2))
-        b = null_covector(B, split)
         try:
-            rep = reparam_params(x0, xd, b)
+            rep = reparam_params(x0, xd, split.b)
         except VelocityBarDegenerate:
             continue
         cand = _make_candidate(xd, np.zeros(1), 0.0, rep.t0, rep.s)
@@ -224,7 +220,7 @@ def test_candidate_costs_matches_scalar_path(rng):
     t0 = rng.normal(0, 0.05, size=n)
     s = 1.0 + rng.normal(0, 0.1, size=n)
     batch = candidate_costs(
-        x0, q_d, qdot_d, tau_d, g_d, np.zeros(n), t0, s, B, split, gain, spec
+        x0, q_d, qdot_d, tau_d, g_d, np.zeros(n), t0, s, split, gain, spec
     )
     for i in range(n):
         cand = _make_candidate(State(q_d[i], qdot_d[i]), tau_d[i], g_d[i], t0[i], s[i])
@@ -281,7 +277,7 @@ def test_candidate_costs_matches_oracle(rng, chain):
     for _ in range(20):
         x0, B, split, spec, batch = _batch_instance(rng, _CHAINS[chain])
         for k in (2000.0, 37.5):
-            got = candidate_costs(x0, *batch, B, split, GainSpec(k), spec)
+            got = candidate_costs(x0, *batch, split, GainSpec(k), spec)
             want = _oracle_costs(x0, batch, B, split, GainSpec(k), spec)
             # Relative to the batch's cost scale: a candidate whose two value
             # stages cancel to near zero keeps only the rounding of the terms.
@@ -293,18 +289,20 @@ def test_candidate_costs_rejects_wide_C_tau_for_one_actuator(rng):
     # A 2 x 2 penalty for one actuator must not be ranked by its [0, 0] entry.
     x0, B, split, _, batch = _batch_instance(rng, _CHAINS["M1"])
     with pytest.raises(ValueError, match="C_tau"):
-        candidate_costs(x0, *batch, B, split, GainSpec(100.0), RewardSpec(C_tau=-np.eye(2)))
+        candidate_costs(x0, *batch, split, GainSpec(100.0), RewardSpec(C_tau=-np.eye(2)))
 
 
 def test_candidate_costs_rejects_scalar_C_tau_for_two_actuators(rng):
     # Two actuators with the default 1 x 1 penalty: the package's error, not numpy's.
     x0, B, split, _, batch = _batch_instance(rng, _CHAINS["M2"])
     with pytest.raises(ValueError, match="C_tau"):
-        candidate_costs(x0, *batch, B, split, GainSpec(100.0), RewardSpec())
+        candidate_costs(x0, *batch, split, GainSpec(100.0), RewardSpec())
 
 
 def test_candidate_costs_singular_block_raises(rng):
-    x0, B, _, spec, batch = _batch_instance(rng, _CHAINS["M2"])
+    # Costs take their controlled block from a split, and a split of a
+    # singular block cannot be built: the error comes before any costing.
+    _, B, _, _, _ = _batch_instance(rng, _CHAINS["M2"])
     B[1] = 0.0  # a zero row of the controlled block
     with pytest.raises(SingularMatrix):
-        candidate_costs(x0, *batch, B, CoordSplit((0, 1), (2,)), GainSpec(100.0), spec)
+        CoordSplit(B, (0, 1))
