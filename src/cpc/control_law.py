@@ -10,7 +10,8 @@ covector ``b`` annihilates B, so the projection ``b' q`` evolves
 independently of the applied torques; matching that projection between the
 current motion and a stored target trajectory yields a time offset ``t0``
 and time scale ``s``, and feedback is applied only to the controlled
-coordinates of the correspondingly renormalized target.
+coordinates of the correspondingly renormalized target. This module owns
+that renormalization and the errors that ranking and feedback both read.
 """
 
 from dataclasses import InitVar, dataclass, field
@@ -61,14 +62,6 @@ class CoordSplit:
         b[list(free), :] = -np.eye(n - m)
         for name, value in (("controlled", controlled), ("free", free), ("b_chi", b_chi), ("b", b)):
             object.__setattr__(self, name, value)
-
-
-@dataclass(frozen=True)
-class Reparam:
-    """Time offset and time-scale factor relating current motion to a target."""
-
-    t0: float
-    s: float
 
 
 @dataclass(frozen=True)
@@ -125,9 +118,9 @@ def reparam_params(
     xd: dynamics.State,
     b: np.ndarray,
     guard_tol: float = DEFAULT_GUARD_TOL,
-) -> Reparam:
-    """Time offset and scale aligning the target's unactuated motion with the
-    current one, for a covector ``b`` with one column.
+) -> tuple[float, float]:
+    """Time offset t0 and scale s aligning the target's unactuated motion
+    with the current one, for a covector ``b`` with one column.
 
     Applies retrieval's rule: raises VelocityBarDegenerate when either
     projected velocity |b . qdot| is at most ``guard_tol``, and ValueError
@@ -135,33 +128,40 @@ def reparam_params(
     """
     b, qbar0, qdbar0 = _project_state(b, x0, guard_tol)
     _, qbard, qdbard = _project_state(b, xd, guard_tol)
-    return Reparam((qbard - qbar0) / qdbar0, qdbard / qdbar0)
+    return (qbard - qbar0) / qdbar0, qdbard / qdbar0
 
 
-def renormalized_target(xd: dynamics.State, rep: Reparam) -> tuple[np.ndarray, np.ndarray]:
-    """Initial position and velocity of the reparameterized linear target
-    q_r(t) = q_r0 + qdot_r * t."""
-    if rep.s == 0.0:
+def renormalized_target(
+    q_d: np.ndarray, qdot_d: np.ndarray, t0: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start q_r0 and velocity qdot_r (n, N) of the linear targets q_r0 + qdot_r t
+    reparameterizing target states (n, N) by time offsets and scales (n,)."""
+    if not np.all(s):
         raise ValueError("time scale s must be nonzero")
-    return xd.q - xd.qdot * (rep.t0 / rep.s), xd.qdot / rep.s
+    return q_d - qdot_d * (t0 / s)[:, None], qdot_d / s[:, None]
+
+
+def target_errors(
+    x0: dynamics.State,
+    q_d: np.ndarray,
+    qdot_d: np.ndarray,
+    t0: np.ndarray,
+    s: np.ndarray,
+    split: CoordSplit,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Errors (dchi, dchidot), each (n, M), of the current state against
+    each renormalized target, in the split's controlled coordinates."""
+    q_r0, qdot_r = renormalized_target(q_d, qdot_d, t0, s)
+    ci = list(split.controlled)
+    return x0.q[ci] - q_r0[:, ci], x0.qdot[ci] - qdot_r[:, ci]
 
 
 def cpc_tau(
-    x0: dynamics.State,
-    xd: dynamics.State,
-    split: CoordSplit,
-    rep: Reparam,
-    gain: GainSpec,
-    tau_d: np.ndarray,
+    dchi: np.ndarray, dchidot: np.ndarray, split: CoordSplit, gain: GainSpec, tau_d: np.ndarray
 ) -> np.ndarray:
-    """Path feedback law: tau_d minus critically damped feedback on the
-    controlled-coordinate error against the renormalized target."""
-    q_r0, qdot_r = renormalized_target(xd, rep)
-    ci = list(split.controlled)
-    dchi = x0.q[ci] - q_r0[ci]
-    dchidot = x0.qdot[ci] - qdot_r[ci]
-    kappa = gain.kappa
-    fb = gain.k * dchi + 2.0 * kappa * dchidot
+    """Path feedback law for one target: tau_d minus critically damped
+    feedback B_chi^-1 (k dchi + 2 kappa dchidot) on its (M,) errors."""
+    fb = gain.k * dchi + 2.0 * gain.kappa * dchidot
     return np.asarray(tau_d, dtype=float) - np.linalg.solve(split.b_chi, fb)
 
 

@@ -22,10 +22,10 @@ import numpy as np
 
 from .control_law import (
     GainSpec,
-    Reparam,
     cpc_tau,
     estimate_control_matrix,
     split_coordinates,
+    target_errors,
 )
 from .dynamics import State
 from .errors import (
@@ -120,17 +120,14 @@ def cpc_loop(
         r_d = np.array(
             [spec.reward_at(State(q_d[i], qdot_d[i])) for i in range(len(idx))]
         )
+    dchi, dchidot = target_errors(x0, q_d, qdot_d, t0s, ss, split)
 
     k = cfg.k0
     while True:
         gain = GainSpec(k)
-        costs = candidate_costs(
-            x0, q_d, qdot_d, tau_d, g_d, r_d, t0s, ss, split, gain, spec
-        )
+        costs = candidate_costs(dchi, dchidot, tau_d, g_d, r_d, t0s, split, gain, spec)
         j = int(np.argmin(costs))
-        xd = State(q_d[j], qdot_d[j])
-        rep = Reparam(float(t0s[j]), float(ss[j]))
-        tau = cpc_tau(x0, xd, split, rep, gain, tau_d[j])
+        tau = cpc_tau(dchi[j], dchidot[j], split, gain, tau_d[j])
         k = 0.5 * k
         norm = float(np.linalg.norm(tau))
         if norm < cfg.tau_c or k < cfg.k_c:

@@ -37,6 +37,7 @@ from .errors import (
 
 DATASET_FORMAT = "chain-targets-v1"
 DEFAULT_GUARD_TOL = 1e-6
+_ONE_DIRECTION = "candidate search supports one unactuated direction"
 
 
 class TargetStore:
@@ -150,12 +151,15 @@ class NonEmptyStore:
     warm query allocates nothing the length of the store. It therefore
     serves one query at a time: do not share a handle between threads.
     Arrays a query returns are fresh copies, never views of the scratch.
-    The store must not change while the handle exists.
+    The store must not change while the handle exists. Raises ValueError
+    unless the store's chain has one unactuated direction.
     """
 
     def __init__(self, store: TargetStore):
         if len(store) == 0:
             raise EmptyDataset("cannot retrieve from zero points")
+        if store.n_links - len(store.actuated_joints) != 1:
+            raise ValueError(_ONE_DIRECTION)
         self.store = store
         q = np.asfortranarray(store.q)
         qdot = np.asfortranarray(store.qdot)
@@ -205,7 +209,7 @@ def _project_state(b, x, guard_tol):
     b = np.asarray(b, dtype=float)
     if b.ndim == 2:
         if b.shape[1] != 1:
-            raise ValueError("candidate search supports one unactuated direction")
+            raise ValueError(_ONE_DIRECTION)
         b = b[:, 0]
     qdbar = float(b @ x.qdot)
     if abs(qdbar) <= guard_tol:

@@ -3,10 +3,10 @@
 The estimate splits into two stages: the transition onto the renormalized
 target (dominated by the control work penalty of the critically damped
 feedback transient, evaluated in closed form) and the recorded return of the
-target point, shifted linearly by the time offset. Every candidate of a
-batch is costed at once, on arrays. The controlled block of B comes from the
-coordinate split, which has already checked it, so costing cannot meet a
-singular block.
+target point, shifted linearly by the time offset. Costs are given the
+errors ``control_law.target_errors`` computes, and every candidate of a
+batch is costed at once. The controlled block of B comes from the
+coordinate split, which has already checked it.
 """
 
 from dataclasses import dataclass, field
@@ -44,14 +44,12 @@ class RewardSpec:
 
 
 def candidate_costs(
-    x0: State,
-    q_d: np.ndarray,
-    qdot_d: np.ndarray,
+    dchi: np.ndarray,
+    dchidot: np.ndarray,
     tau_d: np.ndarray,
     g_d: np.ndarray,
     r_d: np.ndarray,
     t0: np.ndarray,
-    s: np.ndarray,
     split: CoordSplit,
     gain: GainSpec,
     spec: RewardSpec,
@@ -59,13 +57,12 @@ def candidate_costs(
     """Negated two-stage value estimate of each candidate; candidate
     selection minimizes it.
 
-    Arrays are per candidate: target states (n, N), torques (n, M), recorded
-    returns, state rewards and reparameterizations (n,). For a candidate
-    with renormalized-target errors dchi, dchidot in the controlled
-    coordinates, let U and W solve B_chi [U W] = [dchi dchidot] with the
-    split's controlled block B_chi (one solve for the whole batch) and
-    Z = kappa U + 2 W. With C = C_tau and T = T_gamma, the transition value,
-    the integral of the feedback transient's work penalty, is
+    Arrays are per candidate: controlled-coordinate errors dchi, dchidot and
+    torques (n, M), recorded returns, state rewards and time offsets (n,).
+    Let U and W solve B_chi [U W] = [dchi dchidot] with the split's block
+    B_chi (one solve for the whole batch) and Z = kappa U + 2 W. With
+    C = C_tau and T = T_gamma, the transition value, the integral of the
+    feedback transient's work penalty, is
 
         v_I = -(2/T) tau_d' C W + kappa/(4T) (W' C W + Z' C Z),
 
@@ -75,8 +72,7 @@ def candidate_costs(
 
     Raises ValueError when C_tau is not M x M.
     """
-    ci = list(split.controlled)
-    m = len(ci)
+    m = len(split.controlled)
     if spec.C_tau.shape != (m, m):
         raise ValueError(f"C_tau must be {m} x {m} for {m} actuators, got {spec.C_tau.shape}")
     kappa = gain.kappa
@@ -85,15 +81,12 @@ def candidate_costs(
         beta = float(split.b_chi[0, 0])
         c = float(spec.C_tau[0, 0])
         td = tau_d[:, 0]
-        dchi = x0.q[ci[0]] - (q_d[:, ci[0]] - qdot_d[:, ci[0]] * t0 / s)
-        dchidot = x0.qdot[ci[0]] - qdot_d[:, ci[0]] / s
+        dchi, dchidot = dchi[:, 0], dchidot[:, 0]
         v1 = -(2.0 / tg) * td * c * (dchidot / beta) + (kappa * c / (4.0 * tg * beta * beta)) * (
             kappa * kappa * dchi * dchi + 4.0 * kappa * dchi * dchidot + 5.0 * dchidot * dchidot
         )
         v2 = g_d + (t0 / tg) * (c * td * td + r_d - g_d)
         return -(v1 + v2)
-    dchi = x0.q[ci] - (q_d[:, ci] - qdot_d[:, ci] * (t0 / s)[:, None])
-    dchidot = x0.qdot[ci] - qdot_d[:, ci] / s[:, None]
     n = len(t0)
     uw = np.linalg.solve(split.b_chi, np.concatenate([dchi, dchidot]).T)
     U, W = uw[:, :n].T, uw[:, n:].T

@@ -6,7 +6,9 @@ from independent derivations, for the tests to check the array code
 against: retrieval as a plain linear scan with ``q @ b`` projections, and
 the transition value through the (z kron I_M) B_chi^-1 matrices of the
 critically damped error dynamics, whose state-transition matrix
-``expm_crit_damped`` gives in closed form.
+``expm_crit_damped`` gives in closed form. ``one_target`` and
+``one_target_tau`` are not oracles: they pass a single target state to the
+package's batched renormalization as a batch of one row.
 """
 
 import math
@@ -14,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cpc.control_law import CoordSplit, GainSpec, Reparam, renormalized_target
+from cpc.control_law import CoordSplit, GainSpec, cpc_tau, renormalized_target, target_errors
 from cpc.dynamics import State
 from cpc.errors import SingularMatrix, VelocityBarDegenerate
 from cpc.target_store import DEFAULT_GUARD_TOL, TargetStore
@@ -40,6 +42,21 @@ class Value(NamedTuple):
     v_total: float
     v_I: float
     v_II: float
+
+
+def one_target(xd: State, t0: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(q_r0, qdot_r) of the renormalized target for one target state."""
+    q_r0, qdot_r = renormalized_target(xd.q[None], xd.qdot[None], np.array([t0]), np.array([s]))
+    return q_r0[0], qdot_r[0]
+
+
+def one_target_tau(x0, xd, split, t0, s, gain, tau_d) -> np.ndarray:
+    """Path feedback torque steering x0 onto one target state's
+    renormalized target."""
+    dchi, dchidot = target_errors(
+        x0, xd.q[None], xd.qdot[None], np.array([t0]), np.array([s]), split
+    )
+    return cpc_tau(dchi[0], dchidot[0], split, gain, tau_d)
 
 
 def proximity_loss(t0, s, omega, s_g):
@@ -117,7 +134,7 @@ def value_estimate(
     candidate's stored torque."""
     tau_d = np.asarray(cand.tau if tau_d is None else tau_d, dtype=float)
     ci = list(split.controlled)
-    q_r0, qdot_r = renormalized_target(cand.x, Reparam(cand.t0, cand.s))
+    q_r0, qdot_r = one_target(cand.x, cand.t0, cand.s)
     dx = np.concatenate([x0.q[ci] - q_r0[ci], x0.qdot[ci] - qdot_r[ci]])
     kappa = gain.kappa
     z1, z2 = _transition_matrices(np.atleast_2d(np.asarray(B, dtype=float))[ci, :], kappa)

@@ -4,13 +4,12 @@ import pytest
 from cpc.control_law import (
     CoordSplit,
     GainSpec,
-    Reparam,
-    cpc_tau,
     estimate_control_matrix,
     feedforward_tau,
     renormalized_target,
     reparam_params,
     split_coordinates,
+    target_errors,
 )
 from cpc.dynamics import (
     ChainParams,
@@ -28,6 +27,7 @@ from cpc.errors import (
     VelocityBarDegenerate,
 )
 from cpc.target_store import NonEmptyStore, TargetStore, _query_arrays
+from oracles import one_target, one_target_tau
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +118,9 @@ def test_reparam_identity_state(rng):
     q = rng.uniform(-1, 1, size=2)
     qdot = rng.uniform(0.5, 1.5, size=2)
     _, _, b = _acrobot_split_b(q)
-    rep = reparam_params(State(q, qdot), State(q, qdot), b)
-    assert rep.t0 == pytest.approx(0.0, abs=1e-14)
-    assert rep.s == pytest.approx(1.0)
+    t0, s = reparam_params(State(q, qdot), State(q, qdot), b)
+    assert t0 == pytest.approx(0.0, abs=1e-14)
+    assert s == pytest.approx(1.0)
 
 
 def test_reparam_scalar_formula():
@@ -129,9 +129,9 @@ def test_reparam_scalar_formula():
     b = np.array([[1.0], [0.0]])  # stand-in covector; only projections matter
     x0 = State(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
     xd = State(np.array([0.1, 0.0]), np.array([2.0, 0.0]))
-    rep = reparam_params(x0, xd, b)
-    assert rep.t0 == pytest.approx(0.1)
-    assert rep.s == pytest.approx(2.0)
+    t0, s = reparam_params(x0, xd, b)
+    assert t0 == pytest.approx(0.1)
+    assert s == pytest.approx(2.0)
 
 
 def test_reparam_guard():
@@ -163,10 +163,9 @@ def _retrieve_one(x0, xd, b, guard_tol):
 
 def _reparam_or_none(x0, xd, b, guard_tol):
     try:
-        rep = reparam_params(x0, xd, b, guard_tol)
+        return reparam_params(x0, xd, b, guard_tol)
     except VelocityBarDegenerate:
         return None
-    return rep.t0, rep.s
 
 
 def test_reparam_guard_matches_retrieval(rng):
@@ -201,25 +200,25 @@ def test_reparam_reduction_bitlevel(rng):
         b = rng.normal(size=(2, 1))
         x0, xd = State(q0, qd0), State(q1, qd1)
         try:
-            rep = reparam_params(x0, xd, b)
+            t0, s = reparam_params(x0, xd, b)
         except VelocityBarDegenerate:
             continue
         qbar0, qdbar0 = float(b[:, 0] @ q0), float(b[:, 0] @ qd0)
         qbard, qdbard = float(b[:, 0] @ q1), float(b[:, 0] @ qd1)
-        assert rep.t0 == pytest.approx((qbard - qbar0) / qdbar0, abs=1e-12, rel=1e-12)
-        assert rep.s == pytest.approx(qdbard / qdbar0, abs=1e-12, rel=1e-12)
+        assert t0 == pytest.approx((qbard - qbar0) / qdbar0, abs=1e-12, rel=1e-12)
+        assert s == pytest.approx(qdbard / qdbar0, abs=1e-12, rel=1e-12)
 
 
 def test_renormalized_identity_reparam(rng):
     xd = State(rng.normal(size=2), rng.normal(size=2))
-    q_r0, qdot_r = renormalized_target(xd, Reparam(0.0, 1.0))
+    q_r0, qdot_r = one_target(xd, 0.0, 1.0)
     assert np.allclose(q_r0, xd.q)
     assert np.allclose(qdot_r, xd.qdot)
 
 
 def test_renormalized_time_reversal(rng):
     xd = State(rng.normal(size=2), rng.normal(size=2))
-    q_r0, qdot_r = renormalized_target(xd, Reparam(0.0, -1.0))
+    q_r0, qdot_r = one_target(xd, 0.0, -1.0)
     assert np.allclose(q_r0, xd.q)
     assert np.allclose(qdot_r, -xd.qdot)
 
@@ -233,12 +232,37 @@ def test_renormalized_projection_identity(rng):
         xd = State(rng.uniform(-1.5, 1.5, size=2), rng.normal(size=2))
         _, _, b = _acrobot_split_b(q)
         try:
-            rep = reparam_params(x0, xd, b)
+            t0, s = reparam_params(x0, xd, b)
         except VelocityBarDegenerate:
             continue
-        q_r0, qdot_r = renormalized_target(xd, rep)
+        q_r0, qdot_r = one_target(xd, t0, s)
         assert abs(b[:, 0] @ q_r0 - b[:, 0] @ x0.q) < 1e-10
         assert abs(b[:, 0] @ qdot_r - b[:, 0] @ x0.qdot) < 1e-10
+
+
+def test_renormalized_zero_scale_raises():
+    with pytest.raises(ValueError, match="nonzero"):
+        renormalized_target(np.zeros((2, 2)), np.ones((2, 2)), np.zeros(2), np.array([1.0, 0.0]))
+
+
+def test_target_errors_rows_follow_formula(rng):
+    # Each row is the current state minus its own renormalized target,
+    # q_d - qdot_d (t0 / s) and qdot_d / s, on the controlled columns, bit
+    # for bit.
+    B = rng.normal(size=(3, 2))
+    split = split_coordinates(B)
+    ci = list(split.controlled)
+    x0 = State(rng.normal(size=3), rng.normal(size=3))
+    n = 7
+    q_d, qdot_d = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+    t0 = rng.normal(0.0, 0.1, n)
+    s = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
+    dchi, dchidot = target_errors(x0, q_d, qdot_d, t0, s, split)
+    assert dchi.shape == dchidot.shape == (n, 2)
+    for i in range(n):
+        q_r0 = q_d[i] - qdot_d[i] * (float(t0[i]) / float(s[i]))
+        assert np.array_equal(dchi[i], x0.q[ci] - q_r0[ci])
+        assert np.array_equal(dchidot[i], x0.qdot[ci] - qdot_d[i, ci] / float(s[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +275,9 @@ def test_cpc_tau_on_target_returns_tau_d(rng):
     qdot = rng.uniform(0.5, 1.0, size=2)
     B, split, b = _acrobot_split_b(q)
     x0 = State(q, qdot)
-    rep = reparam_params(x0, x0, b)
+    t0, s = reparam_params(x0, x0, b)
     tau_d = rng.normal(size=1)
-    tau = cpc_tau(x0, x0, split, rep, GainSpec(100.0), tau_d)
+    tau = one_target_tau(x0, x0, split, t0, s, GainSpec(100.0), tau_d)
     assert np.abs(tau - tau_d).max() < 1e-9
 
 
@@ -262,7 +286,7 @@ def test_cpc_tau_scalar_hand_case():
     split = CoordSplit(B, (0,))
     x0 = State(np.array([0.1, 0.0]), np.zeros(2))
     xd = State(np.zeros(2), np.zeros(2))
-    tau = cpc_tau(x0, xd, split, Reparam(0.0, 1.0), GainSpec(4.0), np.zeros(1))
+    tau = one_target_tau(x0, xd, split, 0.0, 1.0, GainSpec(4.0), np.zeros(1))
     assert tau[0] == pytest.approx(-0.4)
 
 
@@ -276,7 +300,7 @@ def test_cpc_tau_fully_actuated_reduces_to_linear_feedback(rng):
     xd = State(rng.normal(size=2), rng.normal(size=2))
     gain = GainSpec(25.0)
     tau_d = rng.normal(size=2)
-    tau = cpc_tau(x0, xd, split, Reparam(0.0, 1.0), gain, tau_d)
+    tau = one_target_tau(x0, xd, split, 0.0, 1.0, gain, tau_d)
     expected = tau_d - np.linalg.solve(B, 25.0 * (x0.q - xd.q) + 10.0 * (x0.qdot - xd.qdot))
     assert np.abs(tau - expected).max() < 1e-12
 
@@ -294,11 +318,11 @@ def test_cpc_tau_invariant_under_coordinate_maps(rng):
         x0, xd = State(q, qdot), State(qd, qdd)
         split = split_coordinates(B)
         try:
-            rep = reparam_params(x0, xd, split.b)
+            t0, s = reparam_params(x0, xd, split.b)
         except VelocityBarDegenerate:
             continue
         gain = GainSpec(400.0)
-        tau = cpc_tau(x0, xd, split, rep, gain, np.zeros(1))
+        tau = one_target_tau(x0, xd, split, t0, s, gain, np.zeros(1))
 
         C = rng.normal(size=(2, 2))
         while abs(np.linalg.det(C)) < 0.3:
@@ -307,8 +331,8 @@ def test_cpc_tau_invariant_under_coordinate_maps(rng):
         x0t = State(C @ q, C @ qdot)
         xdt = State(C @ qd, C @ qdd)
         splitt = split_coordinates(Bt)
-        rept = reparam_params(x0t, xdt, splitt.b)
-        taut = cpc_tau(x0t, xdt, splitt, rept, gain, np.zeros(1))
+        t0t, st = reparam_params(x0t, xdt, splitt.b)
+        taut = one_target_tau(x0t, xdt, splitt, t0t, st, gain, np.zeros(1))
         scale = max(1.0, np.abs(tau).max())
         assert np.abs(taut - tau).max() / scale < 1e-7
 
@@ -398,3 +422,56 @@ def test_estimate_on_acrobot_rollout(rng):
     B = estimate_control_matrix(np.array(taus), np.array(us))
     B_true = exact_control_matrix(p, st.q)
     assert np.abs((B - B_true) / B_true).max() < 0.25
+
+
+# ---------------------------------------------------------------------------
+# estimate_control_matrix as a least-squares solver (called with y as
+# columns, so the regressed matrix is the transposed solution)
+# ---------------------------------------------------------------------------
+
+
+def test_lsq_square_exact(rng):
+    A = rng.normal(size=(3, 3)) + 3 * np.eye(3)
+    X0 = rng.normal(size=(3, 2))
+    assert np.abs(estimate_control_matrix(A, A @ X0, ridge=0.0).T - X0).max() < 1e-10
+
+
+def test_lsq_overdetermined_recovery(rng):
+    A = rng.normal(size=(10, 2))
+    X0 = rng.normal(size=(2, 1))
+    X = estimate_control_matrix(A, A @ X0, ridge=0.0).T
+    assert np.abs(X - X0).max() < 1e-10
+    # Normal-equations oracle.
+    Xn = np.linalg.solve(A.T @ A, A.T @ (A @ X0))
+    assert np.abs(X - Xn).max() < 1e-10
+
+
+def test_lsq_zero_matrix_raises():
+    with pytest.raises(RankDeficient):
+        estimate_control_matrix(np.zeros((4, 2)), np.ones((4, 1)), ridge=0.0)
+
+
+def test_lsq_residual_orthogonal(rng):
+    for _ in range(50):
+        A = rng.normal(size=(12, 3))
+        y = rng.normal(size=(12, 1))
+        x = estimate_control_matrix(A, y, ridge=0.0).T
+        resid = A @ x - y
+        # Zero residual gradient: A' r = 0.
+        assert np.abs(A.T @ resid).max() < 1e-9
+
+
+def test_lsq_ridge_shrinks(rng):
+    A = rng.normal(size=(8, 2))
+    y = rng.normal(size=(8, 1))
+    x0 = estimate_control_matrix(A, y, ridge=0.0).T
+    x1 = estimate_control_matrix(A, y, ridge=10.0).T
+    assert np.linalg.norm(x1) < np.linalg.norm(x0)
+    # Ridge normal equations oracle.
+    xn = np.linalg.solve(A.T @ A + 10.0 * np.eye(2), A.T @ y)
+    assert np.abs(x1 - xn).max() < 1e-10
+
+
+def test_lsq_underdetermined_raises(rng):
+    with pytest.raises(RankDeficient):
+        estimate_control_matrix(rng.normal(size=(2, 4)), np.ones((2, 1)), ridge=0.0)

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from cpc.control_law import (
-    GainSpec,
-    Reparam,
-    cpc_tau,
-    split_coordinates,
-)
+from cpc.control_law import GainSpec, split_coordinates
 from cpc.controller import (
     ControllerConfig,
     cpc_loop,
@@ -16,7 +11,7 @@ from cpc.controller import (
 from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matrix
 from cpc.target_store import NonEmptyStore, TargetStore
 from cpc.value import RewardSpec
-from oracles import cost, query_candidates
+from oracles import cost, one_target_tau, query_candidates
 
 
 def _acrobot_targets(states, G):
@@ -58,7 +53,7 @@ def test_cpc_loop_single_candidate_no_backoff():
     cfg = ControllerConfig(s_g=1.0)
     tau = cpc_loop(x0, B, targets, cfg)
     # Small error: no backoff, so the torque equals the direct law at k0.
-    direct = cpc_tau(x0, xd, split, Reparam(0.0, 1.0), GainSpec(cfg.k0), np.zeros(1))
+    direct = one_target_tau(x0, xd, split, 0.0, 1.0, GainSpec(cfg.k0), np.zeros(1))
     assert np.linalg.norm(tau) < cfg.tau_c
     assert np.abs(tau - direct).max() < 1e-9
 
@@ -96,6 +91,20 @@ def test_cpc_loop_gain_floor_returns_unclamped():
     tau = cpc_loop(x0, B, targets, cfg)
     assert np.linalg.norm(tau) == pytest.approx(1.5 * cfg.tau_c, rel=1e-9)
     assert np.linalg.norm(tau) >= cfg.tau_c
+
+
+def test_controller_counts_unclamped_exit(rng):
+    # A cycle that reaches the gain floor with |tau| >= tau_c still applies
+    # its torque, and counts one unclamped exit; it is not a fallback.
+    cfg = ControllerConfig(s_g=1.0, ridge=0.0)
+    x0, xd, B, _ = _offset_for_norm_at(cfg, 1.5 * cfg.tau_c, cfg.k0 / 2**9)
+    ctrl = make_controller(cfg, 1, seed=0)
+    # A history of exact (tau, B tau) pairs makes the regressed B equal to B.
+    for tau_h in rng.uniform(0.5, 1.5, (cfg.history_n, 1)):
+        ctrl.history.append((tau_h, B @ tau_h))
+    tau = controller_step(ctrl, x0, _one_point_targets(xd), cfg)
+    assert np.linalg.norm(tau) == pytest.approx(1.5 * cfg.tau_c, rel=1e-6)
+    assert (ctrl.unclamped_exits, ctrl.fallback_count) == (1, 0)
 
 
 def test_cpc_loop_backoff_bounded_iterations(monkeypatch):
@@ -160,7 +169,7 @@ def test_cpc_loop_two_actuators_follows_oracle(rng):
     while True:
         gain = GainSpec(k)
         best = min(cands, key=lambda c: cost(x0, c, B, split, gain, spec))
-        want = cpc_tau(x0, best.x, split, Reparam(best.t0, best.s), gain, best.tau)
+        want = one_target_tau(x0, best.x, split, best.t0, best.s, gain, best.tau)
         if np.linalg.norm(want) < cfg.tau_c or 0.5 * k < cfg.k_c:
             break
         k *= 0.5

@@ -5,6 +5,8 @@ import pytest
 
 from cpc.dynamics import ChainParams
 from cpc.errors import DatasetSchemaMismatch
+from cpc.target_store import NonEmptyStore
+from cpc import experiments
 from cpc.experiments import (
     ExperimentConfig,
     generate_falls,
@@ -50,6 +52,31 @@ def test_balance_trial_rejects_store_of_other_chain(params):
         run_balance_trial(store, cfg, cfg.noise_mult * cfg.sigma0, seed=trial_seed(0, "chain", 1))
 
 
+@pytest.mark.parametrize(
+    "params",
+    [ChainParams(n_links=3, actuated_joints=(2,)), ChainParams(n_links=2, actuated_joints=(0, 1))],
+    ids=["two_free", "fully_actuated"],
+)
+def test_unsupported_chain_rejected_before_first_cycle(params, monkeypatch):
+    # Retrieval matches on one unactuated direction. A store on a chain with
+    # any other number is refused when the retrieval handle is built, so a
+    # trial on that chain fails before running a single cycle.
+    cfg = ExperimentConfig(t_max=0.5)
+    store = generate_falls(cfg, 1, seed=trial_seed(0, "unsupported", 0), params=params)
+    with pytest.raises(ValueError, match="one unactuated direction"):
+        NonEmptyStore(store)
+
+    def no_cycle(*args, **kwargs):
+        raise AssertionError("a control cycle ran on an unsupported chain")
+
+    monkeypatch.setattr(experiments, "controller_step", no_cycle)
+    with pytest.raises(ValueError, match="one unactuated direction"):
+        run_balance_trial(
+            store, cfg, cfg.noise_mult * cfg.sigma0, seed=trial_seed(0, "unsupported", 1),
+            params=params,
+        )
+
+
 def test_track_demo_holds_reference_and_decays_on_envelope():
     out = track_demo(duration=2.0)
     assert out["max_tracking_error"] <= 1e-10
@@ -68,3 +95,12 @@ def test_sweep_csv_byte_identical_across_runs(tmp_path):
         summary = [row for row in csv.DictReader(f) if row["trial_id"] == "summary"]
     assert [int(row["n_f"]) for row in summary] == list(n_fs)
     assert [float(row["t_f"]) for row in summary] == list(means)
+
+
+def test_sweep_workers_match_serial(tmp_path):
+    # Trials run in a process pool give the same table, byte for byte.
+    paths = [tmp_path / "serial.csv", tmp_path / "pool.csv"]
+    for workers, path in zip((1, 2), paths):
+        cfg = ExperimentConfig(t_max=0.3, trials=3, n_f_list=(3,), workers=workers)
+        sweep_sample_counts(cfg, out_csv=path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -5,15 +5,14 @@ from scipy.integrate import quad
 from cpc.control_law import (
     CoordSplit,
     GainSpec,
-    Reparam,
-    renormalized_target,
     reparam_params,
     split_coordinates,
+    target_errors,
 )
 from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matrix
 from cpc.errors import SingularMatrix, VelocityBarDegenerate
 from cpc.value import RewardSpec, candidate_costs
-from oracles import Candidate, cost, expm_crit_damped, value_estimate
+from oracles import Candidate, cost, expm_crit_damped, one_target, value_estimate
 
 
 def _make_candidate(xd, tau, G, t0, s):
@@ -27,8 +26,8 @@ def _random_instance(rng, kappa, n=2):
     split = split_coordinates(B)
     x0 = State(q, rng.uniform(-2, 2, size=n))
     xd = State(q + rng.uniform(-0.3, 0.3, size=n), x0.qdot + rng.uniform(-0.5, 0.5, size=n))
-    rep = reparam_params(x0, xd, split.b)
-    cand = _make_candidate(xd, rng.normal(size=1), rng.normal(), rep.t0, rep.s)
+    t0, s = reparam_params(x0, xd, split.b)
+    cand = _make_candidate(xd, rng.normal(size=1), rng.normal(), t0, s)
     return x0, cand, B, split, GainSpec(kappa * kappa)
 
 
@@ -73,7 +72,7 @@ def test_value_quadrature_oracle(rng):
             continue
         out = value_estimate(x0, cand, B, split, gain, spec)
         ci = list(split.controlled)
-        q_r0, qdot_r = renormalized_target(cand.x, Reparam(cand.t0, cand.s))
+        q_r0, qdot_r = one_target(cand.x, cand.t0, cand.s)
         dx = np.array([x0.q[ci[0]] - q_r0[ci[0]], x0.qdot[ci[0]] - qdot_r[ci[0]]])
         beta = float(B[ci[0], 0])
         tau_d = cand.tau[0]
@@ -105,7 +104,7 @@ def test_value_quadrature_oracle_two_actuators(rng):
     cand = _make_candidate(xd, rng.normal(size=2), 0.7, 0.05, 1.1)
     out = value_estimate(x0, cand, B, split, GainSpec(kappa * kappa), spec)
 
-    q_r0, qdot_r = renormalized_target(xd, Reparam(cand.t0, cand.s))
+    q_r0, qdot_r = one_target(xd, cand.t0, cand.s)
     dx = np.concatenate([x0.q[ci] - q_r0[ci], x0.qdot[ci] - qdot_r[ci]])
     b_chi = B[ci, :]
     tau_d = cand.tau
@@ -147,8 +146,8 @@ def test_value_split_invariance_high_gain(rng):
         xd = State(q + rng.uniform(-0.05, 0.05, size=2), x0.qdot + rng.uniform(-0.1, 0.1, size=2))
         vals = []
         for split in (CoordSplit(B, (0,)), CoordSplit(B, (1,))):
-            rep = reparam_params(x0, xd, split.b)
-            cand = _make_candidate(xd, np.zeros(1), 0.0, rep.t0, rep.s)
+            t0, s = reparam_params(x0, xd, split.b)
+            cand = _make_candidate(xd, np.zeros(1), 0.0, t0, s)
             vals.append(
                 value_estimate(x0, cand, B, split, GainSpec(10000.0), RewardSpec()).v_I
             )
@@ -183,10 +182,10 @@ def test_cost_zero_error_candidate_minimal(rng):
     for _ in range(20):
         xd = State(q + rng.normal(0, 0.2, size=2), qdot + rng.normal(0, 0.3, size=2))
         try:
-            rep = reparam_params(x0, xd, split.b)
+            t0, s = reparam_params(x0, xd, split.b)
         except VelocityBarDegenerate:
             continue
-        cand = _make_candidate(xd, np.zeros(1), 0.0, rep.t0, rep.s)
+        cand = _make_candidate(xd, np.zeros(1), 0.0, t0, s)
         assert cost(x0, cand, B, split, gain, spec, tau_d=np.zeros(1)) >= c0 - 1e-12
 
 
@@ -219,9 +218,7 @@ def test_candidate_costs_matches_scalar_path(rng):
     g_d = rng.normal(size=n)
     t0 = rng.normal(0, 0.05, size=n)
     s = 1.0 + rng.normal(0, 0.1, size=n)
-    batch = candidate_costs(
-        x0, q_d, qdot_d, tau_d, g_d, np.zeros(n), t0, s, split, gain, spec
-    )
+    batch = _costs(x0, (q_d, qdot_d, tau_d, g_d, np.zeros(n), t0, s), split, gain, spec)
     for i in range(n):
         cand = _make_candidate(State(q_d[i], qdot_d[i]), tau_d[i], g_d[i], t0[i], s[i])
         assert batch[i] == pytest.approx(cost(x0, cand, B, split, gain, spec), rel=1e-12)
@@ -263,6 +260,14 @@ def _batch_instance(rng, params, n=12):
     return x0, B, split_coordinates(B), spec, batch
 
 
+def _costs(x0, batch, split, gain, spec):
+    """candidate_costs on a batch of target states, through their errors
+    against the renormalized targets."""
+    q_d, qdot_d, tau_d, g_d, r_d, t0, s = batch
+    dchi, dchidot = target_errors(x0, q_d, qdot_d, t0, s, split)
+    return candidate_costs(dchi, dchidot, tau_d, g_d, r_d, t0, split, gain, spec)
+
+
 def _oracle_costs(x0, batch, B, split, gain, spec):
     q_d, qdot_d, tau_d, g_d, _, t0, s = batch
     return np.array([
@@ -277,7 +282,7 @@ def test_candidate_costs_matches_oracle(rng, chain):
     for _ in range(20):
         x0, B, split, spec, batch = _batch_instance(rng, _CHAINS[chain])
         for k in (2000.0, 37.5):
-            got = candidate_costs(x0, *batch, split, GainSpec(k), spec)
+            got = _costs(x0, batch, split, GainSpec(k), spec)
             want = _oracle_costs(x0, batch, B, split, GainSpec(k), spec)
             # Relative to the batch's cost scale: a candidate whose two value
             # stages cancel to near zero keeps only the rounding of the terms.
@@ -289,14 +294,14 @@ def test_candidate_costs_rejects_wide_C_tau_for_one_actuator(rng):
     # A 2 x 2 penalty for one actuator must not be ranked by its [0, 0] entry.
     x0, B, split, _, batch = _batch_instance(rng, _CHAINS["M1"])
     with pytest.raises(ValueError, match="C_tau"):
-        candidate_costs(x0, *batch, split, GainSpec(100.0), RewardSpec(C_tau=-np.eye(2)))
+        _costs(x0, batch, split, GainSpec(100.0), RewardSpec(C_tau=-np.eye(2)))
 
 
 def test_candidate_costs_rejects_scalar_C_tau_for_two_actuators(rng):
     # Two actuators with the default 1 x 1 penalty: the package's error, not numpy's.
     x0, B, split, _, batch = _batch_instance(rng, _CHAINS["M2"])
     with pytest.raises(ValueError, match="C_tau"):
-        candidate_costs(x0, *batch, split, GainSpec(100.0), RewardSpec())
+        _costs(x0, batch, split, GainSpec(100.0), RewardSpec())
 
 
 def test_candidate_costs_singular_block_raises(rng):
