@@ -14,6 +14,7 @@ coordinates of the correspondingly renormalized target. This module owns
 that renormalization and the errors that ranking and feedback both read.
 """
 
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -32,10 +33,11 @@ class CoordSplit:
     """Split of the configuration coordinates of control matrix ``B`` into
     the given controlled rows and the remaining free rows (both ascending).
 
-    Building a split checks the controlled block: it raises SingularMatrix
-    when cond(B_chi)^2 exceeds DEFAULT_COND_CAP. It then holds the block
-    ``b_chi`` (M x M) and the covector block ``b`` (N x (N-M)) with b' B = 0
-    and -I on the free rows. Equality compares the index tuples only.
+    Building a split checks B: it raises SingularMatrix when an entry is
+    NaN or inf, or when cond(B_chi)^2 exceeds DEFAULT_COND_CAP. It then
+    holds the block ``b_chi`` (M x M) and the covector block ``b``
+    (N x (N-M)) with b' B = 0 and -I on the free rows. Equality compares
+    the index tuples only.
     """
 
     B: InitVar[np.ndarray]
@@ -50,6 +52,8 @@ class CoordSplit:
         controlled = tuple(sorted(int(i) for i in self.controlled))
         if m == 0 or len(set(controlled)) != m or not set(controlled) <= set(range(n)):
             raise ValueError(f"need {m} distinct controlled rows of {n}, got {self.controlled}")
+        if not all(map(math.isfinite, B.flat)):
+            raise SingularMatrix("control matrix is not finite")
         free = tuple(i for i in range(n) if i not in controlled)
         b_chi = B[list(controlled), :]
         s = np.linalg.svd(b_chi, compute_uv=False)
@@ -87,13 +91,18 @@ def split_coordinates(B: np.ndarray) -> CoordSplit:
     Pivot rows are picked greedily to maximize each pivot magnitude, which
     keeps the controlled block of B well conditioned. Deterministic: ties go
     to the lowest row index. Raises RankDeficient when a pivot vanishes and
-    SingularMatrix when the chosen block fails the condition check.
+    SingularMatrix when B is not finite or the chosen block fails the
+    condition check.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n, m = B.shape
     if m > n:
         raise ValueError("control matrix must have at least as many rows as columns")
     scale = np.abs(B).max()
+    # NaN or inf exactly when an entry is; an inf scale would otherwise
+    # fail every pivot test as RankDeficient.
+    if not math.isfinite(scale):
+        raise SingularMatrix("control matrix is not finite")
     if scale == 0.0:
         raise RankDeficient("control matrix is zero")
     work = B.copy()
@@ -192,7 +201,8 @@ def estimate_control_matrix(
 
     Minimizes sum_i ||u_i - B tau_i||^2 (+ ridge penalty) over the N x M
     matrix B. With ridge=0 the torques must have full column rank;
-    otherwise RankDeficient is raised.
+    otherwise RankDeficient is raised. A NaN or inf torque also raises
+    RankDeficient.
     """
     taus = np.atleast_2d(np.asarray(taus, dtype=float))
     us = np.atleast_2d(np.asarray(us, dtype=float))
@@ -200,6 +210,8 @@ def estimate_control_matrix(
         raise ValueError("torque and acceleration histories differ in length")
     if ridge < 0.0:
         raise ValueError("ridge must be >= 0")
+    if not all(map(math.isfinite, taus.flat)):
+        raise RankDeficient("torque history is not finite")
     u, s, vt = np.linalg.svd(taus, full_matrices=False)
     if ridge == 0.0:
         if not (len(s) == taus.shape[1] and s[0] > 0.0 and s[-1] > s[0] * 1e-12):

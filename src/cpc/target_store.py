@@ -22,10 +22,15 @@ the size of its result. A handle serves one query at a time.
 
 Only a single unactuated direction is supported (the covector ``b`` must
 have one column); datasets are serialized as JSON Lines with a header row
-carrying the chain layout.
+carrying the chain layout. The writer builds one ``%.17g`` row template per
+chain layout and formats and writes blocks of rows at a time, so its
+transient strings stay bounded at any store size. The reader runs one
+decoder call per line and collects each field's values in one flat list.
+Every float64 round-trips bit for bit, the sign of zero included.
 """
 
 import json
+import operator
 
 import numpy as np
 
@@ -38,19 +43,22 @@ from .errors import (
 DATASET_FORMAT = "chain-targets-v1"
 DEFAULT_GUARD_TOL = 1e-6
 _ONE_DIRECTION = "candidate search supports one unactuated direction"
+_JSON_WHITESPACE = " \t\n\r"
+# Rows formatted and written per call: bounds the transient strings of a
+# save independently of the store size.
+_WRITE_BLOCK = 1024
 
 
 class TargetStore:
     """Immutable arrays of recorded points plus chain layout metadata."""
 
     def __init__(self, t, q, qdot, tau, G, n_links: int, actuated_joints: tuple[int, ...]):
+        self.n_links, self.actuated_joints = _chain_layout(n_links, actuated_joints)
         self.t = np.asarray(t, dtype=float)
         self.q = np.atleast_2d(np.asarray(q, dtype=float))
         self.qdot = np.atleast_2d(np.asarray(qdot, dtype=float))
         self.tau = np.atleast_2d(np.asarray(tau, dtype=float))
         self.G = np.asarray(G, dtype=float)
-        self.n_links = int(n_links)
-        self.actuated_joints = tuple(int(j) for j in actuated_joints)
         n = len(self.t)
         if not (
             self.t.shape == (n,)
@@ -70,12 +78,12 @@ class TargetStore:
     # -- serialization ------------------------------------------------------
 
     def save_jsonl(self, path) -> None:
-        def fmt(x: float) -> str:
-            return format(float(x), ".17g")
-
-        def arr(a) -> str:
-            return "[" + ", ".join(fmt(v) for v in a) + "]"
-
+        n, m = self.n_links, len(self.actuated_joints)
+        # '%.17g' on a Python float is format(x, ".17g"), which round-trips
+        # every float64, so a loaded store is bit-equal to the saved one.
+        template = '{"t": %%.17g, "q": %s, "qdot": %s, "tau": %s, "G": %%.17g}\n' % (
+            _list_template(n), _list_template(n), _list_template(m)
+        )
         with open(path, "w", encoding="utf-8") as f:
             header = {
                 "format": DATASET_FORMAT,
@@ -83,11 +91,12 @@ class TargetStore:
                 "actuated_joints": list(self.actuated_joints),
             }
             f.write(json.dumps(header, sort_keys=True) + "\n")
-            for i in range(len(self)):
-                f.write(
-                    '{"t": %s, "q": %s, "qdot": %s, "tau": %s, "G": %s}\n'
-                    % (fmt(self.t[i]), arr(self.q[i]), arr(self.qdot[i]), arr(self.tau[i]), fmt(self.G[i]))
+            for start in range(0, len(self), _WRITE_BLOCK):
+                rows = slice(start, start + _WRITE_BLOCK)
+                block = np.column_stack(
+                    (self.t[rows], self.q[rows], self.qdot[rows], self.tau[rows], self.G[rows])
                 )
+                f.write((template * len(block)) % tuple(block.ravel().tolist()))
 
     @classmethod
     def load_jsonl(cls, path) -> "TargetStore":
@@ -108,12 +117,21 @@ class TargetStore:
                 joints = tuple(header["actuated_joints"])
             except (KeyError, TypeError) as e:
                 raise DatasetSchemaMismatch(f"bad header: {e!r}") from e
+            # Row values are floats: an integer literal is one that '%.17g'
+            # wrote without a fraction, and reading it as a float keeps the
+            # sign of "-0".
+            decode = json.JSONDecoder(parse_int=float).raw_decode
             t, q, qdot, tau, G = [], [], [], [], []
             for lineno, line in enumerate(f, start=2):
                 if not line.strip():
                     continue
+                # json.loads(line) without its per-call set-up: strip JSON
+                # whitespace, decode, and reject anything after the value.
+                text = line.strip(_JSON_WHITESPACE)
                 try:
-                    row = json.loads(line)
+                    row, end = decode(text)
+                    if end != len(text):
+                        raise json.JSONDecodeError("Extra data", text, end)
                 except json.JSONDecodeError as e:
                     raise DatasetSchemaMismatch(f"line {lineno}: {e}") from e
                 try:
@@ -122,24 +140,55 @@ class TargetStore:
                     if len(row["tau"]) != len(joints):
                         raise DatasetSchemaMismatch(f"line {lineno}: wrong torque size")
                     t.append(row["t"])
-                    q.append(row["q"])
-                    qdot.append(row["qdot"])
-                    tau.append(row["tau"])
+                    q.extend(row["q"])
+                    qdot.extend(row["qdot"])
+                    tau.extend(row["tau"])
                     G.append(row["G"])
                 except (KeyError, TypeError) as e:
                     # A missing field, a row that is not an object, or a
                     # field without a length.
                     raise DatasetSchemaMismatch(f"line {lineno}: bad row: {e!r}") from e
+        # q, qdot and tau hold every row's values in one flat list each;
+        # np.fromiter takes scalars only, so a nested entry is rejected.
+        n = len(t)
         try:
-            if not t:
-                return cls(
-                    np.empty(0), np.empty((0, n_links)), np.empty((0, n_links)),
-                    np.empty((0, len(joints))), np.empty(0), n_links, joints,
-                )
-            return cls(t, q, qdot, tau, G, n_links, joints)
+            return cls(
+                t,
+                np.fromiter(q, float).reshape(n, n_links),
+                np.fromiter(qdot, float).reshape(n, n_links),
+                np.fromiter(tau, float).reshape(n, len(joints)),
+                G,
+                n_links,
+                joints,
+            )
         except (TypeError, ValueError) as e:
             # Values that do not convert to floats or integers.
             raise DatasetSchemaMismatch(f"malformed values: {e}") from e
+
+
+def _chain_layout(n_links, actuated_joints) -> tuple[int, tuple[int, ...]]:
+    """(n_links, actuated_joints) as Python ints. Raises DatasetSchemaMismatch
+    unless n_links is a positive integer and the joints are distinct integers
+    in range(n_links); bools and non-integral numbers are not integers here."""
+    try:
+        joints = tuple(actuated_joints)
+        if isinstance(n_links, bool) or any(isinstance(j, bool) for j in joints):
+            raise TypeError("a bool is not a chain index")
+        n = operator.index(n_links)
+        joints = tuple(operator.index(j) for j in joints)
+    except TypeError as e:
+        raise DatasetSchemaMismatch(f"bad chain layout: {e}") from e
+    if n < 1 or len(set(joints)) != len(joints) or not all(0 <= j < n for j in joints):
+        raise DatasetSchemaMismatch(
+            f"bad chain layout: n_links={n}, actuated_joints={joints}"
+        )
+    return n, joints
+
+
+def _list_template(k: int) -> str:
+    """Template of a JSON list of k floats, written as the JSON encoder's
+    default separators would."""
+    return "[" + ", ".join(["%.17g"] * k) + "]"
 
 
 class NonEmptyStore:

@@ -6,11 +6,14 @@ from independent derivations, for the tests to check the array code
 against: retrieval as a plain linear scan with ``q @ b`` projections, and
 the transition value through the (z kron I_M) B_chi^-1 matrices of the
 critically damped error dynamics, whose state-transition matrix
-``expm_crit_damped`` gives in closed form. ``one_target`` and
+``expm_crit_damped`` gives in closed form. ``save_jsonl_per_value`` writes
+a store's JSON Lines one row and one value at a time, for the byte-identity
+check of the block writer. ``one_target`` and
 ``one_target_tau`` are not oracles: they pass a single target state to the
 package's batched renormalization as a batch of one row.
 """
 
+import json
 import math
 from typing import NamedTuple
 
@@ -19,7 +22,7 @@ import numpy as np
 from cpc.control_law import CoordSplit, GainSpec, cpc_tau, renormalized_target, target_errors
 from cpc.dynamics import State
 from cpc.errors import SingularMatrix, VelocityBarDegenerate
-from cpc.target_store import DEFAULT_GUARD_TOL, TargetStore
+from cpc.target_store import DATASET_FORMAT, DEFAULT_GUARD_TOL, TargetStore
 from cpc.value import RewardSpec
 
 
@@ -152,3 +155,28 @@ def value_estimate(
 def cost(x0, cand, B, split, gain, spec, tau_d=None) -> float:
     """Negated value estimate; candidate selection minimizes this."""
     return -value_estimate(x0, cand, B, split, gain, spec, tau_d).v_total
+
+
+def save_jsonl_per_value(store: TargetStore, path) -> None:
+    """Write ``store`` as JSON Lines with one format() call per value and one
+    write() per row: the header as sorted-key JSON, then one object per
+    point with every float in ``format(float(x), ".17g")``."""
+
+    def fmt(x) -> str:
+        return format(float(x), ".17g")
+
+    def arr(a) -> str:
+        return "[" + ", ".join(fmt(v) for v in a) + "]"
+
+    with open(path, "w", encoding="utf-8") as f:
+        header = {
+            "format": DATASET_FORMAT,
+            "n_links": store.n_links,
+            "actuated_joints": list(store.actuated_joints),
+        }
+        f.write(json.dumps(header, sort_keys=True) + "\n")
+        for i in range(len(store)):
+            f.write(
+                '{"t": %s, "q": %s, "qdot": %s, "tau": %s, "G": %s}\n'
+                % (fmt(store.t[i]), arr(store.q[i]), arr(store.qdot[i]), arr(store.tau[i]), fmt(store.G[i]))
+            )

@@ -69,6 +69,19 @@ def test_split_hand_rows_validated():
             CoordSplit(B, rows)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 1])
+def test_split_non_finite_raises_singular(bad, row):
+    B = np.array([[1.0], [0.5]])
+    B[row, 0] = bad
+    with pytest.raises(SingularMatrix):
+        split_coordinates(B)
+    # A non-finite entry in the controlled row or in a free row alike.
+    for controlled in ((0,), (1,)):
+        with pytest.raises(SingularMatrix):
+            CoordSplit(B, controlled)
+
+
 def test_split_deterministic(rng):
     B = rng.normal(size=(4, 2))
     assert split_coordinates(B) == split_coordinates(B.copy())
@@ -403,6 +416,15 @@ def test_estimate_recovers_exact_linear_map(rng):
 def test_estimate_zero_torques_rank_deficient():
     with pytest.raises(RankDeficient):
         estimate_control_matrix(np.zeros((7, 1)), np.ones((7, 2)), ridge=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("ridge", [0.0, 1e-8])
+def test_estimate_non_finite_torque_rank_deficient(rng, bad, ridge):
+    taus = rng.normal(size=(7, 1))
+    taus[3, 0] = bad
+    with pytest.raises(RankDeficient):
+        estimate_control_matrix(taus, rng.normal(size=(7, 2)), ridge=ridge)
 
 
 def test_estimate_on_acrobot_rollout(rng):

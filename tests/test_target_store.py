@@ -13,7 +13,7 @@ from cpc.target_store import (
     TargetStore,
     _query_arrays,
 )
-from oracles import proximity_loss, query_candidates
+from oracles import proximity_loss, query_candidates, save_jsonl_per_value
 
 
 def reference_query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
@@ -309,6 +309,67 @@ def test_jsonl_roundtrip_and_determinism(tmp_path, fall_store):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _special_value_store():
+    # Signed zero, the smallest subnormal, tiny and huge magnitudes, values
+    # without a short decimal form, and integer-valued floats.
+    v = np.array([-0.0, 5e-324, 1e-300, 0.1, 1 / 3, 1e16, 123456789.0, 0.0, 1.0, -2.0, 3e5])
+    return TargetStore(
+        v, np.column_stack([v, -v[::-1]]), np.column_stack([v[::-1], -v]), v[:, None], -v, 2, (1,)
+    )
+
+
+def _assert_stores_bit_equal(got, want):
+    assert (got.n_links, got.actuated_joints) == (want.n_links, want.actuated_joints)
+    for name in ("t", "q", "qdot", "tau", "G"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("which", ["special_values", "n5_nf20", "n2_nf100"])
+def test_jsonl_writer_matches_per_value_oracle(tmp_path, fall_store, which):
+    store = {
+        "special_values": _special_value_store,
+        "n5_nf20": lambda: generate_falls(ExperimentConfig(), 20, seed=3, params=_N5),
+        "n2_nf100": lambda: fall_store,
+    }[which]()
+    got, want = tmp_path / "got.jsonl", tmp_path / "want.jsonl"
+    store.save_jsonl(got)
+    save_jsonl_per_value(store, want)
+    assert got.read_bytes() == want.read_bytes()
+    _assert_stores_bit_equal(TargetStore.load_jsonl(got), store)
+
+
+def test_jsonl_save_memory_bounded(tmp_path, fall_store):
+    # The writer formats a block of rows at a time, so its transient strings
+    # do not grow with the store. Formatting all 10^4 points into one string
+    # peaks above 5 MB.
+    assert len(fall_store) == 10_000
+    path = tmp_path / "a.jsonl"
+    fall_store.save_jsonl(path)
+    tracemalloc.start()
+    try:
+        fall_store.save_jsonl(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
+def test_jsonl_whitespace_and_blank_lines_load_same_arrays(tmp_path):
+    store = _special_value_store()
+    clean = tmp_path / "clean.jsonl"
+    store.save_jsonl(clean)
+    header, *rows = clean.read_text().splitlines(keepends=True)
+    padded = tmp_path / "padded.jsonl"
+    padded.write_text(
+        header
+        + "\n \t\n"
+        + "".join(f" \t{row.rstrip()}\t  \n\n" for row in rows)
+        + "   \n"
+    )
+    _assert_stores_bit_equal(TargetStore.load_jsonl(padded), TargetStore.load_jsonl(clean))
+
+
 def test_jsonl_bad_header(tmp_path):
     f = tmp_path / "bad.jsonl"
     f.write_text('{"format": "nonsense"}\n')
@@ -339,8 +400,25 @@ _ROW = '{"t": 0.0, "q": [0.0, 0.0], "qdot": [0.0, 0.0], "tau": [0.0], "G": 0.0}\
         _HEADER + _ROW.replace('"q": [0.0, 0.0]', '"q": 5'),
         _HEADER + _ROW.replace('"q": [0.0, 0.0]', '"q": ["a", "b"]'),
         _HEADER + _ROW.replace('"t": 0.0', '"t": [0.0, 1.0]'),
+        _HEADER + _ROW.replace('"q": [0.0, 0.0]', '"q": [[0.0], [0.0]]'),
+        _HEADER + _ROW.replace('"q": [0.0, 0.0]', '"q": [1%s, 0.0]' % ("0" * 400)),
+        _HEADER + _ROW.rstrip() + " x\n",
+        _HEADER + _ROW.rstrip() + " " + _ROW,
+        _HEADER + "\f" + _ROW,
+        _HEADER.replace("[1]", "[5]") + _ROW,
+        _HEADER.replace("[1]", "[1, 1]") + _ROW.replace('"tau": [0.0]', '"tau": [0.0, 0.0]'),
+        _HEADER.replace("[1]", "[1.7]") + _ROW,
+        _HEADER.replace("[1]", '"1"') + _ROW,
+        _HEADER.replace("[1]", '{"1": 0}') + _ROW,
+        _HEADER.replace("[1]", "[0]").replace('"n_links": 2', '"n_links": true')
+        + _ROW.replace("[0.0, 0.0]", "[0.0]"),
     ],
-    ids=["header_without_n_links", "header_list", "row_list", "q_scalar", "q_strings", "t_list"],
+    ids=[
+        "header_without_n_links", "header_list", "row_list", "q_scalar", "q_strings", "t_list",
+        "q_nested", "q_int_beyond_float_range", "trailing_data", "two_objects", "form_feed_start",
+        "joint_out_of_range", "joints_repeated", "joint_not_integer", "joints_string",
+        "joints_object", "n_links_bool",
+    ],
 )
 def test_jsonl_malformed_raises_schema_mismatch(tmp_path, text):
     f = tmp_path / "bad.jsonl"
