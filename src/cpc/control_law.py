@@ -20,7 +20,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import dynamics
-from .errors import NotFullyActuated, RankDeficient, SingularMatrix
+from .errors import RankDeficient, SingularMatrix
 from .target_store import DEFAULT_GUARD_TOL, _project_state
 
 # Condition-number cap on B_chi B_chi': above it the controlled block is
@@ -172,24 +172,6 @@ def cpc_tau(
     feedback B_chi^-1 (k dchi + 2 kappa dchidot) on its (M,) errors."""
     fb = gain.k * dchi + 2.0 * gain.kappa * dchidot
     return np.asarray(tau_d, dtype=float) - np.linalg.solve(split.b_chi, fb)
-
-
-def feedforward_tau(
-    params: dynamics.ChainParams,
-    q: np.ndarray,
-    qdot: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Torques producing the desired acceleration ``u`` on a fully actuated
-    chain."""
-    b_tau = dynamics.torque_distribution(params)
-    n, m = b_tau.shape
-    if m < n:
-        raise NotFullyActuated("feedforward needs one actuator per degree of freedom")
-    terms = dynamics.manipulator_terms(params, q, qdot)
-    # Actuated joints are distinct, so with one per joint b_tau is a
-    # permutation matrix and its inverse is its transpose.
-    return b_tau.T @ (terms.D @ np.asarray(u, dtype=float) + terms.H)
 
 
 def estimate_control_matrix(

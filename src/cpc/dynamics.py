@@ -165,17 +165,17 @@ def torque_distribution(params: ChainParams) -> np.ndarray:
 # The RK4 step takes its vector arithmetic from the same ``_LaneOps`` as
 # the kernel takes sin/cos/sqrt. On float lanes a state vector is a list
 # of N Python floats, so one state stays on float lanes from the first RK4
-# stage to the last: ``step`` and ``simulate`` convert it from numpy once on
-# the way in and once on the way out. On array lanes a state vector is one
-# (N, K) array, and the step runs whole-array expressions. Both do the
-# same operations in the same order (``q + (0.5*dt)*qdot``, then
+# stage to the last: ``step`` converts it from numpy once on the way in and
+# once on the way out. On array lanes a state vector is one (N, K) array,
+# and the step runs whole-array expressions. Both do the same operations in
+# the same order (``q + (0.5*dt)*qdot``, then
 # ``q + (dt/6)*(((k1 + 2k2) + 2k3) + k4)``), so the two agree bit for bit.
 #
 # NaN or infinite input must come out as NaN terms, never as an exception or
 # a numpy warning. math.sin/cos raise ValueError on +-inf, so float lanes
 # catch it and return all-NaN terms; np.sin/cos return NaN, and ``step`` runs
-# array lanes under np.errstate. The callers (accel, step, simulate) turn
-# NaN outputs into NonFiniteState.
+# array lanes under np.errstate. The callers (accel, step) turn NaN outputs
+# into NonFiniteState.
 # ---------------------------------------------------------------------------
 
 
@@ -315,21 +315,22 @@ def _lane_accel(ops, c, q, qdot, gen):
     return _lane_solve(ops, D, [g - h for g, h in zip(gen, H)])
 
 
-def _rk4_step(ops, deriv, t, q, qdot, dt):
-    """The next (q, qdot) after one classical RK4 step; ``deriv(t, q, qdot)``
-    returns the joint accelerations as a vector of ``ops``."""
+def _rk4_step(ops, deriv, q, qdot, dt):
+    """The next (q, qdot) after one classical RK4 step of the autonomous
+    system whose ``deriv(q, qdot)`` returns the joint accelerations as a
+    vector of ``ops``."""
     axpy = ops.axpy
     h = 0.5 * dt
-    k1v = deriv(t, q, qdot)
+    k1v = deriv(q, qdot)
     q2 = axpy(q, h, qdot)
     v2 = axpy(qdot, h, k1v)
-    k2v = deriv(t + h, q2, v2)
+    k2v = deriv(q2, v2)
     q3 = axpy(q, h, v2)
     v3 = axpy(qdot, h, k2v)
-    k3v = deriv(t + h, q3, v3)
+    k3v = deriv(q3, v3)
     q4 = axpy(q, dt, v3)
     v4 = axpy(qdot, dt, k3v)
-    k4v = deriv(t + dt, q4, v4)
+    k4v = deriv(q4, v4)
     w = dt / 6.0
     qn = axpy(q, w, ops.add(axpy(axpy(qdot, 2.0, v2), 2.0, v3), v4))
     vn = axpy(qdot, w, ops.add(axpy(axpy(k1v, 2.0, k2v), 2.0, k3v), k4v))
@@ -422,48 +423,15 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
         q, qdot = q.reshape(-1).tolist(), qdot.reshape(-1).tolist()
         gen = (c.b_tau @ tau.reshape(-1)).tolist()
 
-    def deriv(t, q, qdot):
+    def deriv(q, qdot):
         return ops.vector(_lane_accel(ops, c, q, qdot, gen)[0])
 
     with quiet:
-        qn, vn = _rk4_step(ops, deriv, state.t, q, qdot, dt)
+        qn, vn = _rk4_step(ops, deriv, q, qdot, dt)
     if not (ops.finite(qn) and ops.finite(vn)):
         raise NonFiniteState(f"integration diverged at t={state.t:.6g}")
     shape = state.q.shape
     return State(np.asarray(qn).T.reshape(shape), np.asarray(vn).T.reshape(shape), state.t + dt)
-
-
-def simulate(
-    params: ChainParams,
-    state: State,
-    tau_fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-    dt: float,
-    n_steps: int,
-) -> list[State]:
-    """Closed-loop rollout of one state with ``tau_fn(t, q, qdot)`` sampled
-    continuously.
-
-    Unlike ``step``, the feedback law is re-evaluated at every integrator
-    stage, so smooth feedback laws integrate at full RK4 order; it receives
-    q and qdot as (N,) arrays. Returns the trajectory including the initial
-    state.
-    """
-    c = _chain_consts(params)
-    q, qdot = _one_state(params, state.q, state.qdot)
-
-    def deriv(t, q, qdot):
-        tau = np.asarray(tau_fn(t, np.array(q), np.array(qdot)), dtype=float)
-        return _lane_accel(_FLOAT_LANES, c, q, qdot, (c.b_tau @ tau).tolist())[0]
-
-    out = [state]
-    t = state.t
-    for _ in range(n_steps):
-        q, qdot = _rk4_step(_FLOAT_LANES, deriv, t, q, qdot, dt)
-        t += dt
-        if not (_float_finite(q) and _float_finite(qdot)):
-            raise NonFiniteState(f"integration diverged at t={t:.6g}")
-        out.append(State(np.array(q), np.array(qdot), t))
-    return out
 
 
 def energy(params: ChainParams, state: State) -> float:
@@ -472,8 +440,3 @@ def energy(params: ChainParams, state: State) -> float:
     terms = manipulator_terms(params, state.q, state.qdot)
     phi = np.cumsum(state.q)
     return 0.5 * state.qdot @ terms.D @ state.qdot + float(np.array(c.grav_w) @ np.cos(phi))
-
-
-def link_angles(q: np.ndarray) -> np.ndarray:
-    """Absolute link angles from vertical-up (cumulative sum of q)."""
-    return np.cumsum(np.asarray(q, dtype=float))

@@ -22,11 +22,6 @@ class VelocityBarDegenerate(CpcError):
     for the time reparameterization to be well conditioned."""
 
 
-class NotFullyActuated(CpcError):
-    """An operation requiring one actuator per degree of freedom was called
-    on an underactuated system."""
-
-
 class EmptyDataset(CpcError):
     """A target store was built from zero data points."""
 

@@ -1,5 +1,5 @@
-"""Experiment harness: fall-data generation, balance trials, sample-count
-sweeps and a fully-actuated tracking demo.
+"""Experiment harness: fall-data generation, balance trials and sample-count
+sweeps.
 
 The balance experiment records short uncontrolled falls of the two-link
 chain from upright rest under small torque noise, builds a target store from
@@ -20,13 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .control_law import feedforward_tau
 from .controller import ControllerConfig, controller_step, make_controller
-from .dynamics import ChainParams, State, acrobot_params, exact_control_matrix
+from .dynamics import ChainParams, State, acrobot_params
 from .errors import DatasetSchemaMismatch
 from .target_store import NonEmptyStore as BallTree  # hook: bench/tracing.py target_store.index_build
 from .target_store import TargetStore
 from .value import RewardSpec
+
+# Absolute link angle from vertical past which the balance task is lost.
+FALL_ANGLE = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,10 @@ class ExperimentConfig:
             raise ValueError("durations must be positive")
         if self.trials < 1 or self.workers < 1:
             raise ValueError("trials and workers must be >= 1")
+        # Written so that NaN fails too; sigma0 also divides the recorded
+        # noise multiplier of every trial.
+        if not (self.sigma0 > 0 and self.noise_mult >= 0):
+            raise ValueError("sigma0 must be positive and noise_mult non-negative")
 
 
 @dataclass(frozen=True)
@@ -85,13 +91,11 @@ def generate_falls(
     n_f: int,
     seed: int,
     params: ChainParams | None = None,
-    out=None,
 ) -> TargetStore:
     """Record n_f uncontrolled fall trajectories from upright rest.
 
     Each trajectory applies zero-mean torque noise of scale sigma0 for the
-    fall duration; every recorded point carries zero return. Optionally
-    writes the JSON Lines dataset to ``out``.
+    fall duration; every recorded point carries zero return.
     """
     if n_f < 1:
         raise ValueError("n_f must be >= 1")
@@ -119,15 +123,13 @@ def generate_falls(
         n,
         params.actuated_joints,
     )
-    if out is not None:
-        store.save_jsonl(out)
     return store
 
 
-def has_fallen(q: np.ndarray, threshold: float = math.pi / 2) -> bool:
-    """True when any link's absolute angle from vertical exceeds the
-    threshold (unrecoverable for the balance task)."""
-    return bool(np.any(np.abs(np.cumsum(q)) > threshold))
+def has_fallen(q: np.ndarray) -> bool:
+    """True when any link's absolute angle from vertical exceeds FALL_ANGLE
+    (unrecoverable for the balance task)."""
+    return bool(np.any(np.abs(np.cumsum(q)) > FALL_ANGLE))
 
 
 def run_balance_trial(
@@ -222,95 +224,19 @@ def write_sweep_csv(results: dict[int, list[TrialRecord]], cfg: ExperimentConfig
     def fmt(x: float) -> str:
         return format(float(x), ".17g")
 
+    n_fs, means = mean_fall_times(results)
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["n_f", "trial_id", "seed", "t_f", "unstable_fraction"])
-        for n_f in sorted(results):
+        for n_f, mean_tf in zip(n_fs.tolist(), means.tolist()):
             for r in results[n_f]:
                 w.writerow([n_f, r.trial_id, r.seed, fmt(r.t_f), ""])
-            mean_tf = float(np.mean([r.t_f for r in results[n_f]]))
             w.writerow([n_f, "summary", "", fmt(mean_tf), fmt((cfg.t_max - mean_tf) / cfg.t_max)])
 
 
 def mean_fall_times(results: dict[int, list[TrialRecord]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sample counts in ascending order and the mean fall time at each."""
     n_fs = np.array(sorted(results))
     means = np.array([np.mean([r.t_f for r in results[n]]) for n in n_fs])
     return n_fs, means
 
-
-# ---------------------------------------------------------------------------
-# Fully actuated tracking demo
-# ---------------------------------------------------------------------------
-
-
-def track_demo(
-    kappa: float = 20.0,
-    dt: float = 1e-3,
-    duration: float = 10.0,
-    amplitude: float = 0.3,
-    perturbation: float = 0.1,
-) -> dict:
-    """Computed-torque tracking of a smooth reference on the fully actuated
-    two-link chain.
-
-    Reports the on-reference tracking error, how closely a perturbed start
-    decays along the critically damped envelope, and the drift of the
-    zero-gain (pure feedforward) negative control.
-    """
-    params = ChainParams(n_links=2, actuated_joints=(0, 1))
-    omega = np.array([1.0, 1.3])
-    phase = np.array([0.0, 0.7])
-
-    def ref(t):
-        qd = amplitude * np.sin(omega * t + phase)
-        qdotd = amplitude * omega * np.cos(omega * t + phase)
-        qddd = -amplitude * omega * omega * np.sin(omega * t + phase)
-        return qd, qdotd, qddd
-
-    def law(gain_on):
-        def tau_fn(t, q, qdot):
-            qd, qdotd, qddd = ref(t)
-            tau = feedforward_tau(params, q, qdot, qddd)
-            if gain_on:
-                B = exact_control_matrix(params, q)
-                fb = kappa * kappa * (q - qd) + 2.0 * kappa * (qdot - qdotd)
-                tau = tau - np.linalg.solve(B, fb)
-            return tau
-
-        return tau_fn
-
-    n_steps = round(duration / dt)
-
-    # On-reference start: the closed loop should hold the reference to
-    # integrator precision.
-    q0, qdot0, _ = ref(0.0)
-    traj = dynamics.simulate(params, State(q0, qdot0, 0.0), law(True), dt, n_steps)
-    max_err = max(np.linalg.norm(s.q - ref(s.t)[0]) for s in traj)
-
-    # Perturbed start: compare the error norm against the critically damped
-    # envelope while it is resolvable.
-    dq0 = perturbation * np.ones(2)
-    traj_p = dynamics.simulate(params, State(q0 + dq0, qdot0, 0.0), law(True), dt, n_steps)
-    env_dev = 0.0
-    e0 = np.linalg.norm(dq0)
-    for s in traj_p:
-        envelope = (1.0 + kappa * s.t) * math.exp(-kappa * s.t) * e0
-        if envelope < 1e-4 * e0:
-            break
-        err = np.linalg.norm(s.q - ref(s.t)[0])
-        env_dev = max(env_dev, abs(err - envelope) / envelope)
-
-    # Negative control: without feedback the perturbed error does not decay.
-    traj_ff = dynamics.simulate(
-        params, State(q0 + dq0, qdot0, 0.0), law(False), dt, min(n_steps, 2000)
-    )
-    ff_final_err = np.linalg.norm(traj_ff[-1].q - ref(traj_ff[-1].t)[0])
-
-    return {
-        "max_tracking_error": float(max_err),
-        "envelope_max_rel_dev": float(env_dev),
-        "feedforward_only_final_error": float(ff_final_err),
-        "kappa": kappa,
-        "dt": dt,
-        "duration": duration,
-    }

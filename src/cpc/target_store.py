@@ -112,10 +112,11 @@ class TargetStore:
                 raise DatasetSchemaMismatch("header is not a JSON object")
             if header.get("format") != DATASET_FORMAT:
                 raise DatasetSchemaMismatch(f"unknown dataset format {header.get('format')!r}")
+            # The layout is checked before any row is read, so a bad header
+            # is reported as such and not as a mismatch of its first row.
             try:
-                n_links = header["n_links"]
-                joints = tuple(header["actuated_joints"])
-            except (KeyError, TypeError) as e:
+                n_links, joints = _chain_layout(header["n_links"], header["actuated_joints"])
+            except KeyError as e:
                 raise DatasetSchemaMismatch(f"bad header: {e!r}") from e
             # Row values are floats: an integer literal is one that '%.17g'
             # wrote without a fraction, and reading it as a float keeps the

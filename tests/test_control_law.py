@@ -5,7 +5,6 @@ from cpc.control_law import (
     CoordSplit,
     GainSpec,
     estimate_control_matrix,
-    feedforward_tau,
     renormalized_target,
     reparam_params,
     split_coordinates,
@@ -14,14 +13,11 @@ from cpc.control_law import (
 from cpc.dynamics import (
     ChainParams,
     State,
-    accel,
     acrobot_params,
-    capsule_mass_props,
     exact_control_matrix,
     step,
 )
 from cpc.errors import (
-    NotFullyActuated,
     RankDeficient,
     SingularMatrix,
     VelocityBarDegenerate,
@@ -348,56 +344,6 @@ def test_cpc_tau_invariant_under_coordinate_maps(rng):
         taut = one_target_tau(x0t, xdt, splitt, t0t, st, gain, np.zeros(1))
         scale = max(1.0, np.abs(tau).max())
         assert np.abs(taut - tau).max() / scale < 1e-7
-
-
-# ---------------------------------------------------------------------------
-# feedforward_tau
-# ---------------------------------------------------------------------------
-
-
-def test_feedforward_rest_zero():
-    p = ChainParams(n_links=2, actuated_joints=(0, 1), gravity=0.0)
-    tau = feedforward_tau(p, np.array([0.3, 0.1]), np.zeros(2), np.zeros(2))
-    assert np.abs(tau).max() < 1e-12
-
-
-def test_feedforward_gravity_compensation():
-    p = ChainParams(n_links=1, actuated_joints=(0,))
-    mass, l_com, _ = capsule_mass_props(1.0, 0.1, 1.0)
-    tau = feedforward_tau(p, np.array([np.pi / 2]), np.zeros(1), np.zeros(1))
-    assert abs(tau[0]) == pytest.approx(mass * p.gravity * l_com)
-    # Holding torque yields zero acceleration.
-    a = accel(p, State(np.array([np.pi / 2]), np.zeros(1)), tau)
-    assert abs(a[0]) < 1e-12
-
-
-def test_feedforward_roundtrip_acceleration(rng):
-    p = ChainParams(n_links=2, actuated_joints=(0, 1))
-    for _ in range(20):
-        q = rng.uniform(-2, 2, size=2)
-        qdot = rng.uniform(-2, 2, size=2)
-        u = rng.normal(size=2)
-        tau = feedforward_tau(p, q, qdot, u)
-        a = accel(p, State(q, qdot), tau)
-        assert np.abs(a - u).max() < 1e-9
-
-
-def test_feedforward_permuted_actuators_roundtrip(rng):
-    # Motors listed out of joint order: b_tau is a permutation matrix, and
-    # the torques still produce the requested acceleration.
-    p = ChainParams(n_links=3, actuated_joints=(2, 0, 1))
-    for _ in range(10):
-        q = rng.uniform(-2, 2, size=3)
-        qdot = rng.uniform(-2, 2, size=3)
-        u = rng.normal(size=3)
-        tau = feedforward_tau(p, q, qdot, u)
-        a = accel(p, State(q, qdot), tau)
-        assert np.abs(a - u).max() < 1e-9
-
-
-def test_feedforward_underactuated_raises():
-    with pytest.raises(NotFullyActuated):
-        feedforward_tau(acrobot_params(), np.zeros(2), np.zeros(2), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,7 @@ from cpc.dynamics import (
     capsule_mass_props,
     energy,
     exact_control_matrix,
-    link_angles,
     manipulator_terms,
-    simulate,
     step,
     torque_distribution,
 )
@@ -355,13 +353,6 @@ def test_nonfinite_detection():
             st = step(p, st, np.zeros(1), 1e-2)
 
 
-def test_simulate_nonfinite_detection():
-    p = acrobot_params()
-    st = State(np.array([0.1, 0.1]), np.array([1e155, 0.0]))
-    with pytest.raises(NonFiniteState):
-        simulate(p, st, lambda t, q, qd: np.zeros(1), 1e-2, 100)
-
-
 _N5 = ChainParams(n_links=5, actuated_joints=(1, 2, 3, 4))
 
 
@@ -416,27 +407,11 @@ def test_batched_step_rejects_unbatched_tau():
         lambda p, st: accel(p, st, np.zeros(1)),
         lambda p, st: energy(p, st),
         lambda p, st: manipulator_terms(p, st.q, st.qdot),
-        lambda p, st: simulate(p, st, lambda t, q, qd: np.zeros(1), 1e-2, 1),
     ],
-    ids=["accel", "energy", "manipulator_terms", "simulate"],
+    ids=["accel", "energy", "manipulator_terms"],
 )
 def test_single_state_functions_reject_batch(call):
     # Only step takes a batch; the others say so instead of failing inside
     # the kernel.
     with pytest.raises(ValueError, match="one state"):
         call(acrobot_params(), State(np.zeros((3, 2)), np.zeros((3, 2))))
-
-
-def test_simulate_matches_step_for_constant_tau():
-    p = acrobot_params()
-    st = State(np.array([0.2, -0.1]), np.array([0.3, 0.1]))
-    tau = np.array([0.02])
-    traj = simulate(p, st, lambda t, q, qd: tau, 1e-3, 500)
-    st2 = st
-    for _ in range(500):
-        st2 = step(p, st2, tau, 1e-3)
-    assert np.abs(traj[-1].x - st2.x).max() < 1e-12
-
-
-def test_link_angles():
-    assert np.allclose(link_angles([0.1, 0.2]), [0.1, 0.3])

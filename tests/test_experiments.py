@@ -13,7 +13,6 @@ from cpc.experiments import (
     mean_fall_times,
     run_balance_trial,
     sweep_sample_counts,
-    track_demo,
     trial_seed,
 )
 
@@ -77,12 +76,27 @@ def test_unsupported_chain_rejected_before_first_cycle(params, monkeypatch):
         )
 
 
-def test_track_demo_holds_reference_and_decays_on_envelope():
-    out = track_demo(duration=2.0)
-    assert out["max_tracking_error"] <= 1e-10
-    assert out["envelope_max_rel_dev"] <= 1e-5
-    # Negative control: feed-forward alone leaves the perturbation in place.
-    assert out["feedforward_only_final_error"] > 0.1
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"sigma0": 0.0},
+        {"sigma0": -0.02},
+        {"sigma0": float("nan")},
+        {"noise_mult": -1.0},
+        {"noise_mult": float("nan")},
+    ],
+    ids=["sigma0_zero", "sigma0_negative", "sigma0_nan", "noise_mult_negative", "noise_mult_nan"],
+)
+def test_config_rejects_bad_noise(kwargs):
+    # sigma0 divides every trial's recorded noise multiplier and both scale
+    # a normal draw, so a bad value must fail when the config is built, not
+    # after a whole trial has run.
+    with pytest.raises(ValueError, match="sigma0 must be positive"):
+        ExperimentConfig(**kwargs)
+
+
+def test_config_accepts_noise_free_trials():
+    assert ExperimentConfig(noise_mult=0.0).noise_mult == 0.0
 
 
 def test_sweep_csv_byte_identical_across_runs(tmp_path):

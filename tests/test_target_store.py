@@ -425,3 +425,32 @@ def test_jsonl_malformed_raises_schema_mismatch(tmp_path, text):
     f.write_text(text)
     with pytest.raises(DatasetSchemaMismatch):
         TargetStore.load_jsonl(f)
+
+
+_NEG_HEADER = _HEADER.replace('"n_links": 2', '"n_links": -1')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _NEG_HEADER + _ROW,
+        _NEG_HEADER,
+        _HEADER.replace("[1]", "[5]") + _ROW,
+        _HEADER.replace("[1]", "[1, 1]") + _ROW.replace('"tau": [0.0]', '"tau": [0.0, 0.0]'),
+        _HEADER.replace("[1]", "[1.7]") + _ROW,
+        _HEADER.replace("[1]", "[0]").replace('"n_links": 2', '"n_links": true')
+        + _ROW.replace("[0.0, 0.0]", "[0.0]"),
+    ],
+    ids=[
+        "n_links_negative", "n_links_negative_no_rows", "joint_out_of_range", "joints_repeated",
+        "joint_not_integer", "n_links_bool",
+    ],
+)
+def test_jsonl_bad_layout_blamed_on_header(tmp_path, text):
+    # A header with an invalid chain layout is reported as such before any
+    # row is read, not as a size mismatch of its first row or a reshape
+    # failure of an empty file.
+    f = tmp_path / "bad.jsonl"
+    f.write_text(text)
+    with pytest.raises(DatasetSchemaMismatch, match="bad chain layout"):
+        TargetStore.load_jsonl(f)
