@@ -40,30 +40,34 @@ from .value import RewardSpec, candidate_costs
 logger = logging.getLogger(__name__)
 
 
+# Proximity-loss weight on the time offset t0 in retrieval.
+OMEGA = 10.0
+# Regression window: (torque, acceleration) pairs per estimate of B.
+HISTORY_N = 7
+
+
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Loop parameters; defaults follow the balance-experiment setup."""
+    """Loop parameters. The defaults follow stored points forward in time
+    (``s_g = 1``) with their recorded torque as feedforward; the balance
+    experiment reverses the goal and drops the recorded torque."""
 
-    omega: float = 10.0
     s_g: float = 1.0
     n_d: int = 20
     k0: float = 2000.0
     tau_c: float = 2.0
     k_c: float = 2.0
     dt: float = 0.01
-    history_n: int = 7
-    guard_tol: float = DEFAULT_GUARD_TOL
-    ridge: float = 1e-8
     sigma_boot: float = 0.02
     use_stored_tau_d: bool = True
 
     def __post_init__(self):
         if not (self.k0 > self.k_c > 0):
             raise ValueError("need k0 > k_c > 0")
-        if self.tau_c <= 0 or self.dt <= 0 or self.n_d < 1 or self.history_n < 1:
+        if self.tau_c <= 0 or self.dt <= 0 or self.n_d < 1:
             raise ValueError("bad controller configuration")
-        if self.ridge < 0 or self.sigma_boot < 0:
-            raise ValueError("ridge and sigma_boot must be >= 0")
+        if self.sigma_boot < 0:
+            raise ValueError("sigma_boot must be >= 0")
 
 
 @dataclass
@@ -80,11 +84,11 @@ class ControllerState:
     unclamped_exits: int = 0
 
 
-def make_controller(cfg: ControllerConfig, n_controls: int, seed) -> ControllerState:
+def make_controller(n_controls: int, seed) -> ControllerState:
     return ControllerState(
         n_controls=n_controls,
         rng=np.random.default_rng(seed),
-        history=deque(maxlen=cfg.history_n),
+        history=deque(maxlen=HISTORY_N),
     )
 
 
@@ -93,16 +97,14 @@ def cpc_loop(
     B: np.ndarray,
     targets: NonEmptyStore,
     cfg: ControllerConfig,
-    spec: Optional[RewardSpec] = None,
+    spec: RewardSpec,
 ) -> np.ndarray:
     """One control cycle: candidate query, cost-ranked selection and torque
     with gain backoff. Raises NoValidCandidates when every stored point is
     guard-rejected."""
-    if spec is None:
-        spec = RewardSpec(C_tau=-np.eye(np.atleast_2d(B).shape[1]))
     split = split_coordinates(B)
     idx, t0s, ss, _ = _query_arrays(
-        targets, x0, split.b, cfg.omega, cfg.s_g, cfg.n_d, cfg.guard_tol
+        targets, x0, split.b, OMEGA, cfg.s_g, cfg.n_d, DEFAULT_GUARD_TOL
     )
     if len(idx) == 0:
         raise NoValidCandidates("all stored points rejected by the velocity guard")
@@ -145,7 +147,7 @@ def controller_step(
     x0: State,
     targets: NonEmptyStore,
     cfg: ControllerConfig,
-    spec: Optional[RewardSpec] = None,
+    spec: RewardSpec,
 ) -> np.ndarray:
     """Advance the controller by one cycle and return the torque to apply.
 
@@ -158,13 +160,13 @@ def controller_step(
     if ctrl.prev_tau is not None:
         u = (x0.qdot - ctrl.prev_qdot) / cfg.dt
         ctrl.history.append((ctrl.prev_tau, u))
-    if len(ctrl.history) < cfg.history_n:
+    if len(ctrl.history) < HISTORY_N:
         tau = ctrl.rng.normal(0.0, cfg.sigma_boot, size=ctrl.n_controls)
     else:
         taus = np.array([h[0] for h in ctrl.history])
         us = np.array([h[1] for h in ctrl.history])
         try:
-            B = estimate_control_matrix(taus, us, ridge=cfg.ridge)
+            B = estimate_control_matrix(taus, us)
             ctrl.last_B = B
             tau = cpc_loop(x0, B, targets, cfg, spec)
             if float(np.linalg.norm(tau)) >= cfg.tau_c:

@@ -32,6 +32,24 @@ import numpy as np
 from .errors import NonFiniteState, SingularMatrix
 
 
+def _chain_layout(n_links, actuated_joints, error) -> tuple[int, tuple[int, ...]]:
+    """The layout rule of chains and stored datasets: (n_links,
+    actuated_joints) as Python ints. Raises ``error`` unless n_links is a
+    positive integer and the joints are distinct integers in range(n_links);
+    bools and non-integral numbers are not integers here."""
+    try:
+        joints = tuple(actuated_joints)
+        if isinstance(n_links, bool) or any(isinstance(j, bool) for j in joints):
+            raise TypeError("a bool is not a chain index")
+        n = operator.index(n_links)
+        joints = tuple(operator.index(j) for j in joints)
+    except TypeError as e:
+        raise error(f"bad chain layout: {e}") from e
+    if n < 1 or len(set(joints)) != len(joints) or not all(0 <= j < n for j in joints):
+        raise error(f"bad chain layout: n_links={n}, actuated_joints={joints}")
+    return n, joints
+
+
 @dataclass(frozen=True)
 class ChainParams:
     """Geometry, inertia and actuation layout of the chain."""
@@ -44,15 +62,10 @@ class ChainParams:
     actuated_joints: tuple[int, ...] = (1,)
 
     def __post_init__(self):
-        if self.n_links < 1:
-            raise ValueError("n_links must be >= 1")
+        n, joints = _chain_layout(self.n_links, self.actuated_joints, ValueError)
         if self.segment_length <= 0 or self.capsule_radius <= 0 or self.density <= 0:
             raise ValueError("segment_length, capsule_radius, density must be positive")
-        joints = tuple(int(j) for j in self.actuated_joints)
-        if len(set(joints)) != len(joints):
-            raise ValueError("actuated_joints must be distinct")
-        if any(j < 0 or j >= self.n_links for j in joints):
-            raise ValueError("actuated joint index out of range")
+        object.__setattr__(self, "n_links", n)
         object.__setattr__(self, "actuated_joints", joints)
 
     @property
@@ -60,9 +73,9 @@ class ChainParams:
         return len(self.actuated_joints)
 
 
-def acrobot_params(gravity: float = 10.0) -> ChainParams:
+def acrobot_params() -> ChainParams:
     """Two-link chain with only the elbow joint actuated."""
-    return ChainParams(n_links=2, actuated_joints=(1,), gravity=gravity)
+    return ChainParams(n_links=2, actuated_joints=(1,))
 
 
 @dataclass
@@ -140,11 +153,6 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
     for col, j in enumerate(params.actuated_joints):
         b_tau[j, col] = 1.0
     return _ChainConsts(coef, grav_w, i_com, b_tau)
-
-
-def torque_distribution(params: ChainParams) -> np.ndarray:
-    """The 0/1 selection matrix mapping motor torques to joint coordinates."""
-    return _chain_consts(params).b_tau.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +411,19 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
     ``state`` is one state, with q and qdot of shape (N,) and tau of shape
     (M,), or a batch of K states advanced in lockstep, with q and qdot of
     shape (K, N) and tau of shape (K, M). Each row of a batch comes out
-    bit-equal to stepping it alone. Raises NonFiniteState if any row
-    diverges.
+    bit-equal to stepping it alone. Raises ValueError on any other shape
+    and NonFiniteState if any row diverges.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     c = _chain_consts(params)
     tau = np.asarray(tau, dtype=float)
     q, qdot = state.q, state.qdot
+    n = params.n_links
+    if q.shape != qdot.shape or q.shape[-1:] != (n,) or q.ndim > 2 or not len(q):
+        raise ValueError(
+            f"q and qdot must share a shape ({n},) or (K, {n}); got {q.shape} and {qdot.shape}"
+        )
     if q.ndim == 2 and len(q) > 1:
         if tau.shape != (len(q), params.n_controls):
             raise ValueError(f"tau must have shape ({len(q)}, {params.n_controls})")

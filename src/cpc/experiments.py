@@ -80,7 +80,6 @@ def controller_config_for_balance(cfg: ExperimentConfig) -> ControllerConfig:
     return ControllerConfig(
         s_g=-1.0,
         dt=cfg.dt,
-        history_n=7,
         sigma_boot=cfg.sigma0,
         use_stored_tau_d=False,
     )
@@ -156,7 +155,7 @@ def run_balance_trial(
         )
     targets = BallTree(store)
     ctrl_cfg = controller_config_for_balance(cfg)
-    ctrl = make_controller(ctrl_cfg, params.n_controls, seed=np.random.SeedSequence([seed, 0]))
+    ctrl = make_controller(params.n_controls, seed=np.random.SeedSequence([seed, 0]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     spec = RewardSpec(C_tau=-np.eye(params.n_controls))
     st = State(np.zeros(params.n_links), np.zeros(params.n_links), 0.0)
@@ -180,38 +179,26 @@ def _one_sweep_trial(args):
     return run_balance_trial(store, cfg, noise_amp, seed, trial_id=trial_id, n_f=n_f)
 
 
-def balance_trials(
-    cfg: ExperimentConfig,
-    n_f: int,
-    noise_amp: float,
-    experiment_id: str,
-) -> list[TrialRecord]:
-    """Run cfg.trials independent balance trials at one sample count, each
-    on its own freshly recorded fall data."""
-    jobs = []
-    for i in range(cfg.trials):
-        seed = trial_seed(cfg.master_seed, experiment_id, i)
-        jobs.append((cfg, n_f, noise_amp, seed, i))
+def sweep_sample_counts(cfg: ExperimentConfig) -> dict[int, list[TrialRecord]]:
+    """Mean fall time versus number of recorded falls: cfg.trials independent
+    balance trials per sample count, each on freshly recorded fall data."""
+    if not cfg.n_f_list:
+        raise ValueError("n_f list must be non-empty")
+    n_f_list = list(dict.fromkeys(cfg.n_f_list))
+    noise_amp = cfg.noise_mult * cfg.sigma0
+    jobs = [
+        (cfg, n_f, noise_amp, trial_seed(cfg.master_seed, f"sweep-nf{n_f}", i), i)
+        for n_f in n_f_list
+        for i in range(cfg.trials)
+    ]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             records = list(pool.map(_one_sweep_trial, jobs))
     else:
         records = [_one_sweep_trial(j) for j in jobs]
-    return sorted(records, key=lambda r: r.trial_id)
-
-
-def sweep_sample_counts(cfg: ExperimentConfig, out_csv=None) -> dict[int, list[TrialRecord]]:
-    """Mean fall time versus number of recorded falls, with fresh fall data
-    resampled for every trial. Optionally writes the trial table as CSV."""
-    if not cfg.n_f_list:
-        raise ValueError("n_f list must be non-empty")
-    results = {}
-    for n_f in cfg.n_f_list:
-        results[n_f] = balance_trials(
-            cfg, n_f, cfg.noise_mult * cfg.sigma0, experiment_id=f"sweep-nf{n_f}"
-        )
-    if out_csv is not None:
-        write_sweep_csv(results, cfg, out_csv)
+    results = {n_f: [] for n_f in n_f_list}
+    for r in records:
+        results[r.n_f].append(r)
     return results
 
 

@@ -30,10 +30,10 @@ Every float64 round-trips bit for bit, the sign of zero included.
 """
 
 import json
-import operator
 
 import numpy as np
 
+from .dynamics import _chain_layout
 from .errors import (
     DatasetSchemaMismatch,
     EmptyDataset,
@@ -53,7 +53,8 @@ class TargetStore:
     """Immutable arrays of recorded points plus chain layout metadata."""
 
     def __init__(self, t, q, qdot, tau, G, n_links: int, actuated_joints: tuple[int, ...]):
-        self.n_links, self.actuated_joints = _chain_layout(n_links, actuated_joints)
+        layout = _chain_layout(n_links, actuated_joints, DatasetSchemaMismatch)
+        self.n_links, self.actuated_joints = layout
         self.t = np.asarray(t, dtype=float)
         self.q = np.atleast_2d(np.asarray(q, dtype=float))
         self.qdot = np.atleast_2d(np.asarray(qdot, dtype=float))
@@ -115,7 +116,9 @@ class TargetStore:
             # The layout is checked before any row is read, so a bad header
             # is reported as such and not as a mismatch of its first row.
             try:
-                n_links, joints = _chain_layout(header["n_links"], header["actuated_joints"])
+                n_links, joints = _chain_layout(
+                    header["n_links"], header["actuated_joints"], DatasetSchemaMismatch
+                )
             except KeyError as e:
                 raise DatasetSchemaMismatch(f"bad header: {e!r}") from e
             # Row values are floats: an integer literal is one that '%.17g'
@@ -165,25 +168,6 @@ class TargetStore:
         except (TypeError, ValueError) as e:
             # Values that do not convert to floats or integers.
             raise DatasetSchemaMismatch(f"malformed values: {e}") from e
-
-
-def _chain_layout(n_links, actuated_joints) -> tuple[int, tuple[int, ...]]:
-    """(n_links, actuated_joints) as Python ints. Raises DatasetSchemaMismatch
-    unless n_links is a positive integer and the joints are distinct integers
-    in range(n_links); bools and non-integral numbers are not integers here."""
-    try:
-        joints = tuple(actuated_joints)
-        if isinstance(n_links, bool) or any(isinstance(j, bool) for j in joints):
-            raise TypeError("a bool is not a chain index")
-        n = operator.index(n_links)
-        joints = tuple(operator.index(j) for j in joints)
-    except TypeError as e:
-        raise DatasetSchemaMismatch(f"bad chain layout: {e}") from e
-    if n < 1 or len(set(joints)) != len(joints) or not all(0 <= j < n for j in joints):
-        raise DatasetSchemaMismatch(
-            f"bad chain layout: n_links={n}, actuated_joints={joints}"
-        )
-    return n, joints
 
 
 def _list_template(k: int) -> str:

@@ -32,11 +32,10 @@ def correspondence_gap(
     x: State,
     xd: State,
     epsilon: float,
-    k_p: float = 1.0,
     c: Optional[np.ndarray] = None,
 ) -> float:
     """Norm of the difference between the path feedback and the constraint
-    feedback at the given state and gain scale.
+    feedback at the given state, both at gain 1/epsilon^2.
 
     The path side uses the exact control matrix at ``x`` with the covector
     and reparameterization computed there. The constraint side phases by the
@@ -48,7 +47,7 @@ def correspondence_gap(
     split = split_coordinates(B)
     t0, s = reparam_params(x, xd, split.b)
     q_d, qdot_d, t0, s = xd.q[None], xd.qdot[None], np.array([t0]), np.array([s])
-    kappa = np.sqrt(k_p) / epsilon
+    kappa = 1.0 / epsilon
     gain = GainSpec(kappa * kappa)
     dchi, dchidot = target_errors(x, q_d, qdot_d, t0, s, split)
     dtau_cpc = cpc_tau(dchi[0], dchidot[0], split, gain, np.zeros(len(split.controlled)))

@@ -3,6 +3,8 @@ import pytest
 
 from cpc.control_law import GainSpec, split_coordinates
 from cpc.controller import (
+    HISTORY_N,
+    OMEGA,
     ControllerConfig,
     cpc_loop,
     controller_step,
@@ -51,7 +53,7 @@ def test_cpc_loop_single_candidate_no_backoff():
     x0, xd, B, split = _engineered_setup(1e-4)
     targets = _one_point_targets(xd)
     cfg = ControllerConfig(s_g=1.0)
-    tau = cpc_loop(x0, B, targets, cfg)
+    tau = cpc_loop(x0, B, targets, cfg, RewardSpec())
     # Small error: no backoff, so the torque equals the direct law at k0.
     direct = one_target_tau(x0, xd, split, 0.0, 1.0, GainSpec(cfg.k0), np.zeros(1))
     assert np.linalg.norm(tau) < cfg.tau_c
@@ -69,7 +71,7 @@ def test_cpc_loop_backoff_iteration_count():
     factor = 10.0 * cfg.tau_c / base_norm
     x0 = State(xd.q + (x0.q - xd.q) * factor, x0.qdot)
     targets = _one_point_targets(xd)
-    tau = cpc_loop(x0, B, targets, cfg)
+    tau = cpc_loop(x0, B, targets, cfg, RewardSpec())
     assert np.linalg.norm(tau) == pytest.approx(10.0 / 16.0 * cfg.tau_c, rel=1e-6)
 
 
@@ -88,7 +90,7 @@ def test_cpc_loop_gain_floor_returns_unclamped():
     assert k_last >= cfg.k_c and k_last / 2 < cfg.k_c
     x0, xd, B, split = _offset_for_norm_at(cfg, 1.5 * cfg.tau_c, k_last)
     targets = _one_point_targets(xd)
-    tau = cpc_loop(x0, B, targets, cfg)
+    tau = cpc_loop(x0, B, targets, cfg, RewardSpec())
     assert np.linalg.norm(tau) == pytest.approx(1.5 * cfg.tau_c, rel=1e-9)
     assert np.linalg.norm(tau) >= cfg.tau_c
 
@@ -96,13 +98,14 @@ def test_cpc_loop_gain_floor_returns_unclamped():
 def test_controller_counts_unclamped_exit(rng):
     # A cycle that reaches the gain floor with |tau| >= tau_c still applies
     # its torque, and counts one unclamped exit; it is not a fallback.
-    cfg = ControllerConfig(s_g=1.0, ridge=0.0)
+    cfg = ControllerConfig(s_g=1.0)
     x0, xd, B, _ = _offset_for_norm_at(cfg, 1.5 * cfg.tau_c, cfg.k0 / 2**9)
-    ctrl = make_controller(cfg, 1, seed=0)
-    # A history of exact (tau, B tau) pairs makes the regressed B equal to B.
-    for tau_h in rng.uniform(0.5, 1.5, (cfg.history_n, 1)):
+    ctrl = make_controller(1, seed=0)
+    # A history of exact (tau, B tau) pairs makes the regressed B equal to B
+    # up to the ridge bias, about 1e-9 relative.
+    for tau_h in rng.uniform(0.5, 1.5, (HISTORY_N, 1)):
         ctrl.history.append((tau_h, B @ tau_h))
-    tau = controller_step(ctrl, x0, _one_point_targets(xd), cfg)
+    tau = controller_step(ctrl, x0, _one_point_targets(xd), cfg, RewardSpec())
     assert np.linalg.norm(tau) == pytest.approx(1.5 * cfg.tau_c, rel=1e-6)
     assert (ctrl.unclamped_exits, ctrl.fallback_count) == (1, 0)
 
@@ -121,7 +124,7 @@ def test_cpc_loop_backoff_bounded_iterations(monkeypatch):
     cfg = ControllerConfig(s_g=1.0)
     x0, xd, B, _ = _offset_for_norm_at(cfg, 1.5 * cfg.tau_c, cfg.k0 / 2**9)
     targets = _one_point_targets(xd)
-    cpc_loop(x0, B, targets, cfg)
+    cpc_loop(x0, B, targets, cfg, RewardSpec())
     assert calls["n"] == 10  # floor(log2(k0 / k_c)) + 1
 
 
@@ -139,8 +142,8 @@ def test_cpc_loop_reselects_candidates_per_gain():
     targets = _acrobot_targets([State(q, qdot), State(q + 0.08 * perp, qdot)], [0.0, 5.0])
     cfg_hi = ControllerConfig(s_g=1.0, k0=1e7, k_c=5e6, tau_c=1e9)
     cfg_lo = ControllerConfig(s_g=1.0, k0=2.0001, k_c=1.0, tau_c=1e9)
-    tau_hi = cpc_loop(x0, B, targets, cfg_hi)
-    tau_lo = cpc_loop(x0, B, targets, cfg_lo)
+    tau_hi = cpc_loop(x0, B, targets, cfg_hi, RewardSpec())
+    tau_lo = cpc_loop(x0, B, targets, cfg_lo, RewardSpec())
     # High gain picks the on-target point (zero feedback); low gain accepts
     # the offset for its recorded return.
     assert np.abs(tau_hi).max() < 1e-9
@@ -164,7 +167,7 @@ def test_cpc_loop_two_actuators_follows_oracle(rng):
     tau = cpc_loop(x0, B, NonEmptyStore(store), cfg, spec)
 
     split = split_coordinates(B)
-    cands = query_candidates(store, x0, split.b, cfg.omega, cfg.s_g, cfg.n_d)
+    cands = query_candidates(store, x0, split.b, OMEGA, cfg.s_g, cfg.n_d)
     k = cfg.k0
     while True:
         gain = GainSpec(k)
@@ -179,42 +182,42 @@ def test_cpc_loop_two_actuators_follows_oracle(rng):
 
 def test_controller_bootstrap_then_estimation(rng):
     cfg = ControllerConfig(s_g=1.0)
-    ctrl = make_controller(cfg, 1, seed=42)
+    ctrl = make_controller(1, seed=42)
     targets = _one_point_targets(State(np.array([0.1, -0.1]), np.array([0.8, 0.5])))
     # Synthetic linear plant: qdot accumulates B0 tau dt.
     B0 = np.array([[30.0], [-45.0]])
     q = np.array([0.1, -0.1])
     qdot = np.array([0.8, 0.5])
     states = []
-    for step in range(cfg.history_n + 1):
+    for step in range(HISTORY_N + 1):
         x = State(q.copy(), qdot.copy())
         states.append(x)
-        tau = controller_step(ctrl, x, targets, cfg)
-        if step < cfg.history_n:
+        tau = controller_step(ctrl, x, targets, cfg, RewardSpec())
+        if step < HISTORY_N:
             assert ctrl.last_B is None  # still bootstrapping
         qdot = qdot + cfg.dt * (B0 @ tau)
     # After the window fills, the regressed matrix reproduces the plant (up
     # to the ridge bias) and the torque matches a direct loop call with it.
     assert ctrl.last_B is not None
     assert np.abs(ctrl.last_B - B0).max() < 1e-3
-    direct = cpc_loop(states[-1], ctrl.last_B, targets, cfg)
+    direct = cpc_loop(states[-1], ctrl.last_B, targets, cfg, RewardSpec())
     assert np.abs(ctrl.prev_tau - direct).max() < 1e-12
 
 
 def test_controller_fallback_on_degenerate_velocity():
     cfg = ControllerConfig(s_g=1.0)
-    ctrl = make_controller(cfg, 1, seed=0)
+    ctrl = make_controller(1, seed=0)
     targets = _one_point_targets(State(np.array([0.1, -0.1]), np.array([0.8, 0.5])))
     # Fill history artificially, then query from a rest state.
-    for _ in range(cfg.history_n):
+    for _ in range(HISTORY_N):
         ctrl.history.append((np.array([0.01]), np.array([0.3, -0.45])))
     x = State(np.array([0.05, 0.0]), np.zeros(2))
-    tau = controller_step(ctrl, x, targets, cfg)
+    tau = controller_step(ctrl, x, targets, cfg, RewardSpec())
     assert np.array_equal(tau, np.zeros(1))
     assert ctrl.fallback_count == 1
     # The controller keeps going on the next step.
     x2 = State(np.array([0.05, 0.0]), np.array([0.4, 0.3]))
-    tau2 = controller_step(ctrl, x2, targets, cfg)
+    tau2 = controller_step(ctrl, x2, targets, cfg, RewardSpec())
     assert np.all(np.isfinite(tau2))
 
 
@@ -223,13 +226,13 @@ def test_controller_determinism():
     targets = _one_point_targets(State(np.array([0.1, -0.1]), np.array([0.8, 0.5])))
 
     def run():
-        ctrl = make_controller(cfg, 1, seed=7)
+        ctrl = make_controller(1, seed=7)
         q = np.array([0.02, -0.01])
         qdot = np.array([0.3, 0.2])
         taus = []
         for _ in range(12):
             x = State(q.copy(), qdot.copy())
-            tau = controller_step(ctrl, x, targets, cfg)
+            tau = controller_step(ctrl, x, targets, cfg, RewardSpec())
             taus.append(tau.copy())
             qdot = qdot + 0.01 * np.array([25.0, -40.0]) * tau[0]
             q = q + 0.01 * qdot
@@ -241,19 +244,19 @@ def test_controller_determinism():
 
 def test_controller_never_emits_nonfinite():
     cfg = ControllerConfig(s_g=1.0)
-    ctrl = make_controller(cfg, 1, seed=1)
+    ctrl = make_controller(1, seed=1)
     targets = _one_point_targets(State(np.array([0.1, -0.1]), np.array([0.8, 0.5])))
     # Poisoned history with zero torques: regression is ridge-saved but the
     # resulting B is ~0, making the feedback blow up to huge-but-finite or
     # the split fail; either way the output must be finite.
-    for _ in range(cfg.history_n):
+    for _ in range(HISTORY_N):
         ctrl.history.append((np.zeros(1), np.array([1.0, 1.0])))
     x = State(np.array([0.3, -0.2]), np.array([0.7, 0.4]))
-    tau = controller_step(ctrl, x, targets, cfg)
+    tau = controller_step(ctrl, x, targets, cfg, RewardSpec())
     assert np.all(np.isfinite(tau))
 
 
 def test_config_validation():
-    for kwargs in ({"k0": 1.0, "k_c": 2.0}, {"ridge": -1e-8}, {"sigma_boot": -0.02}):
+    for kwargs in ({"k0": 1.0, "k_c": 2.0}, {"sigma_boot": -0.02}):
         with pytest.raises(ValueError):
             ControllerConfig(**kwargs)

@@ -6,6 +6,7 @@ import pytest
 from cpc.dynamics import (
     ChainParams,
     State,
+    _chain_consts,
     accel,
     acrobot_params,
     capsule_mass_props,
@@ -13,7 +14,6 @@ from cpc.dynamics import (
     exact_control_matrix,
     manipulator_terms,
     step,
-    torque_distribution,
 )
 from cpc.errors import NonFiniteState
 
@@ -29,17 +29,20 @@ def _mc_capsule(length, radius, density, n=10_000_000, seed=7):
     box_lo = np.array([-half - radius, -radius, -radius])
     box_hi = np.array([half + radius, radius, radius])
     vol_box = np.prod(box_hi - box_lo)
-    pts = rng.uniform(box_lo, box_hi, size=(n, 3))
-    # Distance from the segment [-half, half] on the x axis.
-    ax = np.clip(pts[:, 0], -half, half)
-    d2 = (pts[:, 0] - ax) ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2
-    inside = d2 <= radius * radius
-    frac = inside.mean()
-    mass = density * vol_box * frac
-    # Planar inertia about the out-of-plane axis through the center of mass.
-    r2 = pts[inside, 0] ** 2 + pts[inside, 1] ** 2
-    inertia = density * vol_box * frac * r2.mean()
-    return mass, inertia
+    # Drawn in 40 chunks to bound memory: consecutive (n // 40, 3) draws are
+    # the same stream as one (n, 3) draw.
+    count, r2_sum = 0, 0.0
+    for _ in range(40):
+        pts = rng.uniform(box_lo, box_hi, size=(n // 40, 3))
+        # Distance from the segment [-half, half] on the x axis.
+        ax = np.clip(pts[:, 0], -half, half)
+        d2 = (pts[:, 0] - ax) ** 2 + pts[:, 1] ** 2 + pts[:, 2] ** 2
+        inside = d2 <= radius * radius
+        count += int(inside.sum())
+        # Planar inertia about the out-of-plane axis through the center of mass.
+        r2_sum += float((pts[inside, 0] ** 2 + pts[inside, 1] ** 2).sum())
+    mass = density * vol_box * count / n
+    return mass, mass * r2_sum / count
 
 
 def test_capsule_mass_value():
@@ -191,7 +194,7 @@ def test_terms_match_lagrangian_oracle(rng):
         assert np.abs(terms.H - H_o).max() < 1e-6
         tau = rng.normal(size=1)
         qdd = accel(p, State(q, qdot), tau)
-        qdd_o = np.linalg.solve(D_o, torque_distribution(p) @ tau - H_o)
+        qdd_o = np.linalg.solve(D_o, _chain_consts(p).b_tau @ tau - H_o)
         assert np.abs(qdd - qdd_o).max() < 1e-6
 
 
@@ -236,7 +239,7 @@ def test_accel_residual_oracle(rng):
         tau = rng.normal(size=1)
         qdd = accel(p, st, tau)
         terms = manipulator_terms(p, st.q, st.qdot)
-        resid = terms.D @ qdd + terms.H - torque_distribution(p) @ tau
+        resid = terms.D @ qdd + terms.H - _chain_consts(p).b_tau @ tau
         assert np.abs(resid).max() < 1e-10
 
 
@@ -415,3 +418,28 @@ def test_single_state_functions_reject_batch(call):
     # the kernel.
     with pytest.raises(ValueError, match="one state"):
         call(acrobot_params(), State(np.zeros((3, 2)), np.zeros((3, 2))))
+
+
+@pytest.mark.parametrize(
+    "q, qdot",
+    [(np.zeros(1), np.zeros(1)), (np.zeros((3, 1)), np.zeros((3, 1))), (np.zeros(3), np.zeros(3)),
+     (np.zeros(2), np.zeros((1, 2)))],
+    ids=["one_link_state", "one_link_batch", "three_link_state", "mixed_shapes"],
+)
+def test_step_rejects_state_of_other_shape(q, qdot):
+    # A state that is not (N,) or (K, N) on the acrobot must not integrate
+    # as some other chain, nor fail inside the kernel.
+    with pytest.raises(ValueError, match="must share a shape"):
+        step(acrobot_params(), State(q, qdot), np.zeros(1), 1e-2)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"actuated_joints": (1.7,)}, {"actuated_joints": (True,)}, {"n_links": 2.0}],
+    ids=["joint_not_integer", "joint_bool", "n_links_float"],
+)
+def test_chain_params_layout_rule(kwargs):
+    # The same layout rule as a stored dataset's header: indices are ints,
+    # never bools or floats that happen to be integral.
+    with pytest.raises(ValueError, match="bad chain layout"):
+        ChainParams(**kwargs)

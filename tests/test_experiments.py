@@ -14,6 +14,7 @@ from cpc.experiments import (
     run_balance_trial,
     sweep_sample_counts,
     trial_seed,
+    write_sweep_csv,
 )
 
 
@@ -102,7 +103,9 @@ def test_config_accepts_noise_free_trials():
 def test_sweep_csv_byte_identical_across_runs(tmp_path):
     cfg = ExperimentConfig(n_f_list=(1, 3), trials=3, t_max=1.5)
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
-    results = [sweep_sample_counts(cfg, out_csv=p) for p in paths]
+    results = [sweep_sample_counts(cfg) for _ in paths]
+    for res, p in zip(results, paths):
+        write_sweep_csv(res, cfg, p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
     n_fs, means = mean_fall_times(results[0])
     with open(paths[0], newline="") as f:
@@ -116,5 +119,5 @@ def test_sweep_workers_match_serial(tmp_path):
     paths = [tmp_path / "serial.csv", tmp_path / "pool.csv"]
     for workers, path in zip((1, 2), paths):
         cfg = ExperimentConfig(t_max=0.3, trials=3, n_f_list=(3,), workers=workers)
-        sweep_sample_counts(cfg, out_csv=path)
+        write_sweep_csv(sweep_sample_counts(cfg), cfg, path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
