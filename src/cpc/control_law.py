@@ -52,18 +52,31 @@ class CoordSplit:
         controlled = tuple(sorted(int(i) for i in self.controlled))
         if m == 0 or len(set(controlled)) != m or not set(controlled) <= set(range(n)):
             raise ValueError(f"need {m} distinct controlled rows of {n}, got {self.controlled}")
-        if not all(map(math.isfinite, B.flat)):
+        rows = B.tolist()
+        if not all(math.isfinite(x) for row in rows for x in row):
             raise SingularMatrix("control matrix is not finite")
         free = tuple(i for i in range(n) if i not in controlled)
-        b_chi = B[list(controlled), :]
-        s = np.linalg.svd(b_chi, compute_uv=False)
-        if s[-1] == 0.0 or (s[0] / s[-1]) ** 2 > DEFAULT_COND_CAP:
+        b_chi = np.array([rows[i] for i in controlled])
+        if m == 1:
+            # The one singular value of a 1 x 1 block is |beta| exactly, so
+            # its condition number is 1 unless beta is zero.
+            singular = b_chi[0, 0] == 0.0
+        else:
+            s = np.linalg.svd(b_chi, compute_uv=False)
+            singular = s[-1] == 0.0 or (s[0] / s[-1]) ** 2 > DEFAULT_COND_CAP
+        if singular:
             raise SingularMatrix("controlled block of B is numerically singular")
         # W = B_psi B_chi^-1, shape (N-M, M).
-        W = np.linalg.solve(b_chi.T, B[list(free), :].T).T
-        b = np.zeros((n, n - m))
-        b[list(controlled), :] = W.T
-        b[list(free), :] = -np.eye(n - m)
+        b_psi = np.array([rows[i] for i in free]).reshape(n - m, m)
+        W = np.linalg.solve(b_chi.T, b_psi.T).T
+        # b holds W' on the controlled rows and -I on the free rows, the
+        # latter with -0.0 off the diagonal, as -np.eye has it.
+        b_rows = [None] * n
+        for i, w in zip(controlled, W.T.tolist()):
+            b_rows[i] = w
+        for j, i in enumerate(free):
+            b_rows[i] = [-1.0 if k == j else -0.0 for k in range(n - m)]
+        b = np.array(b_rows).reshape(n, n - m)
         for name, value in (("controlled", controlled), ("free", free), ("b_chi", b_chi), ("b", b)):
             object.__setattr__(self, name, value)
 
@@ -81,7 +94,7 @@ class GainSpec:
 
     @property
     def kappa(self) -> float:
-        return float(np.sqrt(self.k))
+        return math.sqrt(self.k)
 
 
 def split_coordinates(B: np.ndarray) -> CoordSplit:
@@ -98,28 +111,46 @@ def split_coordinates(B: np.ndarray) -> CoordSplit:
     n, m = B.shape
     if m > n:
         raise ValueError("control matrix must have at least as many rows as columns")
-    scale = np.abs(B).max()
-    # NaN or inf exactly when an entry is; an inf scale would otherwise
-    # fail every pivot test as RankDeficient.
-    if not math.isfinite(scale):
+    # The elimination runs on Python floats: every update is the IEEE
+    # operation a numpy row update would do, so the same rows are picked.
+    work = B.tolist()
+    entries = [abs(x) for row in work for x in row]
+    if not all(map(math.isfinite, entries)):
         raise SingularMatrix("control matrix is not finite")
+    scale = max(entries)  # ValueError when B has no columns
     if scale == 0.0:
         raise RankDeficient("control matrix is zero")
-    work = B.copy()
     remaining = list(range(n))
     picked = []
     for col in range(m):
-        sub = np.abs(work[remaining, col])
-        best = int(np.argmax(sub))
+        sub = [abs(work[r][col]) for r in remaining]
+        best = _first_argmax(sub)
         if sub[best] <= 1e-12 * scale:
             raise RankDeficient(f"column rank < {m}")
         row = remaining.pop(best)
         picked.append(row)
-        pivot = work[row, col]
+        if col + 1 == m:
+            break
+        pivot_row = work[row]
+        pivot = pivot_row[col]
         for r in remaining:
-            factor = work[r, col] / pivot
-            work[r, col:] -= factor * work[row, col:]
+            w = work[r]
+            factor = w[col] / pivot
+            for c in range(col, m):
+                w[c] = w[c] - factor * pivot_row[c]
     return CoordSplit(B, tuple(picked))
+
+
+def _first_argmax(values: list) -> int:
+    """np.argmax's rule on a list of floats: the index of the first NaN if
+    there is one, else of the first largest value."""
+    best = 0
+    for i, v in enumerate(values):
+        if v != v:
+            return i
+        if v > values[best]:
+            best = i
+    return best
 
 
 def reparam_params(
@@ -159,17 +190,25 @@ def target_errors(
     split: CoordSplit,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Errors (dchi, dchidot), each (n, M), of the current state against
-    each renormalized target, in the split's controlled coordinates."""
-    q_r0, qdot_r = renormalized_target(q_d, qdot_d, t0, s)
+    each renormalized target, in the split's controlled coordinates. Only
+    the controlled columns of the targets are renormalized."""
     ci = list(split.controlled)
-    return x0.q[ci] - q_r0[:, ci], x0.qdot[ci] - qdot_r[:, ci]
+    q_r0, qdot_r = renormalized_target(q_d[:, ci], qdot_d[:, ci], t0, s)
+    return x0.q[ci] - q_r0, x0.qdot[ci] - qdot_r
 
 
 def cpc_tau(
     dchi: np.ndarray, dchidot: np.ndarray, split: CoordSplit, gain: GainSpec, tau_d: np.ndarray
 ) -> np.ndarray:
     """Path feedback law for one target: tau_d minus critically damped
-    feedback B_chi^-1 (k dchi + 2 kappa dchidot) on its (M,) errors."""
+    feedback B_chi^-1 (k dchi + 2 kappa dchidot) on its (M,) errors.
+
+    A single actuator takes the same law on Python floats: LAPACK's 1 x 1
+    solve with one right-hand side is one division, so the torque is the
+    same to the bit and skips the solver's per-call set-up."""
+    if len(split.controlled) == 1:
+        fb = gain.k * float(dchi[0]) + 2.0 * gain.kappa * float(dchidot[0])
+        return np.asarray(tau_d, dtype=float) - fb / float(split.b_chi[0, 0])
     fb = gain.k * dchi + 2.0 * gain.kappa * dchidot
     return np.asarray(tau_d, dtype=float) - np.linalg.solve(split.b_chi, fb)
 

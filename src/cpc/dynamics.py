@@ -20,7 +20,6 @@ and ``qdot`` of shape (K, N). Each row of a batch evolves bit for bit as it
 would alone.
 """
 
-import contextlib
 import math
 import operator
 from dataclasses import dataclass
@@ -32,17 +31,23 @@ import numpy as np
 from .errors import NonFiniteState, SingularMatrix
 
 
+def _as_int(value) -> int:
+    """``value`` as a Python int. Raises TypeError for a bool or a
+    non-integral number: sizes, counts and indices of this package are
+    integers, and neither is one here."""
+    if isinstance(value, bool):
+        raise TypeError(f"a bool is not an integer here: {value!r}")
+    return operator.index(value)
+
+
 def _chain_layout(n_links, actuated_joints, error) -> tuple[int, tuple[int, ...]]:
     """The layout rule of chains and stored datasets: (n_links,
     actuated_joints) as Python ints. Raises ``error`` unless n_links is a
-    positive integer and the joints are distinct integers in range(n_links);
-    bools and non-integral numbers are not integers here."""
+    positive integer and the joints are distinct integers in range(n_links)
+    (see ``_as_int``)."""
     try:
-        joints = tuple(actuated_joints)
-        if isinstance(n_links, bool) or any(isinstance(j, bool) for j in joints):
-            raise TypeError("a bool is not a chain index")
-        n = operator.index(n_links)
-        joints = tuple(operator.index(j) for j in joints)
+        n = _as_int(n_links)
+        joints = tuple(_as_int(j) for j in actuated_joints)
     except TypeError as e:
         raise error(f"bad chain layout: {e}") from e
     if n < 1 or len(set(joints)) != len(joints) or not all(0 <= j < n for j in joints):
@@ -217,18 +222,13 @@ class _LaneOps(NamedTuple):
     sin: Callable
     cos: Callable
     sqrt: Callable
-    vector: Callable  # kernel lanes -> the RK4 step's state vector
     axpy: Callable  # (x, a, y) -> x + a*y, elementwise
     add: Callable
     finite: Callable  # true if every entry of a vector is finite
 
 
-_FLOAT_LANES = _LaneOps(
-    math.sin, math.cos, _pivot_root, list, _float_axpy, _float_add, _float_finite
-)
-_ARRAY_LANES = _LaneOps(
-    np.sin, np.cos, np.sqrt, np.array, _array_axpy, operator.add, _array_finite
-)
+_FLOAT_LANES = _LaneOps(math.sin, math.cos, _pivot_root, _float_axpy, _float_add, _float_finite)
+_ARRAY_LANES = _LaneOps(np.sin, np.cos, np.sqrt, _array_axpy, operator.add, _array_finite)
 
 
 def _lane_terms(ops, c, q, qdot):
@@ -428,23 +428,29 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
         if tau.shape != (len(q), params.n_controls):
             raise ValueError(f"tau must have shape ({len(q)}, {params.n_controls})")
         # Array lanes: integrate the (N, K) transposes, whose rows are lanes.
-        ops, quiet = _ARRAY_LANES, np.errstate(all="ignore")
-        q, qdot, gen = q.T, qdot.T, list(c.b_tau @ tau.T)
+        ops = _ARRAY_LANES
+        gen = list(c.b_tau @ tau.T)
+
+        def deriv(q, qdot):
+            return np.array(_lane_accel(ops, c, q, qdot, gen)[0])
+
+        with np.errstate(all="ignore"):
+            qn, vn = _rk4_step(ops, deriv, q.T, qdot.T, dt)
+        qn, vn = qn.T, vn.T
     else:
-        # Float lanes, also for a one-row batch.
-        ops, quiet = _FLOAT_LANES, contextlib.nullcontext()
-        q, qdot = q.reshape(-1).tolist(), qdot.reshape(-1).tolist()
+        # Float lanes, also for a one-row batch; the solve returns a fresh
+        # list, which is already a state vector of float lanes.
+        ops = _FLOAT_LANES
         gen = (c.b_tau @ tau.reshape(-1)).tolist()
 
-    def deriv(q, qdot):
-        return ops.vector(_lane_accel(ops, c, q, qdot, gen)[0])
+        def deriv(q, qdot):
+            return _lane_accel(ops, c, q, qdot, gen)[0]
 
-    with quiet:
-        qn, vn = _rk4_step(ops, deriv, q, qdot, dt)
+        qn, vn = _rk4_step(ops, deriv, q.reshape(-1).tolist(), qdot.reshape(-1).tolist(), dt)
     if not (ops.finite(qn) and ops.finite(vn)):
         raise NonFiniteState(f"integration diverged at t={state.t:.6g}")
     shape = state.q.shape
-    return State(np.asarray(qn).T.reshape(shape), np.asarray(vn).T.reshape(shape), state.t + dt)
+    return State(np.reshape(qn, shape), np.reshape(vn, shape), state.t + dt)
 
 
 def energy(params: ChainParams, state: State) -> float:

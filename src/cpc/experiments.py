@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dynamics
 from .controller import ControllerConfig, controller_step, make_controller
-from .dynamics import ChainParams, State, acrobot_params
+from .dynamics import ChainParams, State, _as_int, acrobot_params
 from .errors import DatasetSchemaMismatch
 from .target_store import NonEmptyStore as BallTree  # hook: bench/tracing.py target_store.index_build
 from .target_store import TargetStore
@@ -46,10 +46,24 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.fall_duration <= 0 or self.t_max <= 0 or self.dt <= 0:
-            raise ValueError("durations must be positive")
-        if self.trials < 1 or self.workers < 1:
-            raise ValueError("trials and workers must be >= 1")
+        if not all(math.isfinite(d) and d > 0 for d in (self.fall_duration, self.t_max, self.dt)):
+            raise ValueError("durations must be positive and finite")
+        # A trial runs round(t_max / dt) cycles and a fall records
+        # round(fall_duration / dt) points; zero of either would give a
+        # trial that never ran or a store with nothing to retrieve. Rounding
+        # half to even, round(x) >= 1 exactly when x > 0.5.
+        if not (self.t_max / self.dt > 0.5 and self.fall_duration / self.dt > 0.5):
+            raise ValueError("t_max and fall_duration must each span at least one step dt")
+        try:
+            counts = [_as_int(n) for n in (self.trials, self.workers, *self.n_f_list)]
+        except TypeError as e:
+            raise ValueError(f"trials, workers and every n_f must be integers: {e}") from e
+        if min(counts) < 1 or not self.n_f_list:
+            raise ValueError("need trials, workers and at least one n_f, each >= 1")
+        trials, workers, *n_f_list = counts
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "workers", workers)
+        object.__setattr__(self, "n_f_list", tuple(n_f_list))
         # Written so that NaN fails too; sigma0 also divides the recorded
         # noise multiplier of every trial.
         if not (self.sigma0 > 0 and self.noise_mult >= 0):
@@ -127,8 +141,14 @@ def generate_falls(
 
 def has_fallen(q: np.ndarray) -> bool:
     """True when any link's absolute angle from vertical exceeds FALL_ANGLE
-    (unrecoverable for the balance task)."""
-    return bool(np.any(np.abs(np.cumsum(q)) > FALL_ANGLE))
+    (unrecoverable for the balance task). The angles are the running sums
+    of the relative angles ``q`` (N,), added in order on Python floats."""
+    phi = 0.0
+    for qi in np.asarray(q, dtype=float).tolist():
+        phi = phi + qi
+        if abs(phi) > FALL_ANGLE:
+            return True
+    return False
 
 
 def run_balance_trial(
@@ -182,8 +202,6 @@ def _one_sweep_trial(args):
 def sweep_sample_counts(cfg: ExperimentConfig) -> dict[int, list[TrialRecord]]:
     """Mean fall time versus number of recorded falls: cfg.trials independent
     balance trials per sample count, each on freshly recorded fall data."""
-    if not cfg.n_f_list:
-        raise ValueError("n_f list must be non-empty")
     n_f_list = list(dict.fromkeys(cfg.n_f_list))
     noise_amp = cfg.noise_mult * cfg.sigma0
     jobs = [

@@ -11,17 +11,45 @@ a store's JSON Lines one row and one value at a time, for the byte-identity
 check of the block writer. ``one_target`` and
 ``one_target_tau`` are not oracles: they pass a single target state to the
 package's batched renormalization as a batch of one row.
+
+The control cycle runs its small-array work on Python floats and keeps its
+regression window in preallocated arrays. The numpy forms of the same steps
+are kept here, for the tests to require the same bits from the cycle: the
+row pivot of ``split_coordinates`` on arrays (``split_coordinates_numpy``),
+the split's blocks through an SVD condition check and a LAPACK solve at
+every M (``split_blocks_lapack``), the path law through a LAPACK solve at
+every M (``cpc_tau_lapack``), the renormalization of every target column
+(``target_errors_full_width``), the fall test on ``np.cumsum``
+(``has_fallen_cumsum``), and a controller whose regression window is a
+deque of (torque, acceleration) pairs rebuilt into arrays with ``np.array``
+each cycle (``DequeController`` and ``deque_controller_step``).
 """
 
 import json
 import math
-from typing import NamedTuple
+from collections import deque
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from cpc.control_law import CoordSplit, GainSpec, cpc_tau, renormalized_target, target_errors
+from cpc import controller
+from cpc.control_law import (
+    DEFAULT_COND_CAP,
+    CoordSplit,
+    GainSpec,
+    cpc_tau,
+    renormalized_target,
+    target_errors,
+)
 from cpc.dynamics import State
-from cpc.errors import SingularMatrix, VelocityBarDegenerate
+from cpc.errors import (
+    NoValidCandidates,
+    RankDeficient,
+    SingularMatrix,
+    VelocityBarDegenerate,
+)
+from cpc.experiments import FALL_ANGLE
 from cpc.target_store import DATASET_FORMAT, DEFAULT_GUARD_TOL, TargetStore
 from cpc.value import RewardSpec
 
@@ -180,3 +208,127 @@ def save_jsonl_per_value(store: TargetStore, path) -> None:
                 '{"t": %s, "q": %s, "qdot": %s, "tau": %s, "G": %s}\n'
                 % (fmt(store.t[i]), arr(store.q[i]), arr(store.qdot[i]), arr(store.tau[i]), fmt(store.G[i]))
             )
+
+
+# ---------------------------------------------------------------------------
+# numpy forms of the control cycle's small-array steps
+# ---------------------------------------------------------------------------
+
+
+def split_coordinates_numpy(B: np.ndarray) -> CoordSplit:
+    """``split_coordinates`` with the row-pivoted elimination on numpy rows:
+    np.argmax picks each pivot and each elimination is an in-place row
+    update."""
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    n, m = B.shape
+    if m > n:
+        raise ValueError("control matrix must have at least as many rows as columns")
+    scale = np.abs(B).max()
+    if not math.isfinite(scale):
+        raise SingularMatrix("control matrix is not finite")
+    if scale == 0.0:
+        raise RankDeficient("control matrix is zero")
+    work = B.copy()
+    remaining = list(range(n))
+    picked = []
+    for col in range(m):
+        sub = np.abs(work[remaining, col])
+        best = int(np.argmax(sub))
+        if sub[best] <= 1e-12 * scale:
+            raise RankDeficient(f"column rank < {m}")
+        row = remaining.pop(best)
+        picked.append(row)
+        pivot = work[row, col]
+        for r in remaining:
+            factor = work[r, col] / pivot
+            work[r, col:] -= factor * work[row, col:]
+    return CoordSplit(B, tuple(picked))
+
+
+def split_blocks_lapack(B: np.ndarray, controlled) -> tuple[np.ndarray, np.ndarray]:
+    """(b_chi, b) of ``CoordSplit(B, controlled)`` for a finite B, with the
+    condition check on the SVD of B_chi at every M, W from a LAPACK solve
+    and b filled by index assignment. Raises SingularMatrix as the split
+    does."""
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    n, m = B.shape
+    controlled = sorted(controlled)
+    free = [i for i in range(n) if i not in controlled]
+    b_chi = B[controlled, :]
+    s = np.linalg.svd(b_chi, compute_uv=False)
+    if s[-1] == 0.0 or (s[0] / s[-1]) ** 2 > DEFAULT_COND_CAP:
+        raise SingularMatrix("controlled block of B is numerically singular")
+    W = np.linalg.solve(b_chi.T, B[free, :].T).T
+    b = np.zeros((n, n - m))
+    b[controlled, :] = W.T
+    b[free, :] = -np.eye(n - m)
+    return b_chi, b
+
+
+def cpc_tau_lapack(dchi, dchidot, split: CoordSplit, gain: GainSpec, tau_d) -> np.ndarray:
+    """``cpc_tau`` through np.linalg.solve at every M, with kappa from
+    np.sqrt."""
+    fb = gain.k * dchi + 2.0 * float(np.sqrt(gain.k)) * dchidot
+    return np.asarray(tau_d, dtype=float) - np.linalg.solve(split.b_chi, fb)
+
+
+def target_errors_full_width(x0, q_d, qdot_d, t0, s, split: CoordSplit):
+    """``target_errors`` renormalizing every column of the targets and then
+    keeping the controlled ones."""
+    q_r0, qdot_r = renormalized_target(q_d, qdot_d, t0, s)
+    ci = list(split.controlled)
+    return x0.q[ci] - q_r0[:, ci], x0.qdot[ci] - qdot_r[:, ci]
+
+
+def has_fallen_cumsum(q) -> bool:
+    """``experiments.has_fallen`` on np.cumsum of the relative angles."""
+    return bool(np.any(np.abs(np.cumsum(q)) > FALL_ANGLE))
+
+
+@dataclass
+class DequeController:
+    """Controller state whose regression window is a deque of (torque,
+    acceleration) pairs, at most HISTORY_N long."""
+
+    n_controls: int
+    rng: np.random.Generator
+    history: deque = field(default_factory=lambda: deque(maxlen=controller.HISTORY_N))
+    prev_tau: Optional[np.ndarray] = None
+    prev_qdot: Optional[np.ndarray] = None
+    last_B: Optional[np.ndarray] = None
+    fallback_count: int = 0
+    unclamped_exits: int = 0
+
+
+def make_deque_controller(n_controls: int, seed) -> DequeController:
+    return DequeController(n_controls, np.random.default_rng(seed))
+
+
+def deque_controller_step(ctrl: DequeController, x0, targets, cfg, spec) -> np.ndarray:
+    """``controller.controller_step`` on a ``DequeController``: the window
+    is rebuilt into arrays with np.array every cycle, and the torque norm
+    and finiteness are checked with np.linalg.norm and np.isfinite. The
+    cycle itself is ``controller.cpc_loop``, looked up at call time."""
+    if ctrl.prev_tau is not None:
+        u = (x0.qdot - ctrl.prev_qdot) / cfg.dt
+        ctrl.history.append((ctrl.prev_tau, u))
+    if len(ctrl.history) < controller.HISTORY_N:
+        tau = ctrl.rng.normal(0.0, cfg.sigma_boot, size=ctrl.n_controls)
+    else:
+        taus = np.array([h[0] for h in ctrl.history])
+        us = np.array([h[1] for h in ctrl.history])
+        try:
+            B = controller.estimate_control_matrix(taus, us)
+            ctrl.last_B = B
+            tau = controller.cpc_loop(x0, B, targets, cfg, spec)
+            if float(np.linalg.norm(tau)) >= cfg.tau_c:
+                ctrl.unclamped_exits += 1
+        except (NoValidCandidates, VelocityBarDegenerate, RankDeficient, SingularMatrix):
+            ctrl.fallback_count += 1
+            tau = np.zeros(ctrl.n_controls)
+    if not np.all(np.isfinite(tau)):
+        ctrl.fallback_count += 1
+        tau = np.zeros(ctrl.n_controls)
+    ctrl.prev_tau = tau
+    ctrl.prev_qdot = x0.qdot.copy()
+    return tau

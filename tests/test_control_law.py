@@ -4,6 +4,7 @@ import pytest
 from cpc.control_law import (
     CoordSplit,
     GainSpec,
+    cpc_tau,
     estimate_control_matrix,
     renormalized_target,
     reparam_params,
@@ -23,7 +24,14 @@ from cpc.errors import (
     VelocityBarDegenerate,
 )
 from cpc.target_store import NonEmptyStore, TargetStore, _query_arrays
-from oracles import one_target, one_target_tau
+from oracles import (
+    cpc_tau_lapack,
+    one_target,
+    one_target_tau,
+    split_blocks_lapack,
+    split_coordinates_numpy,
+    target_errors_full_width,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +84,89 @@ def test_split_non_finite_raises_singular(bad, row):
     for controlled in ((0,), (1,)):
         with pytest.raises(SingularMatrix):
             CoordSplit(B, controlled)
+
+
+def _outcome(fn, *args):
+    """The bytes and shapes a split or torque function returns, or the type
+    of the exception it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+    except (ValueError, RankDeficient, SingularMatrix) as e:
+        return type(e)
+    if isinstance(out, CoordSplit):
+        out = (out.controlled, out.b_chi, out.b)
+    elif not isinstance(out, tuple):
+        out = (out,)
+    return tuple((a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in out)
+
+
+def _control_matrices(rng):
+    """Random B of every shape N <= 5, M <= N, with magnitudes from 1e-300
+    to 1e300, entries near 1e308 mixed with O(1) ones (the elimination
+    overflows to inf and then NaN, which np.argmax picks first), integer
+    entries (exact ties and cancellations), duplicated and negated rows,
+    zero, NaN and inf entries, and three malformed shapes."""
+    for n in range(1, 6):
+        for m in range(1, n + 1):
+            for _ in range(60):
+                B = rng.normal(size=(n, m)) * 10.0 ** float(rng.choice([0, 0, -300, -150, 150, 300]))
+                yield B
+                yield rng.uniform(-1.7, 1.7, size=(n, m)) * 10.0 ** rng.choice([0.0, 308.0], (n, m))
+                yield rng.integers(-2, 3, size=(n, m)).astype(float)
+                if n > 1:
+                    i, j = rng.choice(n, size=2, replace=False)
+                    C = B.copy()
+                    C[j] = C[i] * rng.choice([1.0, -1.0])
+                    yield C
+            bad = rng.normal(size=(n, m))
+            bad.flat[int(rng.integers(bad.size))] = rng.choice([np.nan, np.inf, -np.inf])
+            yield bad
+            yield np.zeros((n, m))
+    # The first elimination overflows rows 2 and 3 to inf in column 1; row 2
+    # becomes the pivot, which turns row 3 into NaN and leaves row 1 at 5 in
+    # column 2. np.argmax then picks the NaN row over the larger finite one.
+    h = 1.5e308
+    yield np.array([[h, -h, -h], [0.0, 2.0, 5.0], [h, h, 0.0], [h, h, 0.0]])
+    yield np.ones((2, 3))
+    yield np.ones((2, 0))
+    yield np.ones((1, 1, 1))
+
+
+def test_split_matches_numpy_pivot(rng):
+    # The elimination on Python floats picks the same rows and gives the
+    # same blocks, to the byte, as the same elimination on numpy rows, or
+    # raises the same exception.
+    raised = set()
+    for B in _control_matrices(rng):
+        want = _outcome(split_coordinates_numpy, B)
+        assert _outcome(split_coordinates, B) == want, B
+        if isinstance(want, type):
+            raised.add(want)
+    assert raised == {ValueError, RankDeficient, SingularMatrix}
+
+
+@pytest.mark.parametrize("n", [2, 3], ids=["one_free_row", "two_free_rows"])
+def test_one_actuator_forms_match_lapack(rng, n):
+    # At M = 1 the split checks the 1 x 1 block without an SVD and the path
+    # law divides instead of solving; both must give LAPACK's bits.
+    for _ in range(2000):
+        B = rng.normal(size=(n, 1)) * 10.0 ** float(rng.integers(-300, 301))
+        row = int(rng.integers(n))
+        if rng.random() < 0.05:
+            B[row, 0] = 0.0
+        want = _outcome(split_blocks_lapack, B, (row,))
+        got = _outcome(CoordSplit, B, (row,))
+        assert got == (want if isinstance(want, type) else ((row,),) + want), B
+        if isinstance(want, type):
+            continue
+        split = CoordSplit(B, (row,))
+        dchi, dchidot = rng.normal(size=(2, 1)) * 10.0 ** rng.integers(-8, 9, size=(2, 1))
+        gain = GainSpec(10.0 ** float(rng.uniform(-2, 7)))
+        tau_d = rng.normal(size=1)
+        assert _outcome(cpc_tau, dchi, dchidot, split, gain, tau_d) == _outcome(
+            cpc_tau_lapack, dchi, dchidot, split, gain, tau_d
+        )
 
 
 def test_split_deterministic(rng):
@@ -272,6 +363,23 @@ def test_target_errors_rows_follow_formula(rng):
         q_r0 = q_d[i] - qdot_d[i] * (float(t0[i]) / float(s[i]))
         assert np.array_equal(dchi[i], x0.q[ci] - q_r0[ci])
         assert np.array_equal(dchidot[i], x0.qdot[ci] - qdot_d[i, ci] / float(s[i]))
+
+
+def test_target_errors_match_full_width(rng):
+    # Renormalizing only the controlled columns gives the bytes of
+    # renormalizing every column and keeping the controlled ones.
+    for n in range(2, 6):
+        for m in range(1, n + 1):
+            split = split_coordinates(rng.normal(size=(n, m)))
+            x0 = State(rng.normal(size=n), rng.normal(size=n))
+            k = int(rng.integers(1, 30))
+            q_d, qdot_d = rng.normal(size=(k, n)), rng.normal(size=(k, n))
+            t0 = rng.normal(0.0, 0.1, k)
+            s = rng.choice([-1.0, 1.0], k) * rng.uniform(1e-3, 2.0, k)
+            got = target_errors(x0, q_d, qdot_d, t0, s, split)
+            want = target_errors_full_width(x0, q_d, qdot_d, t0, s, split)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -101,10 +103,10 @@ def test_controller_counts_unclamped_exit(rng):
     cfg = ControllerConfig(s_g=1.0)
     x0, xd, B, _ = _offset_for_norm_at(cfg, 1.5 * cfg.tau_c, cfg.k0 / 2**9)
     ctrl = make_controller(1, seed=0)
-    # A history of exact (tau, B tau) pairs makes the regressed B equal to B
+    # A window of exact (tau, B tau) pairs makes the regressed B equal to B
     # up to the ridge bias, about 1e-9 relative.
     for tau_h in rng.uniform(0.5, 1.5, (HISTORY_N, 1)):
-        ctrl.history.append((tau_h, B @ tau_h))
+        ctrl.push(tau_h, B @ tau_h)
     tau = controller_step(ctrl, x0, _one_point_targets(xd), cfg, RewardSpec())
     assert np.linalg.norm(tau) == pytest.approx(1.5 * cfg.tau_c, rel=1e-6)
     assert (ctrl.unclamped_exits, ctrl.fallback_count) == (1, 0)
@@ -208,9 +210,9 @@ def test_controller_fallback_on_degenerate_velocity():
     cfg = ControllerConfig(s_g=1.0)
     ctrl = make_controller(1, seed=0)
     targets = _one_point_targets(State(np.array([0.1, -0.1]), np.array([0.8, 0.5])))
-    # Fill history artificially, then query from a rest state.
+    # Fill the window artificially, then query from a rest state.
     for _ in range(HISTORY_N):
-        ctrl.history.append((np.array([0.01]), np.array([0.3, -0.45])))
+        ctrl.push(np.array([0.01]), np.array([0.3, -0.45]))
     x = State(np.array([0.05, 0.0]), np.zeros(2))
     tau = controller_step(ctrl, x, targets, cfg, RewardSpec())
     assert np.array_equal(tau, np.zeros(1))
@@ -250,7 +252,7 @@ def test_controller_never_emits_nonfinite():
     # resulting B is ~0, making the feedback blow up to huge-but-finite or
     # the split fail; either way the output must be finite.
     for _ in range(HISTORY_N):
-        ctrl.history.append((np.zeros(1), np.array([1.0, 1.0])))
+        ctrl.push(np.zeros(1), np.array([1.0, 1.0]))
     x = State(np.array([0.3, -0.2]), np.array([0.7, 0.4]))
     tau = controller_step(ctrl, x, targets, cfg, RewardSpec())
     assert np.all(np.isfinite(tau))
@@ -260,3 +262,33 @@ def test_config_validation():
     for kwargs in ({"k0": 1.0, "k_c": 2.0}, {"sigma_boot": -0.02}):
         with pytest.raises(ValueError):
             ControllerConfig(**kwargs)
+
+
+@pytest.mark.parametrize("n_d", [2.5, True, False, "3", 0, -1], ids=repr)
+def test_config_rejects_non_integer_n_d(n_d):
+    # n_d sizes a partition in retrieval: a float would fail there on the
+    # first estimation cycle, outside the controller's fallback, and a bool
+    # would pass as 0 or 1. Both must fail when the config is built.
+    with pytest.raises(ValueError):
+        ControllerConfig(n_d=n_d)
+
+
+def test_config_takes_integer_n_d():
+    cfg = ControllerConfig(n_d=np.int64(5))
+    assert cfg.n_d == 5 and type(cfg.n_d) is int
+
+
+def test_window_matches_deque_arrays(rng):
+    # The in-place window holds, after every push, the bytes np.array builds
+    # from a deque of the same pairs, once HISTORY_N of them are held.
+    ctrl = make_controller(2, seed=0)
+    pairs = deque(maxlen=HISTORY_N)
+    for i in range(3 * HISTORY_N):
+        tau, u = rng.normal(size=2), rng.normal(size=3) * 10.0 ** rng.integers(-5, 6)
+        ctrl.push(tau, u)
+        pairs.append((tau, u))
+        assert ctrl.filled == min(i + 1, HISTORY_N)
+        if ctrl.filled == HISTORY_N:
+            for got, want in ((ctrl.taus, [p[0] for p in pairs]), (ctrl.us, [p[1] for p in pairs])):
+                want = np.array(want)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()

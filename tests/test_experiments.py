@@ -1,21 +1,26 @@
 import csv
 import gc
+import math
 
+import numpy as np
 import pytest
 
+import oracles
+from cpc import controller, experiments
 from cpc.dynamics import ChainParams
 from cpc.errors import DatasetSchemaMismatch
-from cpc.target_store import NonEmptyStore
-from cpc import experiments
 from cpc.experiments import (
+    FALL_ANGLE,
     ExperimentConfig,
     generate_falls,
+    has_fallen,
     mean_fall_times,
     run_balance_trial,
     sweep_sample_counts,
     trial_seed,
     write_sweep_csv,
 )
+from cpc.target_store import NonEmptyStore
 
 
 def test_balance_trial_leaves_no_reference_cycles():
@@ -98,6 +103,116 @@ def test_config_rejects_bad_noise(kwargs):
 
 def test_config_accepts_noise_free_trials():
     assert ExperimentConfig(noise_mult=0.0).noise_mult == 0.0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"trials": 2.5},
+        {"trials": True},
+        {"workers": 1.5},
+        {"n_f_list": (3, 0)},
+        {"n_f_list": (-2,)},
+        {"n_f_list": (2.5,)},
+        {"n_f_list": (True,)},
+        {"n_f_list": ()},
+        {"t_max": 0.004},
+        {"t_max": 0.005},
+        {"fall_duration": 0.004},
+        {"t_max": float("inf")},
+        {"dt": float("nan")},
+    ],
+    ids=[
+        "trials_float", "trials_bool", "workers_float", "n_f_zero", "n_f_negative",
+        "n_f_float", "n_f_bool", "n_f_empty", "t_max_under_half_step",
+        "t_max_half_step", "fall_under_half_step", "t_max_inf", "dt_nan",
+    ],
+)
+def test_config_rejects_configs_that_run_nothing(kwargs):
+    # Each of these used to fail only mid-sweep, with a raw TypeError or an
+    # error from an empty store, or to run a trial of zero cycles reported
+    # as a survival to t_max.
+    with pytest.raises(ValueError):
+        ExperimentConfig(**kwargs)
+
+
+def test_config_normalizes_integer_counts():
+    cfg = ExperimentConfig(trials=np.int64(2), n_f_list=[np.int64(3), 10], t_max=0.006)
+    assert (cfg.trials, cfg.n_f_list) == (2, (3, 10))
+    assert type(cfg.trials) is int and all(type(n) is int for n in cfg.n_f_list)
+
+
+@pytest.mark.parametrize(
+    "q, fell",
+    [
+        ([1.0, 1.0], True),
+        ([1.2, -1.0], False),
+        ([FALL_ANGLE, 0.0], False),
+        ([-FALL_ANGLE, 0.0], False),
+        ([0.0, FALL_ANGLE], False),
+        ([0.3, 0.3, 0.3, 0.3, 0.3], False),
+        ([0.3, 0.3, 0.3, 0.3, 0.5], True),
+    ],
+    ids=[
+        "phi1_is_2", "phi1_is_0.2", "phi0_exactly_pi_2", "phi0_exactly_minus_pi_2",
+        "phi1_exactly_pi_2", "five_links_upright", "five_links_last_past",
+    ],
+)
+def test_has_fallen(q, fell):
+    # Absolute angles are running sums of the relative ones; only an angle
+    # strictly past pi/2 from vertical is a fall.
+    assert has_fallen(np.array(q)) is fell
+
+
+def test_has_fallen_matches_cumsum(rng):
+    for _ in range(3000):
+        q = rng.normal(0.0, 1.0, int(rng.integers(1, 6)))
+        if rng.random() < 0.1:
+            q[int(rng.integers(len(q)))] = rng.choice([np.nan, np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):
+            want = oracles.has_fallen_cumsum(q)
+        assert has_fallen(q) is want
+
+
+def test_balance_trials_match_numpy_forms(monkeypatch):
+    # Three acrobot trials give the same records and the same applied
+    # torques, bit for bit, with every float-path step of the cycle swapped
+    # for its numpy form: the pivot, the 1 x 1 solves, the target errors,
+    # the torque norm, the deque-built regression window and the fall test.
+    cfg = ExperimentConfig(t_max=1.0)
+
+    def run():
+        torques = []
+        step = experiments.controller_step
+
+        def recording_step(*args):
+            tau = step(*args)
+            torques.append((tau.shape, tau.tobytes()))
+            return tau
+
+        records = []
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "controller_step", recording_step)
+            for i in range(3):
+                seed = trial_seed(0, "numpy-forms", i)
+                store = generate_falls(cfg, 3, seed=trial_seed(seed, "falls", 0))
+                records.append(
+                    run_balance_trial(store, cfg, cfg.noise_mult * cfg.sigma0, seed, i, 3)
+                )
+        return records, torques
+
+    want = run()
+    monkeypatch.setattr(controller, "split_coordinates", oracles.split_coordinates_numpy)
+    monkeypatch.setattr(controller, "cpc_tau", oracles.cpc_tau_lapack)
+    monkeypatch.setattr(controller, "target_errors", oracles.target_errors_full_width)
+    monkeypatch.setattr(controller, "_norm", lambda tau: float(np.linalg.norm(tau)))
+    monkeypatch.setattr(experiments, "make_controller", oracles.make_deque_controller)
+    monkeypatch.setattr(experiments, "controller_step", oracles.deque_controller_step)
+    monkeypatch.setattr(experiments, "has_fallen", oracles.has_fallen_cumsum)
+    got = run()
+    assert got[0] == want[0]
+    assert len(got[1]) == len(want[1]) and got[1] == want[1]
+    assert any(r.fell for r in want[0]) and len(want[1]) > 100
 
 
 def test_sweep_csv_byte_identical_across_runs(tmp_path):
