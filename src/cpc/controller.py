@@ -72,6 +72,11 @@ class ControllerConfig:
     use_stored_tau_d: bool = True
 
     def __post_init__(self):
+        # A NaN tau_c would fail every backoff test and every counter's, so
+        # each cycle would run all halvings unrecorded.
+        values = (self.s_g, self.k0, self.tau_c, self.k_c, self.dt, self.sigma_boot)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("s_g, k0, tau_c, k_c, dt and sigma_boot must be finite")
         if not (self.k0 > self.k_c > 0):
             raise ValueError("need k0 > k_c > 0")
         try:

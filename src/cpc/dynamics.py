@@ -68,6 +68,11 @@ class ChainParams:
 
     def __post_init__(self):
         n, joints = _chain_layout(self.n_links, self.actuated_joints, ValueError)
+        if not all(
+            math.isfinite(v)
+            for v in (self.segment_length, self.capsule_radius, self.density, self.gravity)
+        ):
+            raise ValueError("segment_length, capsule_radius, density and gravity must be finite")
         if self.segment_length <= 0 or self.capsule_radius <= 0 or self.density <= 0:
             raise ValueError("segment_length, capsule_radius, density must be positive")
         object.__setattr__(self, "n_links", n)
@@ -134,11 +139,14 @@ def capsule_mass_props(length: float, radius: float, density: float) -> tuple[fl
 
 class _ChainConsts(NamedTuple):
     # coef and grav_w hold Python floats: the kernel's float lanes must not
-    # mix in numpy scalars.
+    # mix in numpy scalars, and the tracer writes them into its source.
     coef: tuple  # N rows of N cos/sin coupling coefficients
     grav_w: tuple  # N gravity weights m g (l_com + links above * L)
     i_cap: float  # per-link capsule inertia about its com
     b_tau: np.ndarray  # (N, M) torque distribution selection
+    # The traced kernel of this chain, accel(sin, cos, sqrt, q, qdot, gen)
+    # -> (x, singular); see _trace_accel.
+    accel: Callable
 
 
 @lru_cache(maxsize=32)
@@ -157,7 +165,8 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
     b_tau = np.zeros((n, params.n_controls))
     for col, j in enumerate(params.actuated_joints):
         b_tau[j, col] = 1.0
-    return _ChainConsts(coef, grav_w, i_com, b_tau)
+    c = _ChainConsts(coef, grav_w, i_com, b_tau, None)
+    return c._replace(accel=_trace_accel(c))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +175,9 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # transformed to relative coordinates with the constant lower-triangular map
 # phi = T q, giving D_q = T' D_phi T and H_q = T' (h_phi + g_phi).
 #
-# The kernel runs over lanes. A lane list holds the N per-coordinate values
-# of a state: Python floats for one state, or (K,) arrays for K states in
+# ``_lane_terms`` and ``_lane_solve`` are the one statement of the dynamics.
+# They run over lanes: a lane list holds the N per-coordinate values of a
+# state, Python floats for one state or (K,) arrays for K states in
 # lockstep. Both lane types execute the same statements in the same order,
 # so a row of a batch comes out bit-equal to the same state run alone,
 # provided numpy's float64 sin/cos return the same bits as math.sin/cos
@@ -175,20 +185,32 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # statement updates a lane in place (no +=), because an array lane may be a
 # view of the caller's state.
 #
+# ``step`` and ``accel`` do not run the kernel itself, whose cost at small N
+# is mostly the interpreter walking its loops. Once per chain,
+# ``_chain_consts`` runs it on symbolic lanes (``_Sym``): every arithmetic
+# operation, comparison, ``|`` and sin/cos/sqrt records one assignment line,
+# and the lines are compiled into one straight-line function. That function
+# then runs on float or array lanes. It performs the same IEEE operations on
+# the same operands in the same order, with no folding or reordering, and
+# each chain constant is written as ``repr(float)``, which reads back as the
+# same double, so every output bit equals the kernel's. ``manipulator_terms``
+# still runs the kernel, and the tests compare the trace against it.
+#
 # The RK4 step takes its vector arithmetic from the same ``_LaneOps`` as
-# the kernel takes sin/cos/sqrt. On float lanes a state vector is a list
-# of N Python floats, so one state stays on float lanes from the first RK4
-# stage to the last: ``step`` converts it from numpy once on the way in and
-# once on the way out. On array lanes a state vector is one (N, K) array,
-# and the step runs whole-array expressions. Both do the same operations in
-# the same order (``q + (0.5*dt)*qdot``, then
+# the traced kernel takes sin/cos/sqrt. On float lanes a state vector is a
+# list of N Python floats, so one state stays on float lanes from the first
+# RK4 stage to the last: ``step`` converts it from numpy once on the way in
+# and once on the way out. On array lanes a state vector is one (N, K)
+# array, and the step runs whole-array expressions. Both do the same
+# operations in the same order (``q + (0.5*dt)*qdot``, then
 # ``q + (dt/6)*(((k1 + 2k2) + 2k3) + k4)``), so the two agree bit for bit.
 #
 # NaN or infinite input must come out as NaN terms, never as an exception or
 # a numpy warning. math.sin/cos raise ValueError on +-inf, so float lanes
-# catch it and return all-NaN terms; np.sin/cos return NaN, and ``step`` runs
-# array lanes under np.errstate. The callers (accel, step) turn NaN outputs
-# into NonFiniteState.
+# catch it and use all-NaN terms, in the kernel and in the traced function
+# alike; np.sin/cos return NaN, and ``step`` runs array lanes under
+# np.errstate. The callers (accel, step) turn NaN outputs into
+# NonFiniteState.
 # ---------------------------------------------------------------------------
 
 
@@ -316,11 +338,124 @@ def _lane_solve(ops, D, rhs):
     return x, singular
 
 
-def _lane_accel(ops, c, q, qdot, gen):
-    """Accelerations under generalized forces ``gen`` (lanes), plus the
-    singular flag of the solve."""
-    D, H = _lane_terms(ops, c, q, qdot)
-    return _lane_solve(ops, D, [g - h for g, h in zip(gen, H)])
+class _Sym:
+    """A symbolic lane: the name of one value of the traced program. Each
+    operator records one assignment on the tape and returns its symbol; the
+    operand order is kept, so a reflected operation is written reflected."""
+
+    __slots__ = ("tape", "name")
+
+    def __init__(self, tape, name):
+        self.tape = tape
+        self.name = name
+
+    def __bool__(self):
+        raise TypeError("the traced kernel cannot branch on a lane value")
+
+    def __add__(self, other):
+        return self.tape.binary(self, "+", other)
+
+    def __radd__(self, other):
+        return self.tape.binary(other, "+", self)
+
+    def __sub__(self, other):
+        return self.tape.binary(self, "-", other)
+
+    def __mul__(self, other):
+        return self.tape.binary(self, "*", other)
+
+    def __rmul__(self, other):
+        return self.tape.binary(other, "*", self)
+
+    def __truediv__(self, other):
+        return self.tape.binary(self, "/", other)
+
+    def __le__(self, other):
+        return self.tape.binary(self, "<=", other)
+
+    def __or__(self, other):
+        return self.tape.binary(self, "|", other)
+
+    def __ror__(self, other):
+        return self.tape.binary(other, "|", self)
+
+
+class _Tape:
+    """The lane operations of symbolic lanes: the assignment lines that
+    ``_Sym`` operators and ``sin``/``cos``/``sqrt`` record, in program
+    order."""
+
+    def __init__(self):
+        self.lines = []
+        # Non-finite constants, bound by name: repr(inf) is not a literal,
+        # and repr drops the sign of a NaN. Finite chain parameters can give
+        # them, when a mass or gravity weight overflows.
+        self.consts = {}
+
+    def operand(self, x) -> str:
+        if isinstance(x, _Sym):
+            return x.name
+        if type(x) is bool or (type(x) is float and math.isfinite(x)):
+            return repr(x)
+        if type(x) is float:
+            name = f"k{len(self.consts)}"
+            self.consts[name] = x
+            return name
+        raise TypeError(f"the traced kernel takes Python floats, not {type(x).__name__}")
+
+    def assign(self, expr: str) -> _Sym:
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {expr}")
+        return _Sym(self, name)
+
+    def binary(self, a, op: str, b) -> _Sym:
+        return self.assign(f"{self.operand(a)} {op} {self.operand(b)}")
+
+    def sin(self, a):
+        return self.assign(f"sin({self.operand(a)})")
+
+    def cos(self, a):
+        return self.assign(f"cos({self.operand(a)})")
+
+    def sqrt(self, a):
+        return self.assign(f"sqrt({self.operand(a)})")
+
+
+def _trace_accel(c: _ChainConsts) -> Callable:
+    """``_lane_terms`` and ``_lane_solve`` of the chain ``c``, traced into
+    ``accel(sin, cos, sqrt, q, qdot, gen) -> (x, singular)``: the joint
+    accelerations under generalized forces ``gen`` and the singular flag of
+    the solve. q, qdot and gen are N lanes each, float or array, and sin,
+    cos, sqrt the lane functions of ``_LaneOps``. A ValueError from sin or
+    cos gives all-NaN terms, as in ``_lane_terms``."""
+    n = len(c.coef)
+    tape = _Tape()
+    q, qdot, gen = ([_Sym(tape, f"{v}{i}") for i in range(n)] for v in ("q", "qd", "g"))
+    D, H = _lane_terms(tape, c, q, qdot)
+    n_terms = len(tape.lines)
+    x, singular = _lane_solve(tape, D, [g - h for g, h in zip(gen, H)])
+
+    def names(lanes):
+        return ", ".join(tape.operand(v) for v in lanes)
+
+    terms = dict.fromkeys(tape.operand(v) for row in [*D, H] for v in row)
+    src = "\n".join(
+        [
+            "def accel(sin, cos, sqrt, q, qdot, gen):",
+            f"    {names(q)}, = q",
+            f"    {names(qdot)}, = qdot",
+            f"    {names(gen)}, = gen",
+            "    try:",
+            *(f"        {line}" for line in tape.lines[:n_terms]),
+            "    except ValueError:",
+            f"        {' = '.join(terms)} = nan",
+            *(f"    {line}" for line in tape.lines[n_terms:]),
+            f"    return [{names(x)}], {tape.operand(singular)}",
+        ]
+    )
+    namespace = {"nan": math.nan, **tape.consts}
+    exec(compile(src, f"<traced accel, N={n}>", "exec"), namespace)
+    return namespace["accel"]
 
 
 def _rk4_step(ops, deriv, q, qdot, dt):
@@ -386,7 +521,8 @@ def accel(params: ChainParams, state: State, tau: np.ndarray) -> np.ndarray:
     if tau.shape != (params.n_controls,):
         raise ValueError(f"tau must have shape ({params.n_controls},)")
     q, qdot = _one_state(params, state.q, state.qdot)
-    x, singular = _lane_accel(_FLOAT_LANES, c, q, qdot, (c.b_tau @ tau).tolist())
+    ops = _FLOAT_LANES
+    x, singular = c.accel(ops.sin, ops.cos, ops.sqrt, q, qdot, (c.b_tau @ tau).tolist())
     if singular:
         raise SingularMatrix("inertia matrix lost positive definiteness")
     out = np.array(x)
@@ -424,33 +560,38 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
         raise ValueError(
             f"q and qdot must share a shape ({n},) or (K, {n}); got {q.shape} and {qdot.shape}"
         )
+    tau_shape = q.shape[:-1] + (params.n_controls,)
+    if tau.shape != tau_shape:
+        raise ValueError(f"tau must have shape {tau_shape}")
+    kernel = c.accel
     if q.ndim == 2 and len(q) > 1:
-        if tau.shape != (len(q), params.n_controls):
-            raise ValueError(f"tau must have shape ({len(q)}, {params.n_controls})")
         # Array lanes: integrate the (N, K) transposes, whose rows are lanes.
         ops = _ARRAY_LANES
+        sin, cos, sqrt = ops.sin, ops.cos, ops.sqrt
         gen = list(c.b_tau @ tau.T)
 
         def deriv(q, qdot):
-            return np.array(_lane_accel(ops, c, q, qdot, gen)[0])
+            return np.array(kernel(sin, cos, sqrt, q, qdot, gen)[0])
 
         with np.errstate(all="ignore"):
             qn, vn = _rk4_step(ops, deriv, q.T, qdot.T, dt)
-        qn, vn = qn.T, vn.T
     else:
         # Float lanes, also for a one-row batch; the solve returns a fresh
         # list, which is already a state vector of float lanes.
         ops = _FLOAT_LANES
+        sin, cos, sqrt = ops.sin, ops.cos, ops.sqrt
         gen = (c.b_tau @ tau.reshape(-1)).tolist()
 
         def deriv(q, qdot):
-            return _lane_accel(ops, c, q, qdot, gen)[0]
+            return kernel(sin, cos, sqrt, q, qdot, gen)[0]
 
         qn, vn = _rk4_step(ops, deriv, q.reshape(-1).tolist(), qdot.reshape(-1).tolist(), dt)
     if not (ops.finite(qn) and ops.finite(vn)):
         raise NonFiniteState(f"integration diverged at t={state.t:.6g}")
-    shape = state.q.shape
-    return State(np.reshape(qn, shape), np.reshape(vn, shape), state.t + dt)
+    if ops is _ARRAY_LANES:
+        return State(qn.T, vn.T, state.t + dt)
+    # One array per vector; ndmin keeps the (1, N) shape of a one-row batch.
+    return State(np.array(qn, ndmin=q.ndim), np.array(vn, ndmin=q.ndim), state.t + dt)
 
 
 def energy(params: ChainParams, state: State) -> float:

@@ -1,3 +1,4 @@
+import math
 from collections import deque
 
 import numpy as np
@@ -259,7 +260,12 @@ def test_controller_never_emits_nonfinite():
 
 
 def test_config_validation():
-    for kwargs in ({"k0": 1.0, "k_c": 2.0}, {"sigma_boot": -0.02}):
+    non_finite = [
+        {name: value}
+        for name in ("s_g", "k0", "tau_c", "k_c", "dt", "sigma_boot")
+        for value in (math.nan, math.inf)
+    ]
+    for kwargs in ({"k0": 1.0, "k_c": 2.0}, {"sigma_boot": -0.02}, *non_finite):
         with pytest.raises(ValueError):
             ControllerConfig(**kwargs)
 

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from cpc.dynamics import (
+    _ARRAY_LANES,
+    _FLOAT_LANES,
     ChainParams,
     State,
     _chain_consts,
+    _lane_solve,
+    _lane_terms,
     accel,
     acrobot_params,
     capsule_mass_props,
@@ -399,9 +403,18 @@ def test_batched_step_nonfinite_row(q, qdot):
             step(acrobot_params(), State(qs, qdots), np.zeros((3, 1)), 1e-2)
 
 
-def test_batched_step_rejects_unbatched_tau():
-    with pytest.raises(ValueError):
-        step(acrobot_params(), State(np.zeros((3, 2)), np.zeros((3, 2))), np.zeros(1), 1e-2)
+@pytest.mark.parametrize(
+    "q_shape, tau_shape",
+    [((3, 2), (1,)), ((1, 2), (1,)), ((2,), (2,)), ((2,), (1, 1)), ((2,), ())],
+    ids=["batch_unbatched_tau", "one_row_batch_unbatched_tau", "state_tau_too_long",
+         "state_batched_tau", "state_scalar_tau"],
+)
+def test_step_rejects_tau_of_other_shape(q_shape, tau_shape):
+    # tau is (M,) for an (N,) state and (K, M) for a (K, N) batch, K = 1
+    # included; on the acrobot M = 1.
+    st = State(np.zeros(q_shape), np.zeros(q_shape))
+    with pytest.raises(ValueError, match="tau must have shape"):
+        step(acrobot_params(), st, np.zeros(tau_shape), 1e-2)
 
 
 @pytest.mark.parametrize(
@@ -443,3 +456,92 @@ def test_chain_params_layout_rule(kwargs):
     # never bools or floats that happen to be integral.
     with pytest.raises(ValueError, match="bad chain layout"):
         ChainParams(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"gravity": np.inf}, {"gravity": np.nan}, {"segment_length": np.nan},
+     {"capsule_radius": np.nan}, {"density": np.inf}],
+    ids=["gravity_inf", "gravity_nan", "segment_length_nan", "capsule_radius_nan", "density_inf"],
+)
+def test_chain_params_rejects_non_finite(kwargs):
+    # A non-finite geometry or gravity must fail here, not as NonFiniteState
+    # at the first step.
+    with pytest.raises(ValueError, match="finite"):
+        ChainParams(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Traced kernel vs the lane kernel it is traced from
+# ---------------------------------------------------------------------------
+
+
+def _lane_reference(ops, c, q, qdot, gen):
+    D, H = _lane_terms(ops, c, q, qdot)
+    return _lane_solve(ops, D, [g - h for g, h in zip(gen, H)])
+
+
+def _bits(x, singular):
+    return np.array(x).tobytes(), np.array(singular).tobytes()
+
+
+def _trace_inputs(n):
+    """500 random (q, qdot, gen) rows, then edge rows: -0.0 entries, NaN and
+    +-inf in q and in qdot, and a velocity whose square overflows."""
+    rng = np.random.default_rng(n)
+    q = rng.uniform(-4.0, 4.0, (500, n))
+    qdot = rng.normal(0.0, 3.0, (500, n)) * 10.0 ** rng.integers(-3, 4, (500, 1))
+    gen = rng.normal(0.0, 0.5, (500, n))
+    edges = []
+    for value in (-0.0, np.nan, np.inf, -np.inf, 1e155):
+        for in_q in (True, False):
+            if in_q and value == 1e155:
+                continue
+            for col in {0, n - 1}:
+                eq, eqd = np.full(n, 0.3), np.full(n, -0.2)
+                (eq if in_q else eqd)[col] = value
+                edges.append((eq, eqd))
+    # Rows of signed zeros, with zero forces of either sign.
+    for _ in range(50):
+        edges.append((rng.choice([0.0, -0.0], n), rng.choice([0.0, -0.0, 0.5, -0.5], n)))
+    q = np.vstack([q, [e[0] for e in edges]])
+    qdot = np.vstack([qdot, [e[1] for e in edges]])
+    gen = np.vstack([gen, rng.choice([0.0, -0.0], (len(edges), n))])
+    return q, qdot, gen
+
+
+_TRACE_CHAINS = [
+    ChainParams(n_links=1, actuated_joints=(0,)),
+    acrobot_params(),
+    ChainParams(n_links=3, actuated_joints=(1, 2)),
+    _N5,
+    # Finite parameters whose constants overflow: gravity weights of inf,
+    # and an infinite mass times zero gravity, NaN.
+    ChainParams(gravity=1e308, density=1e3),
+    ChainParams(gravity=0.0, density=1e308, capsule_radius=10.0),
+]
+
+
+@pytest.mark.parametrize(
+    "params", _TRACE_CHAINS, ids=["n1", "n2", "n3", "n5", "n2_inf_weights", "n2_nan_weights"]
+)
+def test_traced_kernel_matches_lane_kernel(params):
+    # The traced function gives the kernel's bits, x and singular, on float
+    # lanes row by row and on (N, K) array lanes.
+    c = _chain_consts(params)
+    q, qdot, gen = _trace_inputs(params.n_links)
+    ops = _FLOAT_LANES
+    for row in zip(q.tolist(), qdot.tolist(), gen.tolist()):
+        traced = c.accel(ops.sin, ops.cos, ops.sqrt, *row)
+        assert _bits(*traced) == _bits(*_lane_reference(ops, c, *row))
+    ops = _ARRAY_LANES
+    with np.errstate(all="ignore"):
+        traced = c.accel(ops.sin, ops.cos, ops.sqrt, q.T, qdot.T, list(gen.T))
+        reference = _lane_reference(ops, c, q.T, qdot.T, list(gen.T))
+    assert _bits(*traced) == _bits(*reference)
+
+
+def test_chain_trace_built_once():
+    # Equal parameters share one trace, so it is built once per chain.
+    traced = _chain_consts(ChainParams(n_links=4, actuated_joints=(3,))).accel
+    assert _chain_consts(ChainParams(n_links=4, actuated_joints=(3,))).accel is traced
