@@ -26,6 +26,8 @@ from .target_store import DEFAULT_GUARD_TOL, _project_state
 # Condition-number cap on B_chi B_chi': above it the controlled block is
 # treated as singular instead of letting its solves return garbage.
 DEFAULT_COND_CAP = 1e12
+# Ridge penalty of the B regression.
+RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,8 @@ class GainSpec:
     k: float
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError("gain k must be positive")
+        if not 0 < self.k < math.inf:
+            raise ValueError(f"gain k must be positive and finite, got {self.k!r}")
 
     @property
     def kappa(self) -> float:
@@ -153,21 +155,16 @@ def _first_argmax(values: list) -> int:
     return best
 
 
-def reparam_params(
-    x0: dynamics.State,
-    xd: dynamics.State,
-    b: np.ndarray,
-    guard_tol: float = DEFAULT_GUARD_TOL,
-) -> tuple[float, float]:
+def reparam_params(x0: dynamics.State, xd: dynamics.State, b: np.ndarray) -> tuple[float, float]:
     """Time offset t0 and scale s aligning the target's unactuated motion
     with the current one, for a covector ``b`` with one column.
 
     Applies retrieval's rule: raises VelocityBarDegenerate when either
-    projected velocity |b . qdot| is at most ``guard_tol``, and ValueError
-    when b has more than one column.
+    projected velocity |b . qdot| is at most DEFAULT_GUARD_TOL, and
+    ValueError when b has more than one column.
     """
-    b, qbar0, qdbar0 = _project_state(b, x0, guard_tol)
-    _, qbard, qdbard = _project_state(b, xd, guard_tol)
+    b, qbar0, qdbar0 = _project_state(b, x0, DEFAULT_GUARD_TOL)
+    _, qbard, qdbard = _project_state(b, xd, DEFAULT_GUARD_TOL)
     return (qbard - qbar0) / qdbar0, qdbard / qdbar0
 
 
@@ -213,32 +210,24 @@ def cpc_tau(
     return np.asarray(tau_d, dtype=float) - np.linalg.solve(split.b_chi, fb)
 
 
-def estimate_control_matrix(
-    taus: np.ndarray,
-    us: np.ndarray,
-    ridge: float = 1e-8,
-) -> np.ndarray:
+def estimate_control_matrix(taus: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Regress the control matrix from recorded (torque, acceleration) pairs.
 
-    Minimizes sum_i ||u_i - B tau_i||^2 (+ ridge penalty) over the N x M
-    matrix B. With ridge=0 the torques must have full column rank;
-    otherwise RankDeficient is raised. A NaN or inf torque also raises
-    RankDeficient.
+    Minimizes sum_i ||u_i - B tau_i||^2 + RIDGE ||B||^2 over the N x M
+    matrix B. The ridge is one fixed value because every run uses it: it
+    keeps the solve defined when the window's torques are rank deficient
+    (an all-zero window gives B = 0, which the coordinate split rejects),
+    and it shrinks B along each singular value s of the torques by
+    s^2 / (s^2 + RIDGE), about 4e-6 relative for seven bootstrap torques of
+    scale 0.02. A NaN or inf torque raises RankDeficient.
     """
     taus = np.atleast_2d(np.asarray(taus, dtype=float))
     us = np.atleast_2d(np.asarray(us, dtype=float))
     if taus.shape[0] != us.shape[0]:
         raise ValueError("torque and acceleration histories differ in length")
-    if ridge < 0.0:
-        raise ValueError("ridge must be >= 0")
     if not all(map(math.isfinite, taus.flat)):
         raise RankDeficient("torque history is not finite")
     u, s, vt = np.linalg.svd(taus, full_matrices=False)
-    if ridge == 0.0:
-        if not (len(s) == taus.shape[1] and s[0] > 0.0 and s[-1] > s[0] * 1e-12):
-            raise RankDeficient("torques are numerically rank deficient and ridge=0")
-        filt = 1.0 / s
-    else:
-        filt = s / (s * s + ridge)
+    filt = s / (s * s + RIDGE)
     # (vt' diag(filt) u') us is the transposed B, mapping tau to u.
     return ((vt.T * filt) @ (u.T @ us)).T

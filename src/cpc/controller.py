@@ -3,17 +3,21 @@ computation with gain backoff, plus online control-matrix estimation.
 
 Each control cycle retrieves the best-matching stored target points, ranks
 them by the expected-return cost at the current gain, and computes the path
-feedback torque. If the torque norm exceeds the configured cap the gain is
-halved (re-ranking candidates, since the cost depends on the gain) until the
-torque fits or the gain floor is reached; the last torque is returned either
-way. The control matrix is regressed online from the most recent
-(torque, finite-difference acceleration) pairs; before enough pairs exist
-the controller emits small exploratory torques. The pairs live in a
-fixed-size regression window, two preallocated arrays that each cycle
-shifts up one row in place, so the regression reads them without
-rebuilding anything. When a cycle cannot produce a torque (degenerate
+feedback torque. While the torque norm is at least TAU_C the gain is halved
+(re-ranking candidates, since the cost depends on the gain), down to the
+floor K_C; the last torque is returned either way. The control matrix is
+regressed online from the most recent (torque, finite-difference
+acceleration) pairs; before enough pairs exist the controller emits small
+exploratory torques. The pairs live in a fixed-size regression window, two
+preallocated arrays that each cycle shifts up one row in place, so the
+regression reads them without rebuilding anything. When a cycle cannot produce a torque (degenerate
 retrieval, rank-deficient or singular B, or a non-finite result) the
 controller applies zero torque for that cycle.
+
+The loop values OMEGA, HISTORY_N, N_D, K0, K_C and TAU_C are constants, not
+options: the method is one fixed procedure applied after training, and every
+run (the balance experiment, the sweep, the benchmark) uses these values, so
+changing one changes the method.
 
 The cycle's small-array work (the pivot choice of the coordinate split,
 norms and finiteness checks) runs on Python floats, which for these sizes
@@ -34,13 +38,8 @@ from .control_law import (
     split_coordinates,
     target_errors,
 )
-from .dynamics import State, _as_int
-from .errors import (
-    NoValidCandidates,
-    RankDeficient,
-    SingularMatrix,
-    VelocityBarDegenerate,
-)
+from .dynamics import State
+from .errors import NoValidCandidates, RankDeficient, SingularMatrix, VelocityBarDegenerate
 from .target_store import DEFAULT_GUARD_TOL, NonEmptyStore, _query_arrays
 from .value import RewardSpec, candidate_costs
 
@@ -51,43 +50,33 @@ logger = logging.getLogger(__name__)
 OMEGA = 10.0
 # Regression window: (torque, acceleration) pairs per estimate of B.
 HISTORY_N = 7
+# Retrieved candidates ranked per cycle.
+N_D = 20
+# Backoff: start at gain K0 and halve while |tau| >= TAU_C, down to K_C.
+# K0 / 2**9 is the last gain tried, so a cycle ranks at most ten times.
+K0 = 2000.0
+K_C = 2.0
+TAU_C = 2.0
 
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Loop parameters. The defaults follow stored points forward in time
-    (``s_g = 1``) with their recorded torque as feedforward; the balance
-    experiment reverses the goal and drops the recorded torque.
-
-    ``n_d`` is the number of retrieved candidates: an integer >= 1 (a bool
-    is not one)."""
+    """The loop values that differ between callers. The defaults follow
+    stored points forward in time (``s_g = 1``) with their recorded torque
+    as feedforward; the balance experiment reverses the goal, drops the
+    recorded torque and takes dt and sigma_boot from its own configuration.
+    The candidate count, gains and torque cap are the module constants N_D,
+    K0, K_C and TAU_C, since every run uses one set of them."""
 
     s_g: float = 1.0
-    n_d: int = 20
-    k0: float = 2000.0
-    tau_c: float = 2.0
-    k_c: float = 2.0
     dt: float = 0.01
     sigma_boot: float = 0.02
     use_stored_tau_d: bool = True
 
     def __post_init__(self):
-        # A NaN tau_c would fail every backoff test and every counter's, so
-        # each cycle would run all halvings unrecorded.
-        values = (self.s_g, self.k0, self.tau_c, self.k_c, self.dt, self.sigma_boot)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("s_g, k0, tau_c, k_c, dt and sigma_boot must be finite")
-        if not (self.k0 > self.k_c > 0):
-            raise ValueError("need k0 > k_c > 0")
-        try:
-            n_d = _as_int(self.n_d)
-        except TypeError as e:
-            raise ValueError(f"n_d must be an integer, got {self.n_d!r}") from e
-        if self.tau_c <= 0 or self.dt <= 0 or n_d < 1:
-            raise ValueError("bad controller configuration")
-        if self.sigma_boot < 0:
-            raise ValueError("sigma_boot must be >= 0")
-        object.__setattr__(self, "n_d", n_d)
+        finite = all(math.isfinite(v) for v in (self.s_g, self.dt, self.sigma_boot))
+        if not (finite and self.dt > 0 and self.sigma_boot >= 0):
+            raise ValueError("need finite s_g, dt > 0 and sigma_boot >= 0")
 
 
 @dataclass
@@ -143,9 +132,7 @@ def cpc_loop(
     with gain backoff. Raises NoValidCandidates when every stored point is
     guard-rejected."""
     split = split_coordinates(B)
-    idx, t0s, ss, _ = _query_arrays(
-        targets, x0, split.b, OMEGA, cfg.s_g, cfg.n_d, DEFAULT_GUARD_TOL
-    )
+    idx, t0s, ss, _ = _query_arrays(targets, x0, split.b, OMEGA, cfg.s_g, N_D, DEFAULT_GUARD_TOL)
     if len(idx) == 0:
         raise NoValidCandidates("all stored points rejected by the velocity guard")
     store = targets.store
@@ -164,7 +151,7 @@ def cpc_loop(
         )
     dchi, dchidot = target_errors(x0, q_d, qdot_d, t0s, ss, split)
 
-    k = cfg.k0
+    k = K0
     while True:
         gain = GainSpec(k)
         costs = candidate_costs(dchi, dchidot, tau_d, g_d, r_d, t0s, split, gain, spec)
@@ -172,12 +159,12 @@ def cpc_loop(
         tau = cpc_tau(dchi[j], dchidot[j], split, gain, tau_d[j])
         k = 0.5 * k
         norm = _norm(tau)
-        if norm < cfg.tau_c or k < cfg.k_c:
-            if norm >= cfg.tau_c:
+        if norm < TAU_C or k < K_C:
+            if norm >= TAU_C:
                 logger.debug(
                     "gain floor reached with |tau| = %.3g >= %.3g; returning unclamped",
                     norm,
-                    cfg.tau_c,
+                    TAU_C,
                 )
             return tau
 
@@ -212,7 +199,7 @@ def controller_step(
             B = estimate_control_matrix(ctrl.taus, ctrl.us)
             ctrl.last_B = B
             tau = cpc_loop(x0, B, targets, cfg, spec)
-            if _norm(tau) >= cfg.tau_c:
+            if _norm(tau) >= TAU_C:
                 ctrl.unclamped_exits += 1
         except (NoValidCandidates, VelocityBarDegenerate, RankDeficient, SingularMatrix):
             ctrl.fallback_count += 1

@@ -210,7 +210,8 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # catch it and use all-NaN terms, in the kernel and in the traced function
 # alike; np.sin/cos return NaN, and ``step`` runs array lanes under
 # np.errstate. The callers (accel, step) turn NaN outputs into
-# NonFiniteState.
+# NonFiniteState. A NaN or infinite torque raises NonFiniteState before it
+# reaches ``b_tau @ tau``, where 0 * inf would warn.
 # ---------------------------------------------------------------------------
 
 
@@ -512,14 +513,16 @@ def manipulator_terms(params: ChainParams, q: np.ndarray, qdot: np.ndarray) -> D
 def accel(params: ChainParams, state: State, tau: np.ndarray) -> np.ndarray:
     """Joint accelerations for motor torques tau (length = number of actuators).
 
-    Raises NonFiniteState when the accelerations are NaN or infinite, as
-    they are for a state holding NaN or inf, and SingularMatrix when the
+    Raises NonFiniteState when tau or the accelerations are NaN or
+    infinite, as the latter are for a state holding NaN or inf, and
+    SingularMatrix when the
     inertia matrix of a finite state is not positive definite.
     """
     c = _chain_consts(params)
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (params.n_controls,):
         raise ValueError(f"tau must have shape ({params.n_controls},)")
+    _check_torque(tau, state.t)
     q, qdot = _one_state(params, state.q, state.qdot)
     ops = _FLOAT_LANES
     x, singular = c.accel(ops.sin, ops.cos, ops.sqrt, q, qdot, (c.b_tau @ tau).tolist())
@@ -541,6 +544,12 @@ def exact_control_matrix(params: ChainParams, q: np.ndarray) -> np.ndarray:
         raise SingularMatrix(str(e)) from e
 
 
+def _check_torque(tau: np.ndarray, t: float) -> None:
+    """Raise NonFiniteState when an entry of tau is NaN or infinite."""
+    if not all(map(math.isfinite, tau.ravel().tolist())):
+        raise NonFiniteState(f"non-finite torque at t={t:.6g}")
+
+
 def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State:
     """Advance one fixed RK4 step with tau held constant (zero-order hold).
 
@@ -548,7 +557,7 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
     (M,), or a batch of K states advanced in lockstep, with q and qdot of
     shape (K, N) and tau of shape (K, M). Each row of a batch comes out
     bit-equal to stepping it alone. Raises ValueError on any other shape
-    and NonFiniteState if any row diverges.
+    and NonFiniteState if a torque is not finite or any row diverges.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -563,6 +572,7 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
     tau_shape = q.shape[:-1] + (params.n_controls,)
     if tau.shape != tau_shape:
         raise ValueError(f"tau must have shape {tau_shape}")
+    _check_torque(tau, state.t)
     kernel = c.accel
     if q.ndim == 2 and len(q) > 1:
         # Array lanes: integrate the (N, K) transposes, whose rows are lanes.

@@ -64,10 +64,10 @@ class ExperimentConfig:
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "workers", workers)
         object.__setattr__(self, "n_f_list", tuple(n_f_list))
-        # Written so that NaN fails too; sigma0 also divides the recorded
-        # noise multiplier of every trial.
-        if not (self.sigma0 > 0 and self.noise_mult >= 0):
-            raise ValueError("sigma0 must be positive and noise_mult non-negative")
+        # Written so that NaN fails too; an infinite scale would make the
+        # first step of every fall or trial non-finite.
+        if not (0 < self.sigma0 < math.inf and 0 <= self.noise_mult < math.inf):
+            raise ValueError("sigma0 must be positive and noise_mult non-negative, both finite")
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,6 @@ class TrialRecord:
     trial_id: int
     n_f: int
     seed: int
-    noise_multiplier: float
     t_f: float
     fell: bool
 
@@ -190,7 +189,7 @@ def run_balance_trial(
             t_f = st.t
             fell = True
             break
-    return TrialRecord(trial_id, n_f, seed, noise_amp / cfg.sigma0, t_f, fell)
+    return TrialRecord(trial_id, n_f, seed, t_f, fell)
 
 
 def _one_sweep_trial(args):

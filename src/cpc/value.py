@@ -9,6 +9,7 @@ batch is costed at once. The controlled block of B comes from the
 coordinate split, which has already checked it.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -22,8 +23,10 @@ from .dynamics import State
 class RewardSpec:
     """Reward shape: discount time scale, control penalty, state reward slot.
 
-    The control penalty matrix must be symmetric negative semidefinite. The
-    state reward defaults to zero everywhere.
+    T_gamma must be positive and finite, and the control penalty matrix
+    finite, symmetric and negative semidefinite: a NaN in either would make
+    every candidate cost NaN, and the argmin would then pick candidate 0.
+    The state reward defaults to zero everywhere.
     """
 
     T_gamma: float = 1.0
@@ -32,8 +35,10 @@ class RewardSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "C_tau", np.atleast_2d(np.asarray(self.C_tau, dtype=float)))
-        if self.T_gamma <= 0:
-            raise ValueError("T_gamma must be positive")
+        if not 0 < self.T_gamma < math.inf:
+            raise ValueError("T_gamma must be positive and finite")
+        if not np.isfinite(self.C_tau).all():
+            raise ValueError("C_tau must be finite")
         if not np.allclose(self.C_tau, self.C_tau.T):
             raise ValueError("C_tau must be symmetric")
         if np.linalg.eigvalsh(self.C_tau).max() > 1e-12:

@@ -11,7 +11,7 @@ split and the renormalized target from ``control_law``. Everything here
 needs the exact model and is for verification, not for the runtime loop.
 """
 
-from typing import Optional
+import math
 
 import numpy as np
 
@@ -27,39 +27,34 @@ from .dynamics import ChainParams, State, exact_control_matrix
 from .errors import PhasingDegenerate
 
 
-def correspondence_gap(
-    params: ChainParams,
-    x: State,
-    xd: State,
-    epsilon: float,
-    c: Optional[np.ndarray] = None,
-) -> float:
+def correspondence_gap(params: ChainParams, x: State, xd: State, epsilon: float) -> float:
     """Norm of the difference between the path feedback and the constraint
     feedback at the given state, both at gain 1/epsilon^2.
 
     The path side uses the exact control matrix at ``x`` with the covector
     and reparameterization computed there. The constraint side phases by the
-    target configuration's unactuated covector (or an explicit ``c``) and is
-    built from the renormalized target, then evaluated at ``x``. Raises
-    PhasingDegenerate when ``c`` is zero or orthogonal to the target velocity.
+    target configuration's unactuated covector c and is built from the
+    renormalized target, then evaluated at ``x``; c has -1 on its free row,
+    so it is never zero. Raises ValueError unless epsilon is positive and
+    finite with a finite gain 1/epsilon^2, and PhasingDegenerate when c is
+    orthogonal to the target velocity.
     """
+    # Both sides damp with 2/epsilon, the path side as 2 sqrt(k): they agree
+    # only for epsilon > 0.
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    kappa = 1.0 / epsilon
+    gain = GainSpec(kappa * kappa)  # ValueError when 1/epsilon^2 overflows
     B = exact_control_matrix(params, x.q)
     split = split_coordinates(B)
     t0, s = reparam_params(x, xd, split.b)
     q_d, qdot_d, t0, s = xd.q[None], xd.qdot[None], np.array([t0]), np.array([s])
-    kappa = 1.0 / epsilon
-    gain = GainSpec(kappa * kappa)
     dchi, dchidot = target_errors(x, q_d, qdot_d, t0, s, split)
     dtau_cpc = cpc_tau(dchi[0], dchidot[0], split, gain, np.zeros(len(split.controlled)))
 
-    if c is None:
-        c = split_coordinates(exact_control_matrix(params, xd.q)).b[:, 0]
+    c = split_coordinates(exact_control_matrix(params, xd.q)).b[:, 0]
     # Unit length: the feedback is invariant to c's scale, as the slope rescales.
-    c = np.asarray(c, dtype=float).reshape(-1)
-    norm = np.linalg.norm(c)
-    if norm == 0.0:
-        raise PhasingDegenerate("zero phasing covector")
-    c = c / norm
+    c = c / np.linalg.norm(c)
     (q_r0,), (qdot_r,) = renormalized_target(q_d, qdot_d, t0, s)
     dtheta = float(c @ qdot_r)
     if abs(dtheta) < 1e-12:

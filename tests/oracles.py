@@ -321,7 +321,7 @@ def deque_controller_step(ctrl: DequeController, x0, targets, cfg, spec) -> np.n
             B = controller.estimate_control_matrix(taus, us)
             ctrl.last_B = B
             tau = controller.cpc_loop(x0, B, targets, cfg, spec)
-            if float(np.linalg.norm(tau)) >= cfg.tau_c:
+            if float(np.linalg.norm(tau)) >= controller.TAU_C:
                 ctrl.unclamped_exits += 1
         except (NoValidCandidates, VelocityBarDegenerate, RankDeficient, SingularMatrix):
             ctrl.fallback_count += 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cpc.control_law import (
+    RIDGE,
     CoordSplit,
     GainSpec,
     cpc_tau,
@@ -11,6 +12,7 @@ from cpc.control_law import (
     split_coordinates,
     target_errors,
 )
+from cpc.controller import HISTORY_N
 from cpc.dynamics import (
     ChainParams,
     State,
@@ -23,7 +25,7 @@ from cpc.errors import (
     SingularMatrix,
     VelocityBarDegenerate,
 )
-from cpc.target_store import NonEmptyStore, TargetStore, _query_arrays
+from cpc.target_store import DEFAULT_GUARD_TOL, NonEmptyStore, TargetStore, _query_arrays
 from oracles import (
     cpc_tau_lapack,
     one_target,
@@ -250,20 +252,21 @@ def test_reparam_rejects_two_free_directions():
         reparam_params(x, x, b)
 
 
-def _retrieve_one(x0, xd, b, guard_tol):
+def _retrieve_one(x0, xd, b):
     """(t0, s) of a one-point store holding xd, or None when the guard
     rejects the query or the point."""
     store = TargetStore(np.zeros(1), [xd.q], [xd.qdot], np.zeros((1, 1)), [0.0], len(xd.q), (1,))
+    targets = NonEmptyStore(store)
     try:
-        idx, t0, s, _ = _query_arrays(NonEmptyStore(store), x0, b, 10.0, 1.0, 1, guard_tol)
+        idx, t0, s, _ = _query_arrays(targets, x0, b, 10.0, 1.0, 1, DEFAULT_GUARD_TOL)
     except VelocityBarDegenerate:
         return None
     return (float(t0[0]), float(s[0])) if len(idx) else None
 
 
-def _reparam_or_none(x0, xd, b, guard_tol):
+def _reparam_or_none(x0, xd, b):
     try:
-        return reparam_params(x0, xd, b, guard_tol)
+        return reparam_params(x0, xd, b)
     except VelocityBarDegenerate:
         return None
 
@@ -274,17 +277,16 @@ def test_reparam_guard_matches_retrieval(rng):
     b = np.array([[1.0], [0.0]])
     x0 = State(np.zeros(2), np.array([1e-3, 0.0]))
     xd = State(np.array([2e-4, 0.0]), np.array([1e-3, 0.0]))
-    assert _retrieve_one(x0, xd, b, 1e-6) == pytest.approx((0.2, 1.0), rel=1e-12)
-    assert _reparam_or_none(x0, xd, b, 1e-6) == pytest.approx((0.2, 1.0), rel=1e-12)
-    # Random one-point stores, with the guard tolerance near the projected
-    # velocities so that both accepted and rejected cases occur.
+    assert _retrieve_one(x0, xd, b) == pytest.approx((0.2, 1.0), rel=1e-12)
+    assert _reparam_or_none(x0, xd, b) == pytest.approx((0.2, 1.0), rel=1e-12)
+    # Random one-point stores, with velocities spread over two decades on
+    # either side of the guard so that both accepted and rejected cases occur.
     decisions = set()
     for _ in range(300):
         b = rng.normal(size=(2, 1))
-        x0 = State(rng.normal(size=2), rng.normal(size=2))
-        xd = State(rng.normal(size=2), rng.normal(size=2))
-        tol = float(rng.choice([1e-6, 0.3, 1.0]))
-        got, want = _reparam_or_none(x0, xd, b, tol), _retrieve_one(x0, xd, b, tol)
+        x0 = State(rng.normal(size=2), rng.normal(size=2) * 10.0 ** rng.uniform(-8.0, -4.0))
+        xd = State(rng.normal(size=2), rng.normal(size=2) * 10.0 ** rng.uniform(-8.0, -4.0))
+        got, want = _reparam_or_none(x0, xd, b), _retrieve_one(x0, xd, b)
         decisions.add(want is None)
         assert (got is None) == (want is None)
         if want is not None:
@@ -463,22 +465,16 @@ def test_estimate_recovers_exact_linear_map(rng):
     B0 = rng.normal(size=(2, 1))
     taus = rng.normal(size=(7, 1))
     us = taus @ B0.T
-    B = estimate_control_matrix(taus, us, ridge=0.0)
+    B = estimate_control_matrix(taus, us)
     assert np.abs(B - B0).max() < 1e-9
 
 
-def test_estimate_zero_torques_rank_deficient():
-    with pytest.raises(RankDeficient):
-        estimate_control_matrix(np.zeros((7, 1)), np.ones((7, 2)), ridge=0.0)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("ridge", [0.0, 1e-8])
-def test_estimate_non_finite_torque_rank_deficient(rng, bad, ridge):
+def test_estimate_non_finite_torque_rank_deficient(rng, bad):
     taus = rng.normal(size=(7, 1))
     taus[3, 0] = bad
     with pytest.raises(RankDeficient):
-        estimate_control_matrix(taus, rng.normal(size=(7, 2)), ridge=ridge)
+        estimate_control_matrix(taus, rng.normal(size=(7, 2)))
 
 
 def test_estimate_on_acrobot_rollout(rng):
@@ -506,48 +502,55 @@ def test_estimate_on_acrobot_rollout(rng):
 # ---------------------------------------------------------------------------
 
 
+def _ridge_bias_bound(A, X0):
+    """Bound on ||X - X0|| (spectral norm) for the ridge solution X of
+    A X = A X0: RIDGE / s_min(A)^2 times ||X0||, plus rounding."""
+    s_min = np.linalg.svd(A, compute_uv=False)[-1]
+    return RIDGE / s_min**2 * np.linalg.norm(X0, 2) + 1e-12
+
+
 def test_lsq_square_exact(rng):
     A = rng.normal(size=(3, 3)) + 3 * np.eye(3)
     X0 = rng.normal(size=(3, 2))
-    assert np.abs(estimate_control_matrix(A, A @ X0, ridge=0.0).T - X0).max() < 1e-10
+    X = estimate_control_matrix(A, A @ X0).T
+    assert np.linalg.norm(X - X0, 2) <= _ridge_bias_bound(A, X0)
 
 
 def test_lsq_overdetermined_recovery(rng):
     A = rng.normal(size=(10, 2))
     X0 = rng.normal(size=(2, 1))
-    X = estimate_control_matrix(A, A @ X0, ridge=0.0).T
-    assert np.abs(X - X0).max() < 1e-10
-    # Normal-equations oracle.
-    Xn = np.linalg.solve(A.T @ A, A.T @ (A @ X0))
-    assert np.abs(X - Xn).max() < 1e-10
-
-
-def test_lsq_zero_matrix_raises():
-    with pytest.raises(RankDeficient):
-        estimate_control_matrix(np.zeros((4, 2)), np.ones((4, 1)), ridge=0.0)
+    X = estimate_control_matrix(A, A @ X0).T
+    assert np.linalg.norm(X - X0, 2) <= _ridge_bias_bound(A, X0)
 
 
 def test_lsq_residual_orthogonal(rng):
     for _ in range(50):
         A = rng.normal(size=(12, 3))
         y = rng.normal(size=(12, 1))
-        x = estimate_control_matrix(A, y, ridge=0.0).T
+        x = estimate_control_matrix(A, y).T
         resid = A @ x - y
-        # Zero residual gradient: A' r = 0.
-        assert np.abs(A.T @ resid).max() < 1e-9
+        # Residual gradient of the ridge objective: A' r + RIDGE x = 0.
+        assert np.abs(A.T @ resid + RIDGE * x).max() < 1e-9
 
 
-def test_lsq_ridge_shrinks(rng):
-    A = rng.normal(size=(8, 2))
-    y = rng.normal(size=(8, 1))
-    x0 = estimate_control_matrix(A, y, ridge=0.0).T
-    x1 = estimate_control_matrix(A, y, ridge=10.0).T
-    assert np.linalg.norm(x1) < np.linalg.norm(x0)
-    # Ridge normal equations oracle.
-    xn = np.linalg.solve(A.T @ A + 10.0 * np.eye(2), A.T @ y)
-    assert np.abs(x1 - xn).max() < 1e-10
+def test_estimate_matches_ridge_normal_equations(rng):
+    # Full-column-rank windows of the controller's shape and of the
+    # least-squares shapes above, at three torque scales: there the normal
+    # equations are well conditioned enough to serve as the oracle.
+    for rows, cols in [(7, 1), (7, 2), (8, 2), (10, 2), (12, 3)]:
+        for scale in (1e-2, 1.0, 1e2):
+            for _ in range(20):
+                A = rng.normal(0.0, scale, (rows, cols))
+                y = rng.normal(size=(rows, 3))
+                want = np.linalg.solve(A.T @ A + RIDGE * np.eye(cols), A.T @ y)
+                got = estimate_control_matrix(A, y).T
+                assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
-def test_lsq_underdetermined_raises(rng):
+def test_estimate_zero_window_gives_zero_matrix():
+    # The ridge keeps an all-zero torque window solvable: B comes out zero,
+    # and the coordinate split then rejects it.
+    B = estimate_control_matrix(np.zeros((HISTORY_N, 1)), np.ones((HISTORY_N, 2)))
+    assert np.array_equal(B, np.zeros((2, 1)))
     with pytest.raises(RankDeficient):
-        estimate_control_matrix(rng.normal(size=(2, 4)), np.ones((2, 1)), ridge=0.0)
+        split_coordinates(B)

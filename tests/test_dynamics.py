@@ -403,6 +403,28 @@ def test_batched_step_nonfinite_row(q, qdot):
             step(acrobot_params(), State(qs, qdots), np.zeros((3, 1)), 1e-2)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "neg_inf", "nan"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, bad: step(p, State(np.zeros(2), np.zeros(2)), np.array([bad]), 1e-2),
+        lambda p, bad: step(p, State(np.zeros((1, 2)), np.zeros((1, 2))), np.array([[bad]]), 1e-2),
+        lambda p, bad: step(
+            p, State(np.zeros((3, 2)), np.zeros((3, 2))), np.array([[0.0], [bad], [0.0]]), 1e-2
+        ),
+        lambda p, bad: accel(p, State(np.zeros(2), np.zeros(2)), np.array([bad])),
+    ],
+    ids=["step_state", "step_one_row_batch", "step_batch", "accel"],
+)
+def test_non_finite_torque_raises_without_warning(call, bad):
+    # A torque entry of inf would meet the zeros of the torque selection in
+    # b_tau @ tau, and 0 * inf warns; it must raise the package's error first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState, match="torque"):
+            call(acrobot_params(), bad)
+
+
 @pytest.mark.parametrize(
     "q_shape, tau_shape",
     [((3, 2), (1,)), ((1, 2), (1,)), ((2,), (2,)), ((2,), (1, 1)), ((2,), ())],

@@ -88,15 +88,19 @@ def test_unsupported_chain_rejected_before_first_cycle(params, monkeypatch):
         {"sigma0": 0.0},
         {"sigma0": -0.02},
         {"sigma0": float("nan")},
+        {"sigma0": float("inf")},
         {"noise_mult": -1.0},
         {"noise_mult": float("nan")},
+        {"noise_mult": float("inf")},
     ],
-    ids=["sigma0_zero", "sigma0_negative", "sigma0_nan", "noise_mult_negative", "noise_mult_nan"],
+    ids=[
+        "sigma0_zero", "sigma0_negative", "sigma0_nan", "sigma0_inf",
+        "noise_mult_negative", "noise_mult_nan", "noise_mult_inf",
+    ],
 )
 def test_config_rejects_bad_noise(kwargs):
-    # sigma0 divides every trial's recorded noise multiplier and both scale
-    # a normal draw, so a bad value must fail when the config is built, not
-    # after a whole trial has run.
+    # Both scale a normal draw, so a bad value must fail when the config is
+    # built, not at the first step of a fall or trial.
     with pytest.raises(ValueError, match="sigma0 must be positive"):
         ExperimentConfig(**kwargs)
 

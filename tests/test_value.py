@@ -290,6 +290,29 @@ def test_candidate_costs_matches_oracle(rng, chain):
             assert np.argmin(got) == np.argmin(want)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"T_gamma": 0.0},
+        {"T_gamma": float("nan")},
+        {"T_gamma": float("inf")},
+        {"C_tau": [[-float("inf")]]},
+        {"C_tau": [[float("nan")]]},
+        {"C_tau": [[1.0]]},
+        {"C_tau": [[-1.0, 0.5], [0.0, -1.0]]},
+    ],
+    ids=[
+        "T_gamma_zero", "T_gamma_nan", "T_gamma_inf", "C_tau_neg_inf", "C_tau_nan",
+        "C_tau_positive", "C_tau_asymmetric",
+    ],
+)
+def test_reward_spec_rejects_bad_scales(kwargs):
+    # A NaN T_gamma or an infinite C_tau makes every candidate cost NaN or
+    # infinite, and np.argmin would then quietly pick candidate 0.
+    with pytest.raises(ValueError, match="T_gamma|C_tau"):
+        RewardSpec(**kwargs)
+
+
 def test_candidate_costs_rejects_wide_C_tau_for_one_actuator(rng):
     # A 2 x 2 penalty for one actuator must not be ranked by its [0, 0] entry.
     x0, B, split, _, batch = _batch_instance(rng, _CHAINS["M1"])

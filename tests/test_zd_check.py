@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,18 +37,39 @@ def _acrobot_pair():
     return x, xd
 
 
-def test_correspondence_gap_zero_phasing_covector_raises():
-    x, xd = _acrobot_pair()
-    with pytest.raises(PhasingDegenerate, match="zero"):
-        correspondence_gap(acrobot_params(), x, xd, 0.1, c=np.zeros(2))
-
-
 def test_correspondence_gap_orthogonal_phasing_covector_raises():
-    # The renormalized target velocity is the target's divided by s, so a
-    # covector orthogonal to the target velocity is orthogonal to it too.
-    x, xd = _acrobot_pair()
-    c = np.array([-xd.qdot[1], xd.qdot[0]])
+    # The constraint phases by the target configuration's own covector c. A
+    # target velocity orthogonal to c leaves the renormalized velocity (the
+    # target's divided by s) orthogonal to it too, while the covector at x,
+    # taken at another configuration, still passes the velocity guard.
+    x, _ = _acrobot_pair()
+    q_d = x.q + np.array([0.0, 0.5])
+    c = split_coordinates(exact_control_matrix(acrobot_params(), q_d)).b[:, 0]
+    xd = State(q_d, np.array([-c[1], c[0]]))
     with pytest.raises(PhasingDegenerate, match="orthogonal"):
-        correspondence_gap(acrobot_params(), x, xd, 0.1, c=c)
-    # A non-degenerate explicit covector is accepted.
-    assert np.isfinite(correspondence_gap(acrobot_params(), x, xd, 0.1, c=xd.qdot))
+        correspondence_gap(acrobot_params(), x, xd, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda x, xd, eps=eps: correspondence_gap(acrobot_params(), x, xd, eps), id=name
+        )
+        for name, eps in [
+            ("eps_negative", -0.01),
+            ("eps_gain_overflows", 1e-200),
+            ("eps_zero", 0.0),
+            ("eps_nan", math.nan),
+            ("eps_inf", math.inf),
+        ]
+    ]
+    + [pytest.param(lambda x, xd: GainSpec(math.inf), id="gain_inf")],
+)
+def test_rejects_bad_epsilon_and_gain(call):
+    # A negative epsilon damps the two sides with opposite signs, a tiny one
+    # overflows the gain 1/epsilon^2 and zero divides by zero: each raises
+    # ValueError before any feedback is formed.
+    x, xd = _acrobot_pair()
+    with pytest.raises(ValueError, match="epsilon|gain"):
+        call(x, xd)
