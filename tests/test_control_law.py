@@ -470,8 +470,12 @@ def test_estimate_recovers_exact_linear_map(rng):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_estimate_non_finite_torque_rank_deficient(rng, bad):
-    taus = rng.normal(size=(7, 1))
+@pytest.mark.parametrize("scale", [0.0, 1e-8, 1.0])
+def test_estimate_non_finite_torque_rank_deficient(rng, bad, scale):
+    # The finite torques are all zero (the window the ridge maps to B = 0),
+    # at the ridge's own scale, or of unit scale; one bad entry must raise
+    # in each case.
+    taus = rng.normal(size=(7, 1)) * scale
     taus[3, 0] = bad
     with pytest.raises(RankDeficient):
         estimate_control_matrix(taus, rng.normal(size=(7, 2)))
