@@ -185,16 +185,37 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # statement updates a lane in place (no +=), because an array lane may be a
 # view of the caller's state.
 #
+# ``_lane_terms`` forms each pair of links once. Against forming all N^2
+# ordered pairs it makes two rewrites, both exact on finite lanes:
+#
+# - A self pair (k == j) has the angle difference +0. Since cos(+0) = 1 and
+#   sin(+0) = +0, its D term is the chain constant coef[j][j] (added to
+#   i_cap once, when the chain is traced) and its h term adds +0 to an
+#   accumulator that starts at +0.0, which a sum never turns into -0.0.
+# - A mirrored pair (k < j) has the difference phi_j - phi_k, which is
+#   exactly -(phi_k - phi_j). Since cos is even and sin odd, bit for bit in
+#   libm and in numpy (a test pins both), D[j][k] is D[k][j], and its h term
+#   subtracts the product of the pair's stored coef sin(phi_k - phi_j)
+#   instead of adding a new one (in IEEE arithmetic x - y is x + (-y)).
+#
+# On a NaN or infinite state the skipped terms would have been NaN, and
+# without them a single link's velocity reaches nothing and the last
+# diagonal entry of D stays a constant. So ``accel`` checks the state and
+# ``manipulator_terms`` the angles.
+#
 # ``step`` and ``accel`` do not run the kernel itself, whose cost at small N
 # is mostly the interpreter walking its loops. Once per chain,
 # ``_chain_consts`` runs it on symbolic lanes (``_Sym``): every arithmetic
 # operation, comparison, ``|`` and sin/cos/sqrt records one assignment line,
 # and the lines are compiled into one straight-line function. That function
-# then runs on float or array lanes. It performs the same IEEE operations on
-# the same operands in the same order, with no folding or reordering, and
-# each chain constant is written as ``repr(float)``, which reads back as the
-# same double, so every output bit equals the kernel's. ``manipulator_terms``
-# still runs the kernel, and the tests compare the trace against it.
+# then runs on float or array lanes. It performs the kernel's IEEE
+# operations on the same operands in the same order, and each chain
+# constant is written as ``repr(float)``, which reads back as the same
+# double, so every output bit equals the kernel's. Only the pair rewrites
+# above leave operations out: the tracer itself folds and reorders nothing
+# (``0.0 + q0`` stays, since it turns a -0.0 angle into +0.0).
+# ``manipulator_terms`` still runs the kernel, and the tests compare the
+# trace against it and against the all-pairs form.
 #
 # The RK4 step takes its vector arithmetic from the same ``_LaneOps`` as
 # the traced kernel takes sin/cos/sqrt. On float lanes a state vector is a
@@ -210,8 +231,9 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # catch it and use all-NaN terms, in the kernel and in the traced function
 # alike; np.sin/cos return NaN, and ``step`` runs array lanes under
 # np.errstate. The callers (accel, step) turn NaN outputs into
-# NonFiniteState. A NaN or infinite torque raises NonFiniteState before it
-# reaches ``b_tau @ tau``, where 0 * inf would warn.
+# NonFiniteState. A NaN or infinite torque raises NonFiniteState before
+# the step. ``_generalized_forces`` selects the torques onto their joints
+# with the bits of ``b_tau @ tau``, without the matmul.
 # ---------------------------------------------------------------------------
 
 
@@ -268,6 +290,8 @@ def _lane_terms(ops, c, q, qdot):
         phidot.append(acc_qd)
     D = []
     h_phi = []
+    # coef[j][k] sin(phi_j - phi_k) of each pair j < k, for row k.
+    pair_sin = {}
     try:
         for j in range(n):
             pj = phi[j]
@@ -275,10 +299,18 @@ def _lane_terms(ops, c, q, qdot):
             row = []
             s = 0.0
             for k in range(n):
-                djk = pj - phi[k]
-                row.append(coef[k] * ops.cos(djk))
-                s = s + coef[k] * ops.sin(djk) * phidot[k] * phidot[k]
-            row[j] = row[j] + c.i_cap
+                if k < j:
+                    # The mirrored pair: coef is symmetric, cos even, sin odd.
+                    row.append(D[k][j])
+                    s = s - pair_sin[k, j] * phidot[k] * phidot[k]
+                elif k == j:
+                    # cos(+0) = 1; the h term, +0 times a square, is dropped.
+                    row.append(coef[j] + c.i_cap)
+                else:
+                    djk = pj - phi[k]
+                    row.append(coef[k] * ops.cos(djk))
+                    pair_sin[j, k] = coef[k] * ops.sin(djk)
+                    s = s + pair_sin[j, k] * phidot[k] * phidot[k]
             D.append(row)
             h_phi.append(s - c.grav_w[j] * ops.sin(pj))
     except ValueError:
@@ -314,14 +346,14 @@ def _lane_solve(ops, D, rhs):
     """
     n = len(rhs)
     L = [[0.0] * n for _ in range(n)]
-    singular = False
     for i in range(n):
         for j in range(i + 1):
             s = D[i][j]
             for k in range(j):
                 s = s - L[i][k] * L[j][k]
             if i == j:
-                singular = singular | (s <= 0.0)
+                not_positive = s <= 0.0
+                singular = not_positive if i == 0 else singular | not_positive
                 L[i][i] = ops.sqrt(s)
             else:
                 L[i][j] = s / L[j][j]
@@ -361,6 +393,9 @@ class _Sym:
 
     def __sub__(self, other):
         return self.tape.binary(self, "-", other)
+
+    def __rsub__(self, other):
+        return self.tape.binary(other, "-", self)
 
     def __mul__(self, other):
         return self.tape.binary(self, "*", other)
@@ -409,6 +444,10 @@ class _Tape:
         self.lines.append(f"{name} = {expr}")
         return _Sym(self, name)
 
+    def bind(self, x) -> _Sym:
+        """``x`` as a symbol: a constant gets a name of its own."""
+        return x if isinstance(x, _Sym) else self.assign(self.operand(x))
+
     def binary(self, a, op: str, b) -> _Sym:
         return self.assign(f"{self.operand(a)} {op} {self.operand(b)}")
 
@@ -433,6 +472,9 @@ def _trace_accel(c: _ChainConsts) -> Callable:
     tape = _Tape()
     q, qdot, gen = ([_Sym(tape, f"{v}{i}") for i in range(n)] for v in ("q", "qd", "g"))
     D, H = _lane_terms(tape, c, q, qdot)
+    # The last diagonal entry of D is a chain constant; as a name it can be
+    # set to NaN on the ValueError path like every other entry.
+    D = [[tape.bind(v) for v in row] for row in D]
     n_terms = len(tape.lines)
     x, singular = _lane_solve(tape, D, [g - h for g, h in zip(gen, H)])
 
@@ -481,6 +523,16 @@ def _rk4_step(ops, deriv, q, qdot, dt):
     return qn, vn
 
 
+def _generalized_forces(params: ChainParams, tau) -> list:
+    """The N lanes of b_tau @ tau from the M lanes of tau: 0.0 on an
+    unactuated joint and 0.0 + tau on an actuated one, as the matmul gives
+    them (it turns a -0.0 torque into 0.0)."""
+    gen = [0.0] * params.n_links
+    for j, t in zip(params.actuated_joints, tau):
+        gen[j] = 0.0 + t
+    return gen
+
+
 def _one_state(params: ChainParams, q, qdot) -> tuple[list, list]:
     """Float lanes of one state; a batch or a wrong size raises ValueError."""
     q = np.asarray(q, dtype=float)
@@ -506,17 +558,21 @@ def manipulator_terms(params: ChainParams, q: np.ndarray, qdot: np.ndarray) -> D
     motion reads D qddot + H = B_tau tau. An angle that is NaN or infinite
     gives NaN in every entry of D and H.
     """
-    D, H = _lane_terms(_FLOAT_LANES, _chain_consts(params), *_one_state(params, q, qdot))
+    q, qdot = _one_state(params, q, qdot)
+    if not _float_finite(q):
+        # The kernel holds the last diagonal entry of D as a chain constant.
+        n = params.n_links
+        return DynamicsTerms(np.full((n, n), np.nan), np.full(n, np.nan))
+    D, H = _lane_terms(_FLOAT_LANES, _chain_consts(params), q, qdot)
     return DynamicsTerms(np.array(D), np.array(H))
 
 
 def accel(params: ChainParams, state: State, tau: np.ndarray) -> np.ndarray:
     """Joint accelerations for motor torques tau (length = number of actuators).
 
-    Raises NonFiniteState when tau or the accelerations are NaN or
-    infinite, as the latter are for a state holding NaN or inf, and
-    SingularMatrix when the
-    inertia matrix of a finite state is not positive definite.
+    Raises NonFiniteState when tau, the state or the accelerations are NaN
+    or infinite, and SingularMatrix when the inertia matrix of a finite
+    state is not positive definite.
     """
     c = _chain_consts(params)
     tau = np.asarray(tau, dtype=float)
@@ -524,8 +580,13 @@ def accel(params: ChainParams, state: State, tau: np.ndarray) -> np.ndarray:
         raise ValueError(f"tau must have shape ({params.n_controls},)")
     _check_torque(tau, state.t)
     q, qdot = _one_state(params, state.q, state.qdot)
+    # A velocity need not reach the accelerations (a single link has no
+    # velocity term), so the state is checked as well as the output.
+    if not (_float_finite(q) and _float_finite(qdot)):
+        raise NonFiniteState(f"non-finite state at t={state.t:.6g}")
     ops = _FLOAT_LANES
-    x, singular = c.accel(ops.sin, ops.cos, ops.sqrt, q, qdot, (c.b_tau @ tau).tolist())
+    gen = _generalized_forces(params, tau.tolist())
+    x, singular = c.accel(ops.sin, ops.cos, ops.sqrt, q, qdot, gen)
     if singular:
         raise SingularMatrix("inertia matrix lost positive definiteness")
     out = np.array(x)
@@ -578,7 +639,7 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
         # Array lanes: integrate the (N, K) transposes, whose rows are lanes.
         ops = _ARRAY_LANES
         sin, cos, sqrt = ops.sin, ops.cos, ops.sqrt
-        gen = list(c.b_tau @ tau.T)
+        gen = _generalized_forces(params, tau.T)
 
         def deriv(q, qdot):
             return np.array(kernel(sin, cos, sqrt, q, qdot, gen)[0])
@@ -590,7 +651,7 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
         # list, which is already a state vector of float lanes.
         ops = _FLOAT_LANES
         sin, cos, sqrt = ops.sin, ops.cos, ops.sqrt
-        gen = (c.b_tau @ tau.reshape(-1)).tolist()
+        gen = _generalized_forces(params, tau.reshape(-1).tolist())
 
         def deriv(q, qdot):
             return kernel(sin, cos, sqrt, q, qdot, gen)[0]

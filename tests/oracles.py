@@ -23,6 +23,10 @@ every M (``cpc_tau_lapack``), the renormalization of every target column
 (``has_fallen_cumsum``), and a controller whose regression window is a
 deque of (torque, acceleration) pairs rebuilt into arrays with ``np.array``
 each cycle (``DequeController`` and ``deque_controller_step``).
+
+The dynamics kernel forms each pair of links once. ``lane_terms_full``
+forms the manipulator terms from all N^2 ordered pairs, the self pairs
+included, for the tests to require the same bits from the traced kernel.
 """
 
 import json
@@ -278,6 +282,59 @@ def target_errors_full_width(x0, q_d, qdot_d, t0, s, split: CoordSplit):
     q_r0, qdot_r = renormalized_target(q_d, qdot_d, t0, s)
     ci = list(split.controlled)
     return x0.q[ci] - q_r0[:, ci], x0.qdot[ci] - qdot_r[:, ci]
+
+
+def lane_terms_full(ops, c, q, qdot):
+    """Inertia matrix D (N lists of N lanes) and bias H (N lanes) of the
+    chain constants ``c``, every entry formed on its own: all N² angle
+    differences with their sin and cos, the self pairs k == j included."""
+    n = len(q)
+    phi = []
+    phidot = []
+    acc_q = 0.0
+    acc_qd = 0.0
+    for i in range(n):
+        acc_q = acc_q + q[i]
+        acc_qd = acc_qd + qdot[i]
+        phi.append(acc_q)
+        phidot.append(acc_qd)
+    D = []
+    h_phi = []
+    try:
+        for j in range(n):
+            pj = phi[j]
+            coef = c.coef[j]
+            row = []
+            s = 0.0
+            for k in range(n):
+                djk = pj - phi[k]
+                row.append(coef[k] * ops.cos(djk))
+                s = s + coef[k] * ops.sin(djk) * phidot[k] * phidot[k]
+            row[j] = row[j] + c.i_cap
+            D.append(row)
+            h_phi.append(s - c.grav_w[j] * ops.sin(pj))
+    except ValueError:
+        # Float lanes only, from math.sin/cos of +-inf: an infinite angle,
+        # or a difference of finite angles that overflows.
+        return [[math.nan] * n for _ in range(n)], [math.nan] * n
+    # Suffix sums implement the congruence with the lower-ones matrix; each
+    # entry is read as D_phi before it is overwritten.
+    for j in range(n - 1, -1, -1):
+        for k in range(n - 1, -1, -1):
+            v = D[j][k]
+            if j + 1 < n:
+                v = v + D[j + 1][k]
+            if k + 1 < n:
+                v = v + D[j][k + 1]
+            if j + 1 < n and k + 1 < n:
+                v = v - D[j + 1][k + 1]
+            D[j][k] = v
+    H = [0.0] * n
+    acc = 0.0
+    for j in range(n - 1, -1, -1):
+        acc = acc + h_phi[j]
+        H[j] = acc
+    return D, H
 
 
 def has_fallen_cumsum(q) -> bool:

@@ -1,7 +1,9 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from oracles import lane_terms_full
 
 from cpc.dynamics import (
     _ARRAY_LANES,
@@ -9,6 +11,7 @@ from cpc.dynamics import (
     ChainParams,
     State,
     _chain_consts,
+    _generalized_forces,
     _lane_solve,
     _lane_terms,
     accel,
@@ -247,23 +250,60 @@ def test_accel_residual_oracle(rng):
         assert np.abs(resid).max() < 1e-10
 
 
+_N1 = ChainParams(n_links=1, actuated_joints=(0,))
+_N5 = ChainParams(n_links=5, actuated_joints=(1, 2, 3, 4))
+
+
 @pytest.mark.parametrize(
-    "q, qdot",
+    "params, q, qdot",
     [
-        ([np.inf, 0.1], [0.0, 0.0]),
-        ([0.1, -np.inf], [0.0, 0.0]),
-        ([np.nan, 0.1], [0.0, 0.0]),
-        ([0.1, 0.1], [np.inf, 0.0]),
-        ([0.1, 0.1], [0.0, np.nan]),
-        ([0.1, 0.1], [1e155, 0.0]),  # finite, but qdot^2 overflows
+        (acrobot_params(), [np.inf, 0.1], [0.0, 0.0]),
+        (acrobot_params(), [0.1, -np.inf], [0.0, 0.0]),
+        (acrobot_params(), [np.nan, 0.1], [0.0, 0.0]),
+        (acrobot_params(), [0.1, 0.1], [np.inf, 0.0]),
+        (acrobot_params(), [0.1, 0.1], [0.0, np.nan]),
+        (acrobot_params(), [0.1, 0.1], [1e155, 0.0]),  # finite, but qdot^2 overflows
+        (acrobot_params(), [0.1, np.nan], [0.0, 0.0]),
+        (acrobot_params(), [0.1, 0.1], [np.nan, 0.0]),
+        (acrobot_params(), [0.1, 0.1], [0.0, -np.inf]),
+        (_N1, [np.nan], [0.0]),
+        (_N1, [np.inf], [0.0]),
+        (_N1, [0.1], [np.nan]),
+        (_N1, [0.1], [np.inf]),
+        (_N1, [0.1], [-np.inf]),
+        (_N5, [0.1, 0.1, 0.1, 0.1, np.nan], [0.0] * 5),
+        (_N5, [np.inf, 0.1, 0.1, 0.1, 0.1], [0.0] * 5),
+        (_N5, [0.1] * 5, [0.0, 0.0, 0.0, 0.0, np.nan]),
+        (_N5, [0.1] * 5, [np.inf, 0.0, 0.0, 0.0, 0.0]),
+        (_N5, [0.1] * 5, [0.0, 0.0, 1e155, 0.0, 0.0]),
     ],
-    ids=["inf_q", "neg_inf_q", "nan_q", "inf_qdot", "nan_qdot", "overflow_qdot"],
+    ids=["inf_q", "neg_inf_q", "nan_q", "inf_qdot", "nan_qdot", "overflow_qdot",
+         "n2_nan_q_last", "n2_nan_qdot_first", "n2_neg_inf_qdot_last",
+         "n1_nan_q", "n1_inf_q", "n1_nan_qdot", "n1_inf_qdot", "n1_neg_inf_qdot",
+         "n5_nan_q_last", "n5_inf_q_first", "n5_nan_qdot_last", "n5_inf_qdot_first",
+         "n5_overflow_qdot"],
 )
-def test_accel_nonfinite_state(q, qdot):
+def test_accel_nonfinite_state(params, q, qdot):
     # A non-finite state is not a singular inertia matrix: the controller
     # treats SingularMatrix as a reason to fall back, not as a divergence.
+    # A single link's velocity does not reach its accelerations, so only
+    # the state check can see a bad one.
+    tau = np.zeros(params.n_controls)
     with pytest.raises(NonFiniteState):
-        accel(acrobot_params(), State(np.array(q), np.array(qdot)), np.zeros(1))
+        accel(params, State(np.array(q), np.array(qdot)), tau)
+
+
+@pytest.mark.parametrize("n_links", [1, 2, 5])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("col", [0, -1], ids=["first", "last"])
+def test_manipulator_terms_nonfinite_angle(n_links, bad, col):
+    # Every entry is NaN, the last diagonal entry of D included, which the
+    # kernel holds as a chain constant.
+    p = ChainParams(n_links=n_links, actuated_joints=(0,))
+    q = np.full(n_links, 0.2)
+    q[col] = bad
+    terms = manipulator_terms(p, q, np.full(n_links, 0.3))
+    assert np.isnan(terms.D).all() and np.isnan(terms.H).all()
 
 
 def test_control_matrix_single_link_inverse_inertia():
@@ -358,9 +398,6 @@ def test_nonfinite_detection():
     with pytest.raises(NonFiniteState):
         for _ in range(100):
             st = step(p, st, np.zeros(1), 1e-2)
-
-
-_N5 = ChainParams(n_links=5, actuated_joints=(1, 2, 3, 4))
 
 
 @pytest.mark.parametrize("params", [acrobot_params(), _N5], ids=["n2", "n5"])
@@ -533,7 +570,7 @@ def _trace_inputs(n):
 
 
 _TRACE_CHAINS = [
-    ChainParams(n_links=1, actuated_joints=(0,)),
+    _N1,
     acrobot_params(),
     ChainParams(n_links=3, actuated_joints=(1, 2)),
     _N5,
@@ -542,11 +579,10 @@ _TRACE_CHAINS = [
     ChainParams(gravity=1e308, density=1e3),
     ChainParams(gravity=0.0, density=1e308, capsule_radius=10.0),
 ]
+_TRACE_IDS = ["n1", "n2", "n3", "n5", "n2_inf_weights", "n2_nan_weights"]
 
 
-@pytest.mark.parametrize(
-    "params", _TRACE_CHAINS, ids=["n1", "n2", "n3", "n5", "n2_inf_weights", "n2_nan_weights"]
-)
+@pytest.mark.parametrize("params", _TRACE_CHAINS, ids=_TRACE_IDS)
 def test_traced_kernel_matches_lane_kernel(params):
     # The traced function gives the kernel's bits, x and singular, on float
     # lanes row by row and on (N, K) array lanes.
@@ -567,3 +603,112 @@ def test_chain_trace_built_once():
     # Equal parameters share one trace, so it is built once per chain.
     traced = _chain_consts(ChainParams(n_links=4, actuated_joints=(3,))).accel
     assert _chain_consts(ChainParams(n_links=4, actuated_joints=(3,))).accel is traced
+
+
+@pytest.mark.parametrize("params", _TRACE_CHAINS, ids=_TRACE_IDS)
+def test_traced_kernel_matches_full_kernel(params):
+    # The trace skips the self pairs and forms each pair once. On a finite
+    # row it must give the bits, x and singular, of the kernel that forms
+    # all N^2 pairs; on a row holding NaN or inf, x must be NaN or inf
+    # wherever that kernel's is. A single link's velocity does not reach
+    # its accelerations, so there only a bad angle must.
+    c = _chain_consts(params)
+    n = params.n_links
+    q, qdot, gen = _trace_inputs(n)
+    finite = np.isfinite(q).all(1) & np.isfinite(qdot).all(1)
+    propagates = ~finite & (~np.isfinite(q).all(1) | (n > 1))
+
+    def check(traced, full):
+        (x, singular), (x_full, singular_full) = traced, full
+        assert x[finite].tobytes() == x_full[finite].tobytes()
+        assert singular[finite].tobytes() == singular_full[finite].tobytes()
+        assert not np.isfinite(x[propagates][~np.isfinite(x_full[propagates])]).any()
+
+    def by_row(results):
+        x, singular = zip(*results)
+        return np.array(x), np.array(singular)
+
+    ops = _FLOAT_LANES
+    rows = list(zip(q.tolist(), qdot.tolist(), gen.tolist()))
+    traced = by_row(c.accel(ops.sin, ops.cos, ops.sqrt, *row) for row in rows)
+    check(traced, by_row(_full_reference(ops, c, *row) for row in rows))
+    ops = _ARRAY_LANES
+    with np.errstate(all="ignore"):
+        x, singular = c.accel(ops.sin, ops.cos, ops.sqrt, q.T, qdot.T, list(gen.T))
+        x_full, singular_full = _full_reference(ops, c, q.T, qdot.T, list(gen.T))
+    # At N = 1 the one pivot is a chain constant, so the flag is one bool.
+    singular = np.broadcast_to(singular, singular_full.shape)
+    check((np.array(x).T, singular), (np.array(x_full).T, singular_full))
+
+
+def _full_reference(ops, c, q, qdot, gen):
+    D, H = lane_terms_full(ops, c, q, qdot)
+    return _lane_solve(ops, D, [g - h for g, h in zip(gen, H)])
+
+
+def test_sin_odd_cos_even_bit_for_bit():
+    # The trace takes cos(phi_j - phi_k) for cos(phi_k - phi_j) and
+    # -sin(phi_k - phi_j) for sin(phi_j - phi_k), so its bits rest on this,
+    # for the float and the array lane functions alike.
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 0x7FF0000000000000, 40_000, dtype=np.int64)
+    subnormal = rng.integers(1, 1 << 52, 20_000, dtype=np.int64)
+    x = np.concatenate([
+        bits.view(np.float64),
+        subnormal.view(np.float64),
+        10.0 ** rng.uniform(300.0, 308.25, 20_000),
+        rng.uniform(0.0, 10.0, 20_000),
+        [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.pi],
+    ])
+    assert x.size > 100_000 and np.isfinite(x).all()
+    assert np.sin(-x).tobytes() == (-np.sin(x)).tobytes()
+    assert np.cos(-x).tobytes() == np.cos(x).tobytes()
+    xs = x.tolist()
+    assert np.array([math.sin(-v) for v in xs]).tobytes() == (-np.array(list(map(math.sin, xs)))).tobytes()
+    assert np.array([math.cos(-v) for v in xs]).tobytes() == np.array(list(map(math.cos, xs))).tobytes()
+
+
+@pytest.mark.parametrize("n_links", [1, 2, 3, 5])
+def test_traced_kernel_forms_each_pair_once(n_links):
+    # N(N-1)/2 pairs, each with one cos and one sin, and one sin per link
+    # for gravity; forming every ordered pair took N^2 and N^2 + N.
+    calls = {"sin": 0, "cos": 0}
+
+    def counted(name, f):
+        def call(x):
+            calls[name] += 1
+            return f(x)
+
+        return call
+
+    c = _chain_consts(ChainParams(n_links=n_links, actuated_joints=(0,)))
+    lanes = [0.1] * n_links
+    c.accel(counted("sin", math.sin), counted("cos", math.cos), _FLOAT_LANES.sqrt,
+            lanes, lanes, lanes)
+    pairs = n_links * (n_links - 1) // 2
+    assert calls == {"sin": pairs + n_links, "cos": pairs}
+
+
+@pytest.mark.parametrize(
+    "params",
+    [acrobot_params(), ChainParams(n_links=3, actuated_joints=(2, 0)), _N5],
+    ids=["m1", "m2", "m4"],
+)
+def test_generalized_forces_match_matmul(params):
+    # The bits of b_tau @ tau, as step forms them for one state and for a
+    # (K, M) batch: +0.0 on an unactuated joint, and 0.0 for a -0.0 torque.
+    rng = np.random.default_rng(params.n_controls)
+    b_tau = _chain_consts(params).b_tau
+    m = params.n_controls
+    for taus in (
+        rng.choice([0.0, -0.0], (100, m)),
+        rng.choice([0.0, -0.0, 0.5, -0.5], (100, m)),
+        rng.normal(size=(100, m)),
+    ):
+        for tau in taus:
+            gen = _generalized_forces(params, tau.tolist())
+            assert np.array(gen).tobytes() == (b_tau @ tau).tobytes()
+        for k in (1, 3, 100):
+            gen = _generalized_forces(params, taus[:k].T)
+            lanes = np.array([np.broadcast_to(g, (k,)) for g in gen])
+            assert lanes.tobytes() == (b_tau @ taus[:k].T).tobytes()
