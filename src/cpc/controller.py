@@ -24,7 +24,6 @@ norms and finiteness checks) runs on Python floats, which for these sizes
 costs less than numpy's per-call dispatch and gives the same bits.
 """
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -42,9 +41,6 @@ from .dynamics import State
 from .errors import NoValidCandidates, RankDeficient, SingularMatrix, VelocityBarDegenerate
 from .target_store import DEFAULT_GUARD_TOL, NonEmptyStore, _query_arrays
 from .value import RewardSpec, candidate_costs
-
-logger = logging.getLogger(__name__)
-
 
 # Proximity-loss weight on the time offset t0 in retrieval.
 OMEGA = 10.0
@@ -158,14 +154,7 @@ def cpc_loop(
         j = int(np.argmin(costs))
         tau = cpc_tau(dchi[j], dchidot[j], split, gain, tau_d[j])
         k = 0.5 * k
-        norm = _norm(tau)
-        if norm < TAU_C or k < K_C:
-            if norm >= TAU_C:
-                logger.debug(
-                    "gain floor reached with |tau| = %.3g >= %.3g; returning unclamped",
-                    norm,
-                    TAU_C,
-                )
+        if _norm(tau) < TAU_C or k < K_C:
             return tau
 
 

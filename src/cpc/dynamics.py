@@ -145,7 +145,7 @@ class _ChainConsts(NamedTuple):
     i_cap: float  # per-link capsule inertia about its com
     b_tau: np.ndarray  # (N, M) torque distribution selection
     # The traced kernel of this chain, accel(sin, cos, sqrt, q, qdot, gen)
-    # -> (x, singular); see _trace_accel.
+    # -> the N lanes of the joint accelerations; see _trace_accel.
     accel: Callable
 
 
@@ -200,20 +200,23 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 #
 # On a NaN or infinite state the skipped terms would have been NaN, and
 # without them a single link's velocity reaches nothing and the last
-# diagonal entry of D stays a constant. So ``accel`` checks the state and
-# ``manipulator_terms`` the angles.
+# diagonal entry of D stays a constant. So ``manipulator_terms`` checks the
+# angles; in ``step`` a bad velocity reaches the new state through
+# ``q + h*qdot`` and the velocity update.
 #
-# ``step`` and ``accel`` do not run the kernel itself, whose cost at small N
-# is mostly the interpreter walking its loops. Once per chain,
-# ``_chain_consts`` runs it on symbolic lanes (``_Sym``): every arithmetic
-# operation, comparison, ``|`` and sin/cos/sqrt records one assignment line,
-# and the lines are compiled into one straight-line function. That function
-# then runs on float or array lanes. It performs the kernel's IEEE
-# operations on the same operands in the same order, and each chain
-# constant is written as ``repr(float)``, which reads back as the same
-# double, so every output bit equals the kernel's. Only the pair rewrites
-# above leave operations out: the tracer itself folds and reorders nothing
-# (``0.0 + q0`` stays, since it turns a -0.0 angle into +0.0).
+# ``step`` does not run the kernel itself, whose cost at small N is mostly
+# the interpreter walking its loops. Once per chain, ``_chain_consts`` runs
+# it on symbolic lanes (``_Sym``): every arithmetic operation and
+# sin/cos/sqrt records one assignment line, and the lines are compiled into
+# one straight-line function. That function then runs on float or array
+# lanes. It performs the kernel's IEEE operations on the same operands in
+# the same order, and each chain constant is written as ``repr(float)``,
+# which reads back as the same double, so every output bit equals the
+# kernel's. Only the pair rewrites above leave operations out, and the tape
+# records each expression once: a repeat of an operation on the same
+# operands reuses the first symbol, which holds the same bits. The tracer
+# folds and reorders nothing (``0.0 + q0`` stays, since it turns a -0.0
+# angle into +0.0).
 # ``manipulator_terms`` still runs the kernel, and the tests compare the
 # trace against it and against the all-pairs form.
 #
@@ -230,8 +233,9 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # a numpy warning. math.sin/cos raise ValueError on +-inf, so float lanes
 # catch it and use all-NaN terms, in the kernel and in the traced function
 # alike; np.sin/cos return NaN, and ``step`` runs array lanes under
-# np.errstate. The callers (accel, step) turn NaN outputs into
-# NonFiniteState. A NaN or infinite torque raises NonFiniteState before
+# np.errstate. A non-positive pivot of the solve gives NaN as well, through
+# ``_pivot_root`` or np.sqrt. ``step`` turns a non-finite new state into
+# NonFiniteState, and a NaN or infinite torque raises NonFiniteState before
 # the step. ``_generalized_forces`` selects the torques onto their joints
 # with the bits of ``b_tau @ tau``, without the matmul.
 # ---------------------------------------------------------------------------
@@ -338,12 +342,9 @@ def _lane_terms(ops, c, q, qdot):
 
 
 def _lane_solve(ops, D, rhs):
-    """Cholesky solve of the small SPD inertia matrix over lanes.
-
-    Returns (x, singular); ``singular`` is true (per lane) where a pivot is
-    not positive, which makes x NaN or infinite there. A NaN pivot passes
-    the test (NaN <= 0 is false), so NaN terms are not reported singular.
-    """
+    """Cholesky solve of the small SPD inertia matrix over lanes: the N
+    lanes of x with D x = rhs. A pivot that is not positive makes x NaN
+    (see ``_pivot_root``)."""
     n = len(rhs)
     L = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -352,8 +353,6 @@ def _lane_solve(ops, D, rhs):
             for k in range(j):
                 s = s - L[i][k] * L[j][k]
             if i == j:
-                not_positive = s <= 0.0
-                singular = not_positive if i == 0 else singular | not_positive
                 L[i][i] = ops.sqrt(s)
             else:
                 L[i][j] = s / L[j][j]
@@ -368,7 +367,7 @@ def _lane_solve(ops, D, rhs):
         for k in range(i + 1, n):
             s = s - L[k][i] * x[k]
         x[i] = s / L[i][i]
-    return x, singular
+    return x
 
 
 class _Sym:
@@ -406,23 +405,15 @@ class _Sym:
     def __truediv__(self, other):
         return self.tape.binary(self, "/", other)
 
-    def __le__(self, other):
-        return self.tape.binary(self, "<=", other)
-
-    def __or__(self, other):
-        return self.tape.binary(self, "|", other)
-
-    def __ror__(self, other):
-        return self.tape.binary(other, "|", self)
-
 
 class _Tape:
     """The lane operations of symbolic lanes: the assignment lines that
     ``_Sym`` operators and ``sin``/``cos``/``sqrt`` record, in program
-    order."""
+    order, each right-hand side once."""
 
     def __init__(self):
         self.lines = []
+        self.symbols = {}  # right-hand side -> the symbol assigned it
         # Non-finite constants, bound by name: repr(inf) is not a literal,
         # and repr drops the sign of a NaN. Finite chain parameters can give
         # them, when a mass or gravity weight overflows.
@@ -440,9 +431,11 @@ class _Tape:
         raise TypeError(f"the traced kernel takes Python floats, not {type(x).__name__}")
 
     def assign(self, expr: str) -> _Sym:
-        name = f"t{len(self.lines)}"
-        self.lines.append(f"{name} = {expr}")
-        return _Sym(self, name)
+        if expr not in self.symbols:
+            name = f"t{len(self.lines)}"
+            self.lines.append(f"{name} = {expr}")
+            self.symbols[expr] = _Sym(self, name)
+        return self.symbols[expr]
 
     def bind(self, x) -> _Sym:
         """``x`` as a symbol: a constant gets a name of its own."""
@@ -463,11 +456,11 @@ class _Tape:
 
 def _trace_accel(c: _ChainConsts) -> Callable:
     """``_lane_terms`` and ``_lane_solve`` of the chain ``c``, traced into
-    ``accel(sin, cos, sqrt, q, qdot, gen) -> (x, singular)``: the joint
-    accelerations under generalized forces ``gen`` and the singular flag of
-    the solve. q, qdot and gen are N lanes each, float or array, and sin,
-    cos, sqrt the lane functions of ``_LaneOps``. A ValueError from sin or
-    cos gives all-NaN terms, as in ``_lane_terms``."""
+    ``accel(sin, cos, sqrt, q, qdot, gen) -> x``: the N lanes of the joint
+    accelerations under generalized forces ``gen``, in a fresh list. q,
+    qdot and gen are N lanes each, float or array, and sin, cos, sqrt the
+    lane functions of ``_LaneOps``. A ValueError from sin or cos gives
+    all-NaN terms, as in ``_lane_terms``."""
     n = len(c.coef)
     tape = _Tape()
     q, qdot, gen = ([_Sym(tape, f"{v}{i}") for i in range(n)] for v in ("q", "qd", "g"))
@@ -476,7 +469,7 @@ def _trace_accel(c: _ChainConsts) -> Callable:
     # set to NaN on the ValueError path like every other entry.
     D = [[tape.bind(v) for v in row] for row in D]
     n_terms = len(tape.lines)
-    x, singular = _lane_solve(tape, D, [g - h for g, h in zip(gen, H)])
+    x = _lane_solve(tape, D, [g - h for g, h in zip(gen, H)])
 
     def names(lanes):
         return ", ".join(tape.operand(v) for v in lanes)
@@ -493,7 +486,7 @@ def _trace_accel(c: _ChainConsts) -> Callable:
             "    except ValueError:",
             f"        {' = '.join(terms)} = nan",
             *(f"    {line}" for line in tape.lines[n_terms:]),
-            f"    return [{names(x)}], {tape.operand(singular)}",
+            f"    return [{names(x)}]",
         ]
     )
     namespace = {"nan": math.nan, **tape.consts}
@@ -533,19 +526,6 @@ def _generalized_forces(params: ChainParams, tau) -> list:
     return gen
 
 
-def _one_state(params: ChainParams, q, qdot) -> tuple[list, list]:
-    """Float lanes of one state; a batch or a wrong size raises ValueError."""
-    q = np.asarray(q, dtype=float)
-    qdot = np.asarray(qdot, dtype=float)
-    n = params.n_links
-    if q.shape != (n,) or qdot.shape != (n,):
-        raise ValueError(
-            f"takes one state, with q and qdot of shape ({n},); "
-            f"got {q.shape} and {qdot.shape}"
-        )
-    return q.tolist(), qdot.tolist()
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -556,43 +536,23 @@ def manipulator_terms(params: ChainParams, q: np.ndarray, qdot: np.ndarray) -> D
 
     H collects Coriolis, centrifugal and gravity terms, so the equation of
     motion reads D qddot + H = B_tau tau. An angle that is NaN or infinite
-    gives NaN in every entry of D and H.
+    gives NaN in every entry of D and H. A batch or a wrong size raises
+    ValueError.
     """
-    q, qdot = _one_state(params, q, qdot)
+    q = np.asarray(q, dtype=float)
+    qdot = np.asarray(qdot, dtype=float)
+    n = params.n_links
+    if q.shape != (n,) or qdot.shape != (n,):
+        raise ValueError(
+            f"takes one state, with q and qdot of shape ({n},); "
+            f"got {q.shape} and {qdot.shape}"
+        )
+    q, qdot = q.tolist(), qdot.tolist()
     if not _float_finite(q):
         # The kernel holds the last diagonal entry of D as a chain constant.
-        n = params.n_links
         return DynamicsTerms(np.full((n, n), np.nan), np.full(n, np.nan))
     D, H = _lane_terms(_FLOAT_LANES, _chain_consts(params), q, qdot)
     return DynamicsTerms(np.array(D), np.array(H))
-
-
-def accel(params: ChainParams, state: State, tau: np.ndarray) -> np.ndarray:
-    """Joint accelerations for motor torques tau (length = number of actuators).
-
-    Raises NonFiniteState when tau, the state or the accelerations are NaN
-    or infinite, and SingularMatrix when the inertia matrix of a finite
-    state is not positive definite.
-    """
-    c = _chain_consts(params)
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape != (params.n_controls,):
-        raise ValueError(f"tau must have shape ({params.n_controls},)")
-    _check_torque(tau, state.t)
-    q, qdot = _one_state(params, state.q, state.qdot)
-    # A velocity need not reach the accelerations (a single link has no
-    # velocity term), so the state is checked as well as the output.
-    if not (_float_finite(q) and _float_finite(qdot)):
-        raise NonFiniteState(f"non-finite state at t={state.t:.6g}")
-    ops = _FLOAT_LANES
-    gen = _generalized_forces(params, tau.tolist())
-    x, singular = c.accel(ops.sin, ops.cos, ops.sqrt, q, qdot, gen)
-    if singular:
-        raise SingularMatrix("inertia matrix lost positive definiteness")
-    out = np.array(x)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteState(f"non-finite acceleration at t={state.t:.6g}")
-    return out
 
 
 def exact_control_matrix(params: ChainParams, q: np.ndarray) -> np.ndarray:
@@ -603,12 +563,6 @@ def exact_control_matrix(params: ChainParams, q: np.ndarray) -> np.ndarray:
         return np.linalg.solve(terms.D, c.b_tau)
     except np.linalg.LinAlgError as e:  # pragma: no cover - D is SPD by construction
         raise SingularMatrix(str(e)) from e
-
-
-def _check_torque(tau: np.ndarray, t: float) -> None:
-    """Raise NonFiniteState when an entry of tau is NaN or infinite."""
-    if not all(map(math.isfinite, tau.ravel().tolist())):
-        raise NonFiniteState(f"non-finite torque at t={t:.6g}")
 
 
 def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State:
@@ -633,7 +587,8 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
     tau_shape = q.shape[:-1] + (params.n_controls,)
     if tau.shape != tau_shape:
         raise ValueError(f"tau must have shape {tau_shape}")
-    _check_torque(tau, state.t)
+    if not all(map(math.isfinite, tau.ravel().tolist())):
+        raise NonFiniteState(f"non-finite torque at t={state.t:.6g}")
     kernel = c.accel
     if q.ndim == 2 and len(q) > 1:
         # Array lanes: integrate the (N, K) transposes, whose rows are lanes.
@@ -642,19 +597,19 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
         gen = _generalized_forces(params, tau.T)
 
         def deriv(q, qdot):
-            return np.array(kernel(sin, cos, sqrt, q, qdot, gen)[0])
+            return np.array(kernel(sin, cos, sqrt, q, qdot, gen))
 
         with np.errstate(all="ignore"):
             qn, vn = _rk4_step(ops, deriv, q.T, qdot.T, dt)
     else:
-        # Float lanes, also for a one-row batch; the solve returns a fresh
-        # list, which is already a state vector of float lanes.
+        # Float lanes, also for a one-row batch; the traced kernel returns a
+        # fresh list, which is already a state vector of float lanes.
         ops = _FLOAT_LANES
         sin, cos, sqrt = ops.sin, ops.cos, ops.sqrt
         gen = _generalized_forces(params, tau.reshape(-1).tolist())
 
         def deriv(q, qdot):
-            return kernel(sin, cos, sqrt, q, qdot, gen)[0]
+            return kernel(sin, cos, sqrt, q, qdot, gen)
 
         qn, vn = _rk4_step(ops, deriv, q.reshape(-1).tolist(), qdot.reshape(-1).tolist(), dt)
     if not (ops.finite(qn) and ops.finite(vn)):

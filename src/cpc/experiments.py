@@ -162,9 +162,13 @@ def run_balance_trial(
     """Balance from upright rest under controller torque plus disturbance
     noise on the actuated joint; returns the fall time (capped).
 
-    Raises DatasetSchemaMismatch when the store was recorded on a chain
-    with another link count or actuated joints than ``params``.
+    Raises ValueError unless noise_amp is finite and non-negative, and
+    DatasetSchemaMismatch when the store was recorded on a chain with
+    another link count or actuated joints than ``params``.
     """
+    # Written so that NaN fails too.
+    if not 0 <= noise_amp < math.inf:
+        raise ValueError(f"noise_amp must be finite and non-negative, got {noise_amp!r}")
     params = params or acrobot_params()
     if (store.n_links, store.actuated_joints) != (params.n_links, params.actuated_joints):
         raise DatasetSchemaMismatch(

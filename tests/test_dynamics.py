@@ -1,10 +1,12 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from oracles import lane_terms_full
 
+from cpc import dynamics
 from cpc.dynamics import (
     _ARRAY_LANES,
     _FLOAT_LANES,
@@ -14,7 +16,7 @@ from cpc.dynamics import (
     _generalized_forces,
     _lane_solve,
     _lane_terms,
-    accel,
+    _trace_accel,
     acrobot_params,
     capsule_mass_props,
     energy,
@@ -174,6 +176,15 @@ def _oracle_D_only(params, q, qdot):
     return D
 
 
+def _accel(params, q, qdot, tau):
+    """Joint accelerations from the traced kernel of ``params``, run on the
+    float lanes of one state, as ``step`` runs it."""
+    ops = _FLOAT_LANES
+    gen = _generalized_forces(params, np.asarray(tau, dtype=float).tolist())
+    lanes = (np.asarray(v, dtype=float).tolist() for v in (q, qdot))
+    return np.array(_chain_consts(params).accel(ops.sin, ops.cos, ops.sqrt, *lanes, gen))
+
+
 def test_single_link_upright_no_gravity_torque():
     p = ChainParams(n_links=1, actuated_joints=(0,))
     t = manipulator_terms(p, np.zeros(1), np.zeros(1))
@@ -186,7 +197,7 @@ def test_single_link_horizontal_gravity():
     t = manipulator_terms(p, np.array([np.pi / 2]), np.zeros(1))
     assert abs(t.H[0]) == pytest.approx(mass * p.gravity * l_com, rel=1e-12)
     # Released from horizontal, the link must fall away from upright.
-    a = accel(p, State(np.array([np.pi / 2]), np.zeros(1)), np.zeros(1))
+    a = _accel(p, [np.pi / 2], np.zeros(1), np.zeros(1))
     assert a[0] > 0
 
 
@@ -200,7 +211,7 @@ def test_terms_match_lagrangian_oracle(rng):
         assert np.abs(terms.D - D_o).max() < 1e-7
         assert np.abs(terms.H - H_o).max() < 1e-6
         tau = rng.normal(size=1)
-        qdd = accel(p, State(q, qdot), tau)
+        qdd = _accel(p, q, qdot, tau)
         qdd_o = np.linalg.solve(D_o, _chain_consts(p).b_tau @ tau - H_o)
         assert np.abs(qdd - qdd_o).max() < 1e-6
 
@@ -224,18 +235,18 @@ def test_inertia_spd_random(rng):
 
 
 # ---------------------------------------------------------------------------
-# accel / exact_control_matrix
+# Accelerations / exact_control_matrix
 # ---------------------------------------------------------------------------
 
 
 def test_accel_zero_gravity_equilibrium():
     p = ChainParams(n_links=2, actuated_joints=(1,), gravity=0.0)
-    a = accel(p, State(np.array([0.3, -0.7]), np.zeros(2)), np.zeros(1))
+    a = _accel(p, [0.3, -0.7], np.zeros(2), np.zeros(1))
     assert np.abs(a).max() < 1e-14
 
 
 def test_accel_acrobot_upright_equilibrium():
-    a = accel(acrobot_params(), State(np.zeros(2), np.zeros(2)), np.zeros(1))
+    a = _accel(acrobot_params(), np.zeros(2), np.zeros(2), np.zeros(1))
     assert np.abs(a).max() < 1e-12
 
 
@@ -244,7 +255,7 @@ def test_accel_residual_oracle(rng):
     for _ in range(20):
         st = State(rng.uniform(-2, 2, size=2), rng.uniform(-3, 3, size=2))
         tau = rng.normal(size=1)
-        qdd = accel(p, st, tau)
+        qdd = _accel(p, st.q, st.qdot, tau)
         terms = manipulator_terms(p, st.q, st.qdot)
         resid = terms.D @ qdd + terms.H - _chain_consts(p).b_tau @ tau
         assert np.abs(resid).max() < 1e-10
@@ -284,13 +295,15 @@ _N5 = ChainParams(n_links=5, actuated_joints=(1, 2, 3, 4))
          "n5_overflow_qdot"],
 )
 def test_accel_nonfinite_state(params, q, qdot):
-    # A non-finite state is not a singular inertia matrix: the controller
-    # treats SingularMatrix as a reason to fall back, not as a divergence.
-    # A single link's velocity does not reach its accelerations, so only
-    # the state check can see a bad one.
-    tau = np.zeros(params.n_controls)
-    with pytest.raises(NonFiniteState):
-        accel(params, State(np.array(q), np.array(qdot)), tau)
+    # A step from a non-finite state raises NonFiniteState, never a numpy
+    # warning, as one state and as a one-row batch. A single link's velocity
+    # does not reach its accelerations, but it reaches the new state.
+    q, qdot, tau = np.array(q), np.array(qdot), np.zeros(params.n_controls)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for st, t in ((State(q, qdot), tau), (State(q[None], qdot[None]), tau[None])):
+            with pytest.raises(NonFiniteState):
+                step(params, st, t, 1e-2)
 
 
 @pytest.mark.parametrize("n_links", [1, 2, 5])
@@ -318,8 +331,8 @@ def test_control_matrix_equals_unit_torque_response(rng):
     q = rng.uniform(-1, 1, size=2)
     qdot = rng.uniform(-1, 1, size=2)
     B = exact_control_matrix(p, q)
-    drift = accel(p, State(q, qdot), np.zeros(1))
-    col = accel(p, State(q, qdot), np.ones(1)) - drift
+    drift = _accel(p, q, qdot, np.zeros(1))
+    col = _accel(p, q, qdot, np.ones(1)) - drift
     assert np.abs(B[:, 0] - col).max() < 1e-8
 
 
@@ -449,9 +462,8 @@ def test_batched_step_nonfinite_row(q, qdot):
         lambda p, bad: step(
             p, State(np.zeros((3, 2)), np.zeros((3, 2))), np.array([[0.0], [bad], [0.0]]), 1e-2
         ),
-        lambda p, bad: accel(p, State(np.zeros(2), np.zeros(2)), np.array([bad])),
     ],
-    ids=["step_state", "step_one_row_batch", "step_batch", "accel"],
+    ids=["step_state", "step_one_row_batch", "step_batch"],
 )
 def test_non_finite_torque_raises_without_warning(call, bad):
     # A torque entry of inf would meet the zeros of the torque selection in
@@ -479,11 +491,10 @@ def test_step_rejects_tau_of_other_shape(q_shape, tau_shape):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda p, st: accel(p, st, np.zeros(1)),
         lambda p, st: energy(p, st),
         lambda p, st: manipulator_terms(p, st.q, st.qdot),
     ],
-    ids=["accel", "energy", "manipulator_terms"],
+    ids=["energy", "manipulator_terms"],
 )
 def test_single_state_functions_reject_batch(call):
     # Only step takes a batch; the others say so instead of failing inside
@@ -540,10 +551,6 @@ def _lane_reference(ops, c, q, qdot, gen):
     return _lane_solve(ops, D, [g - h for g, h in zip(gen, H)])
 
 
-def _bits(x, singular):
-    return np.array(x).tobytes(), np.array(singular).tobytes()
-
-
 def _trace_inputs(n):
     """500 random (q, qdot, gen) rows, then edge rows: -0.0 entries, NaN and
     +-inf in q and in qdot, and a velocity whose square overflows."""
@@ -584,19 +591,19 @@ _TRACE_IDS = ["n1", "n2", "n3", "n5", "n2_inf_weights", "n2_nan_weights"]
 
 @pytest.mark.parametrize("params", _TRACE_CHAINS, ids=_TRACE_IDS)
 def test_traced_kernel_matches_lane_kernel(params):
-    # The traced function gives the kernel's bits, x and singular, on float
-    # lanes row by row and on (N, K) array lanes.
+    # The traced function gives the kernel's bits on float lanes row by row
+    # and on (N, K) array lanes.
     c = _chain_consts(params)
     q, qdot, gen = _trace_inputs(params.n_links)
     ops = _FLOAT_LANES
     for row in zip(q.tolist(), qdot.tolist(), gen.tolist()):
         traced = c.accel(ops.sin, ops.cos, ops.sqrt, *row)
-        assert _bits(*traced) == _bits(*_lane_reference(ops, c, *row))
+        assert np.array(traced).tobytes() == np.array(_lane_reference(ops, c, *row)).tobytes()
     ops = _ARRAY_LANES
     with np.errstate(all="ignore"):
         traced = c.accel(ops.sin, ops.cos, ops.sqrt, q.T, qdot.T, list(gen.T))
         reference = _lane_reference(ops, c, q.T, qdot.T, list(gen.T))
-    assert _bits(*traced) == _bits(*reference)
+    assert np.array(traced).tobytes() == np.array(reference).tobytes()
 
 
 def test_chain_trace_built_once():
@@ -608,37 +615,30 @@ def test_chain_trace_built_once():
 @pytest.mark.parametrize("params", _TRACE_CHAINS, ids=_TRACE_IDS)
 def test_traced_kernel_matches_full_kernel(params):
     # The trace skips the self pairs and forms each pair once. On a finite
-    # row it must give the bits, x and singular, of the kernel that forms
-    # all N^2 pairs; on a row holding NaN or inf, x must be NaN or inf
-    # wherever that kernel's is. A single link's velocity does not reach
-    # its accelerations, so there only a bad angle must.
+    # row it must give the bits of the kernel that forms all N^2 pairs; on a
+    # row holding NaN or inf, x must be NaN or inf wherever that kernel's
+    # is. A single link's velocity does not reach its accelerations, so
+    # there only a bad angle must.
     c = _chain_consts(params)
     n = params.n_links
     q, qdot, gen = _trace_inputs(n)
     finite = np.isfinite(q).all(1) & np.isfinite(qdot).all(1)
     propagates = ~finite & (~np.isfinite(q).all(1) | (n > 1))
 
-    def check(traced, full):
-        (x, singular), (x_full, singular_full) = traced, full
+    def check(x, x_full):
+        assert x.shape == x_full.shape == (len(q), n)
         assert x[finite].tobytes() == x_full[finite].tobytes()
-        assert singular[finite].tobytes() == singular_full[finite].tobytes()
         assert not np.isfinite(x[propagates][~np.isfinite(x_full[propagates])]).any()
-
-    def by_row(results):
-        x, singular = zip(*results)
-        return np.array(x), np.array(singular)
 
     ops = _FLOAT_LANES
     rows = list(zip(q.tolist(), qdot.tolist(), gen.tolist()))
-    traced = by_row(c.accel(ops.sin, ops.cos, ops.sqrt, *row) for row in rows)
-    check(traced, by_row(_full_reference(ops, c, *row) for row in rows))
+    traced = np.array([c.accel(ops.sin, ops.cos, ops.sqrt, *row) for row in rows])
+    check(traced, np.array([_full_reference(ops, c, *row) for row in rows]))
     ops = _ARRAY_LANES
     with np.errstate(all="ignore"):
-        x, singular = c.accel(ops.sin, ops.cos, ops.sqrt, q.T, qdot.T, list(gen.T))
-        x_full, singular_full = _full_reference(ops, c, q.T, qdot.T, list(gen.T))
-    # At N = 1 the one pivot is a chain constant, so the flag is one bool.
-    singular = np.broadcast_to(singular, singular_full.shape)
-    check((np.array(x).T, singular), (np.array(x_full).T, singular_full))
+        x = c.accel(ops.sin, ops.cos, ops.sqrt, q.T, qdot.T, list(gen.T))
+        x_full = _full_reference(ops, c, q.T, qdot.T, list(gen.T))
+    check(np.array(x).T, np.array(x_full).T)
 
 
 def _full_reference(ops, c, q, qdot, gen):
@@ -687,6 +687,28 @@ def test_traced_kernel_forms_each_pair_once(n_links):
             lanes, lanes, lanes)
     pairs = n_links * (n_links - 1) // 2
     assert calls == {"sin": pairs + n_links, "cos": pairs}
+
+
+@pytest.mark.parametrize("n_links", [1, 2, 3, 5])
+def test_traced_source_records_each_expression_once(n_links, monkeypatch):
+    # The tape gives an expression it has already recorded its first
+    # symbol, and the solve records no pivot test: the traced source holds
+    # no two assignments with one right-hand side, and no <= or |.
+    c = _chain_consts(ChainParams(n_links=n_links, actuated_joints=(0,)))
+    sources = []
+
+    def spy(src, *args):
+        sources.append(src)
+        return compile(src, *args)
+
+    monkeypatch.setattr(dynamics, "compile", spy, raising=False)
+    _trace_accel(c)
+    [src] = sources
+    # One-target assignments of a temporary; the ValueError path's chained
+    # "t1 = t5 = ... = nan" is not one.
+    rhs = [m[1] for m in re.finditer(r"^ +t\d+ = ([^=]+)$", src, re.MULTILINE)]
+    assert rhs and len(set(rhs)) == len(rhs)
+    assert "<=" not in src and "|" not in src
 
 
 @pytest.mark.parametrize(

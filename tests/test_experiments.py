@@ -83,6 +83,24 @@ def test_unsupported_chain_rejected_before_first_cycle(params, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "noise_amp", [-0.1, float("nan"), float("inf")], ids=["negative", "nan", "inf"]
+)
+def test_balance_trial_rejects_bad_noise_amp(noise_amp, monkeypatch):
+    # The disturbance scales a normal draw each cycle; a bad amplitude must
+    # fail before the first cycle, not as numpy's "scale < 0" after it or as
+    # a non-finite torque blamed on the dynamics.
+    cfg = ExperimentConfig(t_max=0.5)
+    store = generate_falls(cfg, 1, seed=trial_seed(0, "noise_amp", 0))
+
+    def no_cycle(*args, **kwargs):
+        raise AssertionError("a control cycle ran with a bad noise amplitude")
+
+    monkeypatch.setattr(experiments, "controller_step", no_cycle)
+    with pytest.raises(ValueError, match="noise_amp must be finite and non-negative"):
+        run_balance_trial(store, cfg, noise_amp, seed=trial_seed(0, "noise_amp", 1))
+
+
+@pytest.mark.parametrize(
     "kwargs",
     [
         {"sigma0": 0.0},

@@ -1,11 +1,13 @@
 import ast
 import importlib
+import re
 import sys
 import tomllib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 def test_console_scripts_resolve():
@@ -13,6 +15,14 @@ def test_console_scripts_resolve():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_python_floor_is_the_ci_interpreter():
+    # The declared floor is the one interpreter CI runs (these tests import
+    # tomllib, new in 3.11), so the two cannot drift apart.
+    floor = tomllib.loads(PYPROJECT.read_text())["project"]["requires-python"]
+    versions = re.findall(r"python-version:\s*[\"']?([\d.]+)", WORKFLOW.read_text())
+    assert [floor] == [f">={v}" for v in versions]
 
 
 def test_src_imports_declared():
