@@ -1,17 +1,19 @@
 """Coordinate splitting, time reparameterization and the path feedback law.
 
-Given a torque-to-acceleration control matrix ``B`` (N x M, full column
-rank), the configuration coordinates are split into M controlled ones, whose
-rows of B form the invertible block ``B_chi``, and N-M free ones. The split
-is the one place that decides that block: it picks the rows, runs the one
-condition-number check on them, and keeps ``B_chi`` and the covector block
-``b`` for every later solve, so no split with an unusable block exists. The
-covector ``b`` annihilates B, so the projection ``b' q`` evolves
-independently of the applied torques; matching that projection between the
-current motion and a stored target trajectory yields a time offset ``t0``
-and time scale ``s``, and feedback is applied only to the controlled
-coordinates of the correspondingly renormalized target. This module owns
-that renormalization and the errors that ranking and feedback both read.
+The law controls chains with one unactuated direction: the
+torque-to-acceleration control matrix ``B`` is N x M with M = N - 1 and
+full column rank, and any other shape raises ValueError. The configuration
+coordinates are split into the M controlled ones, whose rows of B form the
+invertible block ``B_chi``, and one free one. The split is the one place
+that decides that block: it picks the rows, runs the one condition-number
+check on them, and keeps ``B_chi`` and the (N,) covector ``b`` for every
+later solve, so no split with an unusable block exists. The covector ``b``
+annihilates B, so the projection ``b . q`` evolves independently of the
+applied torques; matching that projection between the current motion and a
+stored target trajectory yields a time offset ``t0`` and time scale ``s``,
+and feedback is applied only to the controlled coordinates of the
+correspondingly renormalized target. This module owns that renormalization
+and the errors that ranking and feedback both read.
 """
 
 import math
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import dynamics
 from .errors import RankDeficient, SingularMatrix
-from .target_store import DEFAULT_GUARD_TOL, _project_state
+from .target_store import _ONE_DIRECTION, DEFAULT_GUARD_TOL, _project_state
 
 # Condition-number cap on B_chi B_chi': above it the controlled block is
 # treated as singular instead of letting its solves return garbage.
@@ -32,53 +34,52 @@ RIDGE = 1e-8
 
 @dataclass(frozen=True)
 class CoordSplit:
-    """Split of the configuration coordinates of control matrix ``B`` into
-    the given controlled rows and the remaining free rows (both ascending).
+    """Split of the configuration coordinates of an N x (N-1) control matrix
+    ``B`` into the given controlled rows (ascending) and the one free row.
 
-    Building a split checks B: it raises SingularMatrix when an entry is
-    NaN or inf, or when cond(B_chi)^2 exceeds DEFAULT_COND_CAP. It then
-    holds the block ``b_chi`` (M x M) and the covector block ``b``
-    (N x (N-M)) with b' B = 0 and -I on the free rows. Equality compares
-    the index tuples only.
+    Building a split checks B: it raises ValueError unless N - M = 1, and
+    SingularMatrix when an entry is NaN or inf, or when cond(B_chi)^2
+    exceeds DEFAULT_COND_CAP. It then holds the block ``b_chi`` (M x M) and
+    the covector ``b`` (N,) with b' B = 0: W = B_free B_chi^-1 on the
+    controlled rows and -1.0 on the free row. Equality compares the row
+    indices only.
     """
 
     B: InitVar[np.ndarray]
     controlled: tuple[int, ...]
-    free: tuple[int, ...] = field(init=False)
+    free: int = field(init=False)
     b_chi: np.ndarray = field(init=False, repr=False, compare=False)
     b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, B):
         B = np.atleast_2d(np.asarray(B, dtype=float))
         n, m = B.shape
+        if n - m != 1:
+            raise ValueError(_ONE_DIRECTION)
         controlled = tuple(sorted(int(i) for i in self.controlled))
         if m == 0 or len(set(controlled)) != m or not set(controlled) <= set(range(n)):
             raise ValueError(f"need {m} distinct controlled rows of {n}, got {self.controlled}")
         rows = B.tolist()
         if not all(math.isfinite(x) for row in rows for x in row):
             raise SingularMatrix("control matrix is not finite")
-        free = tuple(i for i in range(n) if i not in controlled)
-        b_chi = np.array([rows[i] for i in controlled])
+        (free,) = set(range(n)).difference(controlled)
         if m == 1:
             # The one singular value of a 1 x 1 block is |beta| exactly, so
-            # its condition number is 1 unless beta is zero.
-            singular = b_chi[0, 0] == 0.0
+            # its condition number is 1 unless beta is zero; LAPACK's solve
+            # with one right-hand side is then one division.
+            beta = rows[controlled[0]][0]
+            if beta == 0.0:
+                raise SingularMatrix("controlled block of B is numerically singular")
+            b_chi = np.array([[beta]])
+            w = [rows[free][0] / beta]
         else:
+            b_chi = np.array([rows[i] for i in controlled])
             s = np.linalg.svd(b_chi, compute_uv=False)
-            singular = s[-1] == 0.0 or (s[0] / s[-1]) ** 2 > DEFAULT_COND_CAP
-        if singular:
-            raise SingularMatrix("controlled block of B is numerically singular")
-        # W = B_psi B_chi^-1, shape (N-M, M).
-        b_psi = np.array([rows[i] for i in free]).reshape(n - m, m)
-        W = np.linalg.solve(b_chi.T, b_psi.T).T
-        # b holds W' on the controlled rows and -I on the free rows, the
-        # latter with -0.0 off the diagonal, as -np.eye has it.
-        b_rows = [None] * n
-        for i, w in zip(controlled, W.T.tolist()):
-            b_rows[i] = w
-        for j, i in enumerate(free):
-            b_rows[i] = [-1.0 if k == j else -0.0 for k in range(n - m)]
-        b = np.array(b_rows).reshape(n, n - m)
+            if s[-1] == 0.0 or (s[0] / s[-1]) ** 2 > DEFAULT_COND_CAP:
+                raise SingularMatrix("controlled block of B is numerically singular")
+            # W = B_free B_chi^-1 solves B_chi' W' = B_free'.
+            w = np.linalg.solve(b_chi.T, np.array(rows[free])).tolist()
+        b = np.array(w[:free] + [-1.0] + w[free:])
         for name, value in (("controlled", controlled), ("free", free), ("b_chi", b_chi), ("b", b)):
             object.__setattr__(self, name, value)
 
@@ -111,8 +112,8 @@ def split_coordinates(B: np.ndarray) -> CoordSplit:
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n, m = B.shape
-    if m > n:
-        raise ValueError("control matrix must have at least as many rows as columns")
+    if n - m != 1:
+        raise ValueError(_ONE_DIRECTION)
     # The elimination runs on Python floats: every update is the IEEE
     # operation a numpy row update would do, so the same rows are picked.
     work = B.tolist()
@@ -157,14 +158,13 @@ def _first_argmax(values: list) -> int:
 
 def reparam_params(x0: dynamics.State, xd: dynamics.State, b: np.ndarray) -> tuple[float, float]:
     """Time offset t0 and scale s aligning the target's unactuated motion
-    with the current one, for a covector ``b`` with one column.
+    with the current one, for the (N,) covector ``b``.
 
     Applies retrieval's rule: raises VelocityBarDegenerate when either
-    projected velocity |b . qdot| is at most DEFAULT_GUARD_TOL, and
-    ValueError when b has more than one column.
+    projected velocity |b . qdot| is at most DEFAULT_GUARD_TOL.
     """
-    b, qbar0, qdbar0 = _project_state(b, x0, DEFAULT_GUARD_TOL)
-    _, qbard, qdbard = _project_state(b, xd, DEFAULT_GUARD_TOL)
+    qbar0, qdbar0 = _project_state(b, x0, DEFAULT_GUARD_TOL)
+    qbard, qdbard = _project_state(b, xd, DEFAULT_GUARD_TOL)
     return (qbard - qbar0) / qdbar0, qdbard / qdbar0
 
 

@@ -81,16 +81,16 @@ class ControllerState:
 
     The window is two arrays, ``taus`` (HISTORY_N, M) and ``us``
     (HISTORY_N, N), holding the latest (torque, acceleration) pairs oldest
-    row first. ``push`` shifts both up one row in place and writes the new
-    pair into the last row, so the window allocates nothing per cycle;
-    ``filled`` counts the rows written so far, up to HISTORY_N. ``us`` is
-    allocated by the first push, which is when N is first known.
+    row first, with N = M + 1 (one unactuated direction). ``push`` shifts
+    both up one row in place and writes the new pair into the last row, so
+    the window allocates nothing per cycle; ``filled`` counts the rows
+    written so far, up to HISTORY_N.
     """
 
     n_controls: int
     rng: np.random.Generator
     taus: np.ndarray = field(init=False, repr=False)
-    us: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    us: np.ndarray = field(init=False, repr=False)
     filled: int = 0
     prev_tau: Optional[np.ndarray] = None
     prev_qdot: Optional[np.ndarray] = None
@@ -100,12 +100,11 @@ class ControllerState:
 
     def __post_init__(self):
         self.taus = np.zeros((HISTORY_N, self.n_controls))
+        self.us = np.zeros((HISTORY_N, self.n_controls + 1))
 
     def push(self, tau: np.ndarray, u: np.ndarray) -> None:
         """Add one (torque, acceleration) pair to the window, dropping the
         oldest pair once HISTORY_N are held."""
-        if self.us is None:
-            self.us = np.zeros((HISTORY_N, len(u)))
         self.taus[:-1] = self.taus[1:]
         self.us[:-1] = self.us[1:]
         self.taus[-1] = tau

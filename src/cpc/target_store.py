@@ -1,8 +1,10 @@
 """Store of recorded trajectory points and the retrieval scan over it.
 
-The store keeps (state, torque, return) triples. For a query state ``x0``
-and the unactuated direction ``b``, each stored point gets a time offset
-``t0`` and time scale ``s`` from the projections onto ``b``: with
+The store keeps (state, torque, return) triples. Retrieval, like the
+control law, handles chains with one unactuated direction: ``b`` is an (N,)
+covector, and a retrieval handle refuses a store recorded on a chain with
+any other number. For a query state ``x0``, each stored point gets a time
+offset ``t0`` and time scale ``s`` from the projections onto ``b``: with
 ``qdbar0 = b . qdot0``, ``t0 = (b . q - b . q0) / qdbar0`` and
 ``s = (b . qdot) / qdbar0``. A point is scored by the proximity loss
 ``(omega * t0)^2 + (s - s_g)^2``, and the ``n_d`` lowest losses are
@@ -20,9 +22,8 @@ store's ``q`` and ``qdot`` and a fixed scratch block, so a warm query writes
 every store-length intermediate into that block and allocates only arrays
 the size of its result. A handle serves one query at a time.
 
-Only a single unactuated direction is supported (the covector ``b`` must
-have one column); datasets are serialized as JSON Lines with a header row
-carrying the chain layout. The writer builds one ``%.17g`` row template per
+Datasets are serialized as JSON Lines with a header row carrying the chain
+layout. The writer builds one ``%.17g`` row template per
 chain layout and formats and writes blocks of rows at a time, so its
 transient strings stay bounded at any store size. The reader runs one
 decoder call per line and collects each field's values in one flat list.
@@ -42,7 +43,7 @@ from .errors import (
 
 DATASET_FORMAT = "chain-targets-v1"
 DEFAULT_GUARD_TOL = 1e-6
-_ONE_DIRECTION = "candidate search supports one unactuated direction"
+_ONE_DIRECTION = "the control law and candidate search support one unactuated direction (N - M = 1)"
 _JSON_WHITESPACE = " \t\n\r"
 # Rows formatted and written per call: bounds the transient strings of a
 # save independently of the store size.
@@ -206,7 +207,7 @@ class NonEmptyStore:
 def _query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
     """The n_d lowest-loss stored points for the query state: (indices, t0,
     s, loss) of the selected points in ascending (loss, index) order."""
-    b, qbar0, qdbar0 = _project_state(b, x0, guard_tol)
+    qbar0, qdbar0 = _project_state(b, x0, guard_tol)
     b = b.tolist()
     # Every store-length intermediate lives in the handle's scratch rows;
     # guard-failing points stay in place and are masked out by ``ok``.
@@ -236,21 +237,15 @@ def _query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
 
 
 def _project_state(b, x, guard_tol):
-    """(b, b . q, b . qdot) for one state, with b flattened to its single
-    unactuated direction. Raises ValueError when b has more than one column,
-    and VelocityBarDegenerate when |b . qdot| is at most ``guard_tol``: the
+    """(b . q, b . qdot) for one state and the (N,) covector b. Raises
+    VelocityBarDegenerate when |b . qdot| is at most ``guard_tol``: the
     same rule that keeps a stored point out of retrieval."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 2:
-        if b.shape[1] != 1:
-            raise ValueError(_ONE_DIRECTION)
-        b = b[:, 0]
     qdbar = float(b @ x.qdot)
     if abs(qdbar) <= guard_tol:
         raise VelocityBarDegenerate(
             f"|unactuated velocity projection| = {abs(qdbar):.3g} <= {guard_tol:g}"
         )
-    return b, float(b @ x.q), qdbar
+    return float(b @ x.q), qdbar
 
 
 def _project(cols, b, out, tmp):

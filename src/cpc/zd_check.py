@@ -52,7 +52,7 @@ def correspondence_gap(params: ChainParams, x: State, xd: State, epsilon: float)
     dchi, dchidot = target_errors(x, q_d, qdot_d, t0, s, split)
     dtau_cpc = cpc_tau(dchi[0], dchidot[0], split, gain, np.zeros(len(split.controlled)))
 
-    c = split_coordinates(exact_control_matrix(params, xd.q)).b[:, 0]
+    c = split_coordinates(exact_control_matrix(params, xd.q)).b
     # Unit length: the feedback is invariant to c's scale, as the slope rescales.
     c = c / np.linalg.norm(c)
     (q_r0,), (qdot_r,) = renormalized_target(q_d, qdot_d, t0, s)

@@ -16,13 +16,13 @@ The control cycle runs its small-array work on Python floats and keeps its
 regression window in preallocated arrays. The numpy forms of the same steps
 are kept here, for the tests to require the same bits from the cycle: the
 row pivot of ``split_coordinates`` on arrays (``split_coordinates_numpy``),
-the split's blocks through an SVD condition check and a LAPACK solve at
-every M (``split_blocks_lapack``), the path law through a LAPACK solve at
-every M (``cpc_tau_lapack``), the renormalization of every target column
-(``target_errors_full_width``), the fall test on ``np.cumsum``
-(``has_fallen_cumsum``), and a controller whose regression window is a
-deque of (torque, acceleration) pairs rebuilt into arrays with ``np.array``
-each cycle (``DequeController`` and ``deque_controller_step``).
+the split's general N x (N-M) blocks through an SVD condition check and a
+LAPACK solve at every M (``split_blocks_lapack``), the path law through a
+LAPACK solve at every M (``cpc_tau_lapack``), the renormalization of every
+target column (``target_errors_full_width``), the fall test on
+``np.cumsum`` (``has_fallen_cumsum``), and a controller whose regression
+window is a deque of (torque, acceleration) pairs rebuilt into arrays with
+``np.array`` each cycle (``DequeController`` and ``deque_controller_step``).
 
 The dynamics kernel forms each pair of links once. ``lane_terms_full``
 forms the manipulator terms from all N^2 ordered pairs, the self pairs
@@ -111,8 +111,6 @@ def query_candidates(
     """The n_d lowest-loss guard-passing stored points, by linear scan, in
     ascending (loss, index) order."""
     b = np.asarray(b, dtype=float)
-    if b.ndim == 2:
-        b = b[:, 0]
     qdbar0 = float(b @ x0.qdot)
     if abs(qdbar0) <= guard_tol:
         raise VelocityBarDegenerate("unactuated velocity projection too small")
@@ -225,8 +223,6 @@ def split_coordinates_numpy(B: np.ndarray) -> CoordSplit:
     update."""
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n, m = B.shape
-    if m > n:
-        raise ValueError("control matrix must have at least as many rows as columns")
     scale = np.abs(B).max()
     if not math.isfinite(scale):
         raise SingularMatrix("control matrix is not finite")
@@ -250,10 +246,11 @@ def split_coordinates_numpy(B: np.ndarray) -> CoordSplit:
 
 
 def split_blocks_lapack(B: np.ndarray, controlled) -> tuple[np.ndarray, np.ndarray]:
-    """(b_chi, b) of ``CoordSplit(B, controlled)`` for a finite B, with the
-    condition check on the SVD of B_chi at every M, W from a LAPACK solve
-    and b filled by index assignment. Raises SingularMatrix as the split
-    does."""
+    """(b_chi, b) of the general split of a finite N x M matrix B, with the
+    N x (N-M) covector block b, the condition check on the SVD of B_chi at
+    every M, W from a LAPACK solve and b filled by index assignment. With
+    one free row, ``CoordSplit(B, controlled)`` holds this b_chi and
+    b[:, 0]. Raises SingularMatrix as the split does."""
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n, m = B.shape
     controlled = sorted(controlled)

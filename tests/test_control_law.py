@@ -48,7 +48,7 @@ def test_split_prefers_larger_row():
 
 def test_split_rank_deficient():
     with pytest.raises(RankDeficient):
-        split_coordinates(np.zeros((3, 1)))
+        split_coordinates(np.zeros((2, 1)))
     with pytest.raises(RankDeficient):
         split_coordinates(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
 
@@ -68,7 +68,7 @@ def test_split_hand_rows_checked():
 def test_split_hand_rows_validated():
     B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     split = CoordSplit(B, (2, 0))
-    assert (split.controlled, split.free) == ((0, 2), (1,))
+    assert (split.controlled, split.free) == ((0, 2), 1)
     assert CoordSplit(B, (1, 0)) == split_coordinates(B)
     for rows in ((0,), (0, 0), (0, 3)):
         with pytest.raises(ValueError):
@@ -138,30 +138,56 @@ def _control_matrices(rng):
 def test_split_matches_numpy_pivot(rng):
     # The elimination on Python floats picks the same rows and gives the
     # same blocks, to the byte, as the same elimination on numpy rows, or
-    # raises the same exception.
+    # raises the same exception. Any B without exactly one free row raises
+    # ValueError.
     raised = set()
     for B in _control_matrices(rng):
+        if B.ndim != 2 or B.shape[0] - B.shape[1] != 1:
+            assert _outcome(split_coordinates, B) is ValueError, B
+            continue
         want = _outcome(split_coordinates_numpy, B)
         assert _outcome(split_coordinates, B) == want, B
         if isinstance(want, type):
             raised.add(want)
-    assert raised == {ValueError, RankDeficient, SingularMatrix}
+    assert raised == {RankDeficient, SingularMatrix}
 
 
-@pytest.mark.parametrize("n", [2, 3], ids=["one_free_row", "two_free_rows"])
-def test_one_actuator_forms_match_lapack(rng, n):
-    # At M = 1 the split checks the 1 x 1 block without an SVD and the path
-    # law divides instead of solving; both must give LAPACK's bits.
+def test_split_matches_lapack_blocks(rng):
+    # With one free row the split solves for one right-hand side: at M = 1
+    # a division, at M >= 2 one LAPACK solve. Its b_chi and b must be the
+    # bytes of the general N x (N-M) split's b_chi and b[:, 0], at
+    # magnitudes up to 1e+-300 with free rows scaled apart from the block,
+    # or it must raise as that split does.
+    raised = 0
+    for n in range(2, 6):
+        for _ in range(600):
+            B = rng.normal(size=(n, n - 1)) * 10.0 ** float(rng.integers(-300, 301))
+            controlled = tuple(sorted(rng.choice(n, size=n - 1, replace=False).tolist()))
+            (free,) = set(range(n)).difference(controlled)
+            B[free] = rng.normal(size=n - 1) * 10.0 ** float(rng.integers(-300, 301))
+            if rng.random() < 0.05:
+                B[controlled[0]] = 0.0
+            with np.errstate(all="ignore"):
+                try:
+                    b_chi, b = split_blocks_lapack(B, controlled)
+                except SingularMatrix:
+                    raised += 1
+                    with pytest.raises(SingularMatrix):
+                        CoordSplit(B, controlled)
+                    continue
+                split = CoordSplit(B, controlled)
+            assert (split.controlled, split.free) == (controlled, free)
+            assert split.b_chi.tobytes() == b_chi.tobytes(), B
+            assert split.b.shape == (n,) and split.b.tobytes() == b[:, 0].tobytes(), B
+    assert raised > 0
+
+
+def test_one_actuator_forms_match_lapack(rng):
+    # At M = 1 the path law divides instead of solving; it must give
+    # LAPACK's bits.
     for _ in range(2000):
-        B = rng.normal(size=(n, 1)) * 10.0 ** float(rng.integers(-300, 301))
-        row = int(rng.integers(n))
-        if rng.random() < 0.05:
-            B[row, 0] = 0.0
-        want = _outcome(split_blocks_lapack, B, (row,))
-        got = _outcome(CoordSplit, B, (row,))
-        assert got == (want if isinstance(want, type) else ((row,),) + want), B
-        if isinstance(want, type):
-            continue
+        B = rng.normal(size=(2, 1)) * 10.0 ** float(rng.integers(-300, 301))
+        row = int(rng.integers(2))
         split = CoordSplit(B, (row,))
         dchi, dchidot = rng.normal(size=(2, 1)) * 10.0 ** rng.integers(-8, 9, size=(2, 1))
         gain = GainSpec(10.0 ** float(rng.uniform(-2, 7)))
@@ -172,7 +198,7 @@ def test_one_actuator_forms_match_lapack(rng, n):
 
 
 def test_split_deterministic(rng):
-    B = rng.normal(size=(4, 2))
+    B = rng.normal(size=(4, 3))
     assert split_coordinates(B) == split_coordinates(B.copy())
 
 
@@ -180,28 +206,27 @@ def test_null_covector_hand_case():
     B = np.array([[1.0], [0.5]])
     split = split_coordinates(B)
     b = split.b
-    assert np.allclose(b, [[0.5], [-1.0]])
-    assert abs(b.T @ B).max() < 1e-12
+    assert np.allclose(b, [0.5, -1.0])
+    assert abs(b @ B).max() < 1e-12
 
 
-def test_null_covector_fully_actuated_empty():
+def test_split_fully_actuated_raises():
     B = np.array([[2.0, 0.1], [0.3, 1.5]])
-    b = split_coordinates(B).b
-    assert b.shape == (2, 0)
+    with pytest.raises(ValueError, match="one unactuated direction"):
+        split_coordinates(B)
 
 
 def test_null_identity_random(rng):
     for _ in range(200):
         n = int(rng.integers(2, 6))
-        m = int(rng.integers(1, n))
-        B = rng.normal(size=(n, m))
+        B = rng.normal(size=(n, n - 1))
         split = split_coordinates(B)
         b = split.b
-        assert np.abs(b.T @ B).max() < 1e-9
-        # Free rows carry minus identity.
-        assert np.allclose(b[list(split.free), :], -np.eye(n - m))
-        tau = rng.normal(size=m)
-        assert np.abs(b.T @ (B @ tau)).max() < 1e-9
+        assert np.abs(b @ B).max() < 1e-9
+        # The free row carries minus one.
+        assert b[split.free] == -1.0
+        tau = rng.normal(size=n - 1)
+        assert np.abs(b @ (B @ tau)).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +253,7 @@ def test_reparam_identity_state(rng):
 def test_reparam_scalar_formula():
     # One free coordinate, constructed so qbar_d - qbar = 0.1, qdbar = 1,
     # qdbar_d = 2 in the projected variables.
-    b = np.array([[1.0], [0.0]])  # stand-in covector; only projections matter
+    b = np.array([1.0, 0.0])  # stand-in covector; only projections matter
     x0 = State(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
     xd = State(np.array([0.1, 0.0]), np.array([2.0, 0.0]))
     t0, s = reparam_params(x0, xd, b)
@@ -237,19 +262,11 @@ def test_reparam_scalar_formula():
 
 
 def test_reparam_guard():
-    b = np.array([[1.0], [0.0]])
+    b = np.array([1.0, 0.0])
     x0 = State(np.zeros(2), np.array([1e-9, 0.0]))
     xd = State(np.ones(2), np.array([1.0, 0.0]))
     with pytest.raises(VelocityBarDegenerate):
         reparam_params(x0, xd, b)
-
-
-def test_reparam_rejects_two_free_directions():
-    b = np.zeros((3, 2))
-    b[0, 0] = b[1, 1] = 1.0
-    x = State(np.zeros(3), np.ones(3))
-    with pytest.raises(ValueError, match="one unactuated direction"):
-        reparam_params(x, x, b)
 
 
 def _retrieve_one(x0, xd, b):
@@ -274,7 +291,7 @@ def _reparam_or_none(x0, xd, b):
 def test_reparam_guard_matches_retrieval(rng):
     # Small velocities whose product is under the guard but each of which
     # passes it: retrieval accepts the point, so reparam_params must too.
-    b = np.array([[1.0], [0.0]])
+    b = np.array([1.0, 0.0])
     x0 = State(np.zeros(2), np.array([1e-3, 0.0]))
     xd = State(np.array([2e-4, 0.0]), np.array([1e-3, 0.0]))
     assert _retrieve_one(x0, xd, b) == pytest.approx((0.2, 1.0), rel=1e-12)
@@ -283,7 +300,7 @@ def test_reparam_guard_matches_retrieval(rng):
     # either side of the guard so that both accepted and rejected cases occur.
     decisions = set()
     for _ in range(300):
-        b = rng.normal(size=(2, 1))
+        b = rng.normal(size=2)
         x0 = State(rng.normal(size=2), rng.normal(size=2) * 10.0 ** rng.uniform(-8.0, -4.0))
         xd = State(rng.normal(size=2), rng.normal(size=2) * 10.0 ** rng.uniform(-8.0, -4.0))
         got, want = _reparam_or_none(x0, xd, b), _retrieve_one(x0, xd, b)
@@ -299,14 +316,14 @@ def test_reparam_reduction_bitlevel(rng):
     for _ in range(100):
         q0, qd0 = rng.normal(size=2), rng.normal(size=2)
         q1, qd1 = rng.normal(size=2), rng.normal(size=2)
-        b = rng.normal(size=(2, 1))
+        b = rng.normal(size=2)
         x0, xd = State(q0, qd0), State(q1, qd1)
         try:
             t0, s = reparam_params(x0, xd, b)
         except VelocityBarDegenerate:
             continue
-        qbar0, qdbar0 = float(b[:, 0] @ q0), float(b[:, 0] @ qd0)
-        qbard, qdbard = float(b[:, 0] @ q1), float(b[:, 0] @ qd1)
+        qbar0, qdbar0 = float(b @ q0), float(b @ qd0)
+        qbard, qdbard = float(b @ q1), float(b @ qd1)
         assert t0 == pytest.approx((qbard - qbar0) / qdbar0, abs=1e-12, rel=1e-12)
         assert s == pytest.approx(qdbard / qdbar0, abs=1e-12, rel=1e-12)
 
@@ -338,8 +355,8 @@ def test_renormalized_projection_identity(rng):
         except VelocityBarDegenerate:
             continue
         q_r0, qdot_r = one_target(xd, t0, s)
-        assert abs(b[:, 0] @ q_r0 - b[:, 0] @ x0.q) < 1e-10
-        assert abs(b[:, 0] @ qdot_r - b[:, 0] @ x0.qdot) < 1e-10
+        assert abs(b @ q_r0 - b @ x0.q) < 1e-10
+        assert abs(b @ qdot_r - b @ x0.qdot) < 1e-10
 
 
 def test_renormalized_zero_scale_raises():
@@ -371,8 +388,8 @@ def test_target_errors_match_full_width(rng):
     # Renormalizing only the controlled columns gives the bytes of
     # renormalizing every column and keeping the controlled ones.
     for n in range(2, 6):
-        for m in range(1, n + 1):
-            split = split_coordinates(rng.normal(size=(n, m)))
+        for _ in range(n):
+            split = split_coordinates(rng.normal(size=(n, n - 1)))
             x0 = State(rng.normal(size=n), rng.normal(size=n))
             k = int(rng.integers(1, 30))
             q_d, qdot_d = rng.normal(size=(k, n)), rng.normal(size=(k, n))
@@ -409,18 +426,20 @@ def test_cpc_tau_scalar_hand_case():
     assert tau[0] == pytest.approx(-0.4)
 
 
-def test_cpc_tau_fully_actuated_reduces_to_linear_feedback(rng):
-    # With M = N and the identity reparameterization, the law is the plain
-    # linear state feedback tau_d - B^-1 (k dq + 2 sqrt(k) dqdot).
-    B = rng.normal(size=(2, 2)) + 3 * np.eye(2)
+def test_cpc_tau_identity_reparam_is_linear_feedback(rng):
+    # With the identity reparameterization, the law is the plain linear
+    # state feedback tau_d - B_chi^-1 (k dchi + 2 sqrt(k) dchidot) on the
+    # controlled coordinates.
+    B = rng.normal(size=(3, 2)) + 3 * np.eye(3, 2)
     split = split_coordinates(B)
     assert split.controlled == (0, 1)
-    x0 = State(rng.normal(size=2), rng.normal(size=2))
-    xd = State(rng.normal(size=2), rng.normal(size=2))
+    x0 = State(rng.normal(size=3), rng.normal(size=3))
+    xd = State(rng.normal(size=3), rng.normal(size=3))
     gain = GainSpec(25.0)
     tau_d = rng.normal(size=2)
     tau = one_target_tau(x0, xd, split, 0.0, 1.0, gain, tau_d)
-    expected = tau_d - np.linalg.solve(B, 25.0 * (x0.q - xd.q) + 10.0 * (x0.qdot - xd.qdot))
+    dq, dqdot = (x0.q - xd.q)[:2], (x0.qdot - xd.qdot)[:2]
+    expected = tau_d - np.linalg.solve(B[:2], 25.0 * dq + 10.0 * dqdot)
     assert np.abs(tau - expected).max() < 1e-12
 
 

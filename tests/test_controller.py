@@ -48,7 +48,7 @@ def _engineered_setup(chi_offset):
     qdot = np.array([0.8, 0.5])
     B = _acrobot_B(q)
     split = split_coordinates(B)
-    b = split.b[:, 0]
+    b = split.b
     perp = np.array([-b[1], b[0]])
     perp /= np.linalg.norm(perp)
     x0 = State(q + chi_offset * perp, qdot)
@@ -144,7 +144,7 @@ def test_candidate_costs_reselect_per_gain():
     qdot = np.array([0.9, 0.6])
     x0 = State(q, qdot)
     split = split_coordinates(_acrobot_B(q))
-    b = split.b[:, 0]
+    b = split.b
     perp = np.array([-b[1], b[0]]) / np.hypot(*b)
     q_d = np.array([q, q + 0.08 * perp])
     qdot_d = np.array([qdot, qdot])

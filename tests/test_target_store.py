@@ -21,8 +21,6 @@ def reference_query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
     with fresh temporaries, gathering the guard-passing points before the
     loss and partitioning a copy of it."""
     b = np.asarray(b, dtype=float)
-    if b.ndim == 2:
-        b = b[:, 0]
     qdbar0 = float(b @ x0.qdot)
     if abs(qdbar0) <= guard_tol:
         raise VelocityBarDegenerate("unactuated velocity projection too small")
@@ -112,7 +110,7 @@ def _random_query_state(rng, min_proj=0.05):
         q = rng.uniform(-0.8, 0.8, size=2)
         qdot = rng.uniform(-2.0, 2.0, size=2)
         b = _acrobot_b(q)
-        if abs(b[:, 0] @ qdot) > min_proj:
+        if abs(b @ qdot) > min_proj:
             return State(q, qdot), b
 
 
@@ -232,9 +230,8 @@ def test_query_excludes_guarded_targets(rng):
     # Points with essentially zero projected target velocity must not be
     # returned no matter how close their configuration is.
     x0, b = _random_query_state(rng)
-    bb = b[:, 0]
-    v_perp = np.array([-bb[1], bb[0]])  # b . v_perp = 0 up to rounding
-    v_perp -= bb * (bb @ v_perp) / (bb @ bb)
+    v_perp = np.array([-b[1], b[0]])  # b . v_perp = 0 up to rounding
+    v_perp -= b * (b @ v_perp) / (b @ b)
     targets = _acrobot_targets(np.stack([x0.q, x0.q + 0.5]), np.stack([v_perp * 1e-9, x0.qdot]))
     idx = _query_arrays(targets, x0, b, 10.0, 1.0, 2, DEFAULT_GUARD_TOL)[0]
     assert idx.tolist() == [1]
@@ -253,10 +250,10 @@ def test_query_arrays_bit_identical_to_reference(rng, fall_store, kind):
     for _ in range(15):
         x0, b = _random_query_state(rng)
         other, b_other = _random_query_state(rng)
-        proj = np.abs(targets.store.qdot @ b[:, 0])
+        proj = np.abs(targets.store.qdot @ b)
         # The default guard, and one that rejects 95% of the points.
         for guard_tol in (DEFAULT_GUARD_TOL, float(np.quantile(proj, 0.95))):
-            qdbar0 = abs(float(b[:, 0] @ x0.qdot))
+            qdbar0 = abs(float(b @ x0.qdot))
             x = State(x0.q, x0.qdot * max(1.0, 2.0 * guard_tol / qdbar0))
             # One point, a partition, and more than the guard lets through.
             for n_d in (1, 20, n + 1):

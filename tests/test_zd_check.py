@@ -44,7 +44,7 @@ def test_correspondence_gap_orthogonal_phasing_covector_raises():
     # taken at another configuration, still passes the velocity guard.
     x, _ = _acrobot_pair()
     q_d = x.q + np.array([0.0, 0.5])
-    c = split_coordinates(exact_control_matrix(acrobot_params(), q_d)).b[:, 0]
+    c = split_coordinates(exact_control_matrix(acrobot_params(), q_d)).b
     xd = State(q_d, np.array([-c[1], c[0]]))
     with pytest.raises(PhasingDegenerate, match="orthogonal"):
         correspondence_gap(acrobot_params(), x, xd, 0.1)
