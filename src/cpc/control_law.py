@@ -163,6 +163,7 @@ def reparam_params(x0: dynamics.State, xd: dynamics.State, b: np.ndarray) -> tup
     Applies retrieval's rule: raises VelocityBarDegenerate when either
     projected velocity |b . qdot| is at most DEFAULT_GUARD_TOL.
     """
+    b = b.tolist()
     qbar0, qdbar0 = _project_state(b, x0, DEFAULT_GUARD_TOL)
     qbard, qdbard = _project_state(b, xd, DEFAULT_GUARD_TOL)
     return (qbard - qbar0) / qdbar0, qdbard / qdbar0

@@ -207,8 +207,8 @@ class NonEmptyStore:
 def _query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
     """The n_d lowest-loss stored points for the query state: (indices, t0,
     s, loss) of the selected points in ascending (loss, index) order."""
-    qbar0, qdbar0 = _project_state(b, x0, guard_tol)
     b = b.tolist()
+    qbar0, qdbar0 = _project_state(b, x0, guard_tol)
     # Every store-length intermediate lives in the handle's scratch rows;
     # guard-failing points stay in place and are masked out by ``ok``.
     t0, s, loss, tmp = targets._rows
@@ -237,15 +237,21 @@ def _query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
 
 
 def _project_state(b, x, guard_tol):
-    """(b . q, b . qdot) for one state and the (N,) covector b. Raises
-    VelocityBarDegenerate when |b . qdot| is at most ``guard_tol``: the
-    same rule that keeps a stored point out of retrieval."""
-    qdbar = float(b @ x.qdot)
+    """(b . q, b . qdot) for one state and the covector ``b``, a list of N
+    floats, formed with ``_project``'s arithmetic, so a stored copy of the
+    state projects to the same bits. Raises VelocityBarDegenerate when
+    |b . qdot| is at most ``guard_tol``: the same rule that keeps a stored
+    point out of retrieval."""
+    q, qdot = x.q.tolist(), x.qdot.tolist()
+    qbar, qdbar = q[0] * b[0], qdot[0] * b[0]
+    for d in range(1, len(b)):
+        qbar = qbar + q[d] * b[d]
+        qdbar = qdbar + qdot[d] * b[d]
     if abs(qdbar) <= guard_tol:
         raise VelocityBarDegenerate(
             f"|unactuated velocity projection| = {abs(qdbar):.3g} <= {guard_tol:g}"
         )
-    return float(b @ x.q), qdbar
+    return qbar, qdbar
 
 
 def _project(cols, b, out, tmp):
@@ -253,7 +259,10 @@ def _project(cols, b, out, tmp):
     into ``out`` (``tmp`` is scratch of the same length). The products are
     added column by column in a fixed order without fused multiply-adds, so
     the result does not depend on the BLAS build and retrieval reproduces
-    bit for bit across hosts."""
+    bit for bit across hosts; ``_project_state`` projects the query state
+    by the same rule. The control matrix that b comes from is still
+    regressed and split through LAPACK and BLAS, whose bits may differ
+    between builds."""
     np.multiply(cols[0], b[0], out=out)
     for d in range(1, len(b)):
         np.add(out, np.multiply(cols[d], b[d], out=tmp), out=out)

@@ -20,6 +20,7 @@ from cpc.dynamics import (
     exact_control_matrix,
     step,
 )
+from cpc.experiments import ExperimentConfig, generate_falls
 from cpc.errors import (
     RankDeficient,
     SingularMatrix,
@@ -309,6 +310,28 @@ def test_reparam_guard_matches_retrieval(rng):
         if want is not None:
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert decisions == {True, False}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_reparam_matches_retrieval_bits(rng, n):
+    # The query state and the stored points are projected onto b by one
+    # rule, so for every point the scan returns, reparam_params gives the
+    # scan's (t0, s) bit for bit.
+    params = ChainParams(n_links=n, actuated_joints=tuple(range(1, n)))
+    store = generate_falls(ExperimentConfig(), 3, seed=n, params=params)
+    targets = NonEmptyStore(store)
+    checked = 0
+    for _ in range(40):
+        x0 = State(rng.uniform(-0.5, 0.5, size=n), rng.uniform(-2.0, 2.0, size=n))
+        b = split_coordinates(exact_control_matrix(params, x0.q)).b
+        try:
+            idx, t0, s, _ = _query_arrays(targets, x0, b, 10.0, -1.0, 20, DEFAULT_GUARD_TOL)
+        except VelocityBarDegenerate:
+            continue
+        for i, t0_i, s_i in zip(idx.tolist(), t0.tolist(), s.tolist()):
+            assert reparam_params(x0, State(store.q[i], store.qdot[i]), b) == (t0_i, s_i)
+            checked += 1
+    assert checked >= 400
 
 
 def test_reparam_reduction_bitlevel(rng):

@@ -1,8 +1,14 @@
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cpc
 from cpc.control_law import split_coordinates
 from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matrix, step
 from cpc.errors import DatasetSchemaMismatch, EmptyDataset, VelocityBarDegenerate
@@ -18,13 +24,10 @@ from oracles import proximity_loss, query_candidates, save_jsonl_per_value
 
 def reference_query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
     """Bit-for-bit reference for ``_query_arrays``: the same scan written
-    with fresh temporaries, gathering the guard-passing points before the
-    loss and partitioning a copy of it."""
+    with fresh temporaries, projecting the query state as a one-row store,
+    gathering the guard-passing points before the loss and partitioning a
+    copy of it."""
     b = np.asarray(b, dtype=float)
-    qdbar0 = float(b @ x0.qdot)
-    if abs(qdbar0) <= guard_tol:
-        raise VelocityBarDegenerate("unactuated velocity projection too small")
-    qbar0 = float(b @ x0.q)
 
     def project(a):
         out = a[:, 0] * b[0]
@@ -32,6 +35,10 @@ def reference_query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
             out += a[:, d] * b[d]
         return out
 
+    qdbar0 = float(project(x0.qdot[None])[0])
+    if abs(qdbar0) <= guard_tol:
+        raise VelocityBarDegenerate("unactuated velocity projection too small")
+    qbar0 = float(project(x0.q[None])[0])
     qb = project(targets.store.q)
     qdb = project(targets.store.qdot)
     idx = np.flatnonzero(np.abs(qdb) > guard_tol)
@@ -270,6 +277,60 @@ def test_query_arrays_bit_identical_to_reference(rng, fall_store, kind):
         n_d = int(np.flatnonzero(targets.store.q[ranked, 0] == st.q[0])[0]) + 100
         args = (x0, b, 10.0, 1.0, n_d, DEFAULT_GUARD_TOL)
         assert _same_bytes(_query_arrays(targets, *args), reference_query_arrays(targets, *args))
+
+
+# Retrieval on random stores and fixed covector floats at N = 2, 3 and 5,
+# the free row at every position: prints the SHA-256 of every result.
+_QUERY_DIGEST = """
+import hashlib
+import numpy as np
+from cpc.dynamics import State
+from cpc.errors import VelocityBarDegenerate
+from cpc.target_store import DEFAULT_GUARD_TOL, NonEmptyStore, TargetStore, _query_arrays
+
+rng = np.random.default_rng(18)
+h = hashlib.sha256()
+for n in (2, 3, 5):
+    q, qdot = rng.normal(size=(2, 300, n))
+    store = TargetStore(np.zeros(300), q, qdot, np.zeros((300, n - 1)), np.zeros(300), n,
+                        tuple(range(1, n)))
+    targets = NonEmptyStore(store)
+    for k in range(300):
+        b = rng.normal(size=n)
+        b[k % n] = -1.0
+        x0 = State(rng.normal(size=n), rng.normal(size=n))
+        try:
+            out = _query_arrays(targets, x0, b, 10.0, -1.0, 20, DEFAULT_GUARD_TOL)
+        except VelocityBarDegenerate:
+            h.update(b"degenerate")
+            continue
+        for a in out:
+            h.update(a.tobytes())
+print(h.hexdigest())
+"""
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64"), reason="Prescott is an x86-64 OpenBLAS kernel"
+)
+def test_query_bytes_independent_of_blas_kernel():
+    # The host's SIMD level picks OpenBLAS's kernel. Retrieval must give the
+    # same bytes under the default kernel and under the SSE3 one (Prescott),
+    # which every x86-64 machine runs; a numpy without OpenBLAS ignores the
+    # variable.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    src = str(Path(cpc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+
+    def digest(extra):
+        run = subprocess.run(
+            [sys.executable, "-c", _QUERY_DIGEST], env={**env, **extra},
+            capture_output=True, text=True, check=True,
+        )
+        return run.stdout
+
+    assert digest({}) == digest({"OPENBLAS_CORETYPE": "Prescott"})
 
 
 def test_warm_query_allocates_no_store_length_array(rng, fall_store):
