@@ -572,10 +572,12 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
     (M,), or a batch of K states advanced in lockstep, with q and qdot of
     shape (K, N) and tau of shape (K, M). Each row of a batch comes out
     bit-equal to stepping it alone. Raises ValueError on any other shape
-    and NonFiniteState if a torque is not finite or any row diverges.
+    or unless dt is positive and finite, and NonFiniteState if a torque is
+    not finite or any row diverges.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    # Written so that NaN fails too.
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
     c = _chain_consts(params)
     tau = np.asarray(tau, dtype=float)
     q, qdot = state.q, state.qdot

@@ -503,6 +503,14 @@ def test_single_state_functions_reject_batch(call):
         call(acrobot_params(), State(np.zeros((3, 2)), np.zeros((3, 2))))
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+def test_step_rejects_bad_dt(dt):
+    # A NaN or infinite step is the caller's error, not a diverging state.
+    st = State(np.zeros(2), np.zeros(2))
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        step(acrobot_params(), st, np.zeros(1), dt)
+
+
 @pytest.mark.parametrize(
     "q, qdot",
     [(np.zeros(1), np.zeros(1)), (np.zeros((3, 1)), np.zeros((3, 1))), (np.zeros(3), np.zeros(3)),
