@@ -153,22 +153,23 @@ class TargetStore:
                     # A missing field, a row that is not an object, or a
                     # field without a length.
                     raise DatasetSchemaMismatch(f"line {lineno}: bad row: {e!r}") from e
-        # q, qdot and tau hold every row's values in one flat list each;
-        # np.fromiter takes scalars only, so a nested entry is rejected.
+        # The decoder gives every JSON number as a float, so one type pass
+        # per field rejects strings, booleans, null and nested values, which
+        # numpy would otherwise convert ("1" and true to 1.0).
+        for name, values in (("t", t), ("q", q), ("qdot", qdot), ("tau", tau), ("G", G)):
+            if not all(map(float.__instancecheck__, values)):
+                raise DatasetSchemaMismatch(f"malformed values: {name} holds a non-number")
+        # q, qdot and tau hold every row's values in one flat list each.
         n = len(t)
-        try:
-            return cls(
-                t,
-                np.fromiter(q, float).reshape(n, n_links),
-                np.fromiter(qdot, float).reshape(n, n_links),
-                np.fromiter(tau, float).reshape(n, len(joints)),
-                G,
-                n_links,
-                joints,
-            )
-        except (TypeError, ValueError) as e:
-            # Values that do not convert to floats or integers.
-            raise DatasetSchemaMismatch(f"malformed values: {e}") from e
+        return cls(
+            t,
+            np.fromiter(q, float).reshape(n, n_links),
+            np.fromiter(qdot, float).reshape(n, n_links),
+            np.fromiter(tau, float).reshape(n, len(joints)),
+            G,
+            n_links,
+            joints,
+        )
 
 
 def _list_template(k: int) -> str:

@@ -470,12 +470,22 @@ _ROW = '{"t": 0.0, "q": [0.0, 0.0], "qdot": [0.0, 0.0], "tau": [0.0], "G": 0.0}\
         _HEADER.replace("[1]", '{"1": 0}') + _ROW,
         _HEADER.replace("[1]", "[0]").replace('"n_links": 2', '"n_links": true')
         + _ROW.replace("[0.0, 0.0]", "[0.0]"),
+        # Strings and booleans that numpy would read as numbers.
+        _HEADER + _ROW.replace('"t": 0.0', '"t": "0"'),
+        _HEADER + _ROW.replace('"t": 0.0', '"t": true'),
+        _HEADER + _ROW.replace('"q": [0.0, 0.0]', '"q": ["1", "2"]'),
+        _HEADER + _ROW.replace('"q": [0.0, 0.0]', '"q": [true, 0.0]'),
+        _HEADER + _ROW.replace('"tau": [0.0]', '"tau": ["0.5"]'),
+        _HEADER + _ROW.replace('"tau": [0.0]', '"tau": [false]'),
+        _HEADER + _ROW.replace('"G": 0.0', '"G": "1e3"'),
+        _HEADER + _ROW.replace('"G": 0.0', '"G": true'),
     ],
     ids=[
         "header_without_n_links", "header_list", "row_list", "q_scalar", "q_strings", "t_list",
         "q_nested", "q_int_beyond_float_range", "trailing_data", "two_objects", "form_feed_start",
         "joint_out_of_range", "joints_repeated", "joint_not_integer", "joints_string",
-        "joints_object", "n_links_bool",
+        "joints_object", "n_links_bool", "t_string", "t_bool", "q_numeric_strings", "q_bool",
+        "tau_string", "tau_bool", "G_string", "G_bool",
     ],
 )
 def test_jsonl_malformed_raises_schema_mismatch(tmp_path, text):
