@@ -1,19 +1,17 @@
 """Coordinate splitting, time reparameterization and the path feedback law.
 
 The law controls chains with one unactuated direction: the
-torque-to-acceleration control matrix ``B`` is N x M with M = N - 1 and
-full column rank, and any other shape raises ValueError. The configuration
-coordinates are split into the M controlled ones, whose rows of B form the
-invertible block ``B_chi``, and one free one. The split is the one place
-that decides that block: it picks the rows, runs the one condition-number
-check on them, and keeps ``B_chi`` and the (N,) covector ``b`` for every
-later solve, so no split with an unusable block exists. The covector ``b``
-annihilates B, so the projection ``b . q`` evolves independently of the
-applied torques; matching that projection between the current motion and a
-stored target trajectory yields a time offset ``t0`` and time scale ``s``,
-and feedback is applied only to the controlled coordinates of the
-correspondingly renormalized target. This module owns that renormalization
-and the errors that ranking and feedback both read.
+torque-to-acceleration control matrix ``B`` is N x (N-1) with full column
+rank, and any other shape raises ValueError. The split picks the N-1
+controlled coordinates, whose rows of B form the invertible block
+``B_chi``, and leaves one free. It is the one place that decides that block:
+it runs the one condition-number check on it and keeps ``B_chi`` and the
+(N,) covector ``b`` for every later solve. ``b`` annihilates B, so the
+projection ``b . q`` evolves independently of the applied torques; matching
+it between the current motion and a stored target yields a time offset
+``t0`` and time scale ``s``, and feedback acts only on the controlled
+coordinates of the renormalized target. This module owns that
+renormalization and the errors that ranking and feedback both read.
 """
 
 import math
@@ -34,15 +32,14 @@ RIDGE = 1e-8
 
 @dataclass(frozen=True)
 class CoordSplit:
-    """Split of the configuration coordinates of an N x (N-1) control matrix
-    ``B`` into the given controlled rows (ascending) and the one free row.
+    """Split of the rows of an N x (N-1) control matrix ``B`` into the given
+    controlled rows (ascending) and the one free row.
 
-    Building a split checks B: it raises ValueError unless N - M = 1, and
-    SingularMatrix when an entry is NaN or inf, or when cond(B_chi)^2
-    exceeds DEFAULT_COND_CAP. It then holds the block ``b_chi`` (M x M) and
-    the covector ``b`` (N,) with b' B = 0: W = B_free B_chi^-1 on the
-    controlled rows and -1.0 on the free row. Equality compares the row
-    indices only.
+    Building a split checks B: it raises ValueError for any other shape,
+    and SingularMatrix when an entry is NaN or inf or cond(B_chi)^2 exceeds
+    DEFAULT_COND_CAP. It then holds the block ``b_chi`` (M x M) and the
+    covector ``b`` (N,) with b' B = 0: W = B_free B_chi^-1 on the controlled
+    rows and -1.0 on the free row. Equality compares the rows only.
     """
 
     B: InitVar[np.ndarray]

@@ -575,7 +575,6 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
     or unless dt is positive and finite, and NonFiniteState if a torque is
     not finite or any row diverges.
     """
-    # Written so that NaN fails too.
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     c = _chain_consts(params)

@@ -153,9 +153,8 @@ class TargetStore:
                     # A missing field, a row that is not an object, or a
                     # field without a length.
                     raise DatasetSchemaMismatch(f"line {lineno}: bad row: {e!r}") from e
-        # The decoder gives every JSON number as a float, so one type pass
-        # per field rejects strings, booleans, null and nested values, which
-        # numpy would otherwise convert ("1" and true to 1.0).
+        # Every JSON number decodes to a float; one type pass per field rejects
+        # the rest, which numpy would convert ("1" and true to 1.0).
         for name, values in (("t", t), ("q", q), ("qdot", qdot), ("tau", tau), ("G", G)):
             if not all(map(float.__instancecheck__, values)):
                 raise DatasetSchemaMismatch(f"malformed values: {name} holds a non-number")
@@ -238,11 +237,10 @@ def _query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
 
 
 def _project_state(b, x, guard_tol):
-    """(b . q, b . qdot) for one state and the covector ``b``, a list of N
-    floats, formed with ``_project``'s arithmetic, so a stored copy of the
-    state projects to the same bits. Raises VelocityBarDegenerate when
-    |b . qdot| is at most ``guard_tol``: the same rule that keeps a stored
-    point out of retrieval."""
+    """(b . q, b . qdot) of one state for the covector ``b``, a list of N
+    floats, by ``_project``'s arithmetic, so a stored copy of the state gets
+    the same bits. Raises VelocityBarDegenerate when |b . qdot| is at most
+    ``guard_tol``, the rule that keeps a stored point out of retrieval."""
     q, qdot = x.q.tolist(), x.qdot.tolist()
     qbar, qdbar = q[0] * b[0], qdot[0] * b[0]
     for d in range(1, len(b)):
@@ -259,11 +257,9 @@ def _project(cols, b, out, tmp):
     """Row-wise dot products of the store columns ``cols`` with b, written
     into ``out`` (``tmp`` is scratch of the same length). The products are
     added column by column in a fixed order without fused multiply-adds, so
-    the result does not depend on the BLAS build and retrieval reproduces
-    bit for bit across hosts; ``_project_state`` projects the query state
-    by the same rule. The control matrix that b comes from is still
-    regressed and split through LAPACK and BLAS, whose bits may differ
-    between builds."""
+    the result does not depend on the BLAS build, and ``_project_state``
+    projects the query state by the same rule. The B regression and split
+    that give b still run on LAPACK and BLAS, which this does not cover."""
     np.multiply(cols[0], b[0], out=out)
     for d in range(1, len(b)):
         np.add(out, np.multiply(cols[d], b[d], out=tmp), out=out)
