@@ -1,12 +1,15 @@
 """Coordinate splitting, time reparameterization and the path feedback law.
 
 The law controls chains with one unactuated direction: the
-torque-to-acceleration control matrix ``B`` is N x (N-1) with full column
-rank, and any other shape raises ValueError. The split picks the N-1
-controlled coordinates, whose rows of B form the invertible block
-``B_chi``, and leaves one free. It is the one place that decides that block:
-it runs the one condition-number check on it and keeps ``B_chi`` and the
-(N,) covector ``b`` for every later solve. ``b`` annihilates B, so the
+torque-to-acceleration control matrix ``B`` is N x (N-1), and any other
+shape raises ValueError. The controlled coordinates are the chain's
+actuated joints, whose rows of B form the block ``B_chi``; the unactuated
+joint is the free one. For the exact model B = D^-1 B_tau, so ``B_chi`` is
+a principal block of the SPD matrix D^-1 (up to the order of its columns)
+and is invertible in every state. An estimated B is rejected only by the
+split's own checks. The split is the one place that cuts that block: it
+runs the one condition-number check on it and keeps ``B_chi`` and the (N,)
+covector ``b`` for every later solve. ``b`` annihilates B, so the
 projection ``b . q`` evolves independently of the applied torques; matching
 it between the current motion and a stored target yields a time offset
 ``t0`` and time scale ``s``, and feedback acts only on the controlled
@@ -33,13 +36,17 @@ RIDGE = 1e-8
 @dataclass(frozen=True)
 class CoordSplit:
     """Split of the rows of an N x (N-1) control matrix ``B`` into the given
-    controlled rows (ascending) and the one free row.
+    controlled rows (ascending) and the one free row. The controller passes
+    the chain's actuated joints as the controlled rows.
 
-    Building a split checks B: it raises ValueError for any other shape,
-    and SingularMatrix when an entry is NaN or inf or cond(B_chi)^2 exceeds
-    DEFAULT_COND_CAP. It then holds the block ``b_chi`` (M x M) and the
-    covector ``b`` (N,) with b' B = 0: W = B_free B_chi^-1 on the controlled
-    rows and -1.0 on the free row. Equality compares the rows only.
+    Building a split checks B, and these checks are the only rule that
+    rejects one: it raises ValueError for any other shape or for rows that
+    are not N-1 distinct indices in range, and SingularMatrix when an entry
+    is NaN or inf, when the block is zero at M = 1, or when cond(B_chi)^2
+    exceeds DEFAULT_COND_CAP at M >= 2. It then holds the block ``b_chi``
+    (M x M) and the covector ``b`` (N,) with b' B = 0: W = B_free B_chi^-1
+    on the controlled rows and -1.0 on the free row. Equality compares the
+    rows only.
     """
 
     B: InitVar[np.ndarray]
@@ -95,62 +102,6 @@ class GainSpec:
     @property
     def kappa(self) -> float:
         return math.sqrt(self.k)
-
-
-def split_coordinates(B: np.ndarray) -> CoordSplit:
-    """Split B's coordinates, choosing the M controlled rows by row-pivoted
-    elimination.
-
-    Pivot rows are picked greedily to maximize each pivot magnitude, which
-    keeps the controlled block of B well conditioned. Deterministic: ties go
-    to the lowest row index. Raises RankDeficient when a pivot vanishes and
-    SingularMatrix when B is not finite or the chosen block fails the
-    condition check.
-    """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    n, m = B.shape
-    if n - m != 1:
-        raise ValueError(_ONE_DIRECTION)
-    # The elimination runs on Python floats: every update is the IEEE
-    # operation a numpy row update would do, so the same rows are picked.
-    work = B.tolist()
-    entries = [abs(x) for row in work for x in row]
-    if not all(map(math.isfinite, entries)):
-        raise SingularMatrix("control matrix is not finite")
-    scale = max(entries)  # ValueError when B has no columns
-    if scale == 0.0:
-        raise RankDeficient("control matrix is zero")
-    remaining = list(range(n))
-    picked = []
-    for col in range(m):
-        sub = [abs(work[r][col]) for r in remaining]
-        best = _first_argmax(sub)
-        if sub[best] <= 1e-12 * scale:
-            raise RankDeficient(f"column rank < {m}")
-        row = remaining.pop(best)
-        picked.append(row)
-        if col + 1 == m:
-            break
-        pivot_row = work[row]
-        pivot = pivot_row[col]
-        for r in remaining:
-            w = work[r]
-            factor = w[col] / pivot
-            for c in range(col, m):
-                w[c] = w[c] - factor * pivot_row[c]
-    return CoordSplit(B, tuple(picked))
-
-
-def _first_argmax(values: list) -> int:
-    """np.argmax's rule on a list of floats: the index of the first NaN if
-    there is one, else of the first largest value."""
-    best = 0
-    for i, v in enumerate(values):
-        if v != v:
-            return i
-        if v > values[best]:
-            best = i
-    return best
 
 
 def reparam_params(x0: dynamics.State, xd: dynamics.State, b: np.ndarray) -> tuple[float, float]:

@@ -19,9 +19,9 @@ options: the method is one fixed procedure applied after training, and every
 run (the balance experiment, the sweep, the benchmark) uses these values, so
 changing one changes the method.
 
-The cycle's small-array work (the pivot choice of the coordinate split,
-norms and finiteness checks) runs on Python floats, which for these sizes
-costs less than numpy's per-call dispatch and gives the same bits.
+The cycle's small-array work (norms and finiteness checks) runs on Python
+floats, which for these sizes costs less than numpy's per-call dispatch and
+gives the same bits.
 """
 
 import math
@@ -31,10 +31,10 @@ from typing import Optional
 import numpy as np
 
 from .control_law import (
+    CoordSplit,
     GainSpec,
     cpc_tau,
     estimate_control_matrix,
-    split_coordinates,
     target_errors,
 )
 from .dynamics import State
@@ -125,8 +125,9 @@ def cpc_loop(
 ) -> np.ndarray:
     """One control cycle: candidate query, cost-ranked selection and torque
     with gain backoff. Raises NoValidCandidates when every stored point is
-    guard-rejected."""
-    split = split_coordinates(B)
+    guard-rejected. The controlled rows of B are the store's actuated
+    joints, the layout the retrieval handle has checked."""
+    split = CoordSplit(B, targets.store.actuated_joints)
     idx, t0s, ss, _ = _query_arrays(targets, x0, split.b, OMEGA, cfg.s_g, N_D, DEFAULT_GUARD_TOL)
     if len(idx) == 0:
         raise NoValidCandidates("all stored points rejected by the velocity guard")

@@ -107,8 +107,13 @@ def generate_falls(
     """Record n_f uncontrolled fall trajectories from upright rest.
 
     Each trajectory applies zero-mean torque noise of scale sigma0 for the
-    fall duration; every recorded point carries zero return.
+    fall duration; every recorded point carries zero return. Raises
+    ValueError unless n_f is an integer >= 1 (see ``dynamics._as_int``).
     """
+    try:
+        n_f = _as_int(n_f)
+    except TypeError as e:
+        raise ValueError(f"n_f must be an integer: {e}") from e
     if n_f < 1:
         raise ValueError("n_f must be >= 1")
     params = params or acrobot_params()

@@ -220,16 +220,16 @@ def _query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
     np.divide(s, qdbar0, out=s)
     np.square(np.multiply(t0, omega, out=loss), out=loss)
     np.add(loss, np.square(np.subtract(s, s_g, out=tmp), out=tmp), out=loss)
-    if np.count_nonzero(ok) > n_d:
-        # Only points at or below the n_d-th smallest loss can be selected;
-        # keeping every point that ties it leaves the index tie-break intact.
-        tmp.fill(np.inf)
-        np.copyto(tmp, loss, where=ok)
-        tmp.partition(n_d - 1)
-        np.logical_and(np.less_equal(loss, tmp[n_d - 1], out=near), ok, out=near)
-        idx = np.flatnonzero(near)
-    else:
-        idx = np.flatnonzero(ok)
+    # Only points at or below the n_d-th smallest loss can be selected;
+    # keeping every point that ties it leaves the index tie-break intact.
+    # With at most n_d points passing the guard, that entry of the
+    # +inf-filled row is +inf or their largest loss, so every one is kept.
+    kth = min(n_d, len(loss)) - 1
+    tmp.fill(np.inf)
+    np.copyto(tmp, loss, where=ok)
+    tmp.partition(kth)
+    np.logical_and(np.less_equal(loss, tmp[kth], out=near), ok, out=near)
+    idx = np.flatnonzero(near)
     loss = loss[idx]
     order = np.lexsort((idx, loss))[:n_d]
     idx = idx[order]

@@ -16,11 +16,11 @@ import math
 import numpy as np
 
 from .control_law import (
+    CoordSplit,
     GainSpec,
     cpc_tau,
     renormalized_target,
     reparam_params,
-    split_coordinates,
     target_errors,
 )
 from .dynamics import ChainParams, State, exact_control_matrix
@@ -34,8 +34,9 @@ def correspondence_gap(params: ChainParams, x: State, xd: State, epsilon: float)
     The path side uses the exact control matrix at ``x`` with the covector
     and reparameterization computed there. The constraint side phases by the
     target configuration's unactuated covector c and is built from the
-    renormalized target, then evaluated at ``x``; c has -1 on its free row,
-    so it is never zero. Raises ValueError unless epsilon is positive and
+    renormalized target, then evaluated at ``x``; c has -1 on the
+    unactuated joint, so it is never zero. Both sides control the chain's
+    actuated joints. Raises ValueError unless epsilon is positive and
     finite with a finite gain 1/epsilon^2, and PhasingDegenerate when c is
     orthogonal to the target velocity.
     """
@@ -46,13 +47,13 @@ def correspondence_gap(params: ChainParams, x: State, xd: State, epsilon: float)
     kappa = 1.0 / epsilon
     gain = GainSpec(kappa * kappa)  # ValueError when 1/epsilon^2 overflows
     B = exact_control_matrix(params, x.q)
-    split = split_coordinates(B)
+    split = CoordSplit(B, params.actuated_joints)
     t0, s = reparam_params(x, xd, split.b)
     q_d, qdot_d, t0, s = xd.q[None], xd.qdot[None], np.array([t0]), np.array([s])
     dchi, dchidot = target_errors(x, q_d, qdot_d, t0, s, split)
     dtau_cpc = cpc_tau(dchi[0], dchidot[0], split, gain, np.zeros(len(split.controlled)))
 
-    c = split_coordinates(exact_control_matrix(params, xd.q)).b
+    c = CoordSplit(exact_control_matrix(params, xd.q), params.actuated_joints).b
     # Unit length: the feedback is invariant to c's scale, as the slope rescales.
     c = c / np.linalg.norm(c)
     (q_r0,), (qdot_r,) = renormalized_target(q_d, qdot_d, t0, s)

@@ -15,8 +15,7 @@ package's batched renormalization as a batch of one row.
 The control cycle runs its small-array work on Python floats and keeps its
 regression window in preallocated arrays. The numpy forms of the same steps
 are kept here, for the tests to require the same bits from the cycle: the
-row pivot of ``split_coordinates`` on arrays (``split_coordinates_numpy``),
-the split's general N x (N-M) blocks through an SVD condition check and a
+split's general N x (N-M) blocks through an SVD condition check and a
 LAPACK solve at every M (``split_blocks_lapack``), the path law through a
 LAPACK solve at every M (``cpc_tau_lapack``), the renormalization of every
 target column (``target_errors_full_width``), the fall test on
@@ -215,34 +214,6 @@ def save_jsonl_per_value(store: TargetStore, path) -> None:
 # ---------------------------------------------------------------------------
 # numpy forms of the control cycle's small-array steps
 # ---------------------------------------------------------------------------
-
-
-def split_coordinates_numpy(B: np.ndarray) -> CoordSplit:
-    """``split_coordinates`` with the row-pivoted elimination on numpy rows:
-    np.argmax picks each pivot and each elimination is an in-place row
-    update."""
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    n, m = B.shape
-    scale = np.abs(B).max()
-    if not math.isfinite(scale):
-        raise SingularMatrix("control matrix is not finite")
-    if scale == 0.0:
-        raise RankDeficient("control matrix is zero")
-    work = B.copy()
-    remaining = list(range(n))
-    picked = []
-    for col in range(m):
-        sub = np.abs(work[remaining, col])
-        best = int(np.argmax(sub))
-        if sub[best] <= 1e-12 * scale:
-            raise RankDeficient(f"column rank < {m}")
-        row = remaining.pop(best)
-        picked.append(row)
-        pivot = work[row, col]
-        for r in remaining:
-            factor = work[r, col] / pivot
-            work[r, col:] -= factor * work[row, col:]
-    return CoordSplit(B, tuple(picked))
 
 
 def split_blocks_lapack(B: np.ndarray, controlled) -> tuple[np.ndarray, np.ndarray]:

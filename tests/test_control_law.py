@@ -9,7 +9,6 @@ from cpc.control_law import (
     estimate_control_matrix,
     renormalized_target,
     reparam_params,
-    split_coordinates,
     target_errors,
 )
 from cpc.controller import HISTORY_N
@@ -32,26 +31,13 @@ from oracles import (
     one_target,
     one_target_tau,
     split_blocks_lapack,
-    split_coordinates_numpy,
     target_errors_full_width,
 )
 
 
 # ---------------------------------------------------------------------------
-# split_coordinates / CoordSplit
+# CoordSplit
 # ---------------------------------------------------------------------------
-
-
-def test_split_prefers_larger_row():
-    assert split_coordinates(np.array([[1.0], [0.5]])).controlled == (0,)
-    assert split_coordinates(np.array([[0.0], [1.0]])).controlled == (1,)
-
-
-def test_split_rank_deficient():
-    with pytest.raises(RankDeficient):
-        split_coordinates(np.zeros((2, 1)))
-    with pytest.raises(RankDeficient):
-        split_coordinates(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]))
 
 
 def test_split_hand_rows_checked():
@@ -62,7 +48,7 @@ def test_split_hand_rows_checked():
     params = ChainParams(n_links=3, actuated_joints=(1, 2))
     B = exact_control_matrix(params, np.array([0.1, -0.2, 0.3]))
     B[1] = B[0] * 0.1 * 10
-    with pytest.raises((SingularMatrix, RankDeficient)):
+    with pytest.raises(SingularMatrix):
         CoordSplit(B, (0, 1))
 
 
@@ -70,7 +56,7 @@ def test_split_hand_rows_validated():
     B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     split = CoordSplit(B, (2, 0))
     assert (split.controlled, split.free) == ((0, 2), 1)
-    assert CoordSplit(B, (1, 0)) == split_coordinates(B)
+    assert CoordSplit(B, (1, 0)) == CoordSplit(B, (0, 1))
     for rows in ((0,), (0, 0), (0, 3)):
         with pytest.raises(ValueError):
             CoordSplit(B, rows)
@@ -81,8 +67,6 @@ def test_split_hand_rows_validated():
 def test_split_non_finite_raises_singular(bad, row):
     B = np.array([[1.0], [0.5]])
     B[row, 0] = bad
-    with pytest.raises(SingularMatrix):
-        split_coordinates(B)
     # A non-finite entry in the controlled row or in a free row alike.
     for controlled in ((0,), (1,)):
         with pytest.raises(SingularMatrix):
@@ -90,67 +74,14 @@ def test_split_non_finite_raises_singular(bad, row):
 
 
 def _outcome(fn, *args):
-    """The bytes and shapes a split or torque function returns, or the type
-    of the exception it raises."""
+    """The bytes and shape of the torque a function returns, or the type of
+    the exception it raises."""
     try:
         with np.errstate(all="ignore"):
             out = fn(*args)
-    except (ValueError, RankDeficient, SingularMatrix) as e:
+    except (ValueError, SingularMatrix) as e:
         return type(e)
-    if isinstance(out, CoordSplit):
-        out = (out.controlled, out.b_chi, out.b)
-    elif not isinstance(out, tuple):
-        out = (out,)
-    return tuple((a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in out)
-
-
-def _control_matrices(rng):
-    """Random B of every shape N <= 5, M <= N, with magnitudes from 1e-300
-    to 1e300, entries near 1e308 mixed with O(1) ones (the elimination
-    overflows to inf and then NaN, which np.argmax picks first), integer
-    entries (exact ties and cancellations), duplicated and negated rows,
-    zero, NaN and inf entries, and three malformed shapes."""
-    for n in range(1, 6):
-        for m in range(1, n + 1):
-            for _ in range(60):
-                B = rng.normal(size=(n, m)) * 10.0 ** float(rng.choice([0, 0, -300, -150, 150, 300]))
-                yield B
-                yield rng.uniform(-1.7, 1.7, size=(n, m)) * 10.0 ** rng.choice([0.0, 308.0], (n, m))
-                yield rng.integers(-2, 3, size=(n, m)).astype(float)
-                if n > 1:
-                    i, j = rng.choice(n, size=2, replace=False)
-                    C = B.copy()
-                    C[j] = C[i] * rng.choice([1.0, -1.0])
-                    yield C
-            bad = rng.normal(size=(n, m))
-            bad.flat[int(rng.integers(bad.size))] = rng.choice([np.nan, np.inf, -np.inf])
-            yield bad
-            yield np.zeros((n, m))
-    # The first elimination overflows rows 2 and 3 to inf in column 1; row 2
-    # becomes the pivot, which turns row 3 into NaN and leaves row 1 at 5 in
-    # column 2. np.argmax then picks the NaN row over the larger finite one.
-    h = 1.5e308
-    yield np.array([[h, -h, -h], [0.0, 2.0, 5.0], [h, h, 0.0], [h, h, 0.0]])
-    yield np.ones((2, 3))
-    yield np.ones((2, 0))
-    yield np.ones((1, 1, 1))
-
-
-def test_split_matches_numpy_pivot(rng):
-    # The elimination on Python floats picks the same rows and gives the
-    # same blocks, to the byte, as the same elimination on numpy rows, or
-    # raises the same exception. Any B without exactly one free row raises
-    # ValueError.
-    raised = set()
-    for B in _control_matrices(rng):
-        if B.ndim != 2 or B.shape[0] - B.shape[1] != 1:
-            assert _outcome(split_coordinates, B) is ValueError, B
-            continue
-        want = _outcome(split_coordinates_numpy, B)
-        assert _outcome(split_coordinates, B) == want, B
-        if isinstance(want, type):
-            raised.add(want)
-    assert raised == {RankDeficient, SingularMatrix}
+    return out.shape, out.tobytes()
 
 
 def test_split_matches_lapack_blocks(rng):
@@ -183,6 +114,25 @@ def test_split_matches_lapack_blocks(rng):
     assert raised > 0
 
 
+@pytest.mark.parametrize(
+    "n_links, actuated",
+    [(2, (1,)), (2, (0,)), (3, (1, 2)), (3, (0, 2)), (4, (1, 2, 3)), (5, (1, 2, 3, 4)), (5, (0, 1, 3, 4))],
+)
+def test_split_on_actuated_joints_builds_for_exact_model(rng, n_links, actuated):
+    # B = D^-1 B_tau, so its actuated rows are a principal block of the SPD
+    # matrix D^-1: symmetric positive definite in every state, and the split
+    # the controller builds on the actuated joints never refuses the exact B.
+    params = ChainParams(n_links=n_links, actuated_joints=actuated)
+    (unactuated,) = set(range(n_links)).difference(actuated)
+    for _ in range(500):
+        B = exact_control_matrix(params, rng.uniform(-np.pi, np.pi, n_links))
+        block = B[list(actuated)]
+        assert np.abs(block - block.T).max() <= 1e-12 * np.abs(block).max()
+        assert np.linalg.eigvalsh(block).min() > 0.0
+        split = CoordSplit(B, actuated)
+        assert (split.controlled, split.free) == (actuated, unactuated)
+
+
 def test_one_actuator_forms_match_lapack(rng):
     # At M = 1 the path law divides instead of solving; it must give
     # LAPACK's bits.
@@ -198,14 +148,9 @@ def test_one_actuator_forms_match_lapack(rng):
         )
 
 
-def test_split_deterministic(rng):
-    B = rng.normal(size=(4, 3))
-    assert split_coordinates(B) == split_coordinates(B.copy())
-
-
 def test_null_covector_hand_case():
     B = np.array([[1.0], [0.5]])
-    split = split_coordinates(B)
+    split = CoordSplit(B, (0,))
     b = split.b
     assert np.allclose(b, [0.5, -1.0])
     assert abs(b @ B).max() < 1e-12
@@ -214,14 +159,18 @@ def test_null_covector_hand_case():
 def test_split_fully_actuated_raises():
     B = np.array([[2.0, 0.1], [0.3, 1.5]])
     with pytest.raises(ValueError, match="one unactuated direction"):
-        split_coordinates(B)
+        CoordSplit(B, (0, 1))
+    # Two free rows, more columns than rows, and no columns alike.
+    for B in (np.ones((3, 1)), np.ones((2, 3)), np.ones((2, 0))):
+        with pytest.raises(ValueError, match="one unactuated direction"):
+            CoordSplit(B, (0,))
 
 
 def test_null_identity_random(rng):
     for _ in range(200):
         n = int(rng.integers(2, 6))
         B = rng.normal(size=(n, n - 1))
-        split = split_coordinates(B)
+        split = CoordSplit(B, tuple(range(1, n)))
         b = split.b
         assert np.abs(b @ B).max() < 1e-9
         # The free row carries minus one.
@@ -238,7 +187,7 @@ def test_null_identity_random(rng):
 def _acrobot_split_b(q):
     p = acrobot_params()
     B = exact_control_matrix(p, q)
-    split = split_coordinates(B)
+    split = CoordSplit(B, p.actuated_joints)
     return B, split, split.b
 
 
@@ -323,7 +272,7 @@ def test_reparam_matches_retrieval_bits(rng, n):
     checked = 0
     for _ in range(40):
         x0 = State(rng.uniform(-0.5, 0.5, size=n), rng.uniform(-2.0, 2.0, size=n))
-        b = split_coordinates(exact_control_matrix(params, x0.q)).b
+        b = CoordSplit(exact_control_matrix(params, x0.q), params.actuated_joints).b
         try:
             idx, t0, s, _ = _query_arrays(targets, x0, b, 10.0, -1.0, 20, DEFAULT_GUARD_TOL)
         except VelocityBarDegenerate:
@@ -392,7 +341,7 @@ def test_target_errors_rows_follow_formula(rng):
     # q_d - qdot_d (t0 / s) and qdot_d / s, on the controlled columns, bit
     # for bit.
     B = rng.normal(size=(3, 2))
-    split = split_coordinates(B)
+    split = CoordSplit(B, (1, 2))
     ci = list(split.controlled)
     x0 = State(rng.normal(size=3), rng.normal(size=3))
     n = 7
@@ -412,7 +361,7 @@ def test_target_errors_match_full_width(rng):
     # renormalizing every column and keeping the controlled ones.
     for n in range(2, 6):
         for _ in range(n):
-            split = split_coordinates(rng.normal(size=(n, n - 1)))
+            split = CoordSplit(rng.normal(size=(n, n - 1)), tuple(range(1, n)))
             x0 = State(rng.normal(size=n), rng.normal(size=n))
             k = int(rng.integers(1, 30))
             q_d, qdot_d = rng.normal(size=(k, n)), rng.normal(size=(k, n))
@@ -454,8 +403,7 @@ def test_cpc_tau_identity_reparam_is_linear_feedback(rng):
     # state feedback tau_d - B_chi^-1 (k dchi + 2 sqrt(k) dchidot) on the
     # controlled coordinates.
     B = rng.normal(size=(3, 2)) + 3 * np.eye(3, 2)
-    split = split_coordinates(B)
-    assert split.controlled == (0, 1)
+    split = CoordSplit(B, (0, 1))
     x0 = State(rng.normal(size=3), rng.normal(size=3))
     xd = State(rng.normal(size=3), rng.normal(size=3))
     gain = GainSpec(25.0)
@@ -477,7 +425,7 @@ def test_cpc_tau_invariant_under_coordinate_maps(rng):
         qdd = rng.uniform(-2, 2, size=2)
         B = exact_control_matrix(acrobot_params(), q)
         x0, xd = State(q, qdot), State(qd, qdd)
-        split = split_coordinates(B)
+        split = CoordSplit(B, (1,))
         try:
             t0, s = reparam_params(x0, xd, split.b)
         except VelocityBarDegenerate:
@@ -491,11 +439,14 @@ def test_cpc_tau_invariant_under_coordinate_maps(rng):
         Bt = C @ B
         x0t = State(C @ q, C @ qdot)
         xdt = State(C @ qd, C @ qdd)
-        splitt = split_coordinates(Bt)
-        t0t, st = reparam_params(x0t, xdt, splitt.b)
-        taut = one_target_tau(x0t, xdt, splitt, t0t, st, gain, np.zeros(1))
-        scale = max(1.0, np.abs(tau).max())
-        assert np.abs(taut - tau).max() / scale < 1e-7
+        # The transformed chain has no actuated joint, so the law may
+        # control either row of Bt; each gives the same torque.
+        for row in (0, 1):
+            splitt = CoordSplit(Bt, (row,))
+            t0t, st = reparam_params(x0t, xdt, splitt.b)
+            taut = one_target_tau(x0t, xdt, splitt, t0t, st, gain, np.zeros(1))
+            scale = max(1.0, np.abs(tau).max())
+            assert np.abs(taut - tau).max() / scale < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -598,5 +549,5 @@ def test_estimate_zero_window_gives_zero_matrix():
     # and the coordinate split then rejects it.
     B = estimate_control_matrix(np.zeros((HISTORY_N, 1)), np.ones((HISTORY_N, 2)))
     assert np.array_equal(B, np.zeros((2, 1)))
-    with pytest.raises(RankDeficient):
-        split_coordinates(B)
+    with pytest.raises(SingularMatrix):
+        CoordSplit(B, (1,))

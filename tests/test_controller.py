@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from cpc.control_law import GainSpec, split_coordinates, target_errors
+from cpc.control_law import CoordSplit, GainSpec, target_errors
 from cpc.controller import (
     HISTORY_N,
     K0,
@@ -47,7 +47,7 @@ def _engineered_setup(chi_offset):
     q = np.array([0.15, -0.2])
     qdot = np.array([0.8, 0.5])
     B = _acrobot_B(q)
-    split = split_coordinates(B)
+    split = CoordSplit(B, (1,))
     b = split.b
     perp = np.array([-b[1], b[0]])
     perp /= np.linalg.norm(perp)
@@ -143,7 +143,7 @@ def test_candidate_costs_reselect_per_gain():
     q = np.array([0.1, -0.1])
     qdot = np.array([0.9, 0.6])
     x0 = State(q, qdot)
-    split = split_coordinates(_acrobot_B(q))
+    split = CoordSplit(_acrobot_B(q), (1,))
     b = split.b
     perp = np.array([-b[1], b[0]]) / np.hypot(*b)
     q_d = np.array([q, q + 0.08 * perp])
@@ -178,7 +178,7 @@ def test_cpc_loop_two_actuators_follows_oracle(rng):
     )
     tau = cpc_loop(x0, B, NonEmptyStore(store), cfg, spec)
 
-    split = split_coordinates(B)
+    split = CoordSplit(B, (1, 2))
     cands = query_candidates(store, x0, split.b, OMEGA, cfg.s_g, N_D)
     k = K0
     while True:

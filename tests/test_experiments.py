@@ -158,6 +158,44 @@ def test_config_rejects_configs_that_run_nothing(kwargs):
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("n_f", [True, 2.5, "2", 0], ids=["bool", "float", "str", "zero"])
+def test_generate_falls_rejects_bad_n_f(n_f):
+    # The first three used to fail inside numpy or on the comparison, with a
+    # TypeError that did not name n_f.
+    with pytest.raises(ValueError, match="n_f must be"):
+        generate_falls(ExperimentConfig(), n_f, seed=0)
+
+
+def test_generate_falls_accepts_numpy_integer():
+    cfg = ExperimentConfig(fall_duration=0.1)
+    want, got = generate_falls(cfg, 2, seed=0), generate_falls(cfg, np.int64(2), seed=0)
+    for name in ("t", "q", "qdot", "tau", "G"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_base_actuated_acrobot_controls_its_actuated_joint(monkeypatch):
+    # With the motor at the base, every split the controller builds controls
+    # joint 0 and leaves joint 1 free, although the exact B's row 1 is the
+    # larger one near upright.
+    params = ChainParams(n_links=2, actuated_joints=(0,))
+    cfg = ExperimentConfig(t_max=1.0)
+    free_rows = []
+    coord_split = controller.CoordSplit
+
+    def recording_split(B, controlled):
+        split = coord_split(B, controlled)
+        free_rows.append(split.free)
+        return split
+
+    monkeypatch.setattr(controller, "CoordSplit", recording_split)
+    store = generate_falls(cfg, 3, seed=trial_seed(0, "base-actuated", 0), params=params)
+    run_balance_trial(
+        store, cfg, cfg.noise_mult * cfg.sigma0, seed=trial_seed(0, "base-actuated", 1),
+        n_f=3, params=params,
+    )
+    assert len(free_rows) > 20 and set(free_rows) == {1}
+
+
 def test_config_normalizes_integer_counts():
     cfg = ExperimentConfig(trials=np.int64(2), n_f_list=[np.int64(3), 10], t_max=0.006)
     assert (cfg.trials, cfg.n_f_list) == (2, (3, 10))
@@ -199,7 +237,7 @@ def test_has_fallen_matches_cumsum(rng):
 def test_balance_trials_match_numpy_forms(monkeypatch):
     # Three acrobot trials give the same records and the same applied
     # torques, bit for bit, with every float-path step of the cycle swapped
-    # for its numpy form: the pivot, the 1 x 1 solves, the target errors,
+    # for its numpy form: the 1 x 1 solves, the target errors,
     # the torque norm, the deque-built regression window and the fall test.
     cfg = ExperimentConfig(t_max=1.0)
 
@@ -224,7 +262,6 @@ def test_balance_trials_match_numpy_forms(monkeypatch):
         return records, torques
 
     want = run()
-    monkeypatch.setattr(controller, "split_coordinates", oracles.split_coordinates_numpy)
     monkeypatch.setattr(controller, "cpc_tau", oracles.cpc_tau_lapack)
     monkeypatch.setattr(controller, "target_errors", oracles.target_errors_full_width)
     monkeypatch.setattr(controller, "_norm", lambda tau: float(np.linalg.norm(tau)))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cpc
-from cpc.control_law import split_coordinates
+from cpc.control_law import CoordSplit
 from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matrix, step
 from cpc.errors import DatasetSchemaMismatch, EmptyDataset, VelocityBarDegenerate
 from cpc.experiments import ExperimentConfig, generate_falls
@@ -109,7 +109,7 @@ def fall_targets(fall_store):
 
 def _acrobot_b(q):
     B = exact_control_matrix(acrobot_params(), q)
-    return split_coordinates(B).b
+    return CoordSplit(B, (1,)).b
 
 
 def _random_query_state(rng, min_proj=0.05):

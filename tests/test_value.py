@@ -6,7 +6,6 @@ from cpc.control_law import (
     CoordSplit,
     GainSpec,
     reparam_params,
-    split_coordinates,
     target_errors,
 )
 from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matrix
@@ -23,7 +22,7 @@ def _random_instance(rng, kappa, n=2):
     p = acrobot_params()
     q = rng.uniform(-1, 1, size=n)
     B = exact_control_matrix(p, q)
-    split = split_coordinates(B)
+    split = CoordSplit(B, p.actuated_joints)
     x0 = State(q, rng.uniform(-2, 2, size=n))
     xd = State(q + rng.uniform(-0.3, 0.3, size=n), x0.qdot + rng.uniform(-0.5, 0.5, size=n))
     t0, s = reparam_params(x0, xd, split.b)
@@ -41,7 +40,7 @@ def test_value_on_target_equals_recorded_return(rng):
     q = rng.uniform(-1, 1, size=2)
     qdot = rng.uniform(0.5, 1.5, size=2)
     B = exact_control_matrix(p, q)
-    split = split_coordinates(B)
+    split = CoordSplit(B, p.actuated_joints)
     x0 = State(q, qdot)
     cand = _make_candidate(x0, np.array([0.4]), 2.5, 0.0, 1.0)
     out = value_estimate(x0, cand, B, split, GainSpec(2000.0), RewardSpec())
@@ -95,7 +94,7 @@ def test_value_quadrature_oracle_two_actuators(rng):
     # Same check with a 2x2 controlled block to exercise the matrix path.
     kappa = 20.0
     B = rng.normal(size=(3, 2)) + np.vstack([np.eye(2) * 2, np.zeros((1, 2))])
-    split = split_coordinates(B)
+    split = CoordSplit(B, (0, 1))
     ci = list(split.controlled)
     x0 = State(rng.normal(size=3), rng.normal(size=3))
     xd = State(rng.normal(size=3), rng.normal(size=3))
@@ -172,7 +171,7 @@ def test_cost_zero_error_candidate_minimal(rng):
     q = rng.uniform(-1, 1, size=2)
     qdot = rng.uniform(0.5, 1.5, size=2)
     B = exact_control_matrix(p, q)
-    split = split_coordinates(B)
+    split = CoordSplit(B, p.actuated_joints)
     x0 = State(q, qdot)
     gain = GainSpec(100.0)
     spec = RewardSpec()
@@ -257,7 +256,7 @@ def _batch_instance(rng, params, n=12):
     t0 = rng.normal(0.0, 0.05, n)
     s = rng.choice([-1.0, 1.0], n) * (1.0 + rng.normal(0.0, 0.1, n))
     batch = (q_d, qdot_d, rng.normal(size=(n, M)), rng.normal(size=n), r_d, t0, s)
-    return x0, B, split_coordinates(B), spec, batch
+    return x0, B, CoordSplit(B, params.actuated_joints), spec, batch
 
 
 def _costs(x0, batch, split, gain, spec):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cpc.control_law import GainSpec, reparam_params, split_coordinates
+from cpc.control_law import CoordSplit, GainSpec, reparam_params
 from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matrix
 from cpc.errors import PhasingDegenerate
 from cpc.zd_check import correspondence_gap
@@ -21,7 +21,7 @@ def test_correspondence_gap_matches_path_feedback(n_links):
         x = State(rng.normal(0.0, 0.1, n_links), rng.normal(0.0, 0.5, n_links))
         xd = State(x.q + rng.normal(0.0, 0.05, n_links), x.qdot + rng.normal(0.0, 0.1, n_links))
         B = exact_control_matrix(params, x.q)
-        split = split_coordinates(B)
+        split = CoordSplit(B, params.actuated_joints)
         t0, s = reparam_params(x, xd, split.b)
         for eps in (1.0, 1e-1, 1e-2, 1e-3):
             gap = correspondence_gap(params, x, xd, eps)
@@ -44,7 +44,7 @@ def test_correspondence_gap_orthogonal_phasing_covector_raises():
     # taken at another configuration, still passes the velocity guard.
     x, _ = _acrobot_pair()
     q_d = x.q + np.array([0.0, 0.5])
-    c = split_coordinates(exact_control_matrix(acrobot_params(), q_d)).b
+    c = CoordSplit(exact_control_matrix(acrobot_params(), q_d), (1,)).b
     xd = State(q_d, np.array([-c[1], c[0]]))
     with pytest.raises(PhasingDegenerate, match="orthogonal"):
         correspondence_gap(acrobot_params(), x, xd, 0.1)
