@@ -57,7 +57,9 @@ def _chain_layout(n_links, actuated_joints, error) -> tuple[int, tuple[int, ...]
 
 @dataclass(frozen=True)
 class ChainParams:
-    """Geometry, inertia and actuation layout of the chain."""
+    """Geometry, inertia and actuation layout of the chain. Raises
+    ValueError for a bad layout or value, and for a chain whose constants
+    overflow (see the kernel comment)."""
 
     n_links: int = 2
     segment_length: float = 1.0
@@ -77,6 +79,7 @@ class ChainParams:
             raise ValueError("segment_length, capsule_radius, density must be positive")
         object.__setattr__(self, "n_links", n)
         object.__setattr__(self, "actuated_joints", joints)
+        _chain_consts(self)  # raises if the chain's constants overflow
 
     @property
     def n_controls(self) -> int:
@@ -162,6 +165,9 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
         for j in range(n)
     )
     grav_w = tuple(mass * params.gravity * (l_com + (n - 1 - j) * L) for j in range(n))
+    diag = [coef[j][j] + i_com for j in range(n)]
+    if not all(map(math.isfinite, [i_com, *grav_w, *diag, *(x for row in coef for x in row)])):
+        raise ValueError("the chain's masses, inertias and gravity weights must be finite")
     b_tau = np.zeros((n, params.n_controls))
     for col, j in enumerate(params.actuated_joints):
         b_tau[j, col] = 1.0
@@ -198,12 +204,6 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 #   subtracts the product of the pair's stored coef sin(phi_k - phi_j)
 #   instead of adding a new one (in IEEE arithmetic x - y is x + (-y)).
 #
-# On a NaN or infinite state the skipped terms would have been NaN, and
-# without them a single link's velocity reaches nothing and the last
-# diagonal entry of D stays a constant. So ``manipulator_terms`` checks the
-# angles; in ``step`` a bad velocity reaches the new state through
-# ``q + h*qdot`` and the velocity update.
-#
 # ``step`` does not run the kernel itself, whose cost at small N is mostly
 # the interpreter walking its loops. Once per chain, ``_chain_consts`` runs
 # it on symbolic lanes (``_Sym``): every arithmetic operation and
@@ -229,22 +229,21 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # operations in the same order (``q + (0.5*dt)*qdot``, then
 # ``q + (dt/6)*(((k1 + 2k2) + 2k3) + k4)``), so the two agree bit for bit.
 #
-# NaN or infinite input must come out as NaN terms, never as an exception or
-# a numpy warning. math.sin/cos raise ValueError on +-inf, so float lanes
-# catch it and use all-NaN terms, in the kernel and in the traced function
-# alike; np.sin/cos return NaN, and ``step`` runs array lanes under
-# np.errstate. A non-positive pivot of the solve gives NaN as well, through
-# ``_pivot_root`` or np.sqrt. ``step`` turns a non-finite new state into
-# NonFiniteState, and a NaN or infinite torque raises NonFiniteState before
-# the step. ``_generalized_forces`` selects the torques onto their joints
-# with the bits of ``b_tau @ tau``, without the matmul.
+# Bad values are checked in ``ChainParams`` and ``step`` only; the kernel
+# and its trace are straight-line arithmetic. ``ChainParams`` rejects a
+# chain whose coef, grav_w, i_cap or coef[j][j] + i_cap is not finite, so
+# the tracer writes only finite literals. ``step`` raises NonFiniteState for
+# a NaN or infinite torque, and for a state that does not stay finite. On
+# array lanes (under np.errstate) a bad value comes out as NaN or inf. On
+# float lanes NaN does too, but math.sin/cos of +-inf and math.sqrt of a
+# negative pivot raise ValueError, and a zero pivot ZeroDivisionError, which
+# ``step`` turns into the same NonFiniteState. The pair rewrites leave the
+# last diagonal entry of D a constant and a single link's velocity out of
+# its terms (it reaches ``step``'s new state through ``q + h*qdot``), so
+# ``manipulator_terms`` gives all-NaN terms itself for a NaN or infinite
+# angle or a ValueError. ``_generalized_forces`` selects the torques onto
+# their joints with the bits of ``b_tau @ tau``, without the matmul.
 # ---------------------------------------------------------------------------
-
-
-def _pivot_root(s):
-    # math.sqrt raises on a negative pivot; a non-positive pivot (a failed
-    # Cholesky test) gives NaN instead.
-    return math.sqrt(s) if s > 0.0 else math.nan
 
 
 def _float_axpy(x, a, y):
@@ -276,7 +275,7 @@ class _LaneOps(NamedTuple):
     finite: Callable  # true if every entry of a vector is finite
 
 
-_FLOAT_LANES = _LaneOps(math.sin, math.cos, _pivot_root, _float_axpy, _float_add, _float_finite)
+_FLOAT_LANES = _LaneOps(math.sin, math.cos, math.sqrt, _float_axpy, _float_add, _float_finite)
 _ARRAY_LANES = _LaneOps(np.sin, np.cos, np.sqrt, _array_axpy, operator.add, _array_finite)
 
 
@@ -296,31 +295,26 @@ def _lane_terms(ops, c, q, qdot):
     h_phi = []
     # coef[j][k] sin(phi_j - phi_k) of each pair j < k, for row k.
     pair_sin = {}
-    try:
-        for j in range(n):
-            pj = phi[j]
-            coef = c.coef[j]
-            row = []
-            s = 0.0
-            for k in range(n):
-                if k < j:
-                    # The mirrored pair: coef is symmetric, cos even, sin odd.
-                    row.append(D[k][j])
-                    s = s - pair_sin[k, j] * phidot[k] * phidot[k]
-                elif k == j:
-                    # cos(+0) = 1; the h term, +0 times a square, is dropped.
-                    row.append(coef[j] + c.i_cap)
-                else:
-                    djk = pj - phi[k]
-                    row.append(coef[k] * ops.cos(djk))
-                    pair_sin[j, k] = coef[k] * ops.sin(djk)
-                    s = s + pair_sin[j, k] * phidot[k] * phidot[k]
-            D.append(row)
-            h_phi.append(s - c.grav_w[j] * ops.sin(pj))
-    except ValueError:
-        # Float lanes only, from math.sin/cos of +-inf: an infinite angle,
-        # or a difference of finite angles that overflows.
-        return [[math.nan] * n for _ in range(n)], [math.nan] * n
+    for j in range(n):
+        pj = phi[j]
+        coef = c.coef[j]
+        row = []
+        s = 0.0
+        for k in range(n):
+            if k < j:
+                # The mirrored pair: coef is symmetric, cos even, sin odd.
+                row.append(D[k][j])
+                s = s - pair_sin[k, j] * phidot[k] * phidot[k]
+            elif k == j:
+                # cos(+0) = 1; the h term, +0 times a square, is dropped.
+                row.append(coef[j] + c.i_cap)
+            else:
+                djk = pj - phi[k]
+                row.append(coef[k] * ops.cos(djk))
+                pair_sin[j, k] = coef[k] * ops.sin(djk)
+                s = s + pair_sin[j, k] * phidot[k] * phidot[k]
+        D.append(row)
+        h_phi.append(s - c.grav_w[j] * ops.sin(pj))
     # Suffix sums implement the congruence with the lower-ones matrix; each
     # entry is read as D_phi before it is overwritten.
     for j in range(n - 1, -1, -1):
@@ -343,8 +337,9 @@ def _lane_terms(ops, c, q, qdot):
 
 def _lane_solve(ops, D, rhs):
     """Cholesky solve of the small SPD inertia matrix over lanes: the N
-    lanes of x with D x = rhs. A pivot that is not positive makes x NaN
-    (see ``_pivot_root``)."""
+    lanes of x with D x = rhs. On float lanes a negative pivot raises
+    ValueError and a zero one ZeroDivisionError; on array lanes either
+    gives NaN or inf."""
     n = len(rhs)
     L = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -414,21 +409,13 @@ class _Tape:
     def __init__(self):
         self.lines = []
         self.symbols = {}  # right-hand side -> the symbol assigned it
-        # Non-finite constants, bound by name: repr(inf) is not a literal,
-        # and repr drops the sign of a NaN. Finite chain parameters can give
-        # them, when a mass or gravity weight overflows.
-        self.consts = {}
 
     def operand(self, x) -> str:
         if isinstance(x, _Sym):
             return x.name
-        if type(x) is bool or (type(x) is float and math.isfinite(x)):
+        if type(x) is float and math.isfinite(x):
             return repr(x)
-        if type(x) is float:
-            name = f"k{len(self.consts)}"
-            self.consts[name] = x
-            return name
-        raise TypeError(f"the traced kernel takes Python floats, not {type(x).__name__}")
+        raise TypeError(f"the traced kernel takes finite Python floats, not {x!r}")
 
     def assign(self, expr: str) -> _Sym:
         if expr not in self.symbols:
@@ -436,10 +423,6 @@ class _Tape:
             self.lines.append(f"{name} = {expr}")
             self.symbols[expr] = _Sym(self, name)
         return self.symbols[expr]
-
-    def bind(self, x) -> _Sym:
-        """``x`` as a symbol: a constant gets a name of its own."""
-        return x if isinstance(x, _Sym) else self.assign(self.operand(x))
 
     def binary(self, a, op: str, b) -> _Sym:
         return self.assign(f"{self.operand(a)} {op} {self.operand(b)}")
@@ -459,37 +442,28 @@ def _trace_accel(c: _ChainConsts) -> Callable:
     ``accel(sin, cos, sqrt, q, qdot, gen) -> x``: the N lanes of the joint
     accelerations under generalized forces ``gen``, in a fresh list. q,
     qdot and gen are N lanes each, float or array, and sin, cos, sqrt the
-    lane functions of ``_LaneOps``. A ValueError from sin or cos gives
-    all-NaN terms, as in ``_lane_terms``."""
+    lane functions of ``_LaneOps``. On float lanes it raises where the
+    kernel raises."""
     n = len(c.coef)
     tape = _Tape()
     q, qdot, gen = ([_Sym(tape, f"{v}{i}") for i in range(n)] for v in ("q", "qd", "g"))
     D, H = _lane_terms(tape, c, q, qdot)
-    # The last diagonal entry of D is a chain constant; as a name it can be
-    # set to NaN on the ValueError path like every other entry.
-    D = [[tape.bind(v) for v in row] for row in D]
-    n_terms = len(tape.lines)
     x = _lane_solve(tape, D, [g - h for g, h in zip(gen, H)])
 
     def names(lanes):
         return ", ".join(tape.operand(v) for v in lanes)
 
-    terms = dict.fromkeys(tape.operand(v) for row in [*D, H] for v in row)
     src = "\n".join(
         [
             "def accel(sin, cos, sqrt, q, qdot, gen):",
             f"    {names(q)}, = q",
             f"    {names(qdot)}, = qdot",
             f"    {names(gen)}, = gen",
-            "    try:",
-            *(f"        {line}" for line in tape.lines[:n_terms]),
-            "    except ValueError:",
-            f"        {' = '.join(terms)} = nan",
-            *(f"    {line}" for line in tape.lines[n_terms:]),
+            *(f"    {line}" for line in tape.lines),
             f"    return [{names(x)}]",
         ]
     )
-    namespace = {"nan": math.nan, **tape.consts}
+    namespace = {}
     exec(compile(src, f"<traced accel, N={n}>", "exec"), namespace)
     return namespace["accel"]
 
@@ -535,9 +509,9 @@ def manipulator_terms(params: ChainParams, q: np.ndarray, qdot: np.ndarray) -> D
     """Inertia matrix D(q) and bias vector H(q, qdot) in relative coordinates.
 
     H collects Coriolis, centrifugal and gravity terms, so the equation of
-    motion reads D qddot + H = B_tau tau. An angle that is NaN or infinite
-    gives NaN in every entry of D and H. A batch or a wrong size raises
-    ValueError.
+    motion reads D qddot + H = B_tau tau. An angle that is NaN or infinite,
+    or angles whose sums or differences overflow, give NaN in every entry
+    of D and H. A batch or a wrong size raises ValueError.
     """
     q = np.asarray(q, dtype=float)
     qdot = np.asarray(qdot, dtype=float)
@@ -548,11 +522,14 @@ def manipulator_terms(params: ChainParams, q: np.ndarray, qdot: np.ndarray) -> D
             f"got {q.shape} and {qdot.shape}"
         )
     q, qdot = q.tolist(), qdot.tolist()
-    if not _float_finite(q):
-        # The kernel holds the last diagonal entry of D as a chain constant.
-        return DynamicsTerms(np.full((n, n), np.nan), np.full(n, np.nan))
-    D, H = _lane_terms(_FLOAT_LANES, _chain_consts(params), q, qdot)
-    return DynamicsTerms(np.array(D), np.array(H))
+    if _float_finite(q):
+        try:
+            D, H = _lane_terms(_FLOAT_LANES, _chain_consts(params), q, qdot)
+        except ValueError:
+            pass
+        else:
+            return DynamicsTerms(np.array(D), np.array(H))
+    return DynamicsTerms(np.full((n, n), np.nan), np.full(n, np.nan))
 
 
 def exact_control_matrix(params: ChainParams, q: np.ndarray) -> np.ndarray:
@@ -573,7 +550,7 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
     shape (K, N) and tau of shape (K, M). Each row of a batch comes out
     bit-equal to stepping it alone. Raises ValueError on any other shape
     or unless dt is positive and finite, and NonFiniteState if a torque is
-    not finite or any row diverges.
+    not finite or any row does not stay finite (see the kernel comment).
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
@@ -612,7 +589,10 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
         def deriv(q, qdot):
             return kernel(sin, cos, sqrt, q, qdot, gen)
 
-        qn, vn = _rk4_step(ops, deriv, q.reshape(-1).tolist(), qdot.reshape(-1).tolist(), dt)
+        try:
+            qn, vn = _rk4_step(ops, deriv, q.reshape(-1).tolist(), qdot.reshape(-1).tolist(), dt)
+        except (ValueError, ZeroDivisionError) as e:
+            raise NonFiniteState(f"integration diverged at t={state.t:.6g}") from e
     if not (ops.finite(qn) and ops.finite(vn)):
         raise NonFiniteState(f"integration diverged at t={state.t:.6g}")
     if ops is _ARRAY_LANES:

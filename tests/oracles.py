@@ -268,23 +268,18 @@ def lane_terms_full(ops, c, q, qdot):
         phidot.append(acc_qd)
     D = []
     h_phi = []
-    try:
-        for j in range(n):
-            pj = phi[j]
-            coef = c.coef[j]
-            row = []
-            s = 0.0
-            for k in range(n):
-                djk = pj - phi[k]
-                row.append(coef[k] * ops.cos(djk))
-                s = s + coef[k] * ops.sin(djk) * phidot[k] * phidot[k]
-            row[j] = row[j] + c.i_cap
-            D.append(row)
-            h_phi.append(s - c.grav_w[j] * ops.sin(pj))
-    except ValueError:
-        # Float lanes only, from math.sin/cos of +-inf: an infinite angle,
-        # or a difference of finite angles that overflows.
-        return [[math.nan] * n for _ in range(n)], [math.nan] * n
+    for j in range(n):
+        pj = phi[j]
+        coef = c.coef[j]
+        row = []
+        s = 0.0
+        for k in range(n):
+            djk = pj - phi[k]
+            row.append(coef[k] * ops.cos(djk))
+            s = s + coef[k] * ops.sin(djk) * phidot[k] * phidot[k]
+        row[j] = row[j] + c.i_cap
+        D.append(row)
+        h_phi.append(s - c.grav_w[j] * ops.sin(pj))
     # Suffix sums implement the congruence with the lower-ones matrix; each
     # entry is read as D_phi before it is overwritten.
     for j in range(n - 1, -1, -1):

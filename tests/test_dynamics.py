@@ -1,6 +1,8 @@
+import ast
 import math
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -287,12 +289,15 @@ _N5 = ChainParams(n_links=5, actuated_joints=(1, 2, 3, 4))
         (_N5, [0.1] * 5, [0.0, 0.0, 0.0, 0.0, np.nan]),
         (_N5, [0.1] * 5, [np.inf, 0.0, 0.0, 0.0, 0.0]),
         (_N5, [0.1] * 5, [0.0, 0.0, 1e155, 0.0, 0.0]),
+        # Finite angles whose sum overflows to inf.
+        (acrobot_params(), [1e308, 1e308], [0.0, 0.0]),
+        (_N5, [1e308] * 5, [0.0] * 5),
     ],
     ids=["inf_q", "neg_inf_q", "nan_q", "inf_qdot", "nan_qdot", "overflow_qdot",
          "n2_nan_q_last", "n2_nan_qdot_first", "n2_neg_inf_qdot_last",
          "n1_nan_q", "n1_inf_q", "n1_nan_qdot", "n1_inf_qdot", "n1_neg_inf_qdot",
          "n5_nan_q_last", "n5_inf_q_first", "n5_nan_qdot_last", "n5_inf_qdot_first",
-         "n5_overflow_qdot"],
+         "n5_overflow_qdot", "n2_overflow_angle_sum", "n5_overflow_angle_sum"],
 )
 def test_accel_nonfinite_state(params, q, qdot):
     # A step from a non-finite state raises NonFiniteState, never a numpy
@@ -316,6 +321,15 @@ def test_manipulator_terms_nonfinite_angle(n_links, bad, col):
     q = np.full(n_links, 0.2)
     q[col] = bad
     terms = manipulator_terms(p, q, np.full(n_links, 0.3))
+    assert np.isnan(terms.D).all() and np.isnan(terms.H).all()
+
+
+@pytest.mark.parametrize(
+    "params, q", [(acrobot_params(), [1e308, 1e308]), (_N5, [1e308] * 5)], ids=["n2", "n5"]
+)
+def test_manipulator_terms_overflowing_angle_sum(params, q):
+    # Finite angles whose sum, and so sin and cos of it, is not finite.
+    terms = manipulator_terms(params, np.array(q), np.zeros(params.n_links))
     assert np.isnan(terms.D).all() and np.isnan(terms.H).all()
 
 
@@ -539,12 +553,18 @@ def test_chain_params_layout_rule(kwargs):
 @pytest.mark.parametrize(
     "kwargs",
     [{"gravity": np.inf}, {"gravity": np.nan}, {"segment_length": np.nan},
-     {"capsule_radius": np.nan}, {"density": np.inf}],
-    ids=["gravity_inf", "gravity_nan", "segment_length_nan", "capsule_radius_nan", "density_inf"],
+     {"capsule_radius": np.nan}, {"density": np.inf},
+     # Finite parameters whose constants overflow: gravity weights of inf,
+     # and an infinite mass times zero gravity, NaN.
+     {"gravity": 1e308, "density": 1e3},
+     {"gravity": 0.0, "density": 1e308, "capsule_radius": 10.0}],
+    ids=["gravity_inf", "gravity_nan", "segment_length_nan", "capsule_radius_nan", "density_inf",
+         "n2_inf_weights", "n2_nan_weights"],
 )
 def test_chain_params_rejects_non_finite(kwargs):
-    # A non-finite geometry or gravity must fail here, not as NonFiniteState
-    # at the first step.
+    # A non-finite geometry, gravity or chain constant must fail here, not
+    # as NonFiniteState at the first step; the tracer then writes only
+    # finite literals.
     with pytest.raises(ValueError, match="finite"):
         ChainParams(**kwargs)
 
@@ -584,29 +604,35 @@ def _trace_inputs(n):
     return q, qdot, gen
 
 
-_TRACE_CHAINS = [
-    _N1,
-    acrobot_params(),
-    ChainParams(n_links=3, actuated_joints=(1, 2)),
-    _N5,
-    # Finite parameters whose constants overflow: gravity weights of inf,
-    # and an infinite mass times zero gravity, NaN.
-    ChainParams(gravity=1e308, density=1e3),
-    ChainParams(gravity=0.0, density=1e308, capsule_radius=10.0),
-]
-_TRACE_IDS = ["n1", "n2", "n3", "n5", "n2_inf_weights", "n2_nan_weights"]
+def _float_outcomes(f, q, qdot, gen):
+    """f(*row) on the float lanes of each row: the bytes of its result, or
+    the type of the ValueError or ZeroDivisionError it raised."""
+    out = []
+    for row in zip(q.tolist(), qdot.tolist(), gen.tolist()):
+        try:
+            out.append(np.array(f(*row)).tobytes())
+        except (ValueError, ZeroDivisionError) as e:
+            out.append(type(e))
+    return out
+
+
+_TRACE_CHAINS = [_N1, acrobot_params(), ChainParams(n_links=3, actuated_joints=(1, 2)), _N5]
+_TRACE_IDS = ["n1", "n2", "n3", "n5"]
 
 
 @pytest.mark.parametrize("params", _TRACE_CHAINS, ids=_TRACE_IDS)
 def test_traced_kernel_matches_lane_kernel(params):
-    # The traced function gives the kernel's bits on float lanes row by row
-    # and on (N, K) array lanes.
+    # The traced function gives the kernel's bits on float lanes row by row,
+    # or raises the kernel's exception (an infinite angle), and gives its
+    # bits on (N, K) array lanes.
     c = _chain_consts(params)
     q, qdot, gen = _trace_inputs(params.n_links)
     ops = _FLOAT_LANES
-    for row in zip(q.tolist(), qdot.tolist(), gen.tolist()):
-        traced = c.accel(ops.sin, ops.cos, ops.sqrt, *row)
-        assert np.array(traced).tobytes() == np.array(_lane_reference(ops, c, *row)).tobytes()
+    traced = _float_outcomes(partial(c.accel, ops.sin, ops.cos, ops.sqrt), q, qdot, gen)
+    assert traced == _float_outcomes(partial(_lane_reference, ops, c), q, qdot, gen)
+    assert ValueError in traced
+    finite = np.isfinite(q).all(1) & np.isfinite(qdot).all(1)
+    assert all(type(x) is bytes for x, ok in zip(traced, finite) if ok)
     ops = _ARRAY_LANES
     with np.errstate(all="ignore"):
         traced = c.accel(ops.sin, ops.cos, ops.sqrt, q.T, qdot.T, list(gen.T))
@@ -625,8 +651,9 @@ def test_traced_kernel_matches_full_kernel(params):
     # The trace skips the self pairs and forms each pair once. On a finite
     # row it must give the bits of the kernel that forms all N^2 pairs; on a
     # row holding NaN or inf, x must be NaN or inf wherever that kernel's
-    # is. A single link's velocity does not reach its accelerations, so
-    # there only a bad angle must.
+    # is, and on float lanes the trace must raise where that kernel raises.
+    # A single link's velocity does not reach its accelerations, so there
+    # only a bad angle must.
     c = _chain_consts(params)
     n = params.n_links
     q, qdot, gen = _trace_inputs(n)
@@ -638,10 +665,19 @@ def test_traced_kernel_matches_full_kernel(params):
         assert x[finite].tobytes() == x_full[finite].tobytes()
         assert not np.isfinite(x[propagates][~np.isfinite(x_full[propagates])]).any()
 
+    def raised(outcomes):
+        return [x if type(x) is type else None for x in outcomes]
+
+    def lanes(outcomes):
+        # The accelerations of each row, NaN where the row raised.
+        return np.array([np.frombuffer(x) if type(x) is bytes else [np.nan] * n for x in outcomes])
+
     ops = _FLOAT_LANES
-    rows = list(zip(q.tolist(), qdot.tolist(), gen.tolist()))
-    traced = np.array([c.accel(ops.sin, ops.cos, ops.sqrt, *row) for row in rows])
-    check(traced, np.array([_full_reference(ops, c, *row) for row in rows]))
+    traced = _float_outcomes(partial(c.accel, ops.sin, ops.cos, ops.sqrt), q, qdot, gen)
+    full = _float_outcomes(partial(_full_reference, ops, c), q, qdot, gen)
+    assert raised(traced) == raised(full)
+    assert ValueError in raised(full)
+    check(lanes(traced), lanes(full))
     ops = _ARRAY_LANES
     with np.errstate(all="ignore"):
         x = c.accel(ops.sin, ops.cos, ops.sqrt, q.T, qdot.T, list(gen.T))
@@ -701,7 +737,9 @@ def test_traced_kernel_forms_each_pair_once(n_links):
 def test_traced_source_records_each_expression_once(n_links, monkeypatch):
     # The tape gives an expression it has already recorded its first
     # symbol, and the solve records no pivot test: the traced source holds
-    # no two assignments with one right-hand side, and no <= or |.
+    # no two assignments with one right-hand side, and no <= or |. It is
+    # straight-line code: no try, except or nan, and every constant a
+    # finite float literal.
     c = _chain_consts(ChainParams(n_links=n_links, actuated_joints=(0,)))
     sources = []
 
@@ -712,11 +750,16 @@ def test_traced_source_records_each_expression_once(n_links, monkeypatch):
     monkeypatch.setattr(dynamics, "compile", spy, raising=False)
     _trace_accel(c)
     [src] = sources
-    # One-target assignments of a temporary; the ValueError path's chained
-    # "t1 = t5 = ... = nan" is not one.
+    # Assignments of a temporary, each with one target.
     rhs = [m[1] for m in re.finditer(r"^ +t\d+ = ([^=]+)$", src, re.MULTILINE)]
     assert rhs and len(set(rhs)) == len(rhs)
     assert "<=" not in src and "|" not in src
+    assert not re.search(r"\b(try|except|nan|inf)\b", src)
+    nodes = list(ast.walk(ast.parse(src)))
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    assert all(re.fullmatch(r"sin|cos|sqrt|q|qdot|gen|(q|qd|g|t)\d+", v) for v in names)
+    consts = [node.value for node in nodes if isinstance(node, ast.Constant)]
+    assert consts and all(type(v) is float and math.isfinite(v) for v in consts)
 
 
 @pytest.mark.parametrize(
