@@ -23,6 +23,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import dynamics
+from .dynamics import _FLOAT_LANES, _lane_solve
 from .errors import RankDeficient, SingularMatrix
 from .target_store import _ONE_DIRECTION, DEFAULT_GUARD_TOL, _project_state
 
@@ -168,15 +169,32 @@ def estimate_control_matrix(taus: np.ndarray, us: np.ndarray) -> np.ndarray:
     (an all-zero window gives B = 0, which the coordinate split rejects),
     and it shrinks B along each singular value s of the torques by
     s^2 / (s^2 + RIDGE), about 4e-6 relative for seven bootstrap torques of
-    scale 0.02. A NaN or inf torque raises RankDeficient.
+    scale 0.02. B solves the normal equations (T'T + RIDGE I) B' = T'U of
+    the windows T = taus and U = us on Python floats, summed over the window
+    in order, so it does not depend on the BLAS build. A NaN or inf torque,
+    or a Cholesky pivot that is not positive, raises RankDeficient.
     """
     taus = np.atleast_2d(np.asarray(taus, dtype=float))
     us = np.atleast_2d(np.asarray(us, dtype=float))
     if taus.shape[0] != us.shape[0]:
         raise ValueError("torque and acceleration histories differ in length")
-    if not all(map(math.isfinite, taus.flat)):
+    t_cols, u_cols = taus.T.tolist(), us.T.tolist()
+    if not all(math.isfinite(x) for col in t_cols for x in col):
         raise RankDeficient("torque history is not finite")
-    u, s, vt = np.linalg.svd(taus, full_matrices=False)
-    filt = s / (s * s + RIDGE)
-    # (vt' diag(filt) u') us is the transposed B, mapping tau to u.
-    return ((vt.T * filt) @ (u.T @ us)).T
+    gram = [[_dot(a, b) for b in t_cols] for a in t_cols]
+    for i, row in enumerate(gram):
+        row[i] = row[i] + RIDGE
+    try:
+        B = [_lane_solve(_FLOAT_LANES, gram, [_dot(t, u) for t in t_cols]) for u in u_cols]
+    except (ValueError, ZeroDivisionError) as e:
+        raise RankDeficient("torque window's normal matrix is not positive definite") from e
+    return np.array(B)
+
+
+def _dot(x, y):
+    """Dot product of two lists of floats, summed left to right; builtin
+    sum compensates its rounding from Python 3.12 on."""
+    s = 0.0
+    for a, b in zip(x, y):
+        s = s + a * b
+    return s

@@ -128,11 +128,11 @@ class TargetStore:
             decode = json.JSONDecoder(parse_int=float).raw_decode
             t, q, qdot, tau, G = [], [], [], [], []
             for lineno, line in enumerate(f, start=2):
-                if not line.strip():
-                    continue
                 # json.loads(line) without its per-call set-up: strip JSON
                 # whitespace, decode, and reject anything after the value.
                 text = line.strip(_JSON_WHITESPACE)
+                if not text:
+                    continue
                 try:
                     row, end = decode(text)
                     if end != len(text):
@@ -258,8 +258,9 @@ def _project(cols, b, out, tmp):
     into ``out`` (``tmp`` is scratch of the same length). The products are
     added column by column in a fixed order without fused multiply-adds, so
     the result does not depend on the BLAS build, and ``_project_state``
-    projects the query state by the same rule. The B regression and split
-    that give b still run on LAPACK and BLAS, which this does not cover."""
+    projects the query state by the same rule. The B regression and, at
+    M = 1, the split that give b run on Python floats; at M >= 2 the split
+    still runs on LAPACK."""
     np.multiply(cols[0], b[0], out=out)
     for d in range(1, len(b)):
         np.add(out, np.multiply(cols[d], b[d], out=tmp), out=out)

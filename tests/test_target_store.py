@@ -310,27 +310,72 @@ print(h.hexdigest())
 """
 
 
-@pytest.mark.skipif(
+# Short balance trials on fresh n_f = 3 stores: prints the SHA-256 of every
+# torque the controller returned.
+_TRIAL_DIGEST = """
+import hashlib
+from cpc import experiments
+from cpc.experiments import ExperimentConfig, generate_falls, run_balance_trial, trial_seed
+
+h = hashlib.sha256()
+controller_step = experiments.controller_step
+
+
+def recorded(*args):
+    tau = controller_step(*args)
+    h.update(tau.tobytes())
+    return tau
+
+
+experiments.controller_step = recorded
+cfg = ExperimentConfig(t_max=1.0)
+for i in range(3):
+    seed = trial_seed(0, "blas", i)
+    store = generate_falls(cfg, 3, seed=trial_seed(seed, "falls", 0))
+    run_balance_trial(store, cfg, cfg.noise_mult * cfg.sigma0, seed)
+print(h.hexdigest())
+"""
+
+_ON_X86_64 = pytest.mark.skipif(
     platform.machine() not in ("x86_64", "AMD64"), reason="Prescott is an x86-64 OpenBLAS kernel"
 )
-def test_query_bytes_independent_of_blas_kernel():
-    # The host's SIMD level picks OpenBLAS's kernel. Retrieval must give the
-    # same bytes under the default kernel and under the SSE3 one (Prescott),
-    # which every x86-64 machine runs; a numpy without OpenBLAS ignores the
-    # variable.
+
+
+def _blas_kernel_outputs(script):
+    """The output of ``script``, run on this package on one OpenBLAS thread
+    under the host's default kernel and under the SSE3 one (Prescott),
+    which every x86-64 machine runs; a numpy without OpenBLAS ignores the
+    variable."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     src = str(Path(cpc.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     env["OPENBLAS_NUM_THREADS"] = "1"
 
-    def digest(extra):
+    def output(extra):
         run = subprocess.run(
-            [sys.executable, "-c", _QUERY_DIGEST], env={**env, **extra},
+            [sys.executable, "-c", script], env={**env, **extra},
             capture_output=True, text=True, check=True,
         )
         return run.stdout
 
-    assert digest({}) == digest({"OPENBLAS_CORETYPE": "Prescott"})
+    return output({}), output({"OPENBLAS_CORETYPE": "Prescott"})
+
+
+@_ON_X86_64
+def test_query_bytes_independent_of_blas_kernel():
+    # The host's SIMD level picks OpenBLAS's kernel. Retrieval must give the
+    # same bytes under either kernel.
+    default, prescott = _blas_kernel_outputs(_QUERY_DIGEST)
+    assert default == prescott
+
+
+@_ON_X86_64
+def test_trial_torques_independent_of_blas_kernel():
+    # The B regression, the split and the torque of an N = 2 cycle run on
+    # Python floats, so a trial applies the same torques under either
+    # kernel.
+    default, prescott = _blas_kernel_outputs(_TRIAL_DIGEST)
+    assert default == prescott
 
 
 def test_warm_query_allocates_no_store_length_array(rng, fall_store):
@@ -463,6 +508,8 @@ _ROW = '{"t": 0.0, "q": [0.0, 0.0], "qdot": [0.0, 0.0], "tau": [0.0], "G": 0.0}\
         _HEADER + _ROW.rstrip() + " x\n",
         _HEADER + _ROW.rstrip() + " " + _ROW,
         _HEADER + "\f" + _ROW,
+        _HEADER + "\f\n" + _ROW,
+        _HEADER + "\u00a0\n" + _ROW,
         _HEADER.replace("[1]", "[5]") + _ROW,
         _HEADER.replace("[1]", "[1, 1]") + _ROW.replace('"tau": [0.0]', '"tau": [0.0, 0.0]'),
         _HEADER.replace("[1]", "[1.7]") + _ROW,
@@ -483,6 +530,7 @@ _ROW = '{"t": 0.0, "q": [0.0, 0.0], "qdot": [0.0, 0.0], "tau": [0.0], "G": 0.0}\
     ids=[
         "header_without_n_links", "header_list", "row_list", "q_scalar", "q_strings", "t_list",
         "q_nested", "q_int_beyond_float_range", "trailing_data", "two_objects", "form_feed_start",
+        "form_feed_line", "nbsp_line",
         "joint_out_of_range", "joints_repeated", "joint_not_integer", "joints_string",
         "joints_object", "n_links_bool", "t_string", "t_bool", "q_numeric_strings", "q_bool",
         "tau_string", "tau_bool", "G_string", "G_bool",
