@@ -553,18 +553,13 @@ def test_chain_params_layout_rule(kwargs):
 @pytest.mark.parametrize(
     "kwargs",
     [{"gravity": np.inf}, {"gravity": np.nan}, {"segment_length": np.nan},
-     {"capsule_radius": np.nan}, {"density": np.inf},
-     # Finite parameters whose constants overflow: gravity weights of inf,
-     # and an infinite mass times zero gravity, NaN.
-     {"gravity": 1e308, "density": 1e3},
-     {"gravity": 0.0, "density": 1e308, "capsule_radius": 10.0}],
-    ids=["gravity_inf", "gravity_nan", "segment_length_nan", "capsule_radius_nan", "density_inf",
-         "n2_inf_weights", "n2_nan_weights"],
+     {"capsule_radius": np.nan}, {"density": np.inf}],
+    ids=["gravity_inf", "gravity_nan", "segment_length_nan", "capsule_radius_nan", "density_inf"],
 )
 def test_chain_params_rejects_non_finite(kwargs):
-    # A non-finite geometry, gravity or chain constant must fail here, not
-    # as NonFiniteState at the first step; the tracer then writes only
-    # finite literals.
+    # A non-finite geometry or gravity must fail here, not as NonFiniteState
+    # at the first step. Finite values whose chain constants overflow are
+    # checked with the traced kernel below.
     with pytest.raises(ValueError, match="finite"):
         ChainParams(**kwargs)
 
@@ -616,16 +611,43 @@ def _float_outcomes(f, q, qdot, gen):
     return out
 
 
-_TRACE_CHAINS = [_N1, acrobot_params(), ChainParams(n_links=3, actuated_joints=(1, 2)), _N5]
-_TRACE_IDS = ["n1", "n2", "n3", "n5"]
+_TRACE_CHAINS = [
+    {"n_links": 1, "actuated_joints": (0,)},
+    {},
+    {"n_links": 3, "actuated_joints": (1, 2)},
+    {"n_links": 5, "actuated_joints": (1, 2, 3, 4)},
+    # Finite parameters whose constants overflow: gravity weights of inf,
+    # and an infinite mass times zero gravity, NaN.
+    {"gravity": 1e308, "density": 1e3},
+    {"gravity": 0.0, "density": 1e308, "capsule_radius": 10.0},
+]
+_TRACE_IDS = ["n1", "n2", "n3", "n5", "n2_inf_weights", "n2_nan_weights"]
 
 
-@pytest.mark.parametrize("params", _TRACE_CHAINS, ids=_TRACE_IDS)
-def test_traced_kernel_matches_lane_kernel(params):
+def _traced_chain(kwargs, monkeypatch):
+    """The chain's parameters and constants with their traced kernel, or
+    None for a chain whose constants overflow: ChainParams refuses it before
+    the tracer runs, so a trace never holds a non-finite constant."""
+    traced = []
+    trace = dynamics._trace_accel
+    monkeypatch.setattr(dynamics, "_trace_accel", lambda c: traced.append(c) or trace(c))
+    try:
+        params = ChainParams(**kwargs)
+    except ValueError as e:
+        assert "must be finite" in str(e) and not traced
+        return None
+    return params, _chain_consts(params)
+
+
+@pytest.mark.parametrize("kwargs", _TRACE_CHAINS, ids=_TRACE_IDS)
+def test_traced_kernel_matches_lane_kernel(kwargs, monkeypatch):
     # The traced function gives the kernel's bits on float lanes row by row,
     # or raises the kernel's exception (an infinite angle), and gives its
     # bits on (N, K) array lanes.
-    c = _chain_consts(params)
+    chain = _traced_chain(kwargs, monkeypatch)
+    if chain is None:
+        return
+    params, c = chain
     q, qdot, gen = _trace_inputs(params.n_links)
     ops = _FLOAT_LANES
     traced = _float_outcomes(partial(c.accel, ops.sin, ops.cos, ops.sqrt), q, qdot, gen)
@@ -646,15 +668,18 @@ def test_chain_trace_built_once():
     assert _chain_consts(ChainParams(n_links=4, actuated_joints=(3,))).accel is traced
 
 
-@pytest.mark.parametrize("params", _TRACE_CHAINS, ids=_TRACE_IDS)
-def test_traced_kernel_matches_full_kernel(params):
+@pytest.mark.parametrize("kwargs", _TRACE_CHAINS, ids=_TRACE_IDS)
+def test_traced_kernel_matches_full_kernel(kwargs, monkeypatch):
     # The trace skips the self pairs and forms each pair once. On a finite
     # row it must give the bits of the kernel that forms all N^2 pairs; on a
     # row holding NaN or inf, x must be NaN or inf wherever that kernel's
     # is, and on float lanes the trace must raise where that kernel raises.
     # A single link's velocity does not reach its accelerations, so there
     # only a bad angle must.
-    c = _chain_consts(params)
+    chain = _traced_chain(kwargs, monkeypatch)
+    if chain is None:
+        return
+    params, c = chain
     n = params.n_links
     q, qdot, gen = _trace_inputs(n)
     finite = np.isfinite(q).all(1) & np.isfinite(qdot).all(1)
