@@ -12,9 +12,9 @@ runs the one condition-number check on it and keeps ``B_chi`` and the (N,)
 covector ``b`` for every later solve. ``b`` annihilates B, so the
 projection ``b . q`` evolves independently of the applied torques; matching
 it between the current motion and a stored target yields a time offset
-``t0`` and time scale ``s``, and feedback acts only on the controlled
-coordinates of the renormalized target. This module owns that
-renormalization and the errors that ranking and feedback both read.
+``t0`` and time scale ``s`` (retrieval computes both), and feedback acts
+only on the controlled coordinates of the renormalized target. This module
+owns that renormalization and the errors that ranking and feedback read.
 """
 
 import math
@@ -25,7 +25,7 @@ import numpy as np
 from . import dynamics
 from .dynamics import _FLOAT_LANES, _lane_solve
 from .errors import RankDeficient, SingularMatrix
-from .target_store import _ONE_DIRECTION, DEFAULT_GUARD_TOL, _project_state
+from .target_store import _ONE_DIRECTION
 
 # Condition-number cap on B_chi B_chi': above it the controlled block is
 # treated as singular instead of letting its solves return garbage.
@@ -43,11 +43,11 @@ class CoordSplit:
     Building a split checks B, and these checks are the only rule that
     rejects one: it raises ValueError for any other shape or for rows that
     are not N-1 distinct indices in range, and SingularMatrix when an entry
-    is NaN or inf, when the block is zero at M = 1, or when cond(B_chi)^2
-    exceeds DEFAULT_COND_CAP at M >= 2. It then holds the block ``b_chi``
-    (M x M) and the covector ``b`` (N,) with b' B = 0: W = B_free B_chi^-1
-    on the controlled rows and -1.0 on the free row. Equality compares the
-    rows only.
+    is NaN or inf, when the block is zero at M = 1, when cond(B_chi)^2
+    exceeds DEFAULT_COND_CAP at M >= 2, or when an entry of the covector
+    overflows, at any M. It then holds the block ``b_chi`` (M x M) and the
+    covector ``b`` (N,) with b' B = 0: W = B_free B_chi^-1 on the controlled
+    rows and -1.0 on the free row. Equality compares the rows only.
     """
 
     B: InitVar[np.ndarray]
@@ -84,6 +84,8 @@ class CoordSplit:
                 raise SingularMatrix("controlled block of B is numerically singular")
             # W = B_free B_chi^-1 solves B_chi' W' = B_free'.
             w = np.linalg.solve(b_chi.T, np.array(rows[free])).tolist()
+        if not all(map(math.isfinite, w)):
+            raise SingularMatrix("covector of B is not finite")
         b = np.array(w[:free] + [-1.0] + w[free:])
         for name, value in (("controlled", controlled), ("free", free), ("b_chi", b_chi), ("b", b)):
             object.__setattr__(self, name, value)
@@ -103,19 +105,6 @@ class GainSpec:
     @property
     def kappa(self) -> float:
         return math.sqrt(self.k)
-
-
-def reparam_params(x0: dynamics.State, xd: dynamics.State, b: np.ndarray) -> tuple[float, float]:
-    """Time offset t0 and scale s aligning the target's unactuated motion
-    with the current one, for the (N,) covector ``b``.
-
-    Applies retrieval's rule: raises VelocityBarDegenerate when either
-    projected velocity |b . qdot| is at most DEFAULT_GUARD_TOL.
-    """
-    b = b.tolist()
-    qbar0, qdbar0 = _project_state(b, x0, DEFAULT_GUARD_TOL)
-    qbard, qdbard = _project_state(b, xd, DEFAULT_GUARD_TOL)
-    return (qbard - qbar0) / qdbar0, qdbard / qdbar0
 
 
 def renormalized_target(
@@ -171,8 +160,9 @@ def estimate_control_matrix(taus: np.ndarray, us: np.ndarray) -> np.ndarray:
     s^2 / (s^2 + RIDGE), about 4e-6 relative for seven bootstrap torques of
     scale 0.02. B solves the normal equations (T'T + RIDGE I) B' = T'U of
     the windows T = taus and U = us on Python floats, summed over the window
-    in order, so it does not depend on the BLAS build. A NaN or inf torque,
-    or a Cholesky pivot that is not positive, raises RankDeficient.
+    in order and factored once for all columns of U, so it does not depend
+    on the BLAS build. A NaN or inf torque, or a Cholesky pivot that is not
+    positive, raises RankDeficient.
     """
     taus = np.atleast_2d(np.asarray(taus, dtype=float))
     us = np.atleast_2d(np.asarray(us, dtype=float))
@@ -181,11 +171,12 @@ def estimate_control_matrix(taus: np.ndarray, us: np.ndarray) -> np.ndarray:
     t_cols, u_cols = taus.T.tolist(), us.T.tolist()
     if not all(math.isfinite(x) for col in t_cols for x in col):
         raise RankDeficient("torque history is not finite")
-    gram = [[_dot(a, b) for b in t_cols] for a in t_cols]
+    # The solve reads only the lower triangle, so each Gram entry is formed once.
+    gram = [[_dot(a, b) for b in t_cols[: i + 1]] for i, a in enumerate(t_cols)]
     for i, row in enumerate(gram):
         row[i] = row[i] + RIDGE
     try:
-        B = [_lane_solve(_FLOAT_LANES, gram, [_dot(t, u) for t in t_cols]) for u in u_cols]
+        B = _lane_solve(_FLOAT_LANES, gram, [[_dot(t, u) for t in t_cols] for u in u_cols])
     except (ValueError, ZeroDivisionError) as e:
         raise RankDeficient("torque window's normal matrix is not positive definite") from e
     return np.array(B)

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteState, SingularMatrix
+from .errors import NonFiniteState
 
 
 def _as_int(value) -> int:
@@ -103,11 +103,6 @@ class State:
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
         self.qdot = np.asarray(self.qdot, dtype=float)
-
-    @property
-    def x(self) -> np.ndarray:
-        """Stacked state vector [q; qdot], (2N,) or (K, 2N) for a batch."""
-        return np.concatenate([self.q, self.qdot], axis=-1)
 
 
 @dataclass
@@ -335,12 +330,13 @@ def _lane_terms(ops, c, q, qdot):
     return D, H
 
 
-def _lane_solve(ops, D, rhs):
-    """Cholesky solve of the small SPD inertia matrix over lanes: the N
-    lanes of x with D x = rhs. On float lanes a negative pivot raises
-    ValueError and a zero one ZeroDivisionError; on array lanes either
-    gives NaN or inf."""
-    n = len(rhs)
+def _lane_solve(ops, D, rhss):
+    """Cholesky solves of a small SPD matrix over lanes, reading only its
+    lower triangle: D is factored once, and a list holds the N lanes of x
+    with D x = rhs for each rhs in ``rhss``. On float lanes a negative pivot
+    raises ValueError and a zero one ZeroDivisionError; on array lanes
+    either gives NaN or inf."""
+    n = len(D)
     L = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
@@ -351,18 +347,21 @@ def _lane_solve(ops, D, rhs):
                 L[i][i] = ops.sqrt(s)
             else:
                 L[i][j] = s / L[j][j]
-    x = [0.0] * n
-    for i in range(n):
-        s = rhs[i]
-        for k in range(i):
-            s = s - L[i][k] * x[k]
-        x[i] = s / L[i][i]
-    for i in range(n - 1, -1, -1):
-        s = x[i]
-        for k in range(i + 1, n):
-            s = s - L[k][i] * x[k]
-        x[i] = s / L[i][i]
-    return x
+    xs = []
+    for rhs in rhss:
+        x = [0.0] * n
+        for i in range(n):
+            s = rhs[i]
+            for k in range(i):
+                s = s - L[i][k] * x[k]
+            x[i] = s / L[i][i]
+        for i in range(n - 1, -1, -1):
+            s = x[i]
+            for k in range(i + 1, n):
+                s = s - L[k][i] * x[k]
+            x[i] = s / L[i][i]
+        xs.append(x)
+    return xs
 
 
 class _Sym:
@@ -448,7 +447,7 @@ def _trace_accel(c: _ChainConsts) -> Callable:
     tape = _Tape()
     q, qdot, gen = ([_Sym(tape, f"{v}{i}") for i in range(n)] for v in ("q", "qd", "g"))
     D, H = _lane_terms(tape, c, q, qdot)
-    x = _lane_solve(tape, D, [g - h for g, h in zip(gen, H)])
+    (x,) = _lane_solve(tape, D, [[g - h for g, h in zip(gen, H)]])
 
     def names(lanes):
         return ", ".join(tape.operand(v) for v in lanes)
@@ -533,13 +532,11 @@ def manipulator_terms(params: ChainParams, q: np.ndarray, qdot: np.ndarray) -> D
 
 
 def exact_control_matrix(params: ChainParams, q: np.ndarray) -> np.ndarray:
-    """Torque-to-acceleration map D(q)^-1 B_tau (N x M)."""
+    """Torque-to-acceleration map D(q)^-1 B_tau (N x M), one Cholesky solve
+    per actuator; NaN in every entry for a NaN or infinite angle."""
     c = _chain_consts(params)
-    terms = manipulator_terms(params, q, np.zeros(params.n_links))
-    try:
-        return np.linalg.solve(terms.D, c.b_tau)
-    except np.linalg.LinAlgError as e:  # pragma: no cover - D is SPD by construction
-        raise SingularMatrix(str(e)) from e
+    D = manipulator_terms(params, q, np.zeros(params.n_links)).D.tolist()
+    return np.array(_lane_solve(_FLOAT_LANES, D, c.b_tau.T.tolist())).T
 
 
 def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State:
@@ -599,11 +596,3 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
         return State(qn.T, vn.T, state.t + dt)
     # One array per vector; ndmin keeps the (1, N) shape of a one-row batch.
     return State(np.array(qn, ndmin=q.ndim), np.array(vn, ndmin=q.ndim), state.t + dt)
-
-
-def energy(params: ChainParams, state: State) -> float:
-    """Total mechanical energy; conserved on passive swings."""
-    c = _chain_consts(params)
-    terms = manipulator_terms(params, state.q, state.qdot)
-    phi = np.cumsum(state.q)
-    return 0.5 * state.qdot @ terms.D @ state.qdot + float(np.array(c.grav_w) @ np.cos(phi))

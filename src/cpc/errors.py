@@ -30,9 +30,5 @@ class NoValidCandidates(CpcError):
     """Every retrieved target candidate was rejected by a guard."""
 
 
-class PhasingDegenerate(CpcError):
-    """The phasing covector is orthogonal to the reference velocity."""
-
-
 class DatasetSchemaMismatch(CpcError):
     """A dataset file does not match the expected schema or chain layout."""

@@ -8,9 +8,13 @@ the transition value through the (z kron I_M) B_chi^-1 matrices of the
 critically damped error dynamics, whose state-transition matrix
 ``expm_crit_damped`` gives in closed form. ``save_jsonl_per_value`` writes
 a store's JSON Lines one row and one value at a time, for the byte-identity
-check of the block writer. ``one_target`` and
-``one_target_tau`` are not oracles: they pass a single target state to the
-package's batched renormalization as a batch of one row.
+check of the block writer. ``energy`` is the chain's total mechanical
+energy, for the integrator's conservation and work checks, and
+``correspondence_gap`` the distance between the path feedback and a
+virtual-constraint feedback, for the zero-dynamics reading of the law.
+``one_target``, ``one_target_tau`` and ``retrieve_one`` are not oracles:
+they pass a single target state to the package's batched renormalization,
+and to its retrieval scan, as a batch or store of one row.
 
 The control cycle runs its small-array work on Python floats and keeps its
 regression window in preallocated arrays. The numpy forms of the same steps
@@ -26,6 +30,9 @@ window is a deque of (torque, acceleration) pairs rebuilt into arrays with
 The dynamics kernel forms each pair of links once. ``lane_terms_full``
 forms the manipulator terms from all N^2 ordered pairs, the self pairs
 included, for the tests to require the same bits from the traced kernel.
+Likewise the B regression forms each Gram entry once and factors once;
+``estimate_per_column`` forms the whole Gram matrix and factors it again
+for each acceleration column.
 """
 
 import json
@@ -39,13 +46,14 @@ import numpy as np
 from cpc import controller
 from cpc.control_law import (
     DEFAULT_COND_CAP,
+    RIDGE,
     CoordSplit,
     GainSpec,
     cpc_tau,
     renormalized_target,
     target_errors,
 )
-from cpc.dynamics import State
+from cpc.dynamics import ChainParams, State, _chain_consts, exact_control_matrix, manipulator_terms
 from cpc.errors import (
     NoValidCandidates,
     RankDeficient,
@@ -53,7 +61,13 @@ from cpc.errors import (
     VelocityBarDegenerate,
 )
 from cpc.experiments import FALL_ANGLE
-from cpc.target_store import DATASET_FORMAT, DEFAULT_GUARD_TOL, TargetStore
+from cpc.target_store import (
+    DATASET_FORMAT,
+    DEFAULT_GUARD_TOL,
+    NonEmptyStore,
+    TargetStore,
+    _query_arrays,
+)
 from cpc.value import RewardSpec
 
 
@@ -91,6 +105,22 @@ def one_target_tau(x0, xd, split, t0, s, gain, tau_d) -> np.ndarray:
         x0, xd.q[None], xd.qdot[None], np.array([t0]), np.array([s]), split
     )
     return cpc_tau(dchi[0], dchidot[0], split, gain, tau_d)
+
+
+def retrieve_one(x0: State, xd: State, b: np.ndarray) -> tuple[float, float]:
+    """(t0, s) of the target state xd for the query x0 and the (N,)
+    covector b, as retrieval gives them for a one-point store holding xd.
+    Raises VelocityBarDegenerate when the guard rejects the query or the
+    point."""
+    n = len(xd.q)
+    store = TargetStore(
+        np.zeros(1), [xd.q], [xd.qdot], np.zeros((1, n - 1)), [0.0], n, tuple(range(1, n))
+    )
+    b = np.asarray(b, dtype=float)
+    idx, t0, s, _ = _query_arrays(NonEmptyStore(store), x0, b, 10.0, 1.0, 1, DEFAULT_GUARD_TOL)
+    if not len(idx):
+        raise VelocityBarDegenerate("the velocity guard rejects the target state")
+    return float(t0[0]), float(s[0])
 
 
 def proximity_loss(t0, s, omega, s_g):
@@ -186,6 +216,66 @@ def cost(x0, cand, B, split, gain, spec, tau_d=None) -> float:
     return -value_estimate(x0, cand, B, split, gain, spec, tau_d).v_total
 
 
+def energy(params: ChainParams, state: State) -> float:
+    """Total mechanical energy of one state; conserved on passive swings."""
+    c = _chain_consts(params)
+    terms = manipulator_terms(params, state.q, state.qdot)
+    phi = np.cumsum(state.q)
+    return 0.5 * state.qdot @ terms.D @ state.qdot + float(np.array(c.grav_w) @ np.cos(phi))
+
+
+def correspondence_gap(params: ChainParams, x: State, xd: State, epsilon: float) -> float:
+    """Norm of the difference between the path feedback and the constraint
+    feedback at the given state, both at gain 1/epsilon^2.
+
+    A virtual constraint pins the controlled coordinates to an affine
+    function of a scalar phasing variable theta = c' q; driving its output
+    to zero with exact dynamics is the classical output-linearization
+    route. With c proportional to the unactuated covector and the
+    constraint built from the renormalized target, its feedback agrees with
+    the path feedback in the high-gain regime.
+
+    The path side uses the exact control matrix at ``x`` with the covector
+    computed there, and the (t0, s) retrieval gives xd against ``x``. The
+    constraint side phases by the target configuration's unactuated
+    covector c and is built from the renormalized target, then evaluated at
+    ``x``; c has -1 on the unactuated joint, so it is never zero. Both
+    sides control the chain's actuated joints. Raises ValueError unless
+    epsilon is positive and finite with a finite gain 1/epsilon^2, or when
+    c is orthogonal to the target velocity.
+    """
+    # Both sides damp with 2/epsilon, the path side as 2 sqrt(k): they agree
+    # only for epsilon > 0.
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    kappa = 1.0 / epsilon
+    gain = GainSpec(kappa * kappa)  # ValueError when 1/epsilon^2 overflows
+    B = exact_control_matrix(params, x.q)
+    split = CoordSplit(B, params.actuated_joints)
+    t0, s = retrieve_one(x, xd, split.b)
+    q_d, qdot_d, t0, s = xd.q[None], xd.qdot[None], np.array([t0]), np.array([s])
+    dchi, dchidot = target_errors(x, q_d, qdot_d, t0, s, split)
+    dtau_cpc = cpc_tau(dchi[0], dchidot[0], split, gain, np.zeros(len(split.controlled)))
+
+    c = CoordSplit(exact_control_matrix(params, xd.q), params.actuated_joints).b
+    # Unit length: the feedback is invariant to c's scale, as the slope rescales.
+    c = c / np.linalg.norm(c)
+    (q_r0,), (qdot_r,) = renormalized_target(q_d, qdot_d, t0, s)
+    dtheta = float(c @ qdot_r)
+    if abs(dtheta) < 1e-12:
+        raise ValueError("phasing covector orthogonal to the target velocity")
+    # Constraint chi = chi(q_r0) + slope (theta - c' q_r0) through the
+    # renormalized start: output y, constant Jacobian dh = S_chi - slope c'.
+    ci = list(split.controlled)
+    slope = qdot_r[ci] / dtheta
+    dh = -np.outer(slope, c)
+    dh[range(len(ci)), ci] += 1.0
+    y = x.q[ci] - (q_r0[ci] + slope * (float(c @ x.q) - float(c @ q_r0)))
+    ydot = dh @ x.qdot
+    dtau_vc = -np.linalg.solve(dh @ B, gain.k * y + 2.0 * kappa * ydot)
+    return float(np.linalg.norm(dtau_cpc - dtau_vc))
+
+
 def save_jsonl_per_value(store: TargetStore, path) -> None:
     """Write ``store`` as JSON Lines with one format() call per value and one
     write() per row: the header as sorted-key JSON, then one object per
@@ -216,12 +306,51 @@ def save_jsonl_per_value(store: TargetStore, path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def estimate_per_column(taus: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """``estimate_control_matrix`` forming every entry of the Gram matrix
+    T'T + RIDGE I on its own and refactoring it for each column of U, by a
+    Cholesky solve on Python floats written out here."""
+    t_cols, u_cols = np.asarray(taus, float).T.tolist(), np.asarray(us, float).T.tolist()
+
+    def dot(x, y):
+        s = 0.0
+        for a, b in zip(x, y):
+            s = s + a * b
+        return s
+
+    m = len(t_cols)
+    B = []
+    for u in u_cols:
+        A = [[dot(a, b) for b in t_cols] for a in t_cols]
+        for i in range(m):
+            A[i][i] = A[i][i] + RIDGE
+        L = [[0.0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1):
+                s = A[i][j]
+                for k in range(j):
+                    s = s - L[i][k] * L[j][k]
+                L[i][j] = math.sqrt(s) if i == j else s / L[j][j]
+        x = [dot(t, u) for t in t_cols]
+        for i in range(m):
+            for k in range(i):
+                x[i] = x[i] - L[i][k] * x[k]
+            x[i] = x[i] / L[i][i]
+        for i in reversed(range(m)):
+            for k in range(i + 1, m):
+                x[i] = x[i] - L[k][i] * x[k]
+            x[i] = x[i] / L[i][i]
+        B.append(x)
+    return np.array(B)
+
+
 def split_blocks_lapack(B: np.ndarray, controlled) -> tuple[np.ndarray, np.ndarray]:
     """(b_chi, b) of the general split of a finite N x M matrix B, with the
     N x (N-M) covector block b, the condition check on the SVD of B_chi at
     every M, W from a LAPACK solve and b filled by index assignment. With
     one free row, ``CoordSplit(B, controlled)`` holds this b_chi and
-    b[:, 0]. Raises SingularMatrix as the split does."""
+    b[:, 0]. Raises SingularMatrix as the split does, a covector that
+    overflows included."""
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n, m = B.shape
     controlled = sorted(controlled)
@@ -231,6 +360,8 @@ def split_blocks_lapack(B: np.ndarray, controlled) -> tuple[np.ndarray, np.ndarr
     if s[-1] == 0.0 or (s[0] / s[-1]) ** 2 > DEFAULT_COND_CAP:
         raise SingularMatrix("controlled block of B is numerically singular")
     W = np.linalg.solve(b_chi.T, B[free, :].T).T
+    if not np.all(np.isfinite(W)):
+        raise SingularMatrix("covector of B is not finite")
     b = np.zeros((n, n - m))
     b[controlled, :] = W.T
     b[free, :] = -np.eye(n - m)

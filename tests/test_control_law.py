@@ -8,7 +8,6 @@ from cpc.control_law import (
     cpc_tau,
     estimate_control_matrix,
     renormalized_target,
-    reparam_params,
     target_errors,
 )
 from cpc.controller import HISTORY_N
@@ -19,17 +18,17 @@ from cpc.dynamics import (
     exact_control_matrix,
     step,
 )
-from cpc.experiments import ExperimentConfig, generate_falls
 from cpc.errors import (
     RankDeficient,
     SingularMatrix,
     VelocityBarDegenerate,
 )
-from cpc.target_store import DEFAULT_GUARD_TOL, NonEmptyStore, TargetStore, _query_arrays
 from oracles import (
     cpc_tau_lapack,
+    estimate_per_column,
     one_target,
     one_target_tau,
+    retrieve_one,
     split_blocks_lapack,
     target_errors_full_width,
 )
@@ -50,6 +49,15 @@ def test_split_hand_rows_checked():
     B[1] = B[0] * 0.1 * 10
     with pytest.raises(SingularMatrix):
         CoordSplit(B, (0, 1))
+    # Finite matrices with a well-conditioned block whose free row dwarfs
+    # it: W = B_free B_chi^-1 overflows, to inf at M = 1 and to inf and NaN
+    # at M = 2, and the covector would poison every retrieval projection.
+    for B, rows in (
+        (np.array([[1e300], [1e-10]]), (1,)),
+        (np.array([[1e300, 1e300], [1e-10, 0.0], [0.0, 1e-10]]), (1, 2)),
+    ):
+        with pytest.raises(SingularMatrix, match="covector"):
+            CoordSplit(B, rows)
 
 
 def test_split_hand_rows_validated():
@@ -180,7 +188,7 @@ def test_null_identity_random(rng):
 
 
 # ---------------------------------------------------------------------------
-# reparam_params / renormalized_target
+# (t0, s) from a one-point retrieval / renormalized_target
 # ---------------------------------------------------------------------------
 
 
@@ -195,7 +203,7 @@ def test_reparam_identity_state(rng):
     q = rng.uniform(-1, 1, size=2)
     qdot = rng.uniform(0.5, 1.5, size=2)
     _, _, b = _acrobot_split_b(q)
-    t0, s = reparam_params(State(q, qdot), State(q, qdot), b)
+    t0, s = retrieve_one(State(q, qdot), State(q, qdot), b)
     assert t0 == pytest.approx(0.0, abs=1e-14)
     assert s == pytest.approx(1.0)
 
@@ -206,7 +214,7 @@ def test_reparam_scalar_formula():
     b = np.array([1.0, 0.0])  # stand-in covector; only projections matter
     x0 = State(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
     xd = State(np.array([0.1, 0.0]), np.array([2.0, 0.0]))
-    t0, s = reparam_params(x0, xd, b)
+    t0, s = retrieve_one(x0, xd, b)
     assert t0 == pytest.approx(0.1)
     assert s == pytest.approx(2.0)
 
@@ -216,71 +224,12 @@ def test_reparam_guard():
     x0 = State(np.zeros(2), np.array([1e-9, 0.0]))
     xd = State(np.ones(2), np.array([1.0, 0.0]))
     with pytest.raises(VelocityBarDegenerate):
-        reparam_params(x0, xd, b)
-
-
-def _retrieve_one(x0, xd, b):
-    """(t0, s) of a one-point store holding xd, or None when the guard
-    rejects the query or the point."""
-    store = TargetStore(np.zeros(1), [xd.q], [xd.qdot], np.zeros((1, 1)), [0.0], len(xd.q), (1,))
-    targets = NonEmptyStore(store)
-    try:
-        idx, t0, s, _ = _query_arrays(targets, x0, b, 10.0, 1.0, 1, DEFAULT_GUARD_TOL)
-    except VelocityBarDegenerate:
-        return None
-    return (float(t0[0]), float(s[0])) if len(idx) else None
-
-
-def _reparam_or_none(x0, xd, b):
-    try:
-        return reparam_params(x0, xd, b)
-    except VelocityBarDegenerate:
-        return None
-
-
-def test_reparam_guard_matches_retrieval(rng):
-    # Small velocities whose product is under the guard but each of which
-    # passes it: retrieval accepts the point, so reparam_params must too.
-    b = np.array([1.0, 0.0])
+        retrieve_one(x0, xd, b)
+    # Each projected velocity meets the guard on its own, not their product:
+    # two of 1e-3 both pass it.
     x0 = State(np.zeros(2), np.array([1e-3, 0.0]))
     xd = State(np.array([2e-4, 0.0]), np.array([1e-3, 0.0]))
-    assert _retrieve_one(x0, xd, b) == pytest.approx((0.2, 1.0), rel=1e-12)
-    assert _reparam_or_none(x0, xd, b) == pytest.approx((0.2, 1.0), rel=1e-12)
-    # Random one-point stores, with velocities spread over two decades on
-    # either side of the guard so that both accepted and rejected cases occur.
-    decisions = set()
-    for _ in range(300):
-        b = rng.normal(size=2)
-        x0 = State(rng.normal(size=2), rng.normal(size=2) * 10.0 ** rng.uniform(-8.0, -4.0))
-        xd = State(rng.normal(size=2), rng.normal(size=2) * 10.0 ** rng.uniform(-8.0, -4.0))
-        got, want = _reparam_or_none(x0, xd, b), _retrieve_one(x0, xd, b)
-        decisions.add(want is None)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert decisions == {True, False}
-
-
-@pytest.mark.parametrize("n", [2, 3, 5])
-def test_reparam_matches_retrieval_bits(rng, n):
-    # The query state and the stored points are projected onto b by one
-    # rule, so for every point the scan returns, reparam_params gives the
-    # scan's (t0, s) bit for bit.
-    params = ChainParams(n_links=n, actuated_joints=tuple(range(1, n)))
-    store = generate_falls(ExperimentConfig(), 3, seed=n, params=params)
-    targets = NonEmptyStore(store)
-    checked = 0
-    for _ in range(40):
-        x0 = State(rng.uniform(-0.5, 0.5, size=n), rng.uniform(-2.0, 2.0, size=n))
-        b = CoordSplit(exact_control_matrix(params, x0.q), params.actuated_joints).b
-        try:
-            idx, t0, s, _ = _query_arrays(targets, x0, b, 10.0, -1.0, 20, DEFAULT_GUARD_TOL)
-        except VelocityBarDegenerate:
-            continue
-        for i, t0_i, s_i in zip(idx.tolist(), t0.tolist(), s.tolist()):
-            assert reparam_params(x0, State(store.q[i], store.qdot[i]), b) == (t0_i, s_i)
-            checked += 1
-    assert checked >= 400
+    assert retrieve_one(x0, xd, b) == pytest.approx((0.2, 1.0), rel=1e-12)
 
 
 def test_reparam_reduction_bitlevel(rng):
@@ -291,7 +240,7 @@ def test_reparam_reduction_bitlevel(rng):
         b = rng.normal(size=2)
         x0, xd = State(q0, qd0), State(q1, qd1)
         try:
-            t0, s = reparam_params(x0, xd, b)
+            t0, s = retrieve_one(x0, xd, b)
         except VelocityBarDegenerate:
             continue
         qbar0, qdbar0 = float(b @ q0), float(b @ qd0)
@@ -323,7 +272,7 @@ def test_renormalized_projection_identity(rng):
         xd = State(rng.uniform(-1.5, 1.5, size=2), rng.normal(size=2))
         _, _, b = _acrobot_split_b(q)
         try:
-            t0, s = reparam_params(x0, xd, b)
+            t0, s = retrieve_one(x0, xd, b)
         except VelocityBarDegenerate:
             continue
         q_r0, qdot_r = one_target(xd, t0, s)
@@ -383,7 +332,7 @@ def test_cpc_tau_on_target_returns_tau_d(rng):
     qdot = rng.uniform(0.5, 1.0, size=2)
     B, split, b = _acrobot_split_b(q)
     x0 = State(q, qdot)
-    t0, s = reparam_params(x0, x0, b)
+    t0, s = retrieve_one(x0, x0, b)
     tau_d = rng.normal(size=1)
     tau = one_target_tau(x0, x0, split, t0, s, GainSpec(100.0), tau_d)
     assert np.abs(tau - tau_d).max() < 1e-9
@@ -427,7 +376,7 @@ def test_cpc_tau_invariant_under_coordinate_maps(rng):
         x0, xd = State(q, qdot), State(qd, qdd)
         split = CoordSplit(B, (1,))
         try:
-            t0, s = reparam_params(x0, xd, split.b)
+            t0, s = retrieve_one(x0, xd, split.b)
         except VelocityBarDegenerate:
             continue
         gain = GainSpec(400.0)
@@ -443,7 +392,7 @@ def test_cpc_tau_invariant_under_coordinate_maps(rng):
         # control either row of Bt; each gives the same torque.
         for row in (0, 1):
             splitt = CoordSplit(Bt, (row,))
-            t0t, st = reparam_params(x0t, xdt, splitt.b)
+            t0t, st = retrieve_one(x0t, xdt, splitt.b)
             taut = one_target_tau(x0t, xdt, splitt, t0t, st, gain, np.zeros(1))
             scale = max(1.0, np.abs(tau).max())
             assert np.abs(taut - tau).max() / scale < 1e-7
@@ -542,6 +491,20 @@ def test_estimate_matches_ridge_normal_equations(rng):
                 want = np.linalg.solve(A.T @ A + RIDGE * np.eye(cols), A.T @ y)
                 got = estimate_control_matrix(A, y).T
                 assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_estimate_matches_per_column_solve_bits(rng, m):
+    # One Cholesky factor for every column, and each Gram entry formed once,
+    # give the bits of refactoring the full Gram matrix per column: the
+    # solve is the same sequence of operations on the same operands.
+    for _ in range(200):
+        scale = 10.0 ** rng.uniform(-3.0, 2.0)
+        taus = rng.normal(0.0, scale, (HISTORY_N, m))
+        us = rng.normal(size=(HISTORY_N, m + 1)) * 10.0 ** rng.uniform(-2.0, 3.0)
+        got, want = estimate_control_matrix(taus, us), estimate_per_column(taus, us)
+        assert got.shape == want.shape == (m + 1, m)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_estimate_zero_window_gives_zero_matrix():

@@ -4,6 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from cpc import controller
 from cpc.control_law import CoordSplit, GainSpec, target_errors
 from cpc.controller import (
     HISTORY_N,
@@ -18,6 +19,7 @@ from cpc.controller import (
     make_controller,
 )
 from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matrix
+from cpc.errors import SingularMatrix
 from cpc.target_store import NonEmptyStore, TargetStore
 from cpc.value import RewardSpec, candidate_costs
 from oracles import cost, one_target_tau, query_candidates
@@ -231,6 +233,25 @@ def test_controller_fallback_on_degenerate_velocity():
     x2 = State(np.array([0.05, 0.0]), np.array([0.4, 0.3]))
     tau2 = controller_step(ctrl, x2, targets, cfg, RewardSpec())
     assert np.all(np.isfinite(tau2))
+
+
+def test_overflowing_covector_falls_back(monkeypatch):
+    # A finite B whose covector overflows: the split raises SingularMatrix
+    # before any retrieval projects the store onto an infinite covector, and
+    # the controller counts the cycle as a fallback.
+    cfg = ControllerConfig(s_g=1.0)
+    targets = _one_point_targets(State(np.array([0.1, -0.1]), np.array([0.8, 0.5])))
+    x = State(np.array([0.05, 0.0]), np.array([0.4, 0.3]))
+    B = np.array([[1e300], [1e-10]])
+    with pytest.raises(SingularMatrix, match="covector"):
+        cpc_loop(x, B, targets, cfg, RewardSpec())
+    ctrl = make_controller(1, seed=0)
+    for _ in range(HISTORY_N):
+        ctrl.push(np.array([0.01]), np.array([0.3, -0.45]))
+    monkeypatch.setattr(controller, "estimate_control_matrix", lambda taus, us: B)
+    tau = controller_step(ctrl, x, targets, cfg, RewardSpec())
+    assert np.array_equal(tau, np.zeros(1))
+    assert ctrl.fallback_count == 1 and ctrl.last_B is B
 
 
 def test_controller_determinism():

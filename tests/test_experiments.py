@@ -235,13 +235,15 @@ def test_has_fallen_matches_cumsum(rng):
 
 
 def test_balance_trials_match_numpy_forms(monkeypatch):
-    # Three acrobot trials give the same records and the same applied
+    # On each chain, three trials give the same records and the same applied
     # torques, bit for bit, with every float-path step of the cycle swapped
-    # for its numpy form: the 1 x 1 solves, the target errors,
-    # the torque norm, the deque-built regression window and the fall test.
+    # for its numpy form: the 1 x 1 solves, the target errors, the torque
+    # norm, the deque-built regression window and the fall test. The
+    # two-actuator chain runs the M = 2 regression and split through whole
+    # trials.
     cfg = ExperimentConfig(t_max=1.0)
 
-    def run():
+    def run(params):
         torques = []
         step = experiments.controller_step
 
@@ -255,23 +257,24 @@ def test_balance_trials_match_numpy_forms(monkeypatch):
             m.setattr(experiments, "controller_step", recording_step)
             for i in range(3):
                 seed = trial_seed(0, "numpy-forms", i)
-                store = generate_falls(cfg, 3, seed=trial_seed(seed, "falls", 0))
-                records.append(
-                    run_balance_trial(store, cfg, cfg.noise_mult * cfg.sigma0, seed, i, 3)
-                )
+                store = generate_falls(cfg, 3, seed=trial_seed(seed, "falls", 0), params=params)
+                noise_amp = cfg.noise_mult * cfg.sigma0
+                records.append(run_balance_trial(store, cfg, noise_amp, seed, i, 3, params))
         return records, torques
 
-    want = run()
-    monkeypatch.setattr(controller, "cpc_tau", oracles.cpc_tau_lapack)
-    monkeypatch.setattr(controller, "target_errors", oracles.target_errors_full_width)
-    monkeypatch.setattr(controller, "_norm", lambda tau: float(np.linalg.norm(tau)))
-    monkeypatch.setattr(experiments, "make_controller", oracles.make_deque_controller)
-    monkeypatch.setattr(experiments, "controller_step", oracles.deque_controller_step)
-    monkeypatch.setattr(experiments, "has_fallen", oracles.has_fallen_cumsum)
-    got = run()
-    assert got[0] == want[0]
-    assert len(got[1]) == len(want[1]) and got[1] == want[1]
-    assert any(r.fell for r in want[0]) and len(want[1]) > 100
+    for params in (ChainParams(), ChainParams(n_links=3, actuated_joints=(1, 2))):
+        want = run(params)
+        with monkeypatch.context() as m:
+            m.setattr(controller, "cpc_tau", oracles.cpc_tau_lapack)
+            m.setattr(controller, "target_errors", oracles.target_errors_full_width)
+            m.setattr(controller, "_norm", lambda tau: float(np.linalg.norm(tau)))
+            m.setattr(experiments, "make_controller", oracles.make_deque_controller)
+            m.setattr(experiments, "controller_step", oracles.deque_controller_step)
+            m.setattr(experiments, "has_fallen", oracles.has_fallen_cumsum)
+            got = run(params)
+        assert got[0] == want[0]
+        assert len(got[1]) == len(want[1]) and got[1] == want[1]
+        assert any(r.fell for r in want[0]) and len(want[1]) > 100
 
 
 def test_sweep_csv_byte_identical_across_runs(tmp_path):

@@ -87,3 +87,19 @@ def test_public_names_are_referenced():
             if name not in used:
                 unused.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert unused == []
+
+
+
+def test_src_modules_are_runtime_code():
+    # Every module of the package but the experiment harness serves another
+    # module of it. A module that nothing in the package imports is code
+    # only the tests run, such as an oracle, and belongs under tests/.
+    paths = sorted((ROOT / "src" / "cpc").glob("*.py"))
+    imported = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # The package imports itself relatively: from .module import
+            # name, or from . import module.
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.update([node.module] if node.module else [a.name for a in node.names])
+    assert {p.stem for p in paths} - {"__init__", "experiments"} - imported == set()

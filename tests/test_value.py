@@ -2,16 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cpc.control_law import (
-    CoordSplit,
-    GainSpec,
-    reparam_params,
-    target_errors,
-)
+from cpc.control_law import CoordSplit, GainSpec, target_errors
 from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matrix
 from cpc.errors import SingularMatrix, VelocityBarDegenerate
 from cpc.value import RewardSpec, candidate_costs
-from oracles import Candidate, cost, expm_crit_damped, one_target, value_estimate
+from oracles import Candidate, cost, expm_crit_damped, one_target, retrieve_one, value_estimate
 
 
 def _make_candidate(xd, tau, G, t0, s):
@@ -25,7 +20,7 @@ def _random_instance(rng, kappa, n=2):
     split = CoordSplit(B, p.actuated_joints)
     x0 = State(q, rng.uniform(-2, 2, size=n))
     xd = State(q + rng.uniform(-0.3, 0.3, size=n), x0.qdot + rng.uniform(-0.5, 0.5, size=n))
-    t0, s = reparam_params(x0, xd, split.b)
+    t0, s = retrieve_one(x0, xd, split.b)
     cand = _make_candidate(xd, rng.normal(size=1), rng.normal(), t0, s)
     return x0, cand, B, split, GainSpec(kappa * kappa)
 
@@ -145,7 +140,7 @@ def test_value_split_invariance_high_gain(rng):
         xd = State(q + rng.uniform(-0.05, 0.05, size=2), x0.qdot + rng.uniform(-0.1, 0.1, size=2))
         vals = []
         for split in (CoordSplit(B, (0,)), CoordSplit(B, (1,))):
-            t0, s = reparam_params(x0, xd, split.b)
+            t0, s = retrieve_one(x0, xd, split.b)
             cand = _make_candidate(xd, np.zeros(1), 0.0, t0, s)
             vals.append(
                 value_estimate(x0, cand, B, split, GainSpec(10000.0), RewardSpec()).v_I
@@ -181,7 +176,7 @@ def test_cost_zero_error_candidate_minimal(rng):
     for _ in range(20):
         xd = State(q + rng.normal(0, 0.2, size=2), qdot + rng.normal(0, 0.3, size=2))
         try:
-            t0, s = reparam_params(x0, xd, split.b)
+            t0, s = retrieve_one(x0, xd, split.b)
         except VelocityBarDegenerate:
             continue
         cand = _make_candidate(xd, np.zeros(1), 0.0, t0, s)
