@@ -14,7 +14,6 @@ datasets and result tables reproduce byte for byte.
 import csv
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,6 +217,9 @@ def sweep_sample_counts(cfg: ExperimentConfig) -> dict[int, list[TrialRecord]]:
         for i in range(cfg.trials)
     ]
     if cfg.workers > 1:
+        # Imported here: it loads multiprocessing, which serial sweeps never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             records = list(pool.map(_one_sweep_trial, jobs))
     else:

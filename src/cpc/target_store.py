@@ -26,8 +26,9 @@ Datasets are serialized as JSON Lines with a header row carrying the chain
 layout. The writer builds one ``%.17g`` row template per
 chain layout and formats and writes blocks of rows at a time, so its
 transient strings stay bounded at any store size. The reader runs one
-decoder call per line and collects each field's values in one flat list.
-Every float64 round-trips bit for bit, the sign of zero included.
+decoder call per line and converts each block of rows to float64 arrays
+before it reads on, so its transient lists stay bounded too. Every float64
+round-trips bit for bit, the sign of zero included.
 """
 
 import json
@@ -45,9 +46,10 @@ DATASET_FORMAT = "chain-targets-v1"
 DEFAULT_GUARD_TOL = 1e-6
 _ONE_DIRECTION = "the control law and candidate search support one unactuated direction (N - M = 1)"
 _JSON_WHITESPACE = " \t\n\r"
-# Rows formatted and written per call: bounds the transient strings of a
-# save independently of the store size.
-_WRITE_BLOCK = 1024
+# Rows a save formats and writes per call, and rows a load collects before
+# converting them to arrays: bounds the transient strings and lists of both
+# independently of the store size.
+_BLOCK = 1024
 
 
 class TargetStore:
@@ -93,8 +95,8 @@ class TargetStore:
                 "actuated_joints": list(self.actuated_joints),
             }
             f.write(json.dumps(header, sort_keys=True) + "\n")
-            for start in range(0, len(self), _WRITE_BLOCK):
-                rows = slice(start, start + _WRITE_BLOCK)
+            for start in range(0, len(self), _BLOCK):
+                rows = slice(start, start + _BLOCK)
                 block = np.column_stack(
                     (self.t[rows], self.q[rows], self.qdot[rows], self.tau[rows], self.G[rows])
                 )
@@ -126,7 +128,8 @@ class TargetStore:
             # wrote without a fraction, and reading it as a float keeps the
             # sign of "-0".
             decode = json.JSONDecoder(parse_int=float).raw_decode
-            t, q, qdot, tau, G = [], [], [], [], []
+            t, q, qdot, tau, G = lists = ([], [], [], [], [])
+            blocks = ([], [], [], [], [])
             for lineno, line in enumerate(f, start=2):
                 # json.loads(line) without its per-call set-up: strip JSON
                 # whitespace, decode, and reject anything after the value.
@@ -153,22 +156,33 @@ class TargetStore:
                     # A missing field, a row that is not an object, or a
                     # field without a length.
                     raise DatasetSchemaMismatch(f"line {lineno}: bad row: {e!r}") from e
-        # Every JSON number decodes to a float; one type pass per field rejects
-        # the rest, which numpy would convert ("1" and true to 1.0).
-        for name, values in (("t", t), ("q", q), ("qdot", qdot), ("tau", tau), ("G", G)):
-            if not all(map(float.__instancecheck__, values)):
-                raise DatasetSchemaMismatch(f"malformed values: {name} holds a non-number")
-        # q, qdot and tau hold every row's values in one flat list each.
+                if len(t) == _BLOCK:
+                    _convert_block(lists, blocks)
+            _convert_block(lists, blocks)
+        # q, qdot and tau hold every row's values in one flat array each.
+        t, q, qdot, tau, G = map(np.concatenate, blocks)
         n = len(t)
         return cls(
             t,
-            np.fromiter(q, float).reshape(n, n_links),
-            np.fromiter(qdot, float).reshape(n, n_links),
-            np.fromiter(tau, float).reshape(n, len(joints)),
+            q.reshape(n, n_links),
+            qdot.reshape(n, n_links),
+            tau.reshape(n, len(joints)),
             G,
             n_links,
             joints,
         )
+
+
+def _convert_block(lists, blocks) -> None:
+    """Append each field's collected values to its blocks as one float64
+    array, then empty the lists."""
+    # Every JSON number decodes to a float; one type pass per field rejects
+    # the rest, which numpy would convert ("1" and true to 1.0).
+    for name, values, field_blocks in zip(("t", "q", "qdot", "tau", "G"), lists, blocks):
+        if not all(map(float.__instancecheck__, values)):
+            raise DatasetSchemaMismatch(f"malformed values: {name} holds a non-number")
+        field_blocks.append(np.fromiter(values, float, len(values)))
+        values.clear()
 
 
 def _list_template(k: int) -> str:

@@ -1,11 +1,16 @@
 import csv
 import gc
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import cpc
 from cpc import controller, experiments
 from cpc.dynamics import ChainParams
 from cpc.errors import DatasetSchemaMismatch
@@ -298,3 +303,19 @@ def test_sweep_workers_match_serial(tmp_path):
         cfg = ExperimentConfig(t_max=0.3, trials=3, n_f_list=(3,), workers=workers)
         write_sweep_csv(sweep_sample_counts(cfg), cfg, path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_import_leaves_process_pool_unloaded():
+    # Only a sweep with workers > 1 loads the process pool; importing the
+    # harness, as serial sweeps and the benchmark do, leaves it out.
+    env = dict(os.environ)
+    src = str(Path(cpc.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    script = (
+        "import sys, cpc.experiments\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"

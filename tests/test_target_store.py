@@ -14,6 +14,7 @@ from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matri
 from cpc.errors import DatasetSchemaMismatch, EmptyDataset, VelocityBarDegenerate
 from cpc.experiments import ExperimentConfig, generate_falls
 from cpc.target_store import (
+    _BLOCK,
     DEFAULT_GUARD_TOL,
     NonEmptyStore,
     TargetStore,
@@ -456,6 +457,64 @@ def test_jsonl_save_memory_bounded(tmp_path, fall_store):
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_jsonl_load_memory_bounded(tmp_path, fall_store):
+    # The reader converts a block of rows at a time to arrays, so its
+    # transient lists do not grow with the store. Collecting all 10^4 points
+    # as Python floats before converting them peaks about 2.3 MB above the
+    # arrays it returns.
+    assert len(fall_store) == 10_000
+    path = tmp_path / "a.jsonl"
+    fall_store.save_jsonl(path)
+    TargetStore.load_jsonl(path)
+    tracemalloc.start()
+    try:
+        loaded = TargetStore.load_jsonl(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = sum(getattr(loaded, name).nbytes for name in ("t", "q", "qdot", "tau", "G"))
+    assert peak - arrays < 1_000_000
+
+
+def _head(store, n):
+    return TargetStore(
+        store.t[:n], store.q[:n], store.qdot[:n], store.tau[:n], store.G[:n],
+        store.n_links, store.actuated_joints,
+    )
+
+
+def test_jsonl_header_only_loads_empty_store(tmp_path):
+    f = tmp_path / "empty.jsonl"
+    f.write_text(_HEADER)
+    store = TargetStore.load_jsonl(f)
+    assert len(store) == 0
+    assert (store.t.shape, store.q.shape, store.qdot.shape) == ((0,), (0, 2), (0, 2))
+    assert (store.tau.shape, store.G.shape) == ((0, 1), (0,))
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_jsonl_roundtrip_across_block_edges(tmp_path, fall_store, n):
+    store = _head(fall_store, n)
+    path = tmp_path / "a.jsonl"
+    store.save_jsonl(path)
+    _assert_stores_bit_equal(TargetStore.load_jsonl(path), store)
+
+
+def test_jsonl_string_in_second_block_raises(tmp_path, fall_store):
+    # The last row of the second block holds a string torque and one more
+    # row follows it, so the check runs when that block is converted.
+    path = tmp_path / "a.jsonl"
+    _head(fall_store, 2 * _BLOCK + 1).save_jsonl(path)
+    lines = path.read_text().splitlines(keepends=True)
+    row = 2 * _BLOCK  # lines[0] is the header
+    tau = '"tau": [%.17g]' % fall_store.tau[row - 1, 0]
+    assert tau in lines[row]
+    lines[row] = lines[row].replace(tau, '"tau": ["0.5"]')
+    path.write_text("".join(lines))
+    with pytest.raises(DatasetSchemaMismatch, match="tau holds a non-number"):
+        TargetStore.load_jsonl(path)
 
 
 def test_jsonl_whitespace_and_blank_lines_load_same_arrays(tmp_path):
