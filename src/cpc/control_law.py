@@ -9,12 +9,14 @@ a principal block of the SPD matrix D^-1 (up to the order of its columns)
 and is invertible in every state. An estimated B is rejected only by the
 split's own checks. The split is the one place that cuts that block: it
 runs the one condition-number check on it and keeps ``B_chi`` and the (N,)
-covector ``b`` for every later solve. ``b`` annihilates B, so the
-projection ``b . q`` evolves independently of the applied torques; matching
-it between the current motion and a stored target yields a time offset
-``t0`` and time scale ``s`` (retrieval computes both), and feedback acts
-only on the controlled coordinates of the renormalized target. This module
-owns that renormalization and the errors that ranking and feedback read.
+covector ``b``. Every solve with ``B_chi`` at M >= 2 is ``_solve``'s
+elimination on Python floats, so none depends on the BLAS build; at
+M = 1 it is one division. ``b`` annihilates B, so the projection ``b . q``
+evolves independently of the applied torques; matching it between the
+current motion and a stored target yields a time offset ``t0`` and time
+scale ``s`` (retrieval computes both), and feedback acts only on the
+controlled coordinates of the renormalized target. This module owns that
+renormalization and the errors that ranking and feedback read.
 """
 
 import math
@@ -27,8 +29,8 @@ from .dynamics import _FLOAT_LANES, _lane_solve
 from .errors import RankDeficient, SingularMatrix
 from .target_store import _ONE_DIRECTION
 
-# Condition-number cap on B_chi B_chi': above it the controlled block is
-# treated as singular instead of letting its solves return garbage.
+# Cap on B_chi's squared Frobenius condition number (never below the squared
+# 2-norm one, at most M^2 times it): above it B_chi is treated as singular.
 DEFAULT_COND_CAP = 1e12
 # Ridge penalty of the B regression.
 RIDGE = 1e-8
@@ -43,11 +45,14 @@ class CoordSplit:
     Building a split checks B, and these checks are the only rule that
     rejects one: it raises ValueError for any other shape or for rows that
     are not N-1 distinct indices in range, and SingularMatrix when an entry
-    is NaN or inf, when the block is zero at M = 1, when cond(B_chi)^2
-    exceeds DEFAULT_COND_CAP at M >= 2, or when an entry of the covector
-    overflows, at any M. It then holds the block ``b_chi`` (M x M) and the
-    covector ``b`` (N,) with b' B = 0: W = B_free B_chi^-1 on the controlled
-    rows and -1.0 on the free row. Equality compares the rows only.
+    is NaN or inf, when the block is zero at M = 1, when at M >= 2 a pivot
+    is zero or (|B_chi|_F |B_chi^-1|_F)^2 exceeds DEFAULT_COND_CAP, or when
+    an entry of the covector overflows. This Frobenius rule never accepts a
+    block that the same cap on the SVD's cond(B_chi)^2 rejects, and may
+    reject one whose cond(B_chi)^2 is up to M^2 times smaller. It then holds
+    the block ``b_chi`` (M x M) and the covector ``b`` (N,) with b' B = 0:
+    W = B_free B_chi^-1 on the controlled rows and -1.0 on the free row.
+    Equality compares the rows only.
     """
 
     B: InitVar[np.ndarray]
@@ -78,12 +83,13 @@ class CoordSplit:
             b_chi = np.array([[beta]])
             w = [rows[free][0] / beta]
         else:
-            b_chi = np.array([rows[i] for i in controlled])
-            s = np.linalg.svd(b_chi, compute_uv=False)
-            if s[-1] == 0.0 or (s[0] / s[-1]) ** 2 > DEFAULT_COND_CAP:
+            block = [rows[i] for i in controlled]
+            # B_chi' W' = B_free' and B_chi' x_i = e_i (row i of B_chi^-1).
+            w, *inv = _solve([list(c) for c in zip(*block)], [rows[free]] + np.eye(m).tolist())
+            kappa = math.hypot(*sum(block, [])) * math.hypot(*sum(inv, []))  # no over/underflow
+            if not kappa * kappa <= DEFAULT_COND_CAP:
                 raise SingularMatrix("controlled block of B is numerically singular")
-            # W = B_free B_chi^-1 solves B_chi' W' = B_free'.
-            w = np.linalg.solve(b_chi.T, np.array(rows[free])).tolist()
+            b_chi = np.array(block)
         if not all(map(math.isfinite, w)):
             raise SingularMatrix("covector of B is not finite")
         b = np.array(w[:free] + [-1.0] + w[free:])
@@ -139,14 +145,14 @@ def cpc_tau(
     """Path feedback law for one target: tau_d minus critically damped
     feedback B_chi^-1 (k dchi + 2 kappa dchidot) on its (M,) errors.
 
-    A single actuator takes the same law on Python floats: LAPACK's 1 x 1
-    solve with one right-hand side is one division, so the torque is the
-    same to the bit and skips the solver's per-call set-up."""
+    At M >= 2 the law solves with ``_solve``. A single actuator divides on
+    Python floats, which gives the bits of LAPACK's 1 x 1 solve and skips
+    the elimination's set-up."""
     if len(split.controlled) == 1:
         fb = gain.k * float(dchi[0]) + 2.0 * gain.kappa * float(dchidot[0])
         return np.asarray(tau_d, dtype=float) - fb / float(split.b_chi[0, 0])
     fb = gain.k * dchi + 2.0 * gain.kappa * dchidot
-    return np.asarray(tau_d, dtype=float) - np.linalg.solve(split.b_chi, fb)
+    return np.asarray(tau_d, dtype=float) - np.array(_solve(split.b_chi.tolist(), [fb.tolist()])[0])
 
 
 def estimate_control_matrix(taus: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -182,9 +188,36 @@ def estimate_control_matrix(taus: np.ndarray, us: np.ndarray) -> np.ndarray:
     return np.array(B)
 
 
+def _solve(A, rhss):
+    """Solve A x = rhs for each rhs in ``rhss`` by Gaussian elimination on
+    Python floats, pivoting on the first entry of largest magnitude. A is M
+    lists of M floats; each rhs, and each x returned, is M lanes, floats or
+    equal-length arrays, none updated in place. A zero pivot raises
+    SingularMatrix."""
+    m = len(A)
+    A, xs = [list(row) for row in A], [list(rhs) for rhs in rhss]
+    for j in range(m):
+        p = max(range(j, m), key=lambda i: abs(A[i][j]))
+        if A[p][j] == 0.0:
+            raise SingularMatrix("controlled block of B is numerically singular")
+        for rows in [A] + xs:
+            rows[j], rows[p] = rows[p], rows[j]
+        for i in range(j + 1, m):
+            f = A[i][j] / A[j][j]
+            A[i] = [a - f * b for a, b in zip(A[i], A[j])]
+            for x in xs:
+                x[i] = x[i] - f * x[j]
+    for x in xs:
+        for i in range(m - 1, -1, -1):
+            for k in range(i + 1, m):
+                x[i] = x[i] - A[i][k] * x[k]
+            x[i] = x[i] / A[i][i]
+    return xs
+
+
 def _dot(x, y):
-    """Dot product of two lists of floats, summed left to right; builtin
-    sum compensates its rounding from Python 3.12 on."""
+    """Dot product of two sequences of lanes (floats or arrays), summed left
+    to right; builtin sum compensates its rounding from Python 3.12 on."""
     s = 0.0
     for a, b in zip(x, y):
         s = s + a * b

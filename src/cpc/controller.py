@@ -21,7 +21,7 @@ changing one changes the method.
 
 The cycle's small-array work (norms and finiteness checks) runs on Python
 floats, which for these sizes costs less than numpy's per-call dispatch and
-gives the same bits.
+does not depend on the BLAS build.
 """
 
 import math
@@ -33,6 +33,7 @@ import numpy as np
 from .control_law import (
     CoordSplit,
     GainSpec,
+    _dot,
     cpc_tau,
     estimate_control_matrix,
     target_errors,
@@ -160,8 +161,10 @@ def cpc_loop(
 
 def _norm(tau: np.ndarray) -> float:
     """Euclidean norm of a torque vector: sqrt(tau . tau), which is what
-    np.linalg.norm computes for a real vector, without its dispatch."""
-    return math.sqrt(tau.dot(tau))
+    np.linalg.norm computes for a real vector, summed in order on Python
+    floats instead of by the BLAS build's dot."""
+    t = tau.tolist()
+    return math.sqrt(_dot(t, t))
 
 
 def controller_step(

@@ -272,9 +272,8 @@ def _project(cols, b, out, tmp):
     into ``out`` (``tmp`` is scratch of the same length). The products are
     added column by column in a fixed order without fused multiply-adds, so
     the result does not depend on the BLAS build, and ``_project_state``
-    projects the query state by the same rule. The B regression and, at
-    M = 1, the split that give b run on Python floats; at M >= 2 the split
-    still runs on LAPACK."""
+    projects the query state by the same rule. The B regression and the
+    split that give b run on Python floats too."""
     np.multiply(cols[0], b[0], out=out)
     for d in range(1, len(b)):
         np.add(out, np.multiply(cols[d], b[d], out=tmp), out=out)

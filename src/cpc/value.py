@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .control_law import CoordSplit, GainSpec
+from .control_law import CoordSplit, GainSpec, _dot, _solve
 from .dynamics import State
 
 
@@ -65,15 +65,17 @@ def candidate_costs(
     Arrays are per candidate: controlled-coordinate errors dchi, dchidot and
     torques (n, M), recorded returns, state rewards and time offsets (n,).
     Let U and W solve B_chi [U W] = [dchi dchidot] with the split's block
-    B_chi (one solve for the whole batch) and Z = kappa U + 2 W. With
-    C = C_tau and T = T_gamma, the transition value, the integral of the
-    feedback transient's work penalty, is
+    B_chi and Z = kappa U + 2 W. With C = C_tau and T = T_gamma, the
+    transition value, the integral of the feedback transient's work penalty,
+    is
 
         v_I = -(2/T) tau_d' C W + kappa/(4T) (W' C W + Z' C Z),
 
     and the recorded value is v_II = G + (t0/T) (tau_d' C tau_d + r_d - G).
-    A single actuator takes the same formula written out in scalars, which
-    is faster on the control loop's path.
+    At M >= 2 U and W come from one ``_solve`` on lanes, one (n,) array per
+    controlled coordinate, and each a' C b is a fixed-order sum of lane
+    products, so no cost depends on the BLAS build. A single actuator takes
+    the same formula written out in scalars, which is faster.
 
     Raises ValueError when C_tau is not M x M.
     """
@@ -92,15 +94,11 @@ def candidate_costs(
         )
         v2 = g_d + (t0 / tg) * (c * td * td + r_d - g_d)
         return -(v1 + v2)
-    n = len(t0)
-    uw = np.linalg.solve(split.b_chi, np.concatenate([dchi, dchidot]).T)
-    U, W = uw[:, :n].T, uw[:, n:].T
-    Z = kappa * U + 2.0 * W
-
-    def quad(a, b):
-        """Row-wise a_i' C b_i."""
-        return ((a @ spec.C_tau) * b).sum(axis=1)
-
-    v1 = -(2.0 / tg) * quad(tau_d, W) + (kappa / (4.0 * tg)) * (quad(W, W) + quad(Z, Z))
-    v2 = g_d + (t0 / tg) * (quad(tau_d, tau_d) + r_d - g_d)
+    td = tau_d.T
+    U, W = _solve(split.b_chi.tolist(), [dchi.T, dchidot.T])
+    Z = [kappa * u + 2.0 * w for u, w in zip(U, W)]
+    c_cols = spec.C_tau.T.tolist()
+    td_c, w_c, z_c = ([_dot(a, col) for col in c_cols] for a in (td, W, Z))
+    v1 = -(2.0 / tg) * _dot(td_c, W) + (kappa / (4.0 * tg)) * (_dot(w_c, W) + _dot(z_c, Z))
+    v2 = g_d + (t0 / tg) * (_dot(td_c, td) + r_d - g_d)
     return -(v1 + v2)

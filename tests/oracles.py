@@ -18,8 +18,9 @@ and to its retrieval scan, as a batch or store of one row.
 
 The control cycle runs its small-array work on Python floats and keeps its
 regression window in preallocated arrays. The numpy forms of the same steps
-are kept here, for the tests to require the same bits from the cycle: the
-split's general N x (N-M) blocks through an SVD condition check and a
+are kept here, for the tests to require the same bits from the cycle (at
+M >= 2, where the cycle eliminates on Python floats, a relative tolerance):
+the split's general N x (N-M) blocks through an SVD condition check and a
 LAPACK solve at every M (``split_blocks_lapack``), the path law through a
 LAPACK solve at every M (``cpc_tau_lapack``), the renormalization of every
 target column (``target_errors_full_width``), the fall test on

@@ -103,3 +103,46 @@ def test_src_modules_are_runtime_code():
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 imported.update([node.module] if node.module else [a.name for a in node.names])
     assert {p.stem for p in paths} - {"__init__", "experiments"} - imported == set()
+
+
+def _blas_sites(tree, exempt):
+    """(line, description) of each numpy.linalg reference, ``@`` and
+    ``.dot(`` call in a module, outside the functions named in ``exempt``
+    (as "Class.method" or "function")."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            if scope in exempt:
+                return
+        if isinstance(node, ast.Attribute) and node.attr == "linalg":
+            sites.append((node.lineno, "numpy.linalg"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"):
+            sites.append((node.lineno, "numpy.linalg"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            sites.append((node.lineno, "@"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dot"
+        ):
+            sites.append((node.lineno, ".dot("))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return sites
+
+
+def test_control_cycle_calls_no_blas():
+    # The control cycle's solves, quadratic forms and norms run on Python
+    # floats, so a trial's torques do not depend on the host's BLAS kernel.
+    # RewardSpec's eigenvalue check runs once per spec and only accepts or
+    # rejects it.
+    found = []
+    for name in ("controller.py", "control_law.py", "value.py"):
+        path = ROOT / "src" / "cpc" / name
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{name}:{line} {what}" for line, what in _blas_sites(tree, {"RewardSpec.__post_init__"})]
+    assert found == []

@@ -311,11 +311,13 @@ print(h.hexdigest())
 """
 
 
-# Short balance trials on fresh n_f = 3 stores: prints the SHA-256 of every
-# torque the controller returned.
+# Short balance trials on fresh n_f = 3 stores of one chain, whose
+# ``ChainParams`` keyword arguments replace ``%s``: prints the SHA-256 of
+# every torque the controller returned.
 _TRIAL_DIGEST = """
 import hashlib
 from cpc import experiments
+from cpc.dynamics import ChainParams
 from cpc.experiments import ExperimentConfig, generate_falls, run_balance_trial, trial_seed
 
 h = hashlib.sha256()
@@ -329,11 +331,12 @@ def recorded(*args):
 
 
 experiments.controller_step = recorded
-cfg = ExperimentConfig(t_max=1.0)
-for i in range(3):
+params = ChainParams(%s)
+cfg = ExperimentConfig(t_max=2.0)
+for i in range(10):
     seed = trial_seed(0, "blas", i)
-    store = generate_falls(cfg, 3, seed=trial_seed(seed, "falls", 0))
-    run_balance_trial(store, cfg, cfg.noise_mult * cfg.sigma0, seed)
+    store = generate_falls(cfg, 3, seed=trial_seed(seed, "falls", 0), params=params)
+    run_balance_trial(store, cfg, cfg.noise_mult * cfg.sigma0, seed, i, 3, params)
 print(h.hexdigest())
 """
 
@@ -371,11 +374,13 @@ def test_query_bytes_independent_of_blas_kernel():
 
 
 @_ON_X86_64
-def test_trial_torques_independent_of_blas_kernel():
-    # The B regression, the split and the torque of an N = 2 cycle run on
-    # Python floats, so a trial applies the same torques under either
-    # kernel.
-    default, prescott = _blas_kernel_outputs(_TRIAL_DIGEST)
+@pytest.mark.parametrize("chain", ["", "n_links=3, actuated_joints=(1, 2)"], ids=["N2", "N3"])
+def test_trial_torques_independent_of_blas_kernel(chain):
+    # The B regression, the split, the ranking and the torque of a cycle run
+    # on Python floats at every M, so a trial applies the same torques under
+    # either kernel. Ten 2 s trials are enough for the N = 3 torques to
+    # differ between kernels when the M = 2 solves go through LAPACK.
+    default, prescott = _blas_kernel_outputs(_TRIAL_DIGEST % chain)
     assert default == prescott
 
 
