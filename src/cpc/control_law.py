@@ -27,7 +27,7 @@ import numpy as np
 from . import dynamics
 from .dynamics import _FLOAT_LANES, _lane_solve
 from .errors import RankDeficient, SingularMatrix
-from .target_store import _ONE_DIRECTION
+from .target_store import _ONE_DIRECTION, NonEmptyStore
 
 # Cap on B_chi's squared Frobenius condition number (never below the squared
 # 2-norm one, at most M^2 times it): above it B_chi is treated as singular.
@@ -62,27 +62,30 @@ class CoordSplit:
     b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, B):
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        n, m = B.shape
-        if n - m != 1:
+        B = np.asarray(B, dtype=float)
+        if B.ndim != 2 or B.shape[0] - B.shape[1] != 1:
             raise ValueError(_ONE_DIRECTION)
-        controlled = tuple(sorted(int(i) for i in self.controlled))
-        if m == 0 or len(set(controlled)) != m or not set(controlled) <= set(range(n)):
+        n, m = B.shape
+        controlled = tuple(sorted(map(int, self.controlled)))
+        # Exactly one row is left over iff the m given rows are distinct and in range.
+        free = [i for i in range(n) if i not in controlled]
+        if m == 0 or len(controlled) != m or len(free) != 1:
             raise ValueError(f"need {m} distinct controlled rows of {n}, got {self.controlled}")
-        rows = B.tolist()
-        if not all(math.isfinite(x) for row in rows for x in row):
+        (free,) = free
+        flat = B.ravel().tolist()
+        if not all(map(math.isfinite, flat)):
             raise SingularMatrix("control matrix is not finite")
-        (free,) = set(range(n)).difference(controlled)
         if m == 1:
             # The one singular value of a 1 x 1 block is |beta| exactly, so
             # its condition number is 1 unless beta is zero; LAPACK's solve
             # with one right-hand side is then one division.
-            beta = rows[controlled[0]][0]
+            beta = flat[controlled[0]]
             if beta == 0.0:
                 raise SingularMatrix("controlled block of B is numerically singular")
             b_chi = np.array([[beta]])
-            w = [rows[free][0] / beta]
+            w = [flat[free] / beta]
         else:
+            rows = B.tolist()
             block = [rows[i] for i in controlled]
             # B_chi' W' = B_free' and B_chi' x_i = e_i (row i of B_chi^-1).
             w, *inv = _solve([list(c) for c in zip(*block)], [rows[free]] + np.eye(m).tolist())
@@ -113,30 +116,28 @@ class GainSpec:
         return math.sqrt(self.k)
 
 
-def renormalized_target(
-    q_d: np.ndarray, qdot_d: np.ndarray, t0: np.ndarray, s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Start q_r0 and velocity qdot_r (n, N) of the linear targets q_r0 + qdot_r t
-    reparameterizing target states (n, N) by time offsets and scales (n,)."""
-    if not np.all(s):
-        raise ValueError("time scale s must be nonzero")
-    return q_d - qdot_d * (t0 / s)[:, None], qdot_d / s[:, None]
-
-
 def target_errors(
     x0: dynamics.State,
-    q_d: np.ndarray,
-    qdot_d: np.ndarray,
+    targets: NonEmptyStore,
+    idx: np.ndarray,
     t0: np.ndarray,
     s: np.ndarray,
     split: CoordSplit,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Errors (dchi, dchidot), each (n, M), of the current state against
-    each renormalized target, in the split's controlled coordinates. Only
-    the controlled columns of the targets are renormalized."""
-    ci = list(split.controlled)
-    q_r0, qdot_r = renormalized_target(q_d[:, ci], qdot_d[:, ci], t0, s)
-    return x0.q[ci] - q_r0, x0.qdot[ci] - qdot_r
+    """Errors (dchi, dchidot), each (n, M), of the current state against the
+    renormalized targets q - qdot (t0 / s) + (qdot / s) t of the stored points
+    ``idx`` (n,), in the split's controlled coordinates, which alone are
+    gathered from the handle's columns. Raises ValueError for a zero s."""
+    if np.count_nonzero(s) != len(s):
+        raise ValueError("time scale s must be nonzero")
+    r = t0 / s
+    q0, qdot0 = x0.q.tolist(), x0.qdot.tolist()
+    dchi, dchidot = np.empty((2, len(idx), len(split.controlled)))
+    for j, c in enumerate(split.controlled):
+        qdot_c = targets._qdot_cols[c][idx]
+        np.subtract(q0[c], targets._q_cols[c][idx] - qdot_c * r, out=dchi[:, j])
+        np.subtract(qdot0[c], qdot_c / s, out=dchidot[:, j])
+    return dchi, dchidot
 
 
 def cpc_tau(
@@ -155,7 +156,7 @@ def cpc_tau(
     return np.asarray(tau_d, dtype=float) - np.array(_solve(split.b_chi.tolist(), [fb.tolist()])[0])
 
 
-def estimate_control_matrix(taus: np.ndarray, us: np.ndarray) -> np.ndarray:
+def estimate_control_matrix(t_cols, u_cols) -> np.ndarray:
     """Regress the control matrix from recorded (torque, acceleration) pairs.
 
     Minimizes sum_i ||u_i - B tau_i||^2 + RIDGE ||B||^2 over the N x M
@@ -165,16 +166,13 @@ def estimate_control_matrix(taus: np.ndarray, us: np.ndarray) -> np.ndarray:
     and it shrinks B along each singular value s of the torques by
     s^2 / (s^2 + RIDGE), about 4e-6 relative for seven bootstrap torques of
     scale 0.02. B solves the normal equations (T'T + RIDGE I) B' = T'U of
-    the windows T = taus and U = us on Python floats, summed over the window
-    in order and factored once for all columns of U, so it does not depend
-    on the BLAS build. A NaN or inf torque, or a Cholesky pivot that is not
-    positive, raises RankDeficient.
+    the windows T and U, given as their M and N columns of Python floats
+    (unequal lengths raise ValueError), summed over the window in order and
+    factored once for all columns of U, so it does not depend on the BLAS
+    build. A NaN or inf torque, or a pivot not positive, raises RankDeficient.
     """
-    taus = np.atleast_2d(np.asarray(taus, dtype=float))
-    us = np.atleast_2d(np.asarray(us, dtype=float))
-    if taus.shape[0] != us.shape[0]:
+    if len({len(col) for col in (*t_cols, *u_cols)}) != 1:
         raise ValueError("torque and acceleration histories differ in length")
-    t_cols, u_cols = taus.T.tolist(), us.T.tolist()
     if not all(math.isfinite(x) for col in t_cols for x in col):
         raise RankDeficient("torque history is not finite")
     # The solve reads only the lower triangle, so each Gram entry is formed once.

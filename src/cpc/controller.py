@@ -8,20 +8,20 @@ feedback torque. While the torque norm is at least TAU_C the gain is halved
 floor K_C; the last torque is returned either way. The control matrix is
 regressed online from the most recent (torque, finite-difference
 acceleration) pairs; before enough pairs exist the controller emits small
-exploratory torques. The pairs live in a fixed-size regression window, two
-preallocated arrays that each cycle shifts up one row in place, so the
-regression reads them without rebuilding anything. When a cycle cannot produce a torque (degenerate
-retrieval, rank-deficient or singular B, or a non-finite result) the
-controller applies zero torque for that cycle.
+exploratory torques. The pairs live in a fixed-size regression window, one
+list of Python floats per torque and per acceleration coordinate, which the
+regression reads as they are. When a cycle cannot produce a torque
+(degenerate retrieval, rank-deficient or singular B, or a non-finite result)
+the controller applies zero torque for that cycle.
 
 The loop values OMEGA, HISTORY_N, N_D, K0, K_C and TAU_C are constants, not
 options: the method is one fixed procedure applied after training, and every
 run (the balance experiment, the sweep, the benchmark) uses these values, so
 changing one changes the method.
 
-The cycle's small-array work (norms and finiteness checks) runs on Python
-floats, which for these sizes costs less than numpy's per-call dispatch and
-does not depend on the BLAS build.
+The cycle's small-array work (the window, norms and finiteness checks) runs
+on Python floats, which for these sizes costs less than numpy's per-call
+dispatch and does not depend on the BLAS build.
 """
 
 import math
@@ -80,36 +80,39 @@ class ControllerConfig:
 class ControllerState:
     """Per-agent mutable state: the regression window and the RNG.
 
-    The window is two arrays, ``taus`` (HISTORY_N, M) and ``us``
-    (HISTORY_N, N), holding the latest (torque, acceleration) pairs oldest
-    row first, with N = M + 1 (one unactuated direction). ``push`` shifts
-    both up one row in place and writes the new pair into the last row, so
-    the window allocates nothing per cycle; ``filled`` counts the rows
-    written so far, up to HISTORY_N.
+    The window is M + N lists of HISTORY_N Python floats, oldest first and
+    zero at the start: ``tau_cols`` per torque and ``u_cols`` per
+    acceleration coordinate, N = M + 1 (one unactuated direction). ``push``
+    drops the first entry of each and appends the new pair's, and the
+    regression reads the lists as they are; ``filled`` counts the pairs
+    pushed so far, up to HISTORY_N. ``prev_tau`` and ``prev_qdot`` are lists.
     """
 
     n_controls: int
     rng: np.random.Generator
-    taus: np.ndarray = field(init=False, repr=False)
-    us: np.ndarray = field(init=False, repr=False)
+    tau_cols: list = field(init=False, repr=False)
+    u_cols: list = field(init=False, repr=False)
     filled: int = 0
-    prev_tau: Optional[np.ndarray] = None
-    prev_qdot: Optional[np.ndarray] = None
+    prev_tau: Optional[list] = None
+    prev_qdot: Optional[list] = None
     last_B: Optional[np.ndarray] = None
     fallback_count: int = 0
     unclamped_exits: int = 0
 
     def __post_init__(self):
-        self.taus = np.zeros((HISTORY_N, self.n_controls))
-        self.us = np.zeros((HISTORY_N, self.n_controls + 1))
+        self.tau_cols = [[0.0] * HISTORY_N for _ in range(self.n_controls)]
+        self.u_cols = [[0.0] * HISTORY_N for _ in range(self.n_controls + 1)]
 
-    def push(self, tau: np.ndarray, u: np.ndarray) -> None:
-        """Add one (torque, acceleration) pair to the window, dropping the
-        oldest pair once HISTORY_N are held."""
-        self.taus[:-1] = self.taus[1:]
-        self.us[:-1] = self.us[1:]
-        self.taus[-1] = tau
-        self.us[-1] = u
+    def push(self, tau, u) -> None:
+        """Add one (torque, acceleration) pair, M and N floats, to the
+        window, dropping the oldest pair. Raises ValueError, leaving the
+        window as it was, when either has the wrong length."""
+        if len(tau) != len(self.tau_cols) or len(u) != len(self.u_cols):
+            raise ValueError("need one torque per control and one acceleration per joint")
+        for cols, values in ((self.tau_cols, tau), (self.u_cols, u)):
+            for col, x in zip(cols, values):
+                del col[0]
+                col.append(x)
         self.filled = min(self.filled + 1, HISTORY_N)
 
 
@@ -133,8 +136,6 @@ def cpc_loop(
     if len(idx) == 0:
         raise NoValidCandidates("all stored points rejected by the velocity guard")
     store = targets.store
-    q_d = store.q[idx]
-    qdot_d = store.qdot[idx]
     if cfg.use_stored_tau_d:
         tau_d = store.tau[idx]
     else:
@@ -143,16 +144,14 @@ def cpc_loop(
     if spec.state_reward is None:
         r_d = np.zeros(len(idx))
     else:
-        r_d = np.array(
-            [spec.reward_at(State(q_d[i], qdot_d[i])) for i in range(len(idx))]
-        )
-    dchi, dchidot = target_errors(x0, q_d, qdot_d, t0s, ss, split)
+        r_d = np.array([spec.reward_at(State(*x)) for x in zip(store.q[idx], store.qdot[idx])])
+    dchi, dchidot = target_errors(x0, targets, idx, t0s, ss, split)
 
     k = K0
     while True:
         gain = GainSpec(k)
         costs = candidate_costs(dchi, dchidot, tau_d, g_d, r_d, t0s, split, gain, spec)
-        j = int(np.argmin(costs))
+        j = int(costs.argmin())
         tau = cpc_tau(dchi[j], dchidot[j], split, gain, tau_d[j])
         k = 0.5 * k
         if _norm(tau) < TAU_C or k < K_C:
@@ -182,13 +181,14 @@ def controller_step(
     estimation failure, and a non-finite torque, gives zero torque instead
     and counts in ``fallback_count``.
     """
+    qdot = x0.qdot.tolist()
     if ctrl.prev_tau is not None:
-        ctrl.push(ctrl.prev_tau, (x0.qdot - ctrl.prev_qdot) / cfg.dt)
+        ctrl.push(ctrl.prev_tau, [(v - v0) / cfg.dt for v, v0 in zip(qdot, ctrl.prev_qdot)])
     if ctrl.filled < HISTORY_N:
         tau = ctrl.rng.normal(0.0, cfg.sigma_boot, size=ctrl.n_controls)
     else:
         try:
-            B = estimate_control_matrix(ctrl.taus, ctrl.us)
+            B = estimate_control_matrix(ctrl.tau_cols, ctrl.u_cols)
             ctrl.last_B = B
             tau = cpc_loop(x0, B, targets, cfg, spec)
             if _norm(tau) >= TAU_C:
@@ -199,6 +199,6 @@ def controller_step(
     if not all(map(math.isfinite, tau.tolist())):
         ctrl.fallback_count += 1
         tau = np.zeros(ctrl.n_controls)
-    ctrl.prev_tau = tau
-    ctrl.prev_qdot = x0.qdot.copy()
+    ctrl.prev_tau = tau.tolist()
+    ctrl.prev_qdot = qdot
     return tau

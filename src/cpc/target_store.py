@@ -53,7 +53,7 @@ _BLOCK = 1024
 
 
 class TargetStore:
-    """Immutable arrays of recorded points plus chain layout metadata."""
+    """Read-only arrays of recorded points plus chain layout metadata."""
 
     def __init__(self, t, q, qdot, tau, G, n_links: int, actuated_joints: tuple[int, ...]):
         layout = _chain_layout(n_links, actuated_joints, DatasetSchemaMismatch)
@@ -75,6 +75,11 @@ class TargetStore:
         arrays = (self.t, self.q, self.qdot, self.tau, self.G)
         if any(not np.all(np.isfinite(a)) for a in arrays):
             raise DatasetSchemaMismatch("dataset contains non-finite values")
+        # Read-only views: an array the caller passed in keeps its own flags.
+        for name, a in zip(("t", "q", "qdot", "tau", "G"), arrays):
+            view = a.view()
+            view.flags.writeable = False
+            setattr(self, name, view)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -200,8 +205,10 @@ class NonEmptyStore:
     warm query allocates nothing the length of the store. It therefore
     serves one query at a time: do not share a handle between threads.
     Arrays a query returns are fresh copies, never views of the scratch.
-    The store must not change while the handle exists. Raises ValueError
-    unless the store's chain has one unactuated direction.
+    ``control_law.target_errors`` gathers retrieved points from the columns
+    too. The store must not change while the handle exists: its arrays are
+    read-only views, and those it was built from must not be written.
+    Raises ValueError unless the store's chain has one unactuated direction.
     """
 
     def __init__(self, store: TargetStore):

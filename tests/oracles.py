@@ -12,21 +12,26 @@ check of the block writer. ``energy`` is the chain's total mechanical
 energy, for the integrator's conservation and work checks, and
 ``correspondence_gap`` the distance between the path feedback and a
 virtual-constraint feedback, for the zero-dynamics reading of the law.
-``one_target``, ``one_target_tau`` and ``retrieve_one`` are not oracles:
-they pass a single target state to the package's batched renormalization,
-and to its retrieval scan, as a batch or store of one row.
+``one_target``, ``one_target_tau``, ``retrieve_one``, ``targets_of`` and
+``row_errors`` are not oracles: they pass target states given as rows to
+the package's renormalization, errors and retrieval scan, through a batch
+or a retrieval handle over those rows. ``renormalized_target`` is the
+renormalization of whole rows, which the package does only on the
+controlled columns it gathers.
 
-The control cycle runs its small-array work on Python floats and keeps its
-regression window in preallocated arrays. The numpy forms of the same steps
-are kept here, for the tests to require the same bits from the cycle (at
+The control cycle runs its small-array work on Python floats, keeps its
+regression window as lists of floats and gathers only the controlled
+columns of the retrieved points. The numpy forms of the same steps are
+kept here, for the tests to require the same bits from the cycle (at
 M >= 2, where the cycle eliminates on Python floats, a relative tolerance):
 the split's general N x (N-M) blocks through an SVD condition check and a
 LAPACK solve at every M (``split_blocks_lapack``), the path law through a
 LAPACK solve at every M (``cpc_tau_lapack``), the renormalization of every
-target column (``target_errors_full_width``), the fall test on
-``np.cumsum`` (``has_fallen_cumsum``), and a controller whose regression
-window is a deque of (torque, acceleration) pairs rebuilt into arrays with
-``np.array`` each cycle (``DequeController`` and ``deque_controller_step``).
+column of the retrieved points' whole rows (``target_errors_full_width``),
+the fall test on ``np.cumsum`` (``has_fallen_cumsum``), and a controller
+whose regression window is a deque of (torque, acceleration) pairs rebuilt
+into arrays with ``np.array`` each cycle (``DequeController`` and
+``deque_controller_step``).
 
 The dynamics kernel forms each pair of links once. ``lane_terms_full``
 forms the manipulator terms from all N^2 ordered pairs, the self pairs
@@ -51,7 +56,6 @@ from cpc.control_law import (
     CoordSplit,
     GainSpec,
     cpc_tau,
-    renormalized_target,
     target_errors,
 )
 from cpc.dynamics import ChainParams, State, _chain_consts, exact_control_matrix, manipulator_terms
@@ -93,16 +97,44 @@ class Value(NamedTuple):
     v_II: float
 
 
+def renormalized_target(
+    q_d: np.ndarray, qdot_d: np.ndarray, t0: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start q_r0 and velocity qdot_r (n, N) of the linear targets q_r0 + qdot_r t
+    reparameterizing target states (n, N) by time offsets and scales (n,):
+    ``target_errors``' arithmetic on whole rows."""
+    if not np.all(s):
+        raise ValueError("time scale s must be nonzero")
+    return q_d - qdot_d * (t0 / s)[:, None], qdot_d / s[:, None]
+
+
 def one_target(xd: State, t0: float, s: float) -> tuple[np.ndarray, np.ndarray]:
     """(q_r0, qdot_r) of the renormalized target for one target state."""
     q_r0, qdot_r = renormalized_target(xd.q[None], xd.qdot[None], np.array([t0]), np.array([s]))
     return q_r0[0], qdot_r[0]
 
 
+def targets_of(q_d, qdot_d) -> NonEmptyStore:
+    """Retrieval handle over target states given as rows (n, N), with zero
+    times, torques and returns, on the chain whose joints 1 .. N-1 are
+    actuated. Point i is row i."""
+    n, dim = np.shape(q_d)
+    store = TargetStore(
+        np.zeros(n), q_d, qdot_d, np.zeros((n, dim - 1)), np.zeros(n), dim, tuple(range(1, dim))
+    )
+    return NonEmptyStore(store)
+
+
+def row_errors(x0, q_d, qdot_d, t0, s, split):
+    """``target_errors`` against target states given as rows (n, N): the
+    package's function on a handle over those states, every row selected."""
+    return target_errors(x0, targets_of(q_d, qdot_d), np.arange(len(q_d)), t0, s, split)
+
+
 def one_target_tau(x0, xd, split, t0, s, gain, tau_d) -> np.ndarray:
     """Path feedback torque steering x0 onto one target state's
     renormalized target."""
-    dchi, dchidot = target_errors(
+    dchi, dchidot = row_errors(
         x0, xd.q[None], xd.qdot[None], np.array([t0]), np.array([s]), split
     )
     return cpc_tau(dchi[0], dchidot[0], split, gain, tau_d)
@@ -113,12 +145,9 @@ def retrieve_one(x0: State, xd: State, b: np.ndarray) -> tuple[float, float]:
     covector b, as retrieval gives them for a one-point store holding xd.
     Raises VelocityBarDegenerate when the guard rejects the query or the
     point."""
-    n = len(xd.q)
-    store = TargetStore(
-        np.zeros(1), [xd.q], [xd.qdot], np.zeros((1, n - 1)), [0.0], n, tuple(range(1, n))
-    )
     b = np.asarray(b, dtype=float)
-    idx, t0, s, _ = _query_arrays(NonEmptyStore(store), x0, b, 10.0, 1.0, 1, DEFAULT_GUARD_TOL)
+    targets = targets_of([xd.q], [xd.qdot])
+    idx, t0, s, _ = _query_arrays(targets, x0, b, 10.0, 1.0, 1, DEFAULT_GUARD_TOL)
     if not len(idx):
         raise VelocityBarDegenerate("the velocity guard rejects the target state")
     return float(t0[0]), float(s[0])
@@ -255,7 +284,7 @@ def correspondence_gap(params: ChainParams, x: State, xd: State, epsilon: float)
     split = CoordSplit(B, params.actuated_joints)
     t0, s = retrieve_one(x, xd, split.b)
     q_d, qdot_d, t0, s = xd.q[None], xd.qdot[None], np.array([t0]), np.array([s])
-    dchi, dchidot = target_errors(x, q_d, qdot_d, t0, s, split)
+    dchi, dchidot = row_errors(x, q_d, qdot_d, t0, s, split)
     dtau_cpc = cpc_tau(dchi[0], dchidot[0], split, gain, np.zeros(len(split.controlled)))
 
     c = CoordSplit(exact_control_matrix(params, xd.q), params.actuated_joints).b
@@ -376,10 +405,10 @@ def cpc_tau_lapack(dchi, dchidot, split: CoordSplit, gain: GainSpec, tau_d) -> n
     return np.asarray(tau_d, dtype=float) - np.linalg.solve(split.b_chi, fb)
 
 
-def target_errors_full_width(x0, q_d, qdot_d, t0, s, split: CoordSplit):
-    """``target_errors`` renormalizing every column of the targets and then
-    keeping the controlled ones."""
-    q_r0, qdot_r = renormalized_target(q_d, qdot_d, t0, s)
+def target_errors_full_width(x0, targets, idx, t0, s, split: CoordSplit):
+    """``target_errors`` gathering whole rows of the handle's store,
+    renormalizing every column and then keeping the controlled ones."""
+    q_r0, qdot_r = renormalized_target(targets.store.q[idx], targets.store.qdot[idx], t0, s)
     ci = list(split.controlled)
     return x0.q[ci] - q_r0[:, ci], x0.qdot[ci] - qdot_r[:, ci]
 
@@ -457,10 +486,12 @@ def make_deque_controller(n_controls: int, seed) -> DequeController:
 
 
 def deque_controller_step(ctrl: DequeController, x0, targets, cfg, spec) -> np.ndarray:
-    """``controller.controller_step`` on a ``DequeController``: the window
-    is rebuilt into arrays with np.array every cycle, and the torque norm
-    and finiteness are checked with np.linalg.norm and np.isfinite. The
-    cycle itself is ``controller.cpc_loop``, looked up at call time."""
+    """``controller.controller_step`` on a ``DequeController``: the finite
+    difference is taken on arrays, the window is rebuilt into arrays with
+    np.array every cycle and split into the regression's columns, and the
+    torque norm and finiteness are checked with np.linalg.norm and
+    np.isfinite. The cycle itself is ``controller.cpc_loop``, looked up at
+    call time."""
     if ctrl.prev_tau is not None:
         u = (x0.qdot - ctrl.prev_qdot) / cfg.dt
         ctrl.history.append((ctrl.prev_tau, u))
@@ -470,7 +501,7 @@ def deque_controller_step(ctrl: DequeController, x0, targets, cfg, spec) -> np.n
         taus = np.array([h[0] for h in ctrl.history])
         us = np.array([h[1] for h in ctrl.history])
         try:
-            B = controller.estimate_control_matrix(taus, us)
+            B = controller.estimate_control_matrix(taus.T.tolist(), us.T.tolist())
             ctrl.last_B = B
             tau = controller.cpc_loop(x0, B, targets, cfg, spec)
             if float(np.linalg.norm(tau)) >= controller.TAU_C:

@@ -9,7 +9,6 @@ from cpc.control_law import (
     _solve,
     cpc_tau,
     estimate_control_matrix,
-    renormalized_target,
     target_errors,
 )
 from cpc.controller import HISTORY_N
@@ -33,6 +32,7 @@ from oracles import (
     retrieve_one,
     split_blocks_lapack,
     target_errors_full_width,
+    targets_of,
 )
 
 
@@ -395,43 +395,51 @@ def test_renormalized_projection_identity(rng):
 
 
 def test_renormalized_zero_scale_raises():
+    split = CoordSplit(np.array([[1.0], [0.5]]), (1,))
+    targets = targets_of(np.zeros((2, 2)), np.ones((2, 2)))
+    x0 = State(np.zeros(2), np.ones(2))
     with pytest.raises(ValueError, match="nonzero"):
-        renormalized_target(np.zeros((2, 2)), np.ones((2, 2)), np.zeros(2), np.array([1.0, 0.0]))
+        target_errors(x0, targets, np.arange(2), np.zeros(2), np.array([1.0, 0.0]), split)
 
 
 def test_target_errors_rows_follow_formula(rng):
-    # Each row is the current state minus its own renormalized target,
-    # q_d - qdot_d (t0 / s) and qdot_d / s, on the controlled columns, bit
-    # for bit.
+    # Each row is the current state minus the renormalized target of its
+    # own retrieved point, q_d - qdot_d (t0 / s) and qdot_d / s, on the
+    # controlled columns, bit for bit.
     B = rng.normal(size=(3, 2))
     split = CoordSplit(B, (1, 2))
     ci = list(split.controlled)
     x0 = State(rng.normal(size=3), rng.normal(size=3))
+    q_d, qdot_d = rng.normal(size=(12, 3)), rng.normal(size=(12, 3))
     n = 7
-    q_d, qdot_d = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+    idx = rng.permutation(12)[:n]
     t0 = rng.normal(0.0, 0.1, n)
     s = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n)
-    dchi, dchidot = target_errors(x0, q_d, qdot_d, t0, s, split)
+    dchi, dchidot = target_errors(x0, targets_of(q_d, qdot_d), idx, t0, s, split)
     assert dchi.shape == dchidot.shape == (n, 2)
-    for i in range(n):
-        q_r0 = q_d[i] - qdot_d[i] * (float(t0[i]) / float(s[i]))
+    for i, p in enumerate(idx):
+        q_r0 = q_d[p] - qdot_d[p] * (float(t0[i]) / float(s[i]))
         assert np.array_equal(dchi[i], x0.q[ci] - q_r0[ci])
-        assert np.array_equal(dchidot[i], x0.qdot[ci] - qdot_d[i, ci] / float(s[i]))
+        assert np.array_equal(dchidot[i], x0.qdot[ci] - qdot_d[p, ci] / float(s[i]))
 
 
 def test_target_errors_match_full_width(rng):
-    # Renormalizing only the controlled columns gives the bytes of
-    # renormalizing every column and keeping the controlled ones.
+    # Gathering the controlled columns of the retrieved points from the
+    # handle's column copies and renormalizing them gives the bytes of
+    # gathering whole rows of the store, renormalizing every column and
+    # keeping the controlled ones.
     for n in range(2, 6):
         for _ in range(n):
             split = CoordSplit(rng.normal(size=(n, n - 1)), tuple(range(1, n)))
             x0 = State(rng.normal(size=n), rng.normal(size=n))
-            k = int(rng.integers(1, 30))
-            q_d, qdot_d = rng.normal(size=(k, n)), rng.normal(size=(k, n))
+            size = int(rng.integers(1, 40))
+            targets = targets_of(rng.normal(size=(size, n)), rng.normal(size=(size, n)))
+            k = int(rng.integers(1, size + 1))
+            idx = rng.permutation(size)[:k]
             t0 = rng.normal(0.0, 0.1, k)
             s = rng.choice([-1.0, 1.0], k) * rng.uniform(1e-3, 2.0, k)
-            got = target_errors(x0, q_d, qdot_d, t0, s, split)
-            want = target_errors_full_width(x0, q_d, qdot_d, t0, s, split)
+            got = target_errors(x0, targets, idx, t0, s, split)
+            want = target_errors_full_width(x0, targets, idx, t0, s, split)
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -517,11 +525,17 @@ def test_cpc_tau_invariant_under_coordinate_maps(rng):
 # ---------------------------------------------------------------------------
 
 
+def _estimate(taus, us):
+    """``estimate_control_matrix`` on a window given as arrays of pairs,
+    (pairs, M) torques and (pairs, N) accelerations."""
+    return estimate_control_matrix(np.asarray(taus).T.tolist(), np.asarray(us).T.tolist())
+
+
 def test_estimate_recovers_exact_linear_map(rng):
     B0 = rng.normal(size=(2, 1))
     taus = rng.normal(size=(7, 1))
     us = taus @ B0.T
-    B = estimate_control_matrix(taus, us)
+    B = _estimate(taus, us)
     assert np.abs(B - B0).max() < 1e-9
 
 
@@ -534,7 +548,14 @@ def test_estimate_non_finite_torque_rank_deficient(rng, bad, scale):
     taus = rng.normal(size=(7, 1)) * scale
     taus[3, 0] = bad
     with pytest.raises(RankDeficient):
-        estimate_control_matrix(taus, rng.normal(size=(7, 2)))
+        _estimate(taus, rng.normal(size=(7, 2)))
+
+
+def test_estimate_unequal_columns_raise():
+    # Every torque and acceleration column must hold one entry per pair.
+    for t_cols, u_cols in (([[1.0, 2.0]], [[1.0], [2.0]]), ([[1.0], [1.0, 2.0]], [[1.0]] * 3)):
+        with pytest.raises(ValueError, match="differ in length"):
+            estimate_control_matrix(t_cols, u_cols)
 
 
 def test_estimate_on_acrobot_rollout(rng):
@@ -551,7 +572,7 @@ def test_estimate_on_acrobot_rollout(rng):
         taus.append(tau)
         us.append((nxt.qdot - st.qdot) / dt)
         st = nxt
-    B = estimate_control_matrix(np.array(taus), np.array(us))
+    B = _estimate(np.array(taus), np.array(us))
     B_true = exact_control_matrix(p, st.q)
     assert np.abs((B - B_true) / B_true).max() < 0.25
 
@@ -572,14 +593,14 @@ def _ridge_bias_bound(A, X0):
 def test_lsq_square_exact(rng):
     A = rng.normal(size=(3, 3)) + 3 * np.eye(3)
     X0 = rng.normal(size=(3, 2))
-    X = estimate_control_matrix(A, A @ X0).T
+    X = _estimate(A, A @ X0).T
     assert np.linalg.norm(X - X0, 2) <= _ridge_bias_bound(A, X0)
 
 
 def test_lsq_overdetermined_recovery(rng):
     A = rng.normal(size=(10, 2))
     X0 = rng.normal(size=(2, 1))
-    X = estimate_control_matrix(A, A @ X0).T
+    X = _estimate(A, A @ X0).T
     assert np.linalg.norm(X - X0, 2) <= _ridge_bias_bound(A, X0)
 
 
@@ -587,7 +608,7 @@ def test_lsq_residual_orthogonal(rng):
     for _ in range(50):
         A = rng.normal(size=(12, 3))
         y = rng.normal(size=(12, 1))
-        x = estimate_control_matrix(A, y).T
+        x = _estimate(A, y).T
         resid = A @ x - y
         # Residual gradient of the ridge objective: A' r + RIDGE x = 0.
         assert np.abs(A.T @ resid + RIDGE * x).max() < 1e-9
@@ -603,7 +624,7 @@ def test_estimate_matches_ridge_normal_equations(rng):
                 A = rng.normal(0.0, scale, (rows, cols))
                 y = rng.normal(size=(rows, 3))
                 want = np.linalg.solve(A.T @ A + RIDGE * np.eye(cols), A.T @ y)
-                got = estimate_control_matrix(A, y).T
+                got = _estimate(A, y).T
                 assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
 
 
@@ -616,7 +637,7 @@ def test_estimate_matches_per_column_solve_bits(rng, m):
         scale = 10.0 ** rng.uniform(-3.0, 2.0)
         taus = rng.normal(0.0, scale, (HISTORY_N, m))
         us = rng.normal(size=(HISTORY_N, m + 1)) * 10.0 ** rng.uniform(-2.0, 3.0)
-        got, want = estimate_control_matrix(taus, us), estimate_per_column(taus, us)
+        got, want = _estimate(taus, us), estimate_per_column(taus, us)
         assert got.shape == want.shape == (m + 1, m)
         assert got.tobytes() == want.tobytes()
 
@@ -624,7 +645,7 @@ def test_estimate_matches_per_column_solve_bits(rng, m):
 def test_estimate_zero_window_gives_zero_matrix():
     # The ridge keeps an all-zero torque window solvable: B comes out zero,
     # and the coordinate split then rejects it.
-    B = estimate_control_matrix(np.zeros((HISTORY_N, 1)), np.ones((HISTORY_N, 2)))
+    B = _estimate(np.zeros((HISTORY_N, 1)), np.ones((HISTORY_N, 2)))
     assert np.array_equal(B, np.zeros((2, 1)))
     with pytest.raises(SingularMatrix):
         CoordSplit(B, (1,))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cpc import controller
-from cpc.control_law import CoordSplit, GainSpec, target_errors
+from cpc.control_law import CoordSplit, GainSpec
 from cpc.controller import (
     HISTORY_N,
     K0,
@@ -22,7 +22,7 @@ from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matri
 from cpc.errors import SingularMatrix
 from cpc.target_store import NonEmptyStore, TargetStore
 from cpc.value import RewardSpec, candidate_costs
-from oracles import cost, one_target_tau, query_candidates
+from oracles import cost, one_target_tau, query_candidates, row_errors
 
 
 def _acrobot_targets(states, G):
@@ -151,7 +151,7 @@ def test_candidate_costs_reselect_per_gain():
     q_d = np.array([q, q + 0.08 * perp])
     qdot_d = np.array([qdot, qdot])
     zeros = np.zeros(2)
-    dchi, dchidot = target_errors(x0, q_d, qdot_d, zeros, np.ones(2), split)
+    dchi, dchidot = row_errors(x0, q_d, qdot_d, zeros, np.ones(2), split)
     picks = [
         int(np.argmin(candidate_costs(
             dchi, dchidot, np.zeros((2, 1)), np.array([0.0, 5.0]), zeros, zeros, split,
@@ -299,16 +299,25 @@ def test_config_validation():
 
 
 def test_window_matches_deque_arrays(rng):
-    # The in-place window holds, after every push, the bytes np.array builds
-    # from a deque of the same pairs, once HISTORY_N of them are held.
+    # The float-list window holds, after every push, the columns of the
+    # arrays np.array builds from a deque of the same pairs, bit for bit,
+    # once HISTORY_N of them are held, and only Python floats.
     ctrl = make_controller(2, seed=0)
     pairs = deque(maxlen=HISTORY_N)
     for i in range(3 * HISTORY_N):
         tau, u = rng.normal(size=2), rng.normal(size=3) * 10.0 ** rng.integers(-5, 6)
-        ctrl.push(tau, u)
+        ctrl.push(tau.tolist(), u.tolist())
         pairs.append((tau, u))
         assert ctrl.filled == min(i + 1, HISTORY_N)
         if ctrl.filled == HISTORY_N:
-            for got, want in ((ctrl.taus, [p[0] for p in pairs]), (ctrl.us, [p[1] for p in pairs])):
-                want = np.array(want)
+            for got, i in ((ctrl.tau_cols, 0), (ctrl.u_cols, 1)):
+                assert all(type(x) is float for col in got for x in col)
+                want = np.ascontiguousarray(np.array([p[i] for p in pairs]).T)
+                got = np.array(got)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # A pair of the wrong size is refused and leaves the window as it was.
+    window = [list(col) for col in ctrl.tau_cols + ctrl.u_cols]
+    for tau, u in (([0.1], [0.2, 0.3, 0.4]), ([0.1, 0.2], [0.3, 0.4])):
+        with pytest.raises(ValueError):
+            ctrl.push(tau, u)
+    assert ctrl.tau_cols + ctrl.u_cols == window and ctrl.filled == HISTORY_N

@@ -247,7 +247,16 @@ def test_balance_trials_match_numpy_forms(monkeypatch):
     # two-actuator chain runs the M = 2 regression and split through whole
     # trials. Its 2 x 2 path law eliminates on Python floats, so it keeps
     # its own there (test_path_law_matches_lapack bounds it against LAPACK).
+    # Every swapped form is counted, so a swap of a name the cycle no
+    # longer calls fails instead of comparing the cycle with itself.
     cfg = ExperimentConfig(t_max=1.0)
+
+    def counted(fn, calls, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
 
     def run(params):
         torques = []
@@ -270,15 +279,21 @@ def test_balance_trials_match_numpy_forms(monkeypatch):
 
     for params in (ChainParams(), ChainParams(n_links=3, actuated_joints=(1, 2))):
         want = run(params)
+        swaps = [
+            (controller, "target_errors", oracles.target_errors_full_width),
+            (controller, "_norm", lambda tau: float(np.linalg.norm(tau))),
+            (experiments, "make_controller", oracles.make_deque_controller),
+            (experiments, "controller_step", oracles.deque_controller_step),
+            (experiments, "has_fallen", oracles.has_fallen_cumsum),
+        ]
+        if params.n_controls == 1:
+            swaps.append((controller, "cpc_tau", oracles.cpc_tau_lapack))
+        calls = dict.fromkeys((name for _, name, _ in swaps), 0)
         with monkeypatch.context() as m:
-            if params.n_controls == 1:
-                m.setattr(controller, "cpc_tau", oracles.cpc_tau_lapack)
-            m.setattr(controller, "target_errors", oracles.target_errors_full_width)
-            m.setattr(controller, "_norm", lambda tau: float(np.linalg.norm(tau)))
-            m.setattr(experiments, "make_controller", oracles.make_deque_controller)
-            m.setattr(experiments, "controller_step", oracles.deque_controller_step)
-            m.setattr(experiments, "has_fallen", oracles.has_fallen_cumsum)
+            for owner, name, form in swaps:
+                m.setattr(owner, name, counted(form, calls, name))
             got = run(params)
+        assert all(calls.values()), calls
         assert got[0] == want[0]
         assert len(got[1]) == len(want[1]) and got[1] == want[1]
         assert any(r.fell for r in want[0]) and len(want[1]) > 100

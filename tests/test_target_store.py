@@ -152,6 +152,22 @@ def test_empty_dataset_raises():
         NonEmptyStore(empty)
 
 
+def test_store_arrays_read_only_caller_arrays_writeable():
+    # The store holds read-only views, so nothing writes through the store
+    # into points a handle has copied; the arrays the caller passed in,
+    # which the views share memory with, keep their flags.
+    t, q, qdot = np.zeros(3), np.ones((3, 2)), np.ones((3, 2))
+    tau, G = np.zeros((3, 1)), np.zeros(3)
+    store = TargetStore(t, q, qdot, tau, G, 2, (1,))
+    for name in ("t", "q", "qdot", "tau", "G"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(store, name)[0] = 2.0
+    assert np.shares_memory(store.q, q)
+    for a in (t, q, qdot, tau, G):
+        assert a.flags.writeable
+        a[0] = 2.0
+
+
 def _acrobot_targets(q, qdot):
     """Retrieval handle over acrobot states with zero torque and return."""
     n = len(q)

@@ -2,11 +2,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cpc.control_law import CoordSplit, GainSpec, target_errors
+from cpc.control_law import CoordSplit, GainSpec
 from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matrix
 from cpc.errors import SingularMatrix, VelocityBarDegenerate
 from cpc.value import RewardSpec, candidate_costs
-from oracles import Candidate, cost, expm_crit_damped, one_target, retrieve_one, value_estimate
+from oracles import (
+    Candidate,
+    cost,
+    expm_crit_damped,
+    one_target,
+    retrieve_one,
+    row_errors,
+    value_estimate,
+)
 
 
 def _make_candidate(xd, tau, G, t0, s):
@@ -258,7 +266,7 @@ def _costs(x0, batch, split, gain, spec):
     """candidate_costs on a batch of target states, through their errors
     against the renormalized targets."""
     q_d, qdot_d, tau_d, g_d, r_d, t0, s = batch
-    dchi, dchidot = target_errors(x0, q_d, qdot_d, t0, s, split)
+    dchi, dchidot = row_errors(x0, q_d, qdot_d, t0, s, split)
     return candidate_costs(dchi, dchidot, tau_d, g_d, r_d, t0, split, gain, spec)
 
 
