@@ -170,11 +170,22 @@ def estimate_control_matrix(t_cols, u_cols) -> np.ndarray:
     (unequal lengths raise ValueError), summed over the window in order and
     factored once for all columns of U, so it does not depend on the BLAS
     build. A NaN or inf torque, or a pivot not positive, raises RankDeficient.
+
+    At M = 1 the Cholesky factor of the 1 x 1 Gram matrix is r =
+    sqrt(sum t^2 + RIDGE), and its two triangular solves give each entry
+    of B as (sum t u_j / r) / r: the solve's own operations in closed form,
+    so the bits are the same. The pivot is at least RIDGE, or +inf when the
+    sum of squares overflows (then a finite sum t u_j gives 0), so the M = 1
+    form cannot fail.
     """
     if len({len(col) for col in (*t_cols, *u_cols)}) != 1:
         raise ValueError("torque and acceleration histories differ in length")
     if not all(math.isfinite(x) for col in t_cols for x in col):
         raise RankDeficient("torque history is not finite")
+    if len(t_cols) == 1:
+        (t,) = t_cols
+        r = math.sqrt(_dot(t, t) + RIDGE)
+        return np.array([[_dot(t, u) / r / r] for u in u_cols])
     # The solve reads only the lower triangle, so each Gram entry is formed once.
     gram = [[_dot(a, b) for b in t_cols[: i + 1]] for i, a in enumerate(t_cols)]
     for i, row in enumerate(gram):

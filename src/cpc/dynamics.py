@@ -215,14 +215,20 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # ``manipulator_terms`` still runs the kernel, and the tests compare the
 # trace against it and against the all-pairs form.
 #
-# The RK4 step takes its vector arithmetic from the same ``_LaneOps`` as
-# the traced kernel takes sin/cos/sqrt. On float lanes a state vector is a
-# list of N Python floats, so one state stays on float lanes from the first
-# RK4 stage to the last: ``step`` converts it from numpy once on the way in
-# and once on the way out. On array lanes a state vector is one (N, K)
-# array, and the step runs whole-array expressions. Both do the same
-# operations in the same order (``q + (0.5*dt)*qdot``, then
-# ``q + (dt/6)*(((k1 + 2k2) + 2k3) + k4)``), so the two agree bit for bit.
+# The RK4 step integrates the first-order state y = (q, qdot), whose
+# derivative is (qdot, qddot). It takes two state operations from
+# ``_LaneOps``, which also gives the traced kernel its sin/cos/sqrt:
+# ``stage`` forms y + h*f, and ``combine`` forms
+# y + (dt/6)*(((f1 + 2f2) + 2f3) + f4). On float lanes y is one list of 2N
+# Python floats, the N angles and then the N velocities, and a derivative
+# is the velocity half of y joined to the kernel's fresh list; one state
+# stays on float lanes from the first stage to the last, as ``step``
+# converts it from numpy once on the way in and once on the way out. On
+# array lanes y is the pair of (N, K) arrays, and each operation runs
+# whole-array expressions on both. Either way each entry of y gets the
+# operations, in the same order, that integrating q and qdot as two
+# vectors gives it (``q + (0.5*dt)*qdot``, ``qdot + (0.5*dt)*k1``, and so
+# on), so the lane types agree bit for bit.
 #
 # Bad values are checked in ``ChainParams`` and ``step`` only; the kernel
 # and its trace are straight-line arithmetic. ``ChainParams`` rejects a
@@ -241,37 +247,45 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # ---------------------------------------------------------------------------
 
 
-def _float_axpy(x, a, y):
-    return [xi + a * yi for xi, yi in zip(x, y)]
+def _float_stage(y, h, f):
+    return [yi + h * fi for yi, fi in zip(y, f)]
 
 
-def _float_add(x, y):
-    return [xi + yi for xi, yi in zip(x, y)]
+def _float_combine(y, w, f1, f2, f3, f4):
+    return [
+        yi + w * (((a + 2.0 * b) + 2.0 * c) + d) for yi, a, b, c, d in zip(y, f1, f2, f3, f4)
+    ]
 
 
 def _float_finite(x):
     return all(map(math.isfinite, x))
 
 
-def _array_axpy(x, a, y):
-    return x + a * y
+def _array_stage(y, h, f):
+    return y[0] + h * f[0], y[1] + h * f[1]
 
 
-def _array_finite(x):
-    return bool(np.all(np.isfinite(x)))
+def _array_combine(y, w, f1, f2, f3, f4):
+    return tuple(
+        yi + w * (((a + 2.0 * b) + 2.0 * c) + d) for yi, a, b, c, d in zip(y, f1, f2, f3, f4)
+    )
+
+
+def _array_finite(y):
+    return bool(np.isfinite(y[0]).all() and np.isfinite(y[1]).all())
 
 
 class _LaneOps(NamedTuple):
     sin: Callable
     cos: Callable
     sqrt: Callable
-    axpy: Callable  # (x, a, y) -> x + a*y, elementwise
-    add: Callable
-    finite: Callable  # true if every entry of a vector is finite
+    stage: Callable  # (y, h, f) -> y + h*f, an RK4 stage's state
+    combine: Callable  # (y, w, f1, f2, f3, f4) -> y + w*(((f1 + 2f2) + 2f3) + f4)
+    finite: Callable  # true if every entry of a state is finite
 
 
-_FLOAT_LANES = _LaneOps(math.sin, math.cos, math.sqrt, _float_axpy, _float_add, _float_finite)
-_ARRAY_LANES = _LaneOps(np.sin, np.cos, np.sqrt, _array_axpy, operator.add, _array_finite)
+_FLOAT_LANES = _LaneOps(math.sin, math.cos, math.sqrt, _float_stage, _float_combine, _float_finite)
+_ARRAY_LANES = _LaneOps(np.sin, np.cos, np.sqrt, _array_stage, _array_combine, _array_finite)
 
 
 def _lane_terms(ops, c, q, qdot):
@@ -467,26 +481,15 @@ def _trace_accel(c: _ChainConsts) -> Callable:
     return namespace["accel"]
 
 
-def _rk4_step(ops, deriv, q, qdot, dt):
-    """The next (q, qdot) after one classical RK4 step of the autonomous
-    system whose ``deriv(q, qdot)`` returns the joint accelerations as a
-    vector of ``ops``."""
-    axpy = ops.axpy
+def _rk4_step(ops, deriv, y, dt):
+    """The state after one classical RK4 step of the autonomous first-order
+    system y' = deriv(y), on the states and lane operations of ``ops``."""
     h = 0.5 * dt
-    k1v = deriv(q, qdot)
-    q2 = axpy(q, h, qdot)
-    v2 = axpy(qdot, h, k1v)
-    k2v = deriv(q2, v2)
-    q3 = axpy(q, h, v2)
-    v3 = axpy(qdot, h, k2v)
-    k3v = deriv(q3, v3)
-    q4 = axpy(q, dt, v3)
-    v4 = axpy(qdot, dt, k3v)
-    k4v = deriv(q4, v4)
-    w = dt / 6.0
-    qn = axpy(q, w, ops.add(axpy(axpy(qdot, 2.0, v2), 2.0, v3), v4))
-    vn = axpy(qdot, w, ops.add(axpy(axpy(k1v, 2.0, k2v), 2.0, k3v), k4v))
-    return qn, vn
+    f1 = deriv(y)
+    f2 = deriv(ops.stage(y, h, f1))
+    f3 = deriv(ops.stage(y, h, f2))
+    f4 = deriv(ops.stage(y, dt, f3))
+    return ops.combine(y, dt / 6.0, f1, f2, f3, f4)
 
 
 def _generalized_forces(params: ChainParams, tau) -> list:
@@ -566,33 +569,36 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
         raise NonFiniteState(f"non-finite torque at t={state.t:.6g}")
     kernel = c.accel
     if q.ndim == 2 and len(q) > 1:
-        # Array lanes: integrate the (N, K) transposes, whose rows are lanes.
+        # Array lanes: a state is the pair of (N, K) transposes, whose rows
+        # are lanes.
         ops = _ARRAY_LANES
         sin, cos, sqrt = ops.sin, ops.cos, ops.sqrt
         gen = _generalized_forces(params, tau.T)
 
-        def deriv(q, qdot):
-            return np.array(kernel(sin, cos, sqrt, q, qdot, gen))
+        def deriv(y):
+            return y[1], np.array(kernel(sin, cos, sqrt, y[0], y[1], gen))
 
         with np.errstate(all="ignore"):
-            qn, vn = _rk4_step(ops, deriv, q.T, qdot.T, dt)
+            y = _rk4_step(ops, deriv, (q.T, qdot.T), dt)
     else:
-        # Float lanes, also for a one-row batch; the traced kernel returns a
-        # fresh list, which is already a state vector of float lanes.
+        # Float lanes, also for a one-row batch: a state is one list of the
+        # N angles and then the N velocities, and the traced kernel returns
+        # a fresh list, which the velocities are joined to.
         ops = _FLOAT_LANES
         sin, cos, sqrt = ops.sin, ops.cos, ops.sqrt
         gen = _generalized_forces(params, tau.reshape(-1).tolist())
 
-        def deriv(q, qdot):
-            return kernel(sin, cos, sqrt, q, qdot, gen)
+        def deriv(y):
+            v = y[n:]
+            return v + kernel(sin, cos, sqrt, y[:n], v, gen)
 
         try:
-            qn, vn = _rk4_step(ops, deriv, q.reshape(-1).tolist(), qdot.reshape(-1).tolist(), dt)
+            y = _rk4_step(ops, deriv, q.reshape(-1).tolist() + qdot.reshape(-1).tolist(), dt)
         except (ValueError, ZeroDivisionError) as e:
             raise NonFiniteState(f"integration diverged at t={state.t:.6g}") from e
-    if not (ops.finite(qn) and ops.finite(vn)):
+    if not ops.finite(y):
         raise NonFiniteState(f"integration diverged at t={state.t:.6g}")
     if ops is _ARRAY_LANES:
-        return State(qn.T, vn.T, state.t + dt)
+        return State(y[0].T, y[1].T, state.t + dt)
     # One array per vector; ndmin keeps the (1, N) shape of a one-row batch.
-    return State(np.array(qn, ndmin=q.ndim), np.array(vn, ndmin=q.ndim), state.t + dt)
+    return State(np.array(y[:n], ndmin=q.ndim), np.array(y[n:], ndmin=q.ndim), state.t + dt)

@@ -27,8 +27,9 @@ layout. The writer builds one ``%.17g`` row template per
 chain layout and formats and writes blocks of rows at a time, so its
 transient strings stay bounded at any store size. The reader runs one
 decoder call per line and converts each block of rows to float64 arrays
-before it reads on, so its transient lists stay bounded too. Every float64
-round-trips bit for bit, the sign of zero included.
+before it reads on, so its transient lists stay bounded too, and it joins
+the blocks one field at a time. Every float64 round-trips bit for bit, the
+sign of zero included.
 """
 
 import json
@@ -165,7 +166,13 @@ class TargetStore:
                     _convert_block(lists, blocks)
             _convert_block(lists, blocks)
         # q, qdot and tau hold every row's values in one flat array each.
-        t, q, qdot, tau, G = map(np.concatenate, blocks)
+        # Each field's blocks are freed once joined, so the join holds at
+        # most one field's values twice.
+        joined = []
+        for field_blocks in blocks:
+            joined.append(np.concatenate(field_blocks))
+            field_blocks.clear()
+        t, q, qdot, tau, G = joined
         n = len(t)
         return cls(
             t,

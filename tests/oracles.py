@@ -38,11 +38,14 @@ forms the manipulator terms from all N^2 ordered pairs, the self pairs
 included, for the tests to require the same bits from the traced kernel.
 Likewise the B regression forms each Gram entry once and factors once;
 ``estimate_per_column`` forms the whole Gram matrix and factors it again
-for each acceleration column.
+for each acceleration column. ``step`` integrates one first-order state
+(q, qdot); ``step_axpy`` integrates q and qdot as two vectors, each RK4
+stage formed by axpy (x + a*y) and add on lists or arrays.
 """
 
 import json
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -58,7 +61,14 @@ from cpc.control_law import (
     cpc_tau,
     target_errors,
 )
-from cpc.dynamics import ChainParams, State, _chain_consts, exact_control_matrix, manipulator_terms
+from cpc.dynamics import (
+    ChainParams,
+    State,
+    _chain_consts,
+    _generalized_forces,
+    exact_control_matrix,
+    manipulator_terms,
+)
 from cpc.errors import (
     NoValidCandidates,
     RankDeficient,
@@ -459,6 +469,64 @@ def lane_terms_full(ops, c, q, qdot):
         acc = acc + h_phi[j]
         H[j] = acc
     return D, H
+
+
+def _float_axpy(x, a, y):
+    return [xi + a * yi for xi, yi in zip(x, y)]
+
+
+def _float_add(x, y):
+    return [xi + yi for xi, yi in zip(x, y)]
+
+
+def _array_axpy(x, a, y):
+    return x + a * y
+
+
+def _rk4_axpy(axpy, add, deriv, q, qdot, dt):
+    """The next (q, qdot) after one classical RK4 step of the system whose
+    ``deriv(q, qdot)`` returns the joint accelerations, every stage formed
+    by ``axpy`` and ``add`` on the two vectors."""
+    h = 0.5 * dt
+    k1v = deriv(q, qdot)
+    q2 = axpy(q, h, qdot)
+    v2 = axpy(qdot, h, k1v)
+    k2v = deriv(q2, v2)
+    q3 = axpy(q, h, v2)
+    v3 = axpy(qdot, h, k2v)
+    k3v = deriv(q3, v3)
+    q4 = axpy(q, dt, v3)
+    v4 = axpy(qdot, dt, k3v)
+    k4v = deriv(q4, v4)
+    w = dt / 6.0
+    qn = axpy(q, w, add(axpy(axpy(qdot, 2.0, v2), 2.0, v3), v4))
+    vn = axpy(qdot, w, add(axpy(axpy(k1v, 2.0, k2v), 2.0, k3v), k4v))
+    return qn, vn
+
+
+def step_axpy(params: ChainParams, state: State, tau, dt: float) -> State:
+    """``dynamics.step`` of a finite state, on the lanes ``step`` picks, with
+    q and qdot integrated as two vectors by ``_rk4_axpy``: lists of floats
+    for one state or a one-row batch, (N, K) arrays for K > 1 rows."""
+    kernel = _chain_consts(params).accel
+    tau = np.asarray(tau, dtype=float)
+    q, qdot = state.q, state.qdot
+    if q.ndim == 2 and len(q) > 1:
+        gen = _generalized_forces(params, tau.T)
+
+        def deriv(q, qdot):
+            return np.array(kernel(np.sin, np.cos, np.sqrt, q, qdot, gen))
+
+        qn, vn = _rk4_axpy(_array_axpy, operator.add, deriv, q.T, qdot.T, dt)
+        return State(qn.T, vn.T, state.t + dt)
+    gen = _generalized_forces(params, tau.reshape(-1).tolist())
+
+    def deriv(q, qdot):
+        return kernel(math.sin, math.cos, math.sqrt, q, qdot, gen)
+
+    q_l, qdot_l = q.reshape(-1).tolist(), qdot.reshape(-1).tolist()
+    qn, vn = _rk4_axpy(_float_axpy, _float_add, deriv, q_l, qdot_l, dt)
+    return State(np.array(qn, ndmin=q.ndim), np.array(vn, ndmin=q.ndim), state.t + dt)
 
 
 def has_fallen_cumsum(q) -> bool:

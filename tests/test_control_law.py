@@ -6,6 +6,7 @@ from cpc.control_law import (
     RIDGE,
     CoordSplit,
     GainSpec,
+    _dot,
     _solve,
     cpc_tau,
     estimate_control_matrix,
@@ -13,8 +14,10 @@ from cpc.control_law import (
 )
 from cpc.controller import HISTORY_N
 from cpc.dynamics import (
+    _FLOAT_LANES,
     ChainParams,
     State,
+    _lane_solve,
     acrobot_params,
     exact_control_matrix,
     step,
@@ -640,6 +643,43 @@ def test_estimate_matches_per_column_solve_bits(rng, m):
         got, want = _estimate(taus, us), estimate_per_column(taus, us)
         assert got.shape == want.shape == (m + 1, m)
         assert got.tobytes() == want.tobytes()
+
+
+def _estimate_lane_solve(t_cols, u_cols):
+    """The regression at M = 1 through the general solve: the 1 x 1 Gram
+    matrix factored and solved by ``dynamics._lane_solve``."""
+    (t,) = t_cols
+    gram = [[_dot(t, t)]]
+    gram[0][0] = gram[0][0] + RIDGE
+    return np.array(_lane_solve(_FLOAT_LANES, gram, [[_dot(t, u)] for u in u_cols]))
+
+
+def test_estimate_one_actuator_matches_lane_solve(rng):
+    # At M = 1 the regression runs the Cholesky solve in closed form; it
+    # must give the general solve's bits on windows of every scale and
+    # length with -0.0 entries, on all-zero windows, on a NaN acceleration,
+    # and on a torque window whose Gram sum overflows, so that B = 0. The
+    # RankDeficient and ValueError checks that come first are run at M = 1
+    # by test_estimate_non_finite_torque_rank_deficient and
+    # test_estimate_unequal_columns_raise.
+    windows = []
+    for _ in range(2000):
+        pairs, n = int(rng.choice([1, HISTORY_N, 50])), int(rng.integers(1, 6))
+        t = rng.normal(0.0, 10.0 ** rng.uniform(-6.0, 3.0), pairs)
+        u = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 4.0), (n, pairs))
+        t[rng.random(pairs) < 0.2] = -0.0
+        u[rng.random(u.shape) < 0.2] = -0.0
+        windows.append(([t.tolist()], u.tolist()))
+    zeros = [[0.0] * HISTORY_N], [[-0.0] * HISTORY_N]
+    windows += [(z, [[1.0] * HISTORY_N, [-0.0] * HISTORY_N]) for z in zeros]
+    windows.append(([[0.5] * HISTORY_N], [[np.nan] + [1.0] * (HISTORY_N - 1), [2.0] * HISTORY_N]))
+    overflow = ([[1e200] * HISTORY_N], [[1e-200] * HISTORY_N, [-3e-201] * HISTORY_N])
+    windows.append(overflow)
+    for t_cols, u_cols in windows:
+        got, want = estimate_control_matrix(t_cols, u_cols), _estimate_lane_solve(t_cols, u_cols)
+        assert got.shape == want.shape == (len(u_cols), 1)
+        assert got.tobytes() == want.tobytes()
+    assert np.array_equal(estimate_control_matrix(*overflow), np.zeros((2, 1)))
 
 
 def test_estimate_zero_window_gives_zero_matrix():

@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from oracles import energy, lane_terms_full
+from oracles import energy, lane_terms_full, step_axpy
 
 from cpc import dynamics
 from cpc.dynamics import (
@@ -445,6 +445,40 @@ def test_batched_step_matches_single_steps(params, k):
     assert batch.t == singles[0].t
     assert batch.q.tobytes() == np.stack([s.q for s in singles]).tobytes()
     assert batch.qdot.tobytes() == np.stack([s.qdot for s in singles]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ChainParams(n_links=1, actuated_joints=(0,)),
+        acrobot_params(),
+        ChainParams(n_links=3, actuated_joints=(1, 2)),
+        _N5,
+    ],
+    ids=["n1", "n2", "n3", "n5"],
+)
+def test_step_matches_axpy_rk4(params):
+    # step integrates one first-order state (q, qdot); integrating q and
+    # qdot as two vectors by axpy must give the same bits, on float lanes
+    # for one state and a one-row batch and on array lanes for K = 3 and
+    # K = 20 rows. A quarter of the entries, and every entry of the last
+    # draw, are -0.0.
+    rng = np.random.default_rng(params.n_links)
+    n, m = params.n_links, params.n_controls
+
+    def draw(shape, scale, p_zero):
+        return np.where(rng.random(shape) < p_zero, -0.0, rng.normal(0.0, scale, shape))
+
+    for shape in ((n,), (1, n), (3, n), (20, n)):
+        tau_shape = shape[:-1] + (m,)
+        for p_zero in [0.25] * 20 + [1.0]:
+            st = State(draw(shape, 0.5, p_zero), draw(shape, 1.0, p_zero), 0.25)
+            tau = draw(tau_shape, 0.1, p_zero)
+            got, want = step(params, st, tau, 1e-2), step_axpy(params, st, tau, 1e-2)
+            assert got.q.shape == got.qdot.shape == want.q.shape == shape
+            assert got.q.tobytes() == want.q.tobytes()
+            assert got.qdot.tobytes() == want.qdot.tobytes()
+            assert got.t == want.t
 
 
 @pytest.mark.parametrize(
