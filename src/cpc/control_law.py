@@ -25,7 +25,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import dynamics
-from .dynamics import _FLOAT_LANES, _lane_solve
+from .dynamics import _FLOAT_LANES, _dot, _lane_solve
 from .errors import RankDeficient, SingularMatrix
 from .target_store import _ONE_DIRECTION, NonEmptyStore
 
@@ -222,12 +222,3 @@ def _solve(A, rhss):
                 x[i] = x[i] - A[i][k] * x[k]
             x[i] = x[i] / A[i][i]
     return xs
-
-
-def _dot(x, y):
-    """Dot product of two sequences of lanes (floats or arrays), summed left
-    to right; builtin sum compensates its rounding from Python 3.12 on."""
-    s = 0.0
-    for a, b in zip(x, y):
-        s = s + a * b
-    return s

@@ -30,15 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .control_law import (
-    CoordSplit,
-    GainSpec,
-    _dot,
-    cpc_tau,
-    estimate_control_matrix,
-    target_errors,
-)
-from .dynamics import State
+from .control_law import CoordSplit, GainSpec, cpc_tau, estimate_control_matrix, target_errors
+from .dynamics import State, _dot
 from .errors import NoValidCandidates, RankDeficient, SingularMatrix, VelocityBarDegenerate
 from .target_store import DEFAULT_GUARD_TOL, NonEmptyStore, _query_arrays
 from .value import RewardSpec, candidate_costs

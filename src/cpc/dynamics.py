@@ -216,19 +216,22 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # trace against it and against the all-pairs form.
 #
 # The RK4 step integrates the first-order state y = (q, qdot), whose
-# derivative is (qdot, qddot). It takes two state operations from
-# ``_LaneOps``, which also gives the traced kernel its sin/cos/sqrt:
-# ``stage`` forms y + h*f, and ``combine`` forms
-# y + (dt/6)*(((f1 + 2f2) + 2f3) + f4). On float lanes y is one list of 2N
-# Python floats, the N angles and then the N velocities, and a derivative
-# is the velocity half of y joined to the kernel's fresh list; one state
-# stays on float lanes from the first stage to the last, as ``step``
-# converts it from numpy once on the way in and once on the way out. On
-# array lanes y is the pair of (N, K) arrays, and each operation runs
-# whole-array expressions on both. Either way each entry of y gets the
-# operations, in the same order, that integrating q and qdot as two
-# vectors gives it (``q + (0.5*dt)*qdot``, ``qdot + (0.5*dt)*k1``, and so
-# on), so the lane types agree bit for bit.
+# derivative is (qdot, qddot), with one pair of state operations for both
+# lane types: ``_stage`` forms y + h*f and ``_combine`` forms
+# y + (dt/6)*(((f1 + 2f2) + 2f3) + f4), entry by entry of y. On float
+# lanes y is one list of 2N Python floats, the N angles and then the N
+# velocities, and a derivative is the velocity half of y joined to the
+# kernel's fresh list; one state stays on float lanes from the first stage
+# to the last, as ``step`` converts it from numpy once on the way in and
+# once on the way out. On array lanes y is the pair of (N, K) arrays, so
+# each entry is a whole array and the same expressions run as whole-array
+# ufuncs. Either way each value of y gets the operations, in the same
+# order, that integrating q and qdot as two vectors gives it
+# (``q + (0.5*dt)*qdot``, ``qdot + (0.5*dt)*k1``, and so on), so the lane
+# types agree bit for bit. ``_LaneOps`` gives the traced kernel its
+# sin/cos/sqrt and ``step`` its finiteness check. ``_dot`` is the one dot
+# product of lanes, for the control cycle's regression, norms, costs and
+# projections.
 #
 # Bad values are checked in ``ChainParams`` and ``step`` only; the kernel
 # and its trace are straight-line arithmetic. ``ChainParams`` rejects a
@@ -247,28 +250,31 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # ---------------------------------------------------------------------------
 
 
-def _float_stage(y, h, f):
+def _stage(y, h, f):
     return [yi + h * fi for yi, fi in zip(y, f)]
 
 
-def _float_combine(y, w, f1, f2, f3, f4):
+def _combine(y, w, f1, f2, f3, f4):
     return [
         yi + w * (((a + 2.0 * b) + 2.0 * c) + d) for yi, a, b, c, d in zip(y, f1, f2, f3, f4)
     ]
 
 
+def _dot(x, y):
+    """Dot product of two sequences of lanes, floats or arrays, summed left
+    to right from the first product; 0.0 for empty sequences. Builtin sum
+    compensates its rounding from Python 3.12 on, and starting from 0.0
+    would only turn an all-zero sum of -0.0 products into +0.0, at the cost
+    of one more add."""
+    products = map(operator.mul, x, y)
+    s = next(products, 0.0)
+    for p in products:
+        s = s + p
+    return s
+
+
 def _float_finite(x):
     return all(map(math.isfinite, x))
-
-
-def _array_stage(y, h, f):
-    return y[0] + h * f[0], y[1] + h * f[1]
-
-
-def _array_combine(y, w, f1, f2, f3, f4):
-    return tuple(
-        yi + w * (((a + 2.0 * b) + 2.0 * c) + d) for yi, a, b, c, d in zip(y, f1, f2, f3, f4)
-    )
 
 
 def _array_finite(y):
@@ -279,13 +285,11 @@ class _LaneOps(NamedTuple):
     sin: Callable
     cos: Callable
     sqrt: Callable
-    stage: Callable  # (y, h, f) -> y + h*f, an RK4 stage's state
-    combine: Callable  # (y, w, f1, f2, f3, f4) -> y + w*(((f1 + 2f2) + 2f3) + f4)
     finite: Callable  # true if every entry of a state is finite
 
 
-_FLOAT_LANES = _LaneOps(math.sin, math.cos, math.sqrt, _float_stage, _float_combine, _float_finite)
-_ARRAY_LANES = _LaneOps(np.sin, np.cos, np.sqrt, _array_stage, _array_combine, _array_finite)
+_FLOAT_LANES = _LaneOps(math.sin, math.cos, math.sqrt, _float_finite)
+_ARRAY_LANES = _LaneOps(np.sin, np.cos, np.sqrt, _array_finite)
 
 
 def _lane_terms(ops, c, q, qdot):
@@ -481,15 +485,15 @@ def _trace_accel(c: _ChainConsts) -> Callable:
     return namespace["accel"]
 
 
-def _rk4_step(ops, deriv, y, dt):
+def _rk4_step(deriv, y, dt):
     """The state after one classical RK4 step of the autonomous first-order
-    system y' = deriv(y), on the states and lane operations of ``ops``."""
+    system y' = deriv(y), on float or array lanes (see the kernel comment)."""
     h = 0.5 * dt
     f1 = deriv(y)
-    f2 = deriv(ops.stage(y, h, f1))
-    f3 = deriv(ops.stage(y, h, f2))
-    f4 = deriv(ops.stage(y, dt, f3))
-    return ops.combine(y, dt / 6.0, f1, f2, f3, f4)
+    f2 = deriv(_stage(y, h, f1))
+    f3 = deriv(_stage(y, h, f2))
+    f4 = deriv(_stage(y, dt, f3))
+    return _combine(y, dt / 6.0, f1, f2, f3, f4)
 
 
 def _generalized_forces(params: ChainParams, tau) -> list:
@@ -579,7 +583,7 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
             return y[1], np.array(kernel(sin, cos, sqrt, y[0], y[1], gen))
 
         with np.errstate(all="ignore"):
-            y = _rk4_step(ops, deriv, (q.T, qdot.T), dt)
+            y = _rk4_step(deriv, (q.T, qdot.T), dt)
     else:
         # Float lanes, also for a one-row batch: a state is one list of the
         # N angles and then the N velocities, and the traced kernel returns
@@ -593,7 +597,7 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
             return v + kernel(sin, cos, sqrt, y[:n], v, gen)
 
         try:
-            y = _rk4_step(ops, deriv, q.reshape(-1).tolist() + qdot.reshape(-1).tolist(), dt)
+            y = _rk4_step(deriv, q.reshape(-1).tolist() + qdot.reshape(-1).tolist(), dt)
         except (ValueError, ZeroDivisionError) as e:
             raise NonFiniteState(f"integration diverged at t={state.t:.6g}") from e
     if not ops.finite(y):

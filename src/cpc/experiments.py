@@ -130,16 +130,13 @@ def generate_falls(
     for i in range(n_steps):
         t[i], q[:, i], qdot[:, i] = st.t, st.q, st.qdot
         st = dynamics.step(params, st, tau[:, i], cfg.dt)
-    store = TargetStore(
-        np.tile(t, n_f),
-        q.reshape(-1, n),
-        qdot.reshape(-1, n),
-        tau.reshape(-1, m),
-        np.zeros(n_f * n_steps),
-        n,
-        params.actuated_joints,
+    t, G = np.concatenate([t] * n_f), np.zeros(n_f * n_steps)
+    # Handed over read-only, the arrays are kept by the store without a copy.
+    for a in (t, q, qdot, tau, G):
+        a.flags.writeable = False
+    return TargetStore(
+        t, q.reshape(-1, n), qdot.reshape(-1, n), tau.reshape(-1, m), G, n, params.actuated_joints
     )
-    return store
 
 
 def has_fallen(q: np.ndarray) -> bool:

@@ -36,7 +36,7 @@ import json
 
 import numpy as np
 
-from .dynamics import _chain_layout
+from .dynamics import _chain_layout, _dot
 from .errors import (
     DatasetSchemaMismatch,
     EmptyDataset,
@@ -54,16 +54,18 @@ _BLOCK = 1024
 
 
 class TargetStore:
-    """Read-only arrays of recorded points plus chain layout metadata."""
+    """Read-only arrays of recorded points plus chain layout metadata.
+
+    The store keeps an input array only when neither it nor any array it
+    views is writeable, so no one can write into it; it copies any other
+    input once. The flags of an array the caller passed in are unchanged.
+    """
 
     def __init__(self, t, q, qdot, tau, G, n_links: int, actuated_joints: tuple[int, ...]):
         layout = _chain_layout(n_links, actuated_joints, DatasetSchemaMismatch)
         self.n_links, self.actuated_joints = layout
-        self.t = np.asarray(t, dtype=float)
-        self.q = np.atleast_2d(np.asarray(q, dtype=float))
-        self.qdot = np.atleast_2d(np.asarray(qdot, dtype=float))
-        self.tau = np.atleast_2d(np.asarray(tau, dtype=float))
-        self.G = np.asarray(G, dtype=float)
+        self.t, self.G = _read_only(t), _read_only(G)
+        self.q, self.qdot, self.tau = (np.atleast_2d(_read_only(a)) for a in (q, qdot, tau))
         n = len(self.t)
         if not (
             self.t.shape == (n,)
@@ -73,14 +75,8 @@ class TargetStore:
             and self.G.shape == (n,)
         ):
             raise DatasetSchemaMismatch("array shapes inconsistent with chain layout")
-        arrays = (self.t, self.q, self.qdot, self.tau, self.G)
-        if any(not np.all(np.isfinite(a)) for a in arrays):
+        if any(not np.all(np.isfinite(a)) for a in (self.t, self.q, self.qdot, self.tau, self.G)):
             raise DatasetSchemaMismatch("dataset contains non-finite values")
-        # Read-only views: an array the caller passed in keeps its own flags.
-        for name, a in zip(("t", "q", "qdot", "tau", "G"), arrays):
-            view = a.view()
-            view.flags.writeable = False
-            setattr(self, name, view)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -167,10 +163,12 @@ class TargetStore:
             _convert_block(lists, blocks)
         # q, qdot and tau hold every row's values in one flat array each.
         # Each field's blocks are freed once joined, so the join holds at
-        # most one field's values twice.
+        # most one field's values twice. The joined arrays are handed over
+        # read-only, so the store keeps them without a copy.
         joined = []
         for field_blocks in blocks:
             joined.append(np.concatenate(field_blocks))
+            joined[-1].flags.writeable = False
             field_blocks.clear()
         t, q, qdot, tau, G = joined
         n = len(t)
@@ -183,6 +181,19 @@ class TargetStore:
             n_links,
             joints,
         )
+
+
+def _read_only(x) -> np.ndarray:
+    """``x`` as a read-only float64 array: ``x`` itself when it is an array
+    that neither it nor any array it views lets anyone write into (converted
+    if it is not float64), else a copy of it."""
+    owner = x
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    keep = isinstance(x, np.ndarray) and not isinstance(owner, np.ndarray)
+    a = np.asarray(x, dtype=float) if keep else np.array(x, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 def _convert_block(lists, blocks) -> None:
@@ -213,8 +224,7 @@ class NonEmptyStore:
     serves one query at a time: do not share a handle between threads.
     Arrays a query returns are fresh copies, never views of the scratch.
     ``control_law.target_errors`` gathers retrieved points from the columns
-    too. The store must not change while the handle exists: its arrays are
-    read-only views, and those it was built from must not be written.
+    too; the store's arrays cannot change under them (see ``TargetStore``).
     Raises ValueError unless the store's chain has one unactuated direction.
     """
 
@@ -266,14 +276,11 @@ def _query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
 
 def _project_state(b, x, guard_tol):
     """(b . q, b . qdot) of one state for the covector ``b``, a list of N
-    floats, by ``_project``'s arithmetic, so a stored copy of the state gets
-    the same bits. Raises VelocityBarDegenerate when |b . qdot| is at most
-    ``guard_tol``, the rule that keeps a stored point out of retrieval."""
-    q, qdot = x.q.tolist(), x.qdot.tolist()
-    qbar, qdbar = q[0] * b[0], qdot[0] * b[0]
-    for d in range(1, len(b)):
-        qbar = qbar + q[d] * b[d]
-        qdbar = qdbar + qdot[d] * b[d]
+    floats, by ``_project``'s arithmetic (``dynamics._dot``), so a stored
+    copy of the state gets the same bits. Raises VelocityBarDegenerate when
+    |b . qdot| is at most ``guard_tol``, the rule that keeps a stored point
+    out of retrieval."""
+    qbar, qdbar = _dot(x.q.tolist(), b), _dot(x.qdot.tolist(), b)
     if abs(qdbar) <= guard_tol:
         raise VelocityBarDegenerate(
             f"|unactuated velocity projection| = {abs(qdbar):.3g} <= {guard_tol:g}"

@@ -11,14 +11,12 @@ coordinate split, which has already checked it.
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, mul
 from typing import Callable, Optional
 
 import numpy as np
 
 from .control_law import CoordSplit, GainSpec, _solve
-from .dynamics import State
+from .dynamics import State, _dot
 
 
 @dataclass(frozen=True)
@@ -100,15 +98,7 @@ def candidate_costs(
     U, W = _solve(split.b_chi.tolist(), [dchi.T, dchidot.T])
     Z = [kappa * u + 2.0 * w for u, w in zip(U, W)]
     c_cols = spec.C_tau.T.tolist()
-    td_c, w_c, z_c = ([_lane_dot(a, col) for col in c_cols] for a in (td, W, Z))
-    v1 = -(2.0 / tg) * _lane_dot(td_c, W) + (kappa / (4.0 * tg)) * (
-        _lane_dot(w_c, W) + _lane_dot(z_c, Z))
-    v2 = g_d + (t0 / tg) * (_lane_dot(td_c, td) + r_d - g_d)
+    td_c, w_c, z_c = ([_dot(a, col) for col in c_cols] for a in (td, W, Z))
+    v1 = -(2.0 / tg) * _dot(td_c, W) + (kappa / (4.0 * tg)) * (_dot(w_c, W) + _dot(z_c, Z))
+    v2 = g_d + (t0 / tg) * (_dot(td_c, td) + r_d - g_d)
     return -(v1 + v2)
-
-
-def _lane_dot(x, y):
-    """Dot product of two sequences of lanes, arrays on one side at least,
-    summed left to right from the first product. ``control_law._dot`` starts
-    from 0.0: one more whole-array add, which changes only a -0.0 sum."""
-    return reduce(add, map(mul, x, y))

@@ -12,6 +12,9 @@ check of the block writer. ``energy`` is the chain's total mechanical
 energy, for the integrator's conservation and work checks, and
 ``correspondence_gap`` the distance between the path feedback and a
 virtual-constraint feedback, for the zero-dynamics reading of the law.
+``upright_linearization`` and ``zd_rate`` give the zero-dynamics (ZD) rate
+of a straight path through upright, and ``path_store`` records stores that
+follow such a path, for the tests of the ZD mechanism.
 ``one_target``, ``one_target_tau``, ``retrieve_one``, ``targets_of`` and
 ``row_errors`` are not oracles: they pass target states given as rows to
 the package's renormalization, errors and retrieval scan, through a batch
@@ -68,6 +71,7 @@ from cpc.dynamics import (
     _generalized_forces,
     exact_control_matrix,
     manipulator_terms,
+    step,
 )
 from cpc.errors import (
     NoValidCandidates,
@@ -75,7 +79,7 @@ from cpc.errors import (
     SingularMatrix,
     VelocityBarDegenerate,
 )
-from cpc.experiments import FALL_ANGLE
+from cpc.experiments import FALL_ANGLE, ExperimentConfig
 from cpc.target_store import (
     DATASET_FORMAT,
     DEFAULT_GUARD_TOL,
@@ -314,6 +318,72 @@ def correspondence_gap(params: ChainParams, x: State, xd: State, epsilon: float)
     ydot = dh @ x.qdot
     dtau_vc = -np.linalg.solve(dh @ B, gain.k * y + 2.0 * kappa * ydot)
     return float(np.linalg.norm(dtau_cpc - dtau_vc))
+
+
+def upright_linearization(params: ChainParams) -> np.ndarray:
+    """A of the linearization qddot = A q + B_tau tau at upright rest, in
+    closed form. There only the gravity term of H is first order in q: with
+    phi = T q (T the lower-ones matrix) it is -T' diag(grav_w) T q, so
+    A = D(0)^-1 T' diag(grav_w) T."""
+    n = params.n_links
+    T = np.tril(np.ones((n, n)))
+    D = manipulator_terms(params, np.zeros(n), np.zeros(n)).D
+    return np.linalg.solve(D, T.T @ np.diag(_chain_consts(params).grav_w) @ T)
+
+
+def zd_rate(params: ChainParams, v) -> float:
+    """The ZD rate lambda = (b' A v) / (b' v) of the straight path q = v theta
+    through upright: with the actuated joints pinned to the path, the
+    unactuated row of the linearization gives theta'' = lambda theta, where
+    b is the covector of the exact control matrix at upright. The path's
+    zero dynamics are stable exactly when lambda < 0."""
+    n = params.n_links
+    b = CoordSplit(exact_control_matrix(params, np.zeros(n)), params.actuated_joints).b
+    v = np.asarray(v, dtype=float)
+    return float(b @ upright_linearization(params) @ v) / float(b @ v)
+
+
+# Gains of the computed-torque recorder of ``path_store``: the path error
+# obeys e'' = -400 e - 40 e', a critically damped rate of 20/s, several
+# times the fastest open-loop rate of the acrobot (sqrt(43.8) = 6.6/s).
+PATH_KP, PATH_KD = 400.0, 40.0
+
+
+def path_store(
+    params: ChainParams, a: float, n_f: int, seed, cfg: ExperimentConfig
+) -> TargetStore:
+    """``n_f`` recordings of ``cfg.fall_duration`` each on the straight path
+    q[1] = a q[0] of a two-link chain with its elbow actuated.
+
+    Each recording starts at rest at q = (1, a) theta0, theta0 ~ N(0, 0.01),
+    and computed torque drives the path error e = q[1] - a q[0] by
+    e'' = -PATH_KP e - PATH_KD e', from the exact D, H and control matrix B
+    at each step, with N(0, sigma0) torque noise on top; the recorded torque
+    includes the noise. Along the path q[0] follows the path's zero
+    dynamics, which ``zd_rate`` gives at upright. Every point has zero
+    return, as in ``experiments.generate_falls``.
+    """
+    if (params.n_links, params.actuated_joints) != (2, (1,)):
+        raise ValueError("path stores are recorded on the (2, (1,)) chain")
+    rng = np.random.default_rng(seed)
+    c = np.array([-a, 1.0])
+    rows = []
+    for _ in range(n_f):
+        st = State(np.array([1.0, a]) * rng.normal(0.0, 0.01), np.zeros(2))
+        for _ in range(round(cfg.fall_duration / cfg.dt)):
+            terms = manipulator_terms(params, st.q, st.qdot)
+            e, edot = float(c @ st.q), float(c @ st.qdot)
+            # e'' = c' B tau - c' D^-1 H.
+            drift = float(c @ np.linalg.solve(terms.D, terms.H))
+            cb = float(c @ exact_control_matrix(params, st.q)[:, 0])
+            tau = (-PATH_KP * e - PATH_KD * edot + drift) / cb + rng.normal(0.0, cfg.sigma0)
+            rows.append((st.t, *st.q, *st.qdot, tau))
+            st = step(params, st, np.array([tau]), cfg.dt)
+    t, q0, q1, qd0, qd1, tau = np.array(rows).T
+    return TargetStore(
+        t, np.column_stack((q0, q1)), np.column_stack((qd0, qd1)), tau[:, None],
+        np.zeros(len(t)), 2, (1,),
+    )
 
 
 def save_jsonl_per_value(store: TargetStore, path) -> None:

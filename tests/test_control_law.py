@@ -6,7 +6,6 @@ from cpc.control_law import (
     RIDGE,
     CoordSplit,
     GainSpec,
-    _dot,
     _solve,
     cpc_tau,
     estimate_control_matrix,
@@ -17,6 +16,7 @@ from cpc.dynamics import (
     _FLOAT_LANES,
     ChainParams,
     State,
+    _dot,
     _lane_solve,
     acrobot_params,
     exact_control_matrix,
@@ -689,3 +689,6 @@ def test_estimate_zero_window_gives_zero_matrix():
     assert np.array_equal(B, np.zeros((2, 1)))
     with pytest.raises(SingularMatrix):
         CoordSplit(B, (1,))
+    # So does an empty window, at every M.
+    assert np.array_equal(estimate_control_matrix([[]], [[], []]), np.zeros((2, 1)))
+    assert np.array_equal(estimate_control_matrix([[], []], [[], [], []]), np.zeros((3, 2)))

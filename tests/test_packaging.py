@@ -74,13 +74,19 @@ def _referenced_names(tree):
     return names
 
 
-def test_public_names_are_referenced():
-    # Public code that nothing in the package, its tests or the benchmark
-    # names is dead: delete it rather than keep a second path unexercised.
+def _used_names():
+    """Every name that the package, its tests or the benchmark uses."""
     used = set()
     for top in ("src", "tests", "bench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             used |= _referenced_names(ast.parse(path.read_text(), str(path)))
+    return used
+
+
+def test_public_names_are_referenced():
+    # Public code that nothing in the package, its tests or the benchmark
+    # names is dead: delete it rather than keep a second path unexercised.
+    used = _used_names()
     unused = []
     for path in sorted((ROOT / "src" / "cpc").rglob("*.py")):
         for name, line in _public_definitions(ast.parse(path.read_text(), str(path))):
@@ -88,6 +94,22 @@ def test_public_names_are_referenced():
                 unused.append(f"{path.relative_to(ROOT)}:{line} {name}")
     assert unused == []
 
+
+def test_private_module_names_are_referenced():
+    # The same rule for a module's private functions and classes: one that
+    # nothing names but its own definition, such as a helper left behind
+    # when its callers moved to another, is dead.
+    used = _used_names()
+    unused = []
+    for path in sorted((ROOT / "src" / "cpc").rglob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and node.name not in used
+            ):
+                unused.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert unused == []
 
 
 def test_src_modules_are_runtime_code():

@@ -153,19 +153,46 @@ def test_empty_dataset_raises():
 
 
 def test_store_arrays_read_only_caller_arrays_writeable():
-    # The store holds read-only views, so nothing writes through the store
-    # into points a handle has copied; the arrays the caller passed in,
-    # which the views share memory with, keep their flags.
+    # The store's arrays are read-only, and it copies every writeable array
+    # the caller passed in, so writing into those arrays, which keep their
+    # flags, changes neither the store nor the columns a live handle copied
+    # from it. A read-only input, with a read-only base, is kept as it is.
     t, q, qdot = np.zeros(3), np.ones((3, 2)), np.ones((3, 2))
     tau, G = np.zeros((3, 1)), np.zeros(3)
     store = TargetStore(t, q, qdot, tau, G, 2, (1,))
+    handle = NonEmptyStore(store)
     for name in ("t", "q", "qdot", "tau", "G"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(store, name)[0] = 2.0
-    assert np.shares_memory(store.q, q)
     for a in (t, q, qdot, tau, G):
         assert a.flags.writeable
+        assert not np.shares_memory(a, store.q)
         a[0] = 2.0
+    assert np.array_equal(store.q, np.ones((3, 2)))
+    assert np.array_equal(store.q, np.column_stack(handle._q_cols))
+    # A read-only view of a writeable array can still change under the
+    # store, so it is copied too.
+    base = np.ones((3, 2))
+    view = base[:]
+    view.flags.writeable = False
+    assert not np.shares_memory(TargetStore(t, view, qdot, tau, G, 2, (1,)).q, base)
+    frozen = [np.array(a) for a in (t, q, qdot, tau, G)]
+    for a in frozen:
+        a.flags.writeable = False
+    kept = TargetStore(*frozen, 2, (1,))
+    for name, a in zip(("t", "q", "qdot", "tau", "G"), frozen):
+        assert np.shares_memory(getattr(kept, name), a)
+
+
+def test_recorded_and_loaded_stores_keep_their_arrays(tmp_path):
+    # The recorder and the reader hand their arrays over read-only, so the
+    # store keeps its (n, N) state arrays as the views of the flat arrays
+    # they were built as; a copy would own its data.
+    store = generate_falls(ExperimentConfig(), 3, seed=1)
+    store.save_jsonl(tmp_path / "a.jsonl")
+    for s in (store, TargetStore.load_jsonl(tmp_path / "a.jsonl")):
+        for a in (s.q, s.qdot, s.tau):
+            assert not a.flags.owndata and not a.base.flags.writeable
 
 
 def _acrobot_targets(q, qdot):
