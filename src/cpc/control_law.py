@@ -25,7 +25,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import dynamics
-from .dynamics import _FLOAT_LANES, _dot, _lane_solve
+from .dynamics import _dot, _lane_solve
 from .errors import RankDeficient, SingularMatrix
 from .target_store import _ONE_DIRECTION, NonEmptyStore
 
@@ -191,7 +191,7 @@ def estimate_control_matrix(t_cols, u_cols) -> np.ndarray:
     for i, row in enumerate(gram):
         row[i] = row[i] + RIDGE
     try:
-        B = _lane_solve(_FLOAT_LANES, gram, [[_dot(t, u) for t in t_cols] for u in u_cols])
+        B = _lane_solve(math, gram, [[_dot(t, u) for t in t_cols] for u in u_cols])
     except (ValueError, ZeroDivisionError) as e:
         raise RankDeficient("torque window's normal matrix is not positive definite") from e
     return np.array(B)

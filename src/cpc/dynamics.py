@@ -228,10 +228,11 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # ufuncs. Either way each value of y gets the operations, in the same
 # order, that integrating q and qdot as two vectors gives it
 # (``q + (0.5*dt)*qdot``, ``qdot + (0.5*dt)*k1``, and so on), so the lane
-# types agree bit for bit. ``_LaneOps`` gives the traced kernel its
-# sin/cos/sqrt and ``step`` its finiteness check. ``_dot`` is the one dot
-# product of lanes, for the control cycle's regression, norms, costs and
-# projections.
+# types agree bit for bit. A lane type is its numeric namespace: ``math``
+# for float lanes, ``numpy`` for array lanes and ``_Tape`` for symbolic ones
+# each give ``_lane_terms``, ``_lane_solve`` and the traced kernel their
+# sin/cos/sqrt. ``_dot`` is the one dot product of lanes, for the control
+# cycle's regression, norms, costs and projections.
 #
 # Bad values are checked in ``ChainParams`` and ``step`` only; the kernel
 # and its trace are straight-line arithmetic. ``ChainParams`` rejects a
@@ -273,27 +274,9 @@ def _dot(x, y):
     return s
 
 
-def _float_finite(x):
-    return all(map(math.isfinite, x))
-
-
-def _array_finite(y):
-    return bool(np.isfinite(y[0]).all() and np.isfinite(y[1]).all())
-
-
-class _LaneOps(NamedTuple):
-    sin: Callable
-    cos: Callable
-    sqrt: Callable
-    finite: Callable  # true if every entry of a state is finite
-
-
-_FLOAT_LANES = _LaneOps(math.sin, math.cos, math.sqrt, _float_finite)
-_ARRAY_LANES = _LaneOps(np.sin, np.cos, np.sqrt, _array_finite)
-
-
 def _lane_terms(ops, c, q, qdot):
-    """Inertia matrix D (N lists of N lanes) and bias H (N lanes)."""
+    """Inertia matrix D (N lists of N lanes) and bias H (N lanes); ``ops``
+    is the lanes' namespace (``math``, ``numpy`` or a ``_Tape``)."""
     n = len(q)
     phi = []
     phidot = []
@@ -459,7 +442,7 @@ def _trace_accel(c: _ChainConsts) -> Callable:
     ``accel(sin, cos, sqrt, q, qdot, gen) -> x``: the N lanes of the joint
     accelerations under generalized forces ``gen``, in a fresh list. q,
     qdot and gen are N lanes each, float or array, and sin, cos, sqrt the
-    lane functions of ``_LaneOps``. On float lanes it raises where the
+    lane type's (``math`` or ``numpy``). On float lanes it raises where the
     kernel raises."""
     n = len(c.coef)
     tape = _Tape()
@@ -528,9 +511,9 @@ def manipulator_terms(params: ChainParams, q: np.ndarray, qdot: np.ndarray) -> D
             f"got {q.shape} and {qdot.shape}"
         )
     q, qdot = q.tolist(), qdot.tolist()
-    if _float_finite(q):
+    if all(map(math.isfinite, q)):
         try:
-            D, H = _lane_terms(_FLOAT_LANES, _chain_consts(params), q, qdot)
+            D, H = _lane_terms(math, _chain_consts(params), q, qdot)
         except ValueError:
             pass
         else:
@@ -543,7 +526,7 @@ def exact_control_matrix(params: ChainParams, q: np.ndarray) -> np.ndarray:
     per actuator; NaN in every entry for a NaN or infinite angle."""
     c = _chain_consts(params)
     D = manipulator_terms(params, q, np.zeros(params.n_links)).D.tolist()
-    return np.array(_lane_solve(_FLOAT_LANES, D, c.b_tau.T.tolist())).T
+    return np.array(_lane_solve(math, D, c.b_tau.T.tolist())).T
 
 
 def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State:
@@ -575,34 +558,32 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
     if q.ndim == 2 and len(q) > 1:
         # Array lanes: a state is the pair of (N, K) transposes, whose rows
         # are lanes.
-        ops = _ARRAY_LANES
-        sin, cos, sqrt = ops.sin, ops.cos, ops.sqrt
+        sin, cos, sqrt = np.sin, np.cos, np.sqrt
         gen = _generalized_forces(params, tau.T)
 
         def deriv(y):
             return y[1], np.array(kernel(sin, cos, sqrt, y[0], y[1], gen))
 
         with np.errstate(all="ignore"):
-            y = _rk4_step(deriv, (q.T, qdot.T), dt)
-    else:
-        # Float lanes, also for a one-row batch: a state is one list of the
-        # N angles and then the N velocities, and the traced kernel returns
-        # a fresh list, which the velocities are joined to.
-        ops = _FLOAT_LANES
-        sin, cos, sqrt = ops.sin, ops.cos, ops.sqrt
-        gen = _generalized_forces(params, tau.reshape(-1).tolist())
+            q, qdot = _rk4_step(deriv, (q.T, qdot.T), dt)
+        if not (np.isfinite(q).all() and np.isfinite(qdot).all()):
+            raise NonFiniteState(f"integration diverged at t={state.t:.6g}")
+        return State(q.T, qdot.T, state.t + dt)
+    # Float lanes, also for a one-row batch: a state is one list of the N
+    # angles and then the N velocities, and the traced kernel returns a
+    # fresh list, which the velocities are joined to.
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+    gen = _generalized_forces(params, tau.reshape(-1).tolist())
 
-        def deriv(y):
-            v = y[n:]
-            return v + kernel(sin, cos, sqrt, y[:n], v, gen)
+    def deriv(y):
+        v = y[n:]
+        return v + kernel(sin, cos, sqrt, y[:n], v, gen)
 
-        try:
-            y = _rk4_step(deriv, q.reshape(-1).tolist() + qdot.reshape(-1).tolist(), dt)
-        except (ValueError, ZeroDivisionError) as e:
-            raise NonFiniteState(f"integration diverged at t={state.t:.6g}") from e
-    if not ops.finite(y):
+    try:
+        y = _rk4_step(deriv, q.reshape(-1).tolist() + qdot.reshape(-1).tolist(), dt)
+    except (ValueError, ZeroDivisionError) as e:
+        raise NonFiniteState(f"integration diverged at t={state.t:.6g}") from e
+    if not all(map(math.isfinite, y)):
         raise NonFiniteState(f"integration diverged at t={state.t:.6g}")
-    if ops is _ARRAY_LANES:
-        return State(y[0].T, y[1].T, state.t + dt)
     # One array per vector; ndmin keeps the (1, N) shape of a one-row batch.
     return State(np.array(y[:n], ndmin=q.ndim), np.array(y[n:], ndmin=q.ndim), state.t + dt)

@@ -119,24 +119,27 @@ def generate_falls(
     rng = np.random.default_rng(seed)
     n_steps = round(cfg.fall_duration / cfg.dt)
     n, m = params.n_links, params.n_controls
+    rows = n_f * n_steps
     # One draw in (fall, step, control) order is the same stream as drawing
     # each step's noise in turn, fall after fall.
     tau = rng.normal(0.0, cfg.sigma0, size=(n_f, n_steps, m))
     t = np.empty(n_steps)
-    q = np.empty((n_f, n_steps, n))
-    qdot = np.empty((n_f, n_steps, n))
+    # As (N, rows), rows in (fall, step) order, the transposes of these
+    # buffers are the column-major arrays the store keeps.
+    q = np.empty((n, n_f, n_steps))
+    qdot = np.empty((n, n_f, n_steps))
     # The falls are independent, so they advance together as one batch.
     st = State(np.zeros((n_f, n)), np.zeros((n_f, n)), 0.0)
     for i in range(n_steps):
-        t[i], q[:, i], qdot[:, i] = st.t, st.q, st.qdot
+        t[i], q[:, :, i], qdot[:, :, i] = st.t, st.q.T, st.qdot.T
         st = dynamics.step(params, st, tau[:, i], cfg.dt)
-    t, G = np.concatenate([t] * n_f), np.zeros(n_f * n_steps)
-    # Handed over read-only, the arrays are kept by the store without a copy.
+    t, G = np.concatenate([t] * n_f), np.zeros(rows)
+    # Handed over read-only, the arrays are kept by the store without a
+    # copy; tau is row-major at M >= 2, so there the store copies it once.
     for a in (t, q, qdot, tau, G):
         a.flags.writeable = False
-    return TargetStore(
-        t, q.reshape(-1, n), qdot.reshape(-1, n), tau.reshape(-1, m), G, n, params.actuated_joints
-    )
+    q, qdot = (a.reshape(n, rows).T for a in (q, qdot))
+    return TargetStore(t, q, qdot, tau.reshape(rows, m), G, n, params.actuated_joints)
 
 
 def has_fallen(q: np.ndarray) -> bool:

@@ -16,11 +16,12 @@ a query whose ``|qdbar0|`` is at most the tolerance raises
 
 ``b`` changes every control cycle with the regressed control matrix, so no
 static spatial index over the store can prune; retrieval is one vectorized
-scan over all points. The scan runs on a retrieval handle,
-``NonEmptyStore``, built once per trial: it holds column-major copies of the
-store's ``q`` and ``qdot`` and a fixed scratch block, so a warm query writes
-every store-length intermediate into that block and allocates only arrays
-the size of its result. A handle serves one query at a time.
+scan over all points that reads one contiguous column per coordinate, so
+the store keeps its arrays column-major. The scan runs on a retrieval
+handle, ``NonEmptyStore``: views of the store's columns, which copy
+nothing, and a fixed scratch block, so a warm query writes every
+store-length intermediate into that block and allocates only arrays the
+size of its result. A handle serves one query at a time.
 
 Datasets are serialized as JSON Lines with a header row carrying the chain
 layout. The writer builds one ``%.17g`` row template per
@@ -28,8 +29,8 @@ chain layout and formats and writes blocks of rows at a time, so its
 transient strings stay bounded at any store size. The reader runs one
 decoder call per line and converts each block of rows to float64 arrays
 before it reads on, so its transient lists stay bounded too, and it joins
-the blocks one field at a time. Every float64 round-trips bit for bit, the
-sign of zero included.
+the blocks one field at a time into the column-major layout. Every float64
+round-trips bit for bit, the sign of zero included.
 """
 
 import json
@@ -54,11 +55,11 @@ _BLOCK = 1024
 
 
 class TargetStore:
-    """Read-only arrays of recorded points plus chain layout metadata.
+    """Read-only column-major arrays of recorded points and chain layout.
 
-    The store keeps an input array only when neither it nor any array it
-    views is writeable, so no one can write into it; it copies any other
-    input once. The flags of an array the caller passed in are unchanged.
+    ``q``, ``qdot`` and ``tau`` are F-contiguous (n, width) float64 arrays,
+    so each coordinate is one contiguous column (see ``_read_only``). The
+    flags of an array the caller passed in are unchanged.
     """
 
     def __init__(self, t, q, qdot, tau, G, n_links: int, actuated_joints: tuple[int, ...]):
@@ -132,6 +133,7 @@ class TargetStore:
             decode = json.JSONDecoder(parse_int=float).raw_decode
             t, q, qdot, tau, G = lists = ([], [], [], [], [])
             blocks = ([], [], [], [], [])
+            widths = (1, n_links, n_links, len(joints), 1)
             for lineno, line in enumerate(f, start=2):
                 # json.loads(line) without its per-call set-up: strip JSON
                 # whitespace, decode, and reject anything after the value.
@@ -159,52 +161,47 @@ class TargetStore:
                     # field without a length.
                     raise DatasetSchemaMismatch(f"line {lineno}: bad row: {e!r}") from e
                 if len(t) == _BLOCK:
-                    _convert_block(lists, blocks)
-            _convert_block(lists, blocks)
-        # q, qdot and tau hold every row's values in one flat array each.
-        # Each field's blocks are freed once joined, so the join holds at
-        # most one field's values twice. The joined arrays are handed over
+                    _convert_block(lists, blocks, widths)
+            _convert_block(lists, blocks, widths)
+        # Each field's (width, rows) blocks are joined into one C-ordered
+        # (width, n) array and freed, so the join holds at most one field's
+        # values twice. The transposes are column-major and handed over
         # read-only, so the store keeps them without a copy.
+        n = sum(block.shape[1] for block in blocks[0])
         joined = []
-        for field_blocks in blocks:
-            joined.append(np.concatenate(field_blocks))
+        for width, field_blocks in zip(widths, blocks):
+            joined.append(np.concatenate(field_blocks, axis=1, out=np.empty((width, n))))
             joined[-1].flags.writeable = False
             field_blocks.clear()
         t, q, qdot, tau, G = joined
-        n = len(t)
-        return cls(
-            t,
-            q.reshape(n, n_links),
-            qdot.reshape(n, n_links),
-            tau.reshape(n, len(joints)),
-            G,
-            n_links,
-            joints,
-        )
+        return cls(t[0], q.T, qdot.T, tau.T, G[0], n_links, joints)
 
 
 def _read_only(x) -> np.ndarray:
-    """``x`` as a read-only float64 array: ``x`` itself when it is an array
-    that neither it nor any array it views lets anyone write into (converted
-    if it is not float64), else a copy of it."""
+    """``x`` as a read-only column-major float64 array: ``x`` itself when it
+    is an F-contiguous array that neither it nor any array it views lets
+    anyone write into (converted if it is not float64), else one
+    column-major copy of it. 1-D arrays are F-contiguous when contiguous."""
     owner = x
     while isinstance(owner, np.ndarray) and not owner.flags.writeable:
         owner = owner.base
-    keep = isinstance(x, np.ndarray) and not isinstance(owner, np.ndarray)
-    a = np.asarray(x, dtype=float) if keep else np.array(x, dtype=float)
+    keep = isinstance(x, np.ndarray) and x.flags.f_contiguous and not isinstance(owner, np.ndarray)
+    a = np.asarray(x, dtype=float) if keep else np.array(x, dtype=float, order="F")
     a.flags.writeable = False
     return a
 
 
-def _convert_block(lists, blocks) -> None:
-    """Append each field's collected values to its blocks as one float64
-    array, then empty the lists."""
+def _convert_block(lists, blocks, widths) -> None:
+    """Append each field's collected values to its blocks as one
+    (width, rows) float64 view of the rows' values, then empty the lists."""
     # Every JSON number decodes to a float; one type pass per field rejects
     # the rest, which numpy would convert ("1" and true to 1.0).
-    for name, values, field_blocks in zip(("t", "q", "qdot", "tau", "G"), lists, blocks):
+    rows = len(lists[0])
+    names = ("t", "q", "qdot", "tau", "G")
+    for name, values, width, field_blocks in zip(names, lists, widths, blocks):
         if not all(map(float.__instancecheck__, values)):
             raise DatasetSchemaMismatch(f"malformed values: {name} holds a non-number")
-        field_blocks.append(np.fromiter(values, float, len(values)))
+        field_blocks.append(np.fromiter(values, float, len(values)).reshape(rows, width).T)
         values.clear()
 
 
@@ -217,15 +214,16 @@ def _list_template(k: int) -> str:
 class NonEmptyStore:
     """Retrieval handle over a target store holding at least one point.
 
-    Built once per trial, it holds column-major copies of the store's ``q``
-    and ``qdot`` (one contiguous array per coordinate) and a fixed scratch
-    block that every query writes its store-length intermediates into, so a
-    warm query allocates nothing the length of the store. It therefore
-    serves one query at a time: do not share a handle between threads.
-    Arrays a query returns are fresh copies, never views of the scratch.
-    ``control_law.target_errors`` gathers retrieved points from the columns
-    too; the store's arrays cannot change under them (see ``TargetStore``).
-    Raises ValueError unless the store's chain has one unactuated direction.
+    It holds views of the store's ``q`` and ``qdot`` columns (one contiguous
+    array per coordinate, as the store is column-major), so building it
+    copies no stored value, and a fixed scratch block that every query
+    writes its store-length intermediates into, so a warm query allocates
+    nothing the length of the store. It therefore serves one query at a
+    time: do not share a handle between threads. Arrays a query returns are
+    fresh copies, never views of the scratch. ``control_law.target_errors``
+    gathers retrieved points from the columns too; the store's arrays cannot
+    change under them (see ``_read_only``). Raises ValueError unless the
+    store's chain has one unactuated direction.
     """
 
     def __init__(self, store: TargetStore):
@@ -234,10 +232,8 @@ class NonEmptyStore:
         if store.n_links - len(store.actuated_joints) != 1:
             raise ValueError(_ONE_DIRECTION)
         self.store = store
-        q = np.asfortranarray(store.q)
-        qdot = np.asfortranarray(store.qdot)
-        self._q_cols = tuple(q[:, d] for d in range(store.n_links))
-        self._qdot_cols = tuple(qdot[:, d] for d in range(store.n_links))
+        self._q_cols = tuple(store.q.T)
+        self._qdot_cols = tuple(store.qdot.T)
         self._rows = np.empty((4, len(store)))
         self._masks = np.empty((2, len(store)), dtype=bool)
 

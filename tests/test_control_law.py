@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from cpc.control_law import (
 )
 from cpc.controller import HISTORY_N
 from cpc.dynamics import (
-    _FLOAT_LANES,
     ChainParams,
     State,
     _dot,
@@ -651,7 +652,7 @@ def _estimate_lane_solve(t_cols, u_cols):
     (t,) = t_cols
     gram = [[_dot(t, t)]]
     gram[0][0] = gram[0][0] + RIDGE
-    return np.array(_lane_solve(_FLOAT_LANES, gram, [[_dot(t, u)] for u in u_cols]))
+    return np.array(_lane_solve(math, gram, [[_dot(t, u)] for u in u_cols]))
 
 
 def test_estimate_one_actuator_matches_lane_solve(rng):

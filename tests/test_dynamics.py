@@ -10,8 +10,6 @@ from oracles import energy, lane_terms_full, step_axpy
 
 from cpc import dynamics
 from cpc.dynamics import (
-    _ARRAY_LANES,
-    _FLOAT_LANES,
     ChainParams,
     State,
     _chain_consts,
@@ -180,7 +178,7 @@ def _oracle_D_only(params, q, qdot):
 def _accel(params, q, qdot, tau):
     """Joint accelerations from the traced kernel of ``params``, run on the
     float lanes of one state, as ``step`` runs it."""
-    ops = _FLOAT_LANES
+    ops = math
     gen = _generalized_forces(params, np.asarray(tau, dtype=float).tolist())
     lanes = (np.asarray(v, dtype=float).tolist() for v in (q, qdot))
     return np.array(_chain_consts(params).accel(ops.sin, ops.cos, ops.sqrt, *lanes, gen))
@@ -683,13 +681,13 @@ def test_traced_kernel_matches_lane_kernel(kwargs, monkeypatch):
         return
     params, c = chain
     q, qdot, gen = _trace_inputs(params.n_links)
-    ops = _FLOAT_LANES
+    ops = math
     traced = _float_outcomes(partial(c.accel, ops.sin, ops.cos, ops.sqrt), q, qdot, gen)
     assert traced == _float_outcomes(partial(_lane_reference, ops, c), q, qdot, gen)
     assert ValueError in traced
     finite = np.isfinite(q).all(1) & np.isfinite(qdot).all(1)
     assert all(type(x) is bytes for x, ok in zip(traced, finite) if ok)
-    ops = _ARRAY_LANES
+    ops = np
     with np.errstate(all="ignore"):
         traced = c.accel(ops.sin, ops.cos, ops.sqrt, q.T, qdot.T, list(gen.T))
         reference = _lane_reference(ops, c, q.T, qdot.T, list(gen.T))
@@ -731,13 +729,13 @@ def test_traced_kernel_matches_full_kernel(kwargs, monkeypatch):
         # The accelerations of each row, NaN where the row raised.
         return np.array([np.frombuffer(x) if type(x) is bytes else [np.nan] * n for x in outcomes])
 
-    ops = _FLOAT_LANES
+    ops = math
     traced = _float_outcomes(partial(c.accel, ops.sin, ops.cos, ops.sqrt), q, qdot, gen)
     full = _float_outcomes(partial(_full_reference, ops, c), q, qdot, gen)
     assert raised(traced) == raised(full)
     assert ValueError in raised(full)
     check(lanes(traced), lanes(full))
-    ops = _ARRAY_LANES
+    ops = np
     with np.errstate(all="ignore"):
         x = c.accel(ops.sin, ops.cos, ops.sqrt, q.T, qdot.T, list(gen.T))
         x_full = _full_reference(ops, c, q.T, qdot.T, list(gen.T))
@@ -787,7 +785,7 @@ def test_traced_kernel_forms_each_pair_once(n_links):
 
     c = _chain_consts(ChainParams(n_links=n_links, actuated_joints=(0,)))
     lanes = [0.1] * n_links
-    c.accel(counted("sin", math.sin), counted("cos", math.cos), _FLOAT_LANES.sqrt,
+    c.accel(counted("sin", math.sin), counted("cos", math.cos), math.sqrt,
             lanes, lanes, lanes)
     pairs = n_links * (n_links - 1) // 2
     assert calls == {"sin": pairs + n_links, "cos": pairs}

@@ -155,8 +155,9 @@ def test_empty_dataset_raises():
 def test_store_arrays_read_only_caller_arrays_writeable():
     # The store's arrays are read-only, and it copies every writeable array
     # the caller passed in, so writing into those arrays, which keep their
-    # flags, changes neither the store nor the columns a live handle copied
-    # from it. A read-only input, with a read-only base, is kept as it is.
+    # flags, changes neither the store nor the columns a live handle views
+    # in it. A read-only column-major input, with a read-only base, is kept
+    # as it is; a read-only row-major one is copied once into column order.
     t, q, qdot = np.zeros(3), np.ones((3, 2)), np.ones((3, 2))
     tau, G = np.zeros((3, 1)), np.zeros(3)
     store = TargetStore(t, q, qdot, tau, G, 2, (1,))
@@ -176,23 +177,64 @@ def test_store_arrays_read_only_caller_arrays_writeable():
     view = base[:]
     view.flags.writeable = False
     assert not np.shares_memory(TargetStore(t, view, qdot, tau, G, 2, (1,)).q, base)
-    frozen = [np.array(a) for a in (t, q, qdot, tau, G)]
-    for a in frozen:
+    row_major = [np.array(a) for a in (t, q, qdot, tau, G)]
+    column_major = [np.asfortranarray(a) for a in row_major]
+    for a in row_major + column_major:
         a.flags.writeable = False
-    kept = TargetStore(*frozen, 2, (1,))
-    for name, a in zip(("t", "q", "qdot", "tau", "G"), frozen):
-        assert np.shares_memory(getattr(kept, name), a)
+    kept = TargetStore(*column_major, 2, (1,))
+    copied = TargetStore(*row_major, 2, (1,))
+    for name, c_order, f_order in zip(("t", "q", "qdot", "tau", "G"), row_major, column_major):
+        assert np.shares_memory(getattr(kept, name), f_order)
+        got = getattr(copied, name)
+        assert got.flags.f_contiguous and np.array_equal(got, c_order)
+        # 1-D arrays and the one-column torques are column-major as well.
+        assert np.shares_memory(got, c_order) == (name in ("t", "tau", "G"))
 
 
 def test_recorded_and_loaded_stores_keep_their_arrays(tmp_path):
-    # The recorder and the reader hand their arrays over read-only, so the
-    # store keeps its (n, N) state arrays as the views of the flat arrays
-    # they were built as; a copy would own its data.
+    # The recorder and the reader hand their arrays over read-only and
+    # column-major, so the store keeps its (n, N) state arrays as views of
+    # the arrays they were built in; a copy would own its data.
     store = generate_falls(ExperimentConfig(), 3, seed=1)
     store.save_jsonl(tmp_path / "a.jsonl")
     for s in (store, TargetStore.load_jsonl(tmp_path / "a.jsonl")):
         for a in (s.q, s.qdot, s.tau):
             assert not a.flags.owndata and not a.base.flags.writeable
+
+
+def test_stores_are_column_major_and_handles_view_them(tmp_path, fall_store):
+    # Recorded (M = 1, and M = 4, whose row-major torques are copied),
+    # loaded and user-built stores keep q, qdot and tau column-major, so a
+    # handle's columns are contiguous views of the store's arrays.
+    recorded = generate_falls(ExperimentConfig(), 3, seed=1)
+    recorded.save_jsonl(tmp_path / "a.jsonl")
+    loaded = TargetStore.load_jsonl(tmp_path / "a.jsonl")
+    recorded_n5 = generate_falls(ExperimentConfig(), 2, seed=2, params=_N5)
+    for store in (recorded, loaded, fall_store, recorded_n5):
+        for a in (store.q, store.qdot, store.tau):
+            assert a.flags.f_contiguous
+    for store in (recorded, loaded, fall_store):
+        handle = NonEmptyStore(store)
+        for cols, a in ((handle._q_cols, store.q), (handle._qdot_cols, store.qdot)):
+            for d, col in enumerate(cols):
+                assert col.flags.c_contiguous and np.shares_memory(col, a)
+                assert np.array_equal(col, a[:, d])
+
+
+def test_handle_build_allocates_only_its_scratch(fall_store):
+    # Building a handle copies no stored value: at 10^4 points its traced
+    # peak is its scratch block (about 340 kB) plus a fixed 16 kB for the
+    # handle's own objects. Copying q and qdot into column order peaked
+    # about 660 kB.
+    assert len(fall_store) == 10_000
+    NonEmptyStore(fall_store)
+    tracemalloc.start()
+    try:
+        handle = NonEmptyStore(fall_store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < handle._rows.nbytes + handle._masks.nbytes + 16_000
 
 
 def _acrobot_targets(q, qdot):
@@ -533,6 +575,18 @@ def _head(store, n):
         store.t[:n], store.q[:n], store.qdot[:n], store.tau[:n], store.G[:n],
         store.n_links, store.actuated_joints,
     )
+
+
+@pytest.mark.parametrize("n_links", [1, 3])
+def test_unactuated_chain_falls_record_and_roundtrip(tmp_path, n_links):
+    # With no actuated joint the torques are (rows, 0); recording must not
+    # infer the row count from them.
+    params = ChainParams(n_links=n_links, actuated_joints=())
+    store = generate_falls(ExperimentConfig(), 2, 0, params=params)
+    rows = 2 * round(ExperimentConfig().fall_duration / ExperimentConfig().dt)
+    assert (store.q.shape, store.tau.shape) == ((rows, n_links), (rows, 0))
+    store.save_jsonl(tmp_path / "a.jsonl")
+    _assert_stores_bit_equal(TargetStore.load_jsonl(tmp_path / "a.jsonl"), store)
 
 
 def test_jsonl_header_only_loads_empty_store(tmp_path):
