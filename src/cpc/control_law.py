@@ -15,8 +15,8 @@ M = 1 it is one division. ``b`` annihilates B, so the projection ``b . q``
 evolves independently of the applied torques; matching it between the
 current motion and a stored target yields a time offset ``t0`` and time
 scale ``s`` (retrieval computes both), and feedback acts only on the
-controlled coordinates of the renormalized target. This module owns that
-renormalization and the errors that ranking and feedback read.
+controlled coordinates of the renormalized target, whose errors
+``target_store.target_errors`` gathers for ranking and for this law.
 """
 
 import math
@@ -24,10 +24,9 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from . import dynamics
 from .dynamics import _dot, _lane_solve
 from .errors import RankDeficient, SingularMatrix
-from .target_store import _ONE_DIRECTION, NonEmptyStore
+from .target_store import _ONE_DIRECTION
 
 # Cap on B_chi's squared Frobenius condition number (never below the squared
 # 2-norm one, at most M^2 times it): above it B_chi is treated as singular.
@@ -114,30 +113,6 @@ class GainSpec:
     @property
     def kappa(self) -> float:
         return math.sqrt(self.k)
-
-
-def target_errors(
-    x0: dynamics.State,
-    targets: NonEmptyStore,
-    idx: np.ndarray,
-    t0: np.ndarray,
-    s: np.ndarray,
-    split: CoordSplit,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Errors (dchi, dchidot), each (n, M), of the current state against the
-    renormalized targets q - qdot (t0 / s) + (qdot / s) t of the stored points
-    ``idx`` (n,), in the split's controlled coordinates, which alone are
-    gathered from the handle's columns. Raises ValueError for a zero s."""
-    if np.count_nonzero(s) != len(s):
-        raise ValueError("time scale s must be nonzero")
-    r = t0 / s
-    q0, qdot0 = x0.q.tolist(), x0.qdot.tolist()
-    dchi, dchidot = np.empty((2, len(idx), len(split.controlled)))
-    for j, c in enumerate(split.controlled):
-        qdot_c = targets._qdot_cols[c][idx]
-        np.subtract(q0[c], targets._q_cols[c][idx] - qdot_c * r, out=dchi[:, j])
-        np.subtract(qdot0[c], qdot_c / s, out=dchidot[:, j])
-    return dchi, dchidot
 
 
 def cpc_tau(

@@ -30,10 +30,10 @@ from typing import Optional
 
 import numpy as np
 
-from .control_law import CoordSplit, GainSpec, cpc_tau, estimate_control_matrix, target_errors
+from .control_law import CoordSplit, GainSpec, cpc_tau, estimate_control_matrix
 from .dynamics import State, _dot
 from .errors import NoValidCandidates, RankDeficient, SingularMatrix, VelocityBarDegenerate
-from .target_store import DEFAULT_GUARD_TOL, NonEmptyStore, _query_arrays
+from .target_store import DEFAULT_GUARD_TOL, NonEmptyStore, _query_arrays, target_errors
 from .value import RewardSpec, candidate_costs
 
 # Proximity-loss weight on the time offset t0 in retrieval.

@@ -141,7 +141,6 @@ class _ChainConsts(NamedTuple):
     coef: tuple  # N rows of N cos/sin coupling coefficients
     grav_w: tuple  # N gravity weights m g (l_com + links above * L)
     i_cap: float  # per-link capsule inertia about its com
-    b_tau: np.ndarray  # (N, M) torque distribution selection
     # The traced kernel of this chain, accel(sin, cos, sqrt, q, qdot, gen)
     # -> the N lanes of the joint accelerations; see _trace_accel.
     accel: Callable
@@ -163,10 +162,7 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
     diag = [coef[j][j] + i_com for j in range(n)]
     if not all(map(math.isfinite, [i_com, *grav_w, *diag, *(x for row in coef for x in row)])):
         raise ValueError("the chain's masses, inertias and gravity weights must be finite")
-    b_tau = np.zeros((n, params.n_controls))
-    for col, j in enumerate(params.actuated_joints):
-        b_tau[j, col] = 1.0
-    c = _ChainConsts(coef, grav_w, i_com, b_tau, None)
+    c = _ChainConsts(coef, grav_w, i_com, None)
     return c._replace(accel=_trace_accel(c))
 
 
@@ -246,8 +242,9 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # last diagonal entry of D a constant and a single link's velocity out of
 # its terms (it reaches ``step``'s new state through ``q + h*qdot``), so
 # ``manipulator_terms`` gives all-NaN terms itself for a NaN or infinite
-# angle or a ValueError. ``_generalized_forces`` selects the torques onto
-# their joints with the bits of ``b_tau @ tau``, without the matmul.
+# angle or a ValueError. ``_generalized_forces`` is the one statement of
+# which joints the torques act on: ``step`` and ``exact_control_matrix``
+# both take it, and only the tests form the 0/1 matrix B_tau.
 # ---------------------------------------------------------------------------
 
 
@@ -480,9 +477,9 @@ def _rk4_step(deriv, y, dt):
 
 
 def _generalized_forces(params: ChainParams, tau) -> list:
-    """The N lanes of b_tau @ tau from the M lanes of tau: 0.0 on an
-    unactuated joint and 0.0 + tau on an actuated one, as the matmul gives
-    them (it turns a -0.0 torque into 0.0)."""
+    """The N lanes of B_tau tau from the M lanes of tau: 0.0 on an
+    unactuated joint and 0.0 + tau on an actuated one, the bits of the 0/1
+    selection matmul (it turns a -0.0 torque into 0.0)."""
     gen = [0.0] * params.n_links
     for j, t in zip(params.actuated_joints, tau):
         gen[j] = 0.0 + t
@@ -523,10 +520,11 @@ def manipulator_terms(params: ChainParams, q: np.ndarray, qdot: np.ndarray) -> D
 
 def exact_control_matrix(params: ChainParams, q: np.ndarray) -> np.ndarray:
     """Torque-to-acceleration map D(q)^-1 B_tau (N x M), one Cholesky solve
-    per actuator; NaN in every entry for a NaN or infinite angle."""
-    c = _chain_consts(params)
+    per actuator on the generalized forces of its unit torque; NaN in every
+    entry for a NaN or infinite angle."""
     D = manipulator_terms(params, q, np.zeros(params.n_links)).D.tolist()
-    return np.array(_lane_solve(math, D, c.b_tau.T.tolist())).T
+    units = np.eye(params.n_controls).tolist()
+    return np.array(_lane_solve(math, D, [_generalized_forces(params, e) for e in units])).T
 
 
 def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State:

@@ -86,17 +86,6 @@ def trial_seed(master_seed: int, experiment_id: str, index: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def controller_config_for_balance(cfg: ExperimentConfig) -> ControllerConfig:
-    """Controller defaults for balancing from fall data: reversed time-scale
-    goal and no trusted reference torque."""
-    return ControllerConfig(
-        s_g=-1.0,
-        dt=cfg.dt,
-        sigma_boot=cfg.sigma0,
-        use_stored_tau_d=False,
-    )
-
-
 def generate_falls(
     cfg: ExperimentConfig,
     n_f: int,
@@ -181,7 +170,9 @@ def run_balance_trial(
             f"actuated_joints={params.actuated_joints}"
         )
     targets = BallTree(store)
-    ctrl_cfg = controller_config_for_balance(cfg)
+    # Fall data is tracked backwards, toward upright (reversed time-scale
+    # goal), and its recorded torques are noise, not a reference.
+    ctrl_cfg = ControllerConfig(s_g=-1.0, dt=cfg.dt, sigma_boot=cfg.sigma0, use_stored_tau_d=False)
     ctrl = make_controller(params.n_controls, seed=np.random.SeedSequence([seed, 0]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     spec = RewardSpec(C_tau=-np.eye(params.n_controls))

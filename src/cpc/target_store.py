@@ -21,7 +21,9 @@ the store keeps its arrays column-major. The scan runs on a retrieval
 handle, ``NonEmptyStore``: views of the store's columns, which copy
 nothing, and a fixed scratch block, so a warm query writes every
 store-length intermediate into that block and allocates only arrays the
-size of its result. A handle serves one query at a time.
+size of its result. A handle serves one query at a time. Besides ``t0``
+and ``s``, the retrieved targets' errors (``target_errors``) are gathered
+here from the same columns, so no other module reads the handle's layout.
 
 Datasets are serialized as JSON Lines with a header row carrying the chain
 layout. The writer builds one ``%.17g`` row template per
@@ -37,7 +39,7 @@ import json
 
 import numpy as np
 
-from .dynamics import _chain_layout, _dot
+from .dynamics import State, _chain_layout, _dot
 from .errors import (
     DatasetSchemaMismatch,
     EmptyDataset,
@@ -46,7 +48,10 @@ from .errors import (
 
 DATASET_FORMAT = "chain-targets-v1"
 DEFAULT_GUARD_TOL = 1e-6
-_ONE_DIRECTION = "the control law and candidate search support one unactuated direction (N - M = 1)"
+_ONE_DIRECTION = (
+    "the control law and candidate search support one unactuated direction"
+    " and at least one actuator (N - M = 1, M >= 1)"
+)
 _JSON_WHITESPACE = " \t\n\r"
 # Rows a save formats and writes per call, and rows a load collects before
 # converting them to arrays: bounds the transient strings and lists of both
@@ -66,7 +71,7 @@ class TargetStore:
         layout = _chain_layout(n_links, actuated_joints, DatasetSchemaMismatch)
         self.n_links, self.actuated_joints = layout
         self.t, self.G = _read_only(t), _read_only(G)
-        self.q, self.qdot, self.tau = (np.atleast_2d(_read_only(a)) for a in (q, qdot, tau))
+        self.q, self.qdot, self.tau = map(_read_only, (q, qdot, tau))
         n = len(self.t)
         if not (
             self.t.shape == (n,)
@@ -220,16 +225,17 @@ class NonEmptyStore:
     writes its store-length intermediates into, so a warm query allocates
     nothing the length of the store. It therefore serves one query at a
     time: do not share a handle between threads. Arrays a query returns are
-    fresh copies, never views of the scratch. ``control_law.target_errors``
-    gathers retrieved points from the columns too; the store's arrays cannot
+    fresh copies, never views of the scratch. The scan and ``target_errors``
+    are the only readers of the columns, and the store's arrays cannot
     change under them (see ``_read_only``). Raises ValueError unless the
-    store's chain has one unactuated direction.
+    store's chain has one unactuated direction and an actuator, as the
+    control law's split requires.
     """
 
     def __init__(self, store: TargetStore):
         if len(store) == 0:
             raise EmptyDataset("cannot retrieve from zero points")
-        if store.n_links - len(store.actuated_joints) != 1:
+        if not 0 < len(store.actuated_joints) == store.n_links - 1:
             raise ValueError(_ONE_DIRECTION)
         self.store = store
         self._q_cols = tuple(store.q.T)
@@ -268,6 +274,26 @@ def _query_arrays(targets, x0, b, omega, s_g, n_d, guard_tol):
     order = np.lexsort((idx, loss))[:n_d]
     idx = idx[order]
     return idx, t0[idx], s[idx], loss[order]
+
+
+def target_errors(
+    x0: State, targets: NonEmptyStore, idx: np.ndarray, t0: np.ndarray, s: np.ndarray, split
+) -> tuple[np.ndarray, np.ndarray]:
+    """Errors (dchi, dchidot), each (n, M), of the current state against the
+    renormalized targets q - qdot (t0 / s) + (qdot / s) t of the stored points
+    ``idx`` (n,), in the controlled coordinates of ``split`` (a CoordSplit),
+    which alone are gathered from the handle's columns. Raises ValueError
+    for a zero s."""
+    if np.count_nonzero(s) != len(s):
+        raise ValueError("time scale s must be nonzero")
+    r = t0 / s
+    q0, qdot0 = x0.q.tolist(), x0.qdot.tolist()
+    dchi, dchidot = np.empty((2, len(idx), len(split.controlled)))
+    for j, c in enumerate(split.controlled):
+        qdot_c = targets._qdot_cols[c][idx]
+        np.subtract(q0[c], targets._q_cols[c][idx] - qdot_c * r, out=dchi[:, j])
+        np.subtract(qdot0[c], qdot_c / s, out=dchidot[:, j])
+    return dchi, dchidot
 
 
 def _project_state(b, x, guard_tol):

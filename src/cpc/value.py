@@ -4,7 +4,7 @@ The estimate splits into two stages: the transition onto the renormalized
 target (dominated by the control work penalty of the critically damped
 feedback transient, evaluated in closed form) and the recorded return of the
 target point, shifted linearly by the time offset. Costs are given the
-errors ``control_law.target_errors`` computes, and every candidate of a
+errors ``target_store.target_errors`` computes, and every candidate of a
 batch is costed at once. The controlled block of B comes from the
 coordinate split, which has already checked it.
 """

@@ -8,10 +8,12 @@ the transition value through the (z kron I_M) B_chi^-1 matrices of the
 critically damped error dynamics, whose state-transition matrix
 ``expm_crit_damped`` gives in closed form. ``save_jsonl_per_value`` writes
 a store's JSON Lines one row and one value at a time, for the byte-identity
-check of the block writer. ``energy`` is the chain's total mechanical
-energy, for the integrator's conservation and work checks, and
-``correspondence_gap`` the distance between the path feedback and a
-virtual-constraint feedback, for the zero-dynamics reading of the law.
+check of the block writer. ``b_tau`` is the 0/1 matrix that places the
+torques on their joints, for the matmul the package leaves out. ``energy``
+is the chain's total mechanical energy, for the integrator's conservation
+and work checks, and ``correspondence_gap`` the distance between the path
+feedback and a virtual-constraint feedback, for the zero-dynamics reading
+of the law.
 ``upright_linearization`` and ``zd_rate`` give the zero-dynamics (ZD) rate
 of a straight path through upright, and ``path_store`` records stores that
 follow such a path, for the tests of the ZD mechanism.
@@ -62,7 +64,6 @@ from cpc.control_law import (
     CoordSplit,
     GainSpec,
     cpc_tau,
-    target_errors,
 )
 from cpc.dynamics import (
     ChainParams,
@@ -86,6 +87,7 @@ from cpc.target_store import (
     NonEmptyStore,
     TargetStore,
     _query_arrays,
+    target_errors,
 )
 from cpc.value import RewardSpec
 
@@ -258,6 +260,14 @@ def value_estimate(
 def cost(x0, cand, B, split, gain, spec, tau_d=None) -> float:
     """Negated value estimate; candidate selection minimizes this."""
     return -value_estimate(x0, cand, B, split, gain, spec, tau_d).v_total
+
+
+def b_tau(params: ChainParams) -> np.ndarray:
+    """The (N, M) 0/1 torque distribution matrix B_tau: column i selects
+    actuated joint i, so D qddot + H = B_tau tau."""
+    b = np.zeros((params.n_links, params.n_controls))
+    b[list(params.actuated_joints), range(params.n_controls)] = 1.0
+    return b
 
 
 def energy(params: ChainParams, state: State) -> float:

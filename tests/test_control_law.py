@@ -11,7 +11,6 @@ from cpc.control_law import (
     _solve,
     cpc_tau,
     estimate_control_matrix,
-    target_errors,
 )
 from cpc.controller import HISTORY_N
 from cpc.dynamics import (
@@ -28,6 +27,7 @@ from cpc.errors import (
     SingularMatrix,
     VelocityBarDegenerate,
 )
+from cpc.target_store import target_errors
 from oracles import (
     cpc_tau_lapack,
     estimate_per_column,

@@ -19,7 +19,8 @@ from cpc.controller import (
     make_controller,
 )
 from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matrix
-from cpc.errors import SingularMatrix
+from cpc.errors import SingularMatrix, VelocityBarDegenerate
+from cpc.experiments import ExperimentConfig, generate_falls, trial_seed
 from cpc.target_store import NonEmptyStore, TargetStore
 from cpc.value import RewardSpec, candidate_costs
 from oracles import cost, one_target_tau, query_candidates, row_errors
@@ -192,6 +193,35 @@ def test_cpc_loop_two_actuators_follows_oracle(rng):
         k *= 0.5
     assert K_C <= k < K0
     assert np.allclose(tau, want, rtol=1e-9, atol=1e-12)
+
+
+def test_cpc_loop_follows_actuated_joint_order():
+    # The same chain and data with the actuated joints listed as (2, 1): B's
+    # columns and the stored torques are reversed, and the loop returns the
+    # (1, 2) torque reversed. The split eliminates in the other column
+    # order, so the bits may differ in the last places.
+    cfg = ExperimentConfig()
+    forward = ChainParams(n_links=3, actuated_joints=(1, 2))
+    store = generate_falls(cfg, 3, seed=trial_seed(0, "joint-order", 0), params=forward)
+    flipped = TargetStore(store.t, store.q, store.qdot, store.tau[:, ::-1], store.G, 3, (2, 1))
+    targets = NonEmptyStore(store), NonEmptyStore(flipped)
+    queries = generate_falls(cfg, 5, seed=trial_seed(0, "joint-order", 1), params=forward)
+    ctrl_cfg = ControllerConfig()
+    spec = RewardSpec(C_tau=-np.eye(2))
+    cycles = 0
+    for q, qdot in zip(queries.q, queries.qdot):
+        x0 = State(q, qdot)
+        B = exact_control_matrix(forward, q)
+        try:
+            want = cpc_loop(x0, B, targets[0], ctrl_cfg, spec)
+        except VelocityBarDegenerate:
+            with pytest.raises(VelocityBarDegenerate):
+                cpc_loop(x0, B[:, ::-1], targets[1], ctrl_cfg, spec)
+            continue
+        got = cpc_loop(x0, B[:, ::-1], targets[1], ctrl_cfg, spec)[::-1]
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        cycles += 1
+    assert cycles >= 400
 
 
 def test_controller_bootstrap_then_estimation(rng):

@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from oracles import energy, lane_terms_full, step_axpy
+from oracles import b_tau, energy, lane_terms_full, step_axpy
 
 from cpc import dynamics
 from cpc.dynamics import (
@@ -211,7 +211,7 @@ def test_terms_match_lagrangian_oracle(rng):
         assert np.abs(terms.H - H_o).max() < 1e-6
         tau = rng.normal(size=1)
         qdd = _accel(p, q, qdot, tau)
-        qdd_o = np.linalg.solve(D_o, _chain_consts(p).b_tau @ tau - H_o)
+        qdd_o = np.linalg.solve(D_o, b_tau(p) @ tau - H_o)
         assert np.abs(qdd - qdd_o).max() < 1e-6
 
 
@@ -256,7 +256,7 @@ def test_accel_residual_oracle(rng):
         tau = rng.normal(size=1)
         qdd = _accel(p, st.q, st.qdot, tau)
         terms = manipulator_terms(p, st.q, st.qdot)
-        resid = terms.D @ qdd + terms.H - _chain_consts(p).b_tau @ tau
+        resid = terms.D @ qdd + terms.H - b_tau(p) @ tau
         assert np.abs(resid).max() < 1e-10
 
 
@@ -346,6 +346,16 @@ def test_control_matrix_equals_unit_torque_response(rng):
     drift = _accel(p, q, qdot, np.zeros(1))
     col = _accel(p, q, qdot, np.ones(1)) - drift
     assert np.abs(B[:, 0] - col).max() < 1e-8
+
+
+def test_control_matrix_columns_follow_actuated_joint_order(rng):
+    # Column i of B belongs to actuated joint i, in the order the chain
+    # lists them, so listing the joints reversed reverses the columns.
+    forward = ChainParams(n_links=3, actuated_joints=(1, 2))
+    backward = ChainParams(n_links=3, actuated_joints=(2, 1))
+    for q in rng.uniform(-3, 3, size=(20, 3)):
+        want = exact_control_matrix(forward, q)[:, ::-1]
+        assert exact_control_matrix(backward, q).tobytes() == want.tobytes()
 
 
 def test_control_matrix_continuity(rng):
@@ -512,7 +522,7 @@ def test_batched_step_nonfinite_row(q, qdot):
 )
 def test_non_finite_torque_raises_without_warning(call, bad):
     # A torque entry of inf would meet the zeros of the torque selection in
-    # b_tau @ tau, and 0 * inf warns; it must raise the package's error first.
+    # B_tau @ tau, and 0 * inf warns; it must raise the package's error first.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteState, match="torque"):
@@ -826,10 +836,10 @@ def test_traced_source_records_each_expression_once(n_links, monkeypatch):
     ids=["m1", "m2", "m4"],
 )
 def test_generalized_forces_match_matmul(params):
-    # The bits of b_tau @ tau, as step forms them for one state and for a
+    # The bits of B_tau @ tau, as step forms them for one state and for a
     # (K, M) batch: +0.0 on an unactuated joint, and 0.0 for a -0.0 torque.
     rng = np.random.default_rng(params.n_controls)
-    b_tau = _chain_consts(params).b_tau
+    selection = b_tau(params)
     m = params.n_controls
     for taus in (
         rng.choice([0.0, -0.0], (100, m)),
@@ -838,8 +848,8 @@ def test_generalized_forces_match_matmul(params):
     ):
         for tau in taus:
             gen = _generalized_forces(params, tau.tolist())
-            assert np.array(gen).tobytes() == (b_tau @ tau).tobytes()
+            assert np.array(gen).tobytes() == (selection @ tau).tobytes()
         for k in (1, 3, 100):
             gen = _generalized_forces(params, taus[:k].T)
             lanes = np.array([np.broadcast_to(g, (k,)) for g in gen])
-            assert lanes.tobytes() == (b_tau @ taus[:k].T).tobytes()
+            assert lanes.tobytes() == (selection @ taus[:k].T).tobytes()

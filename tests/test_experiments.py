@@ -64,13 +64,18 @@ def test_balance_trial_rejects_store_of_other_chain(params):
 
 @pytest.mark.parametrize(
     "params",
-    [ChainParams(n_links=3, actuated_joints=(2,)), ChainParams(n_links=2, actuated_joints=(0, 1))],
-    ids=["two_free", "fully_actuated"],
+    [
+        ChainParams(n_links=3, actuated_joints=(2,)),
+        ChainParams(n_links=2, actuated_joints=(0, 1)),
+        ChainParams(n_links=1, actuated_joints=()),
+    ],
+    ids=["two_free", "fully_actuated", "no_actuator"],
 )
 def test_unsupported_chain_rejected_before_first_cycle(params, monkeypatch):
-    # Retrieval matches on one unactuated direction. A store on a chain with
-    # any other number is refused when the retrieval handle is built, so a
-    # trial on that chain fails before running a single cycle.
+    # Retrieval matches on one unactuated direction with at least one
+    # actuator. A store on any other chain is refused when the retrieval
+    # handle is built, so a trial on that chain fails before running a
+    # single cycle.
     cfg = ExperimentConfig(t_max=0.5)
     store = generate_falls(cfg, 1, seed=trial_seed(0, "unsupported", 0), params=params)
     with pytest.raises(ValueError, match="one unactuated direction"):
@@ -85,6 +90,22 @@ def test_unsupported_chain_rejected_before_first_cycle(params, monkeypatch):
             store, cfg, cfg.noise_mult * cfg.sigma0, seed=trial_seed(0, "unsupported", 1),
             params=params,
         )
+
+
+@pytest.mark.parametrize(
+    "params", [ChainParams(density=1.25), ChainParams(gravity=12.5)], ids=["density", "gravity"]
+)
+def test_balance_trial_runs_on_chain_it_was_not_recorded_on(params):
+    # The method uses only the recorded data and its own estimate of B, so a
+    # store recorded on the nominal acrobot balances a chain with the same
+    # layout but other masses or gravity, and a seed reproduces the trial.
+    cfg = ExperimentConfig(t_max=1.0)
+    store = generate_falls(cfg, 3, seed=trial_seed(0, "mismatch", 0))
+    noise_amp = cfg.noise_mult * cfg.sigma0
+    seed = trial_seed(0, "mismatch", 1)
+    record = run_balance_trial(store, cfg, noise_amp, seed, params=params)
+    assert 0 < record.t_f <= cfg.t_max
+    assert run_balance_trial(store, cfg, noise_amp, seed, params=params) == record
 
 
 @pytest.mark.parametrize(

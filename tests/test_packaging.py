@@ -168,3 +168,35 @@ def test_control_cycle_calls_no_blas():
         tree = ast.parse(path.read_text(), str(path))
         found += [f"{name}:{line} {what}" for line, what in _blas_sites(tree, {"RewardSpec.__post_init__"})]
     assert found == []
+
+
+def _private_attribute_reads(tree):
+    """(line, name) of each read of ``x._name`` (one leading underscore, x
+    not ``self``) whose name the module never assigns as ``self._name``."""
+    owned = set()
+    reads = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+        if on_self and isinstance(node.ctx, ast.Store):
+            owned.add(node.attr)
+        elif (
+            not on_self
+            and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_")
+            and not node.attr.startswith("__")
+        ):
+            reads.append((node.lineno, node.attr))
+    # NamedTuple's public API is underscored so as not to clash with fields.
+    return [(line, name) for line, name in reads if name not in owned | {"_replace"}]
+
+
+def test_modules_read_no_other_modules_private_attributes():
+    # A private attribute is read only by the module that sets it, so each
+    # layout decision (such as the retrieval handle's columns) has one owner.
+    found = []
+    for path in sorted((ROOT / "src" / "cpc").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{line} {name}" for line, name in _private_attribute_reads(tree)]
+    assert found == []
