@@ -26,7 +26,7 @@ dispatch and does not depend on the BLAS build.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .control_law import CoordSplit, GainSpec, cpc_tau, estimate_control_matrix
 from .dynamics import State, _dot
 from .errors import NoValidCandidates, RankDeficient, SingularMatrix, VelocityBarDegenerate
 from .target_store import DEFAULT_GUARD_TOL, NonEmptyStore, _query_arrays, target_errors
-from .value import RewardSpec, candidate_costs
+from .value import candidate_costs
 
 # Proximity-loss weight on the time offset t0 in retrieval.
 OMEGA = 10.0
@@ -53,15 +53,18 @@ TAU_C = 2.0
 class ControllerConfig:
     """The loop values that differ between callers. The defaults follow
     stored points forward in time (``s_g = 1``) with their recorded torque
-    as feedforward; the balance experiment reverses the goal, drops the
-    recorded torque and takes dt and sigma_boot from its own configuration.
-    The candidate count, gains and torque cap are the module constants N_D,
-    K0, K_C and TAU_C, since every run uses one set of them."""
+    as feedforward and no state reward; the balance experiment reverses the
+    goal, drops the recorded torque and takes dt and sigma_boot from its own
+    configuration. ``state_reward`` maps a stored point's State to the r_d
+    of ``value.candidate_costs``. The candidate count, gains and torque cap
+    are the module constants N_D, K0, K_C and TAU_C, since every run uses
+    one set of them."""
 
     s_g: float = 1.0
     dt: float = 0.01
     sigma_boot: float = 0.02
     use_stored_tau_d: bool = True
+    state_reward: Optional[Callable[[State], float]] = None
 
     def __post_init__(self):
         finite = all(math.isfinite(v) for v in (self.s_g, self.dt, self.sigma_boot))
@@ -118,12 +121,14 @@ def cpc_loop(
     B: np.ndarray,
     targets: NonEmptyStore,
     cfg: ControllerConfig,
-    spec: RewardSpec,
 ) -> np.ndarray:
     """One control cycle: candidate query, cost-ranked selection and torque
-    with gain backoff. Raises NoValidCandidates when every stored point is
-    guard-rejected. The controlled rows of B are the store's actuated
-    joints, the layout the retrieval handle has checked."""
+    with gain backoff. The controlled rows of B are the store's actuated
+    joints, the layout the retrieval handle has checked. Raises
+    NoValidCandidates when every stored point is guard-rejected,
+    VelocityBarDegenerate when the scan cannot renormalize the query's
+    velocity along b, and SingularMatrix when the split finds B's
+    controlled block or covector unusable."""
     split = CoordSplit(B, targets.store.actuated_joints)
     idx, t0s, ss, _ = _query_arrays(targets, x0, split.b, OMEGA, cfg.s_g, N_D, DEFAULT_GUARD_TOL)
     if len(idx) == 0:
@@ -134,16 +139,18 @@ def cpc_loop(
     else:
         tau_d = np.zeros((len(idx), store.tau.shape[1]))
     g_d = store.G[idx]
-    if spec.state_reward is None:
+    if cfg.state_reward is None:
         r_d = np.zeros(len(idx))
     else:
-        r_d = np.array([spec.reward_at(State(*x)) for x in zip(store.q[idx], store.qdot[idx])])
+        r_d = np.array(
+            [float(cfg.state_reward(State(*x))) for x in zip(store.q[idx], store.qdot[idx])]
+        )
     dchi, dchidot = target_errors(x0, targets, idx, t0s, ss, split)
 
     k = K0
     while True:
         gain = GainSpec(k)
-        costs = candidate_costs(dchi, dchidot, tau_d, g_d, r_d, t0s, split, gain, spec)
+        costs = candidate_costs(dchi, dchidot, tau_d, g_d, r_d, t0s, split, gain)
         j = int(costs.argmin())
         tau = cpc_tau(dchi[j], dchidot[j], split, gain, tau_d[j])
         k = 0.5 * k
@@ -164,7 +171,6 @@ def controller_step(
     x0: State,
     targets: NonEmptyStore,
     cfg: ControllerConfig,
-    spec: RewardSpec,
 ) -> np.ndarray:
     """Advance the controller by one cycle and return the torque to apply.
 
@@ -183,7 +189,7 @@ def controller_step(
         try:
             B = estimate_control_matrix(ctrl.tau_cols, ctrl.u_cols)
             ctrl.last_B = B
-            tau = cpc_loop(x0, B, targets, cfg, spec)
+            tau = cpc_loop(x0, B, targets, cfg)
             if _norm(tau) >= TAU_C:
                 ctrl.unclamped_exits += 1
         except (NoValidCandidates, VelocityBarDegenerate, RankDeficient, SingularMatrix):

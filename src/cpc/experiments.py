@@ -1,11 +1,11 @@
 """Experiment harness: fall-data generation, balance trials and sample-count
 sweeps.
 
-The balance experiment records short uncontrolled falls of the two-link
-chain from upright rest under small torque noise, builds a target store from
-them, and runs the controller with the reversed time-scale goal so retrieved
-fall segments are tracked backwards, toward the equilibrium. A trial ends
-when a link tips past horizontal or the observation window runs out.
+The balance experiment records short uncontrolled falls of the chain from
+upright rest under small torque noise, builds a target store from them, and
+runs the controller with the reversed time-scale goal so retrieved fall
+segments are tracked backwards, toward the equilibrium. A trial ends when a
+link tips past horizontal or the observation window runs out.
 
 Every random draw derives from the master seed through a hash chain, so
 datasets and result tables reproduce byte for byte.
@@ -24,7 +24,6 @@ from .dynamics import ChainParams, State, _as_int, acrobot_params
 from .errors import DatasetSchemaMismatch
 from .target_store import NonEmptyStore as BallTree  # hook: bench/tracing.py target_store.index_build
 from .target_store import TargetStore
-from .value import RewardSpec
 
 # Absolute link angle from vertical past which the balance task is lost.
 FALL_ANGLE = math.pi / 2
@@ -175,13 +174,12 @@ def run_balance_trial(
     ctrl_cfg = ControllerConfig(s_g=-1.0, dt=cfg.dt, sigma_boot=cfg.sigma0, use_stored_tau_d=False)
     ctrl = make_controller(params.n_controls, seed=np.random.SeedSequence([seed, 0]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    spec = RewardSpec(C_tau=-np.eye(params.n_controls))
     st = State(np.zeros(params.n_links), np.zeros(params.n_links), 0.0)
     n_steps = round(cfg.t_max / cfg.dt)
     t_f = cfg.t_max
     fell = False
     for _ in range(n_steps):
-        tau = controller_step(ctrl, st, targets, ctrl_cfg, spec)
+        tau = controller_step(ctrl, st, targets, ctrl_cfg)
         disturbed = tau + noise_rng.normal(0.0, noise_amp, size=params.n_controls)
         st = dynamics.step(params, st, disturbed, cfg.dt)
         if has_fallen(st.q):

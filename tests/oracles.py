@@ -6,14 +6,17 @@ from independent derivations, for the tests to check the array code
 against: retrieval as a plain linear scan with ``q @ b`` projections, and
 the transition value through the (z kron I_M) B_chi^-1 matrices of the
 critically damped error dynamics, whose state-transition matrix
-``expm_crit_damped`` gives in closed form. ``save_jsonl_per_value`` writes
-a store's JSON Lines one row and one value at a time, for the byte-identity
-check of the block writer. ``b_tau`` is the 0/1 matrix that places the
-torques on their joints, for the matmul the package leaves out. ``energy``
-is the chain's total mechanical energy, for the integrator's conservation
-and work checks, and ``correspondence_gap`` the distance between the path
-feedback and a virtual-constraint feedback, for the zero-dynamics reading
-of the law.
+``expm_crit_damped`` gives in closed form. ``candidate_costs_shaped`` is the
+batch ranking under a general control penalty C_tau and discount time scale
+T_gamma, of which the package's ranking is the case C_tau = -I, T_gamma = 1;
+the tests require the same bits from the two there. ``save_jsonl_per_value``
+writes a store's JSON Lines one row and one value at a time, for the
+byte-identity check of the block writer. ``b_tau`` is the 0/1 matrix that
+places the torques on their joints, for the matmul the package leaves out.
+``energy`` is the chain's total mechanical energy, for the integrator's
+conservation and work checks, and ``correspondence_gap`` the distance
+between the path feedback and a virtual-constraint feedback, for the
+zero-dynamics reading of the law.
 ``upright_linearization`` and ``zd_rate`` give the zero-dynamics (ZD) rate
 of a straight path through upright, and ``path_store`` records stores that
 follow such a path, for the tests of the ZD mechanism.
@@ -63,12 +66,14 @@ from cpc.control_law import (
     RIDGE,
     CoordSplit,
     GainSpec,
+    _solve,
     cpc_tau,
 )
 from cpc.dynamics import (
     ChainParams,
     State,
     _chain_consts,
+    _dot,
     _generalized_forces,
     exact_control_matrix,
     manipulator_terms,
@@ -89,7 +94,6 @@ from cpc.target_store import (
     _query_arrays,
     target_errors,
 )
-from cpc.value import RewardSpec
 
 
 class Candidate(NamedTuple):
@@ -234,32 +238,65 @@ def value_estimate(
     B: np.ndarray,
     split: CoordSplit,
     gain: GainSpec,
-    spec: RewardSpec,
+    state_reward=None,
     tau_d=None,
 ) -> Value:
     """Two-stage value estimate of steering from x0 onto the candidate's
-    renormalized target and following it. ``tau_d`` overrides the
-    candidate's stored torque."""
+    renormalized target and following it, under the control penalty
+    -|tau|^2, a discount time scale of 1 s and the state reward
+    ``state_reward`` of the candidate's state (zero if None). ``tau_d``
+    overrides the candidate's stored torque."""
     tau_d = np.asarray(cand.tau if tau_d is None else tau_d, dtype=float)
     ci = list(split.controlled)
     q_r0, qdot_r = one_target(cand.x, cand.t0, cand.s)
     dx = np.concatenate([x0.q[ci] - q_r0[ci], x0.qdot[ci] - qdot_r[ci]])
     kappa = gain.kappa
     z1, z2 = _transition_matrices(np.atleast_2d(np.asarray(B, dtype=float))[ci, :], kappa)
-    C = spec.C_tau
-    tg = spec.T_gamma
+    C = -np.eye(len(ci))
     v1 = float(
-        -(2.0 / tg) * tau_d @ C @ (z1.T @ dx)
-        + (kappa / (4.0 * tg)) * dx @ (z1 @ C @ z1.T + z2 @ C @ z2.T) @ dx
+        -2.0 * tau_d @ C @ (z1.T @ dx)
+        + (kappa / 4.0) * dx @ (z1 @ C @ z1.T + z2 @ C @ z2.T) @ dx
     )
-    r_d = spec.reward_at(cand.x)
-    v2 = float(cand.G + (cand.t0 / tg) * (tau_d @ C @ tau_d + r_d - cand.G))
+    r_d = 0.0 if state_reward is None else float(state_reward(cand.x))
+    v2 = float(cand.G + cand.t0 * (tau_d @ C @ tau_d + r_d - cand.G))
     return Value(v1 + v2, v1, v2)
 
 
-def cost(x0, cand, B, split, gain, spec, tau_d=None) -> float:
+def cost(x0, cand, B, split, gain, state_reward=None, tau_d=None) -> float:
     """Negated value estimate; candidate selection minimizes this."""
-    return -value_estimate(x0, cand, B, split, gain, spec, tau_d).v_total
+    return -value_estimate(x0, cand, B, split, gain, state_reward, tau_d).v_total
+
+
+def candidate_costs_shaped(dchi, dchidot, tau_d, g_d, r_d, t0, split, gain, C_tau, T_gamma):
+    """``value.candidate_costs`` under the control penalty tau' C_tau tau
+    (C_tau M x M) and discount time scale T_gamma: the transition value
+    v_I = -(2/T) tau_d' C W + kappa/(4T) (W' C W + Z' C Z) and the recorded
+    value v_II = G + (t0/T) (tau_d' C tau_d + r_d - G), in the same
+    arithmetic order, with each quadratic form summed through the columns
+    of C_tau."""
+    m = len(split.controlled)
+    C_tau = np.asarray(C_tau, dtype=float)
+    assert C_tau.shape == (m, m)
+    kappa = gain.kappa
+    tg = T_gamma
+    if m == 1:
+        beta = float(split.b_chi[0, 0])
+        c = float(C_tau[0, 0])
+        td = tau_d[:, 0]
+        dchi, dchidot = dchi[:, 0], dchidot[:, 0]
+        v1 = -(2.0 / tg) * td * c * (dchidot / beta) + (kappa * c / (4.0 * tg * beta * beta)) * (
+            kappa * kappa * dchi * dchi + 4.0 * kappa * dchi * dchidot + 5.0 * dchidot * dchidot
+        )
+        v2 = g_d + (t0 / tg) * (c * td * td + r_d - g_d)
+        return -(v1 + v2)
+    td = tau_d.T
+    U, W = _solve(split.b_chi.tolist(), [dchi.T, dchidot.T])
+    Z = [kappa * u + 2.0 * w for u, w in zip(U, W)]
+    c_cols = C_tau.T.tolist()
+    td_c, w_c, z_c = ([_dot(a, col) for col in c_cols] for a in (td, W, Z))
+    v1 = -(2.0 / tg) * _dot(td_c, W) + (kappa / (4.0 * tg)) * (_dot(w_c, W) + _dot(z_c, Z))
+    v2 = g_d + (t0 / tg) * (_dot(td_c, td) + r_d - g_d)
+    return -(v1 + v2)
 
 
 def b_tau(params: ChainParams) -> np.ndarray:
@@ -633,7 +670,7 @@ def make_deque_controller(n_controls: int, seed) -> DequeController:
     return DequeController(n_controls, np.random.default_rng(seed))
 
 
-def deque_controller_step(ctrl: DequeController, x0, targets, cfg, spec) -> np.ndarray:
+def deque_controller_step(ctrl: DequeController, x0, targets, cfg) -> np.ndarray:
     """``controller.controller_step`` on a ``DequeController``: the finite
     difference is taken on arrays, the window is rebuilt into arrays with
     np.array every cycle and split into the regression's columns, and the
@@ -651,7 +688,7 @@ def deque_controller_step(ctrl: DequeController, x0, targets, cfg, spec) -> np.n
         try:
             B = controller.estimate_control_matrix(taus.T.tolist(), us.T.tolist())
             ctrl.last_B = B
-            tau = controller.cpc_loop(x0, B, targets, cfg, spec)
+            tau = controller.cpc_loop(x0, B, targets, cfg)
             if float(np.linalg.norm(tau)) >= controller.TAU_C:
                 ctrl.unclamped_exits += 1
         except (NoValidCandidates, VelocityBarDegenerate, RankDeficient, SingularMatrix):

@@ -22,7 +22,7 @@ from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matri
 from cpc.errors import SingularMatrix, VelocityBarDegenerate
 from cpc.experiments import ExperimentConfig, generate_falls, trial_seed
 from cpc.target_store import NonEmptyStore, TargetStore
-from cpc.value import RewardSpec, candidate_costs
+from cpc.value import candidate_costs
 from oracles import cost, one_target_tau, query_candidates, row_errors
 
 
@@ -63,7 +63,7 @@ def test_cpc_loop_single_candidate_no_backoff():
     x0, xd, B, split = _engineered_setup(1e-4)
     targets = _one_point_targets(xd)
     cfg = ControllerConfig(s_g=1.0)
-    tau = cpc_loop(x0, B, targets, cfg, RewardSpec())
+    tau = cpc_loop(x0, B, targets, cfg)
     # Small error: no backoff, so the torque equals the direct law at K0.
     direct = one_target_tau(x0, xd, split, 0.0, 1.0, GainSpec(K0), np.zeros(1))
     assert np.linalg.norm(tau) < TAU_C
@@ -81,7 +81,7 @@ def test_cpc_loop_backoff_iteration_count():
     factor = 10.0 * TAU_C / base_norm
     x0 = State(xd.q + (x0.q - xd.q) * factor, x0.qdot)
     targets = _one_point_targets(xd)
-    tau = cpc_loop(x0, B, targets, cfg, RewardSpec())
+    tau = cpc_loop(x0, B, targets, cfg)
     assert np.linalg.norm(tau) == pytest.approx(10.0 / 16.0 * TAU_C, rel=1e-6)
 
 
@@ -100,7 +100,7 @@ def test_cpc_loop_gain_floor_returns_unclamped():
     assert k_last >= K_C and k_last / 2 < K_C
     x0, xd, B, split = _offset_for_norm_at(1.5 * TAU_C, k_last)
     targets = _one_point_targets(xd)
-    tau = cpc_loop(x0, B, targets, cfg, RewardSpec())
+    tau = cpc_loop(x0, B, targets, cfg)
     assert np.linalg.norm(tau) == pytest.approx(1.5 * TAU_C, rel=1e-9)
     assert np.linalg.norm(tau) >= TAU_C
 
@@ -115,7 +115,7 @@ def test_controller_counts_unclamped_exit(rng):
     # up to the ridge bias, about 1e-9 relative.
     for tau_h in rng.uniform(0.5, 1.5, (HISTORY_N, 1)):
         ctrl.push(tau_h, B @ tau_h)
-    tau = controller_step(ctrl, x0, _one_point_targets(xd), cfg, RewardSpec())
+    tau = controller_step(ctrl, x0, _one_point_targets(xd), cfg)
     assert np.linalg.norm(tau) == pytest.approx(1.5 * TAU_C, rel=1e-6)
     assert (ctrl.unclamped_exits, ctrl.fallback_count) == (1, 0)
 
@@ -134,7 +134,7 @@ def test_cpc_loop_backoff_bounded_iterations(monkeypatch):
     cfg = ControllerConfig(s_g=1.0)
     x0, xd, B, _ = _offset_for_norm_at(1.5 * TAU_C, K0 / 2**9)
     targets = _one_point_targets(xd)
-    cpc_loop(x0, B, targets, cfg, RewardSpec())
+    cpc_loop(x0, B, targets, cfg)
     assert calls["n"] == 10  # floor(log2(K0 / K_C)) + 1
 
 
@@ -156,7 +156,7 @@ def test_candidate_costs_reselect_per_gain():
     picks = [
         int(np.argmin(candidate_costs(
             dchi, dchidot, np.zeros((2, 1)), np.array([0.0, 5.0]), zeros, zeros, split,
-            GainSpec(k), RewardSpec(),
+            GainSpec(k),
         )))
         for k in (1e7, 2.0001)
     ]
@@ -175,18 +175,15 @@ def test_cpc_loop_two_actuators_follows_oracle(rng):
         np.zeros(n), x0.q + rng.normal(0.0, 0.5, (n, 3)), x0.qdot + rng.normal(0.0, 0.4, (n, 3)),
         rng.normal(0.0, 0.3, (n, 2)), rng.normal(size=n), 3, (1, 2),
     )
-    cfg = ControllerConfig(s_g=1.0)
-    spec = RewardSpec(
-        T_gamma=0.7, C_tau=-np.array([[1.0, 0.2], [0.2, 0.5]]), state_reward=lambda x: -(x.q @ x.q)
-    )
-    tau = cpc_loop(x0, B, NonEmptyStore(store), cfg, spec)
+    cfg = ControllerConfig(s_g=1.0, state_reward=lambda x: -(x.q @ x.q))
+    tau = cpc_loop(x0, B, NonEmptyStore(store), cfg)
 
     split = CoordSplit(B, (1, 2))
     cands = query_candidates(store, x0, split.b, OMEGA, cfg.s_g, N_D)
     k = K0
     while True:
         gain = GainSpec(k)
-        best = min(cands, key=lambda c: cost(x0, c, B, split, gain, spec))
+        best = min(cands, key=lambda c: cost(x0, c, B, split, gain, cfg.state_reward))
         want = one_target_tau(x0, best.x, split, best.t0, best.s, gain, best.tau)
         if np.linalg.norm(want) < TAU_C or 0.5 * k < K_C:
             break
@@ -207,18 +204,17 @@ def test_cpc_loop_follows_actuated_joint_order():
     targets = NonEmptyStore(store), NonEmptyStore(flipped)
     queries = generate_falls(cfg, 5, seed=trial_seed(0, "joint-order", 1), params=forward)
     ctrl_cfg = ControllerConfig()
-    spec = RewardSpec(C_tau=-np.eye(2))
     cycles = 0
     for q, qdot in zip(queries.q, queries.qdot):
         x0 = State(q, qdot)
         B = exact_control_matrix(forward, q)
         try:
-            want = cpc_loop(x0, B, targets[0], ctrl_cfg, spec)
+            want = cpc_loop(x0, B, targets[0], ctrl_cfg)
         except VelocityBarDegenerate:
             with pytest.raises(VelocityBarDegenerate):
-                cpc_loop(x0, B[:, ::-1], targets[1], ctrl_cfg, spec)
+                cpc_loop(x0, B[:, ::-1], targets[1], ctrl_cfg)
             continue
-        got = cpc_loop(x0, B[:, ::-1], targets[1], ctrl_cfg, spec)[::-1]
+        got = cpc_loop(x0, B[:, ::-1], targets[1], ctrl_cfg)[::-1]
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         cycles += 1
     assert cycles >= 400
@@ -236,7 +232,7 @@ def test_controller_bootstrap_then_estimation(rng):
     for step in range(HISTORY_N + 1):
         x = State(q.copy(), qdot.copy())
         states.append(x)
-        tau = controller_step(ctrl, x, targets, cfg, RewardSpec())
+        tau = controller_step(ctrl, x, targets, cfg)
         if step < HISTORY_N:
             assert ctrl.last_B is None  # still bootstrapping
         qdot = qdot + cfg.dt * (B0 @ tau)
@@ -244,7 +240,7 @@ def test_controller_bootstrap_then_estimation(rng):
     # to the ridge bias) and the torque matches a direct loop call with it.
     assert ctrl.last_B is not None
     assert np.abs(ctrl.last_B - B0).max() < 1e-3
-    direct = cpc_loop(states[-1], ctrl.last_B, targets, cfg, RewardSpec())
+    direct = cpc_loop(states[-1], ctrl.last_B, targets, cfg)
     assert np.abs(ctrl.prev_tau - direct).max() < 1e-12
 
 
@@ -256,12 +252,12 @@ def test_controller_fallback_on_degenerate_velocity():
     for _ in range(HISTORY_N):
         ctrl.push(np.array([0.01]), np.array([0.3, -0.45]))
     x = State(np.array([0.05, 0.0]), np.zeros(2))
-    tau = controller_step(ctrl, x, targets, cfg, RewardSpec())
+    tau = controller_step(ctrl, x, targets, cfg)
     assert np.array_equal(tau, np.zeros(1))
     assert ctrl.fallback_count == 1
     # The controller keeps going on the next step.
     x2 = State(np.array([0.05, 0.0]), np.array([0.4, 0.3]))
-    tau2 = controller_step(ctrl, x2, targets, cfg, RewardSpec())
+    tau2 = controller_step(ctrl, x2, targets, cfg)
     assert np.all(np.isfinite(tau2))
 
 
@@ -274,12 +270,12 @@ def test_overflowing_covector_falls_back(monkeypatch):
     x = State(np.array([0.05, 0.0]), np.array([0.4, 0.3]))
     B = np.array([[1e300], [1e-10]])
     with pytest.raises(SingularMatrix, match="covector"):
-        cpc_loop(x, B, targets, cfg, RewardSpec())
+        cpc_loop(x, B, targets, cfg)
     ctrl = make_controller(1, seed=0)
     for _ in range(HISTORY_N):
         ctrl.push(np.array([0.01]), np.array([0.3, -0.45]))
     monkeypatch.setattr(controller, "estimate_control_matrix", lambda taus, us: B)
-    tau = controller_step(ctrl, x, targets, cfg, RewardSpec())
+    tau = controller_step(ctrl, x, targets, cfg)
     assert np.array_equal(tau, np.zeros(1))
     assert ctrl.fallback_count == 1 and ctrl.last_B is B
 
@@ -295,7 +291,7 @@ def test_controller_determinism():
         taus = []
         for _ in range(12):
             x = State(q.copy(), qdot.copy())
-            tau = controller_step(ctrl, x, targets, cfg, RewardSpec())
+            tau = controller_step(ctrl, x, targets, cfg)
             taus.append(tau.copy())
             qdot = qdot + 0.01 * np.array([25.0, -40.0]) * tau[0]
             q = q + 0.01 * qdot
@@ -315,7 +311,7 @@ def test_controller_never_emits_nonfinite():
     for _ in range(HISTORY_N):
         ctrl.push(np.zeros(1), np.array([1.0, 1.0]))
     x = State(np.array([0.3, -0.2]), np.array([0.7, 0.4]))
-    tau = controller_step(ctrl, x, targets, cfg, RewardSpec())
+    tau = controller_step(ctrl, x, targets, cfg)
     assert np.all(np.isfinite(tau))
 
 

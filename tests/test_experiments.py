@@ -1,4 +1,5 @@
 import csv
+import functools
 import gc
 import math
 import os
@@ -264,7 +265,8 @@ def test_balance_trials_match_numpy_forms(monkeypatch):
     # On each chain, three trials give the same records and the same applied
     # torques, bit for bit, with every float-path step of the cycle swapped
     # for its numpy form: the 1 x 1 solves, the target errors, the torque
-    # norm, the deque-built regression window and the fall test. The
+    # norm, the deque-built regression window and the fall test, and the
+    # ranking swapped for the general-penalty one at C = -I, T = 1. The
     # two-actuator chain runs the M = 2 regression and split through whole
     # trials. Its 2 x 2 path law eliminates on Python floats, so it keeps
     # its own there (test_path_law_matches_lapack bounds it against LAPACK).
@@ -306,6 +308,9 @@ def test_balance_trials_match_numpy_forms(monkeypatch):
             (experiments, "make_controller", oracles.make_deque_controller),
             (experiments, "controller_step", oracles.deque_controller_step),
             (experiments, "has_fallen", oracles.has_fallen_cumsum),
+            (controller, "candidate_costs", functools.partial(
+                oracles.candidate_costs_shaped, C_tau=-np.eye(params.n_controls), T_gamma=1.0
+            )),
         ]
         if params.n_controls == 1:
             swaps.append((controller, "cpc_tau", oracles.cpc_tau_lapack))
