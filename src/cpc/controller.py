@@ -14,10 +14,10 @@ regression reads as they are. When a cycle cannot produce a torque
 (degenerate retrieval, rank-deficient or singular B, or a non-finite result)
 the controller applies zero torque for that cycle.
 
-The loop values OMEGA, HISTORY_N, N_D, K0, K_C and TAU_C are constants, not
-options: the method is one fixed procedure applied after training, and every
-run (the balance experiment, the sweep, the benchmark) uses these values, so
-changing one changes the method.
+The loop values DT, SIGMA_BOOT, OMEGA, HISTORY_N, N_D, K0, K_C and TAU_C
+are constants, not options: the method is one fixed procedure applied after
+training, and every run (the balance experiment, the sweep, the benchmark)
+uses these values, so changing one changes the method.
 
 The cycle's small-array work (the window, norms and finiteness checks) runs
 on Python floats, which for these sizes costs less than numpy's per-call
@@ -36,6 +36,10 @@ from .errors import NoValidCandidates, RankDeficient, SingularMatrix, VelocityBa
 from .target_store import DEFAULT_GUARD_TOL, NonEmptyStore, _query_arrays, target_errors
 from .value import candidate_costs
 
+# Control period (s), also the step of the regression's finite differences.
+DT = 0.01
+# Scale of the bootstrap torque noise (and of the recorded falls' noise).
+SIGMA_BOOT = 0.02
 # Proximity-loss weight on the time offset t0 in retrieval.
 OMEGA = 10.0
 # Regression window: (torque, acceleration) pairs per estimate of B.
@@ -54,22 +58,19 @@ class ControllerConfig:
     """The loop values that differ between callers. The defaults follow
     stored points forward in time (``s_g = 1``) with their recorded torque
     as feedforward and no state reward; the balance experiment reverses the
-    goal, drops the recorded torque and takes dt and sigma_boot from its own
-    configuration. ``state_reward`` maps a stored point's State to the r_d
-    of ``value.candidate_costs``. The candidate count, gains and torque cap
-    are the module constants N_D, K0, K_C and TAU_C, since every run uses
-    one set of them."""
+    goal and drops the recorded torque. ``state_reward`` maps a stored
+    point's State to the r_d of ``value.candidate_costs``. The control
+    period, bootstrap noise, candidate count, gains and torque cap are the
+    module constants DT, SIGMA_BOOT, N_D, K0, K_C and TAU_C, since every run
+    uses one set of them."""
 
     s_g: float = 1.0
-    dt: float = 0.01
-    sigma_boot: float = 0.02
     use_stored_tau_d: bool = True
     state_reward: Optional[Callable[[State], float]] = None
 
     def __post_init__(self):
-        finite = all(math.isfinite(v) for v in (self.s_g, self.dt, self.sigma_boot))
-        if not (finite and self.dt > 0 and self.sigma_boot >= 0):
-            raise ValueError("need finite s_g, dt > 0 and sigma_boot >= 0")
+        if not math.isfinite(self.s_g):
+            raise ValueError("need a finite s_g")
 
 
 @dataclass
@@ -182,9 +183,9 @@ def controller_step(
     """
     qdot = x0.qdot.tolist()
     if ctrl.prev_tau is not None:
-        ctrl.push(ctrl.prev_tau, [(v - v0) / cfg.dt for v, v0 in zip(qdot, ctrl.prev_qdot)])
+        ctrl.push(ctrl.prev_tau, [(v - v0) / DT for v, v0 in zip(qdot, ctrl.prev_qdot)])
     if ctrl.filled < HISTORY_N:
-        tau = ctrl.rng.normal(0.0, cfg.sigma_boot, size=ctrl.n_controls)
+        tau = ctrl.rng.normal(0.0, SIGMA_BOOT, size=ctrl.n_controls)
     else:
         try:
             B = estimate_control_matrix(ctrl.tau_cols, ctrl.u_cols)

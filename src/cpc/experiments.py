@@ -14,12 +14,13 @@ datasets and result tables reproduce byte for byte.
 import csv
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from . import dynamics
-from .controller import ControllerConfig, controller_step, make_controller
+from .controller import DT, SIGMA_BOOT, ControllerConfig, controller_step, make_controller
 from .dynamics import ChainParams, State, _as_int, acrobot_params
 from .errors import DatasetSchemaMismatch
 from .target_store import NonEmptyStore as BallTree  # hook: bench/tracing.py target_store.index_build
@@ -27,45 +28,46 @@ from .target_store import TargetStore
 
 # Absolute link angle from vertical past which the balance task is lost.
 FALL_ANGLE = math.pi / 2
+# Length (s) of one recorded fall; its torque noise has scale SIGMA_BOOT.
+FALL_DURATION = 1.0
+# The balance disturbance: torque noise of scale NOISE_MULT * SIGMA_BOOT.
+NOISE_MULT = 6.0
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Balance-experiment parameters (defaults reproduce the standard runs)."""
+    """What a sample-count sweep takes in: the trial horizon, the trials per
+    n_f, the n_f list and the master seed (defaults reproduce the standard
+    runs). The step, fall length and noise scales are the protocol's
+    constants DT, FALL_DURATION, SIGMA_BOOT and NOISE_MULT. The benchmark
+    reads them as ``dt``, ``sigma0`` and ``noise_mult`` and passes
+    ``workers=1``, so those names stay; a sweep runs its trials serially."""
 
-    sigma0: float = 0.02
-    fall_duration: float = 1.0
     t_max: float = 30.0
     trials: int = 100
-    noise_mult: float = 6.0
     n_f_list: tuple[int, ...] = (3, 10, 30, 100)
     master_seed: int = 0
-    dt: float = 0.01
-    workers: int = 1
+    workers: InitVar[int] = 1
 
-    def __post_init__(self):
-        if not all(math.isfinite(d) and d > 0 for d in (self.fall_duration, self.t_max, self.dt)):
-            raise ValueError("durations must be positive and finite")
-        # A trial runs round(t_max / dt) cycles and a fall records
-        # round(fall_duration / dt) points; zero of either would give a
-        # trial that never ran or a store with nothing to retrieve. Rounding
-        # half to even, round(x) >= 1 exactly when x > 0.5.
-        if not (self.t_max / self.dt > 0.5 and self.fall_duration / self.dt > 0.5):
-            raise ValueError("t_max and fall_duration must each span at least one step dt")
+    dt: ClassVar[float] = DT
+    sigma0: ClassVar[float] = SIGMA_BOOT
+    noise_mult: ClassVar[float] = NOISE_MULT
+
+    def __post_init__(self, workers):
+        # A trial runs round(t_max / DT) cycles; zero would be reported as
+        # a survival to t_max. Rounding half to even, round(x) >= 1 exactly
+        # when x > 0.5.
+        if not (math.isfinite(self.t_max) and self.t_max / DT > 0.5):
+            raise ValueError("t_max must be finite and span at least one step DT")
         try:
-            counts = [_as_int(n) for n in (self.trials, self.workers, *self.n_f_list)]
+            counts = [_as_int(n) for n in (self.trials, workers, *self.n_f_list)]
         except TypeError as e:
             raise ValueError(f"trials, workers and every n_f must be integers: {e}") from e
-        if min(counts) < 1 or not self.n_f_list:
-            raise ValueError("need trials, workers and at least one n_f, each >= 1")
         trials, workers, *n_f_list = counts
+        if workers != 1 or min(counts) < 1 or not n_f_list:
+            raise ValueError("need workers == 1 (trials run serially), trials >= 1 and n_f >= 1")
         object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "workers", workers)
         object.__setattr__(self, "n_f_list", tuple(n_f_list))
-        # Written so that NaN fails too; an infinite scale would make the
-        # first step of every fall or trial non-finite.
-        if not (0 < self.sigma0 < math.inf and 0 <= self.noise_mult < math.inf):
-            raise ValueError("sigma0 must be positive and noise_mult non-negative, both finite")
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,10 @@ def generate_falls(
 ) -> TargetStore:
     """Record n_f uncontrolled fall trajectories from upright rest.
 
-    Each trajectory applies zero-mean torque noise of scale sigma0 for the
-    fall duration; every recorded point carries zero return. Raises
+    Each trajectory applies zero-mean torque noise of scale SIGMA_BOOT for
+    FALL_DURATION; every recorded point carries zero return. Raises
     ValueError unless n_f is an integer >= 1 (see ``dynamics._as_int``).
+    Nothing is read from ``cfg``; it stays for the benchmark's call.
     """
     try:
         n_f = _as_int(n_f)
@@ -105,12 +108,12 @@ def generate_falls(
         raise ValueError("n_f must be >= 1")
     params = params or acrobot_params()
     rng = np.random.default_rng(seed)
-    n_steps = round(cfg.fall_duration / cfg.dt)
+    n_steps = round(FALL_DURATION / DT)
     n, m = params.n_links, params.n_controls
     rows = n_f * n_steps
     # One draw in (fall, step, control) order is the same stream as drawing
     # each step's noise in turn, fall after fall.
-    tau = rng.normal(0.0, cfg.sigma0, size=(n_f, n_steps, m))
+    tau = rng.normal(0.0, SIGMA_BOOT, size=(n_f, n_steps, m))
     t = np.empty(n_steps)
     # As (N, rows), rows in (fall, step) order, the transposes of these
     # buffers are the column-major arrays the store keeps.
@@ -120,7 +123,7 @@ def generate_falls(
     st = State(np.zeros((n_f, n)), np.zeros((n_f, n)), 0.0)
     for i in range(n_steps):
         t[i], q[:, :, i], qdot[:, :, i] = st.t, st.q.T, st.qdot.T
-        st = dynamics.step(params, st, tau[:, i], cfg.dt)
+        st = dynamics.step(params, st, tau[:, i], DT)
     t, G = np.concatenate([t] * n_f), np.zeros(rows)
     # Handed over read-only, the arrays are kept by the store without a
     # copy; tau is row-major at M >= 2, so there the store copies it once.
@@ -171,17 +174,17 @@ def run_balance_trial(
     targets = BallTree(store)
     # Fall data is tracked backwards, toward upright (reversed time-scale
     # goal), and its recorded torques are noise, not a reference.
-    ctrl_cfg = ControllerConfig(s_g=-1.0, dt=cfg.dt, sigma_boot=cfg.sigma0, use_stored_tau_d=False)
+    ctrl_cfg = ControllerConfig(s_g=-1.0, use_stored_tau_d=False)
     ctrl = make_controller(params.n_controls, seed=np.random.SeedSequence([seed, 0]))
     noise_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     st = State(np.zeros(params.n_links), np.zeros(params.n_links), 0.0)
-    n_steps = round(cfg.t_max / cfg.dt)
+    n_steps = round(cfg.t_max / DT)
     t_f = cfg.t_max
     fell = False
     for _ in range(n_steps):
         tau = controller_step(ctrl, st, targets, ctrl_cfg)
         disturbed = tau + noise_rng.normal(0.0, noise_amp, size=params.n_controls)
-        st = dynamics.step(params, st, disturbed, cfg.dt)
+        st = dynamics.step(params, st, disturbed, DT)
         if has_fallen(st.q):
             t_f = st.t
             fell = True
@@ -189,33 +192,17 @@ def run_balance_trial(
     return TrialRecord(trial_id, n_f, seed, t_f, fell)
 
 
-def _one_sweep_trial(args):
-    cfg, n_f, noise_amp, seed, trial_id = args
-    store = generate_falls(cfg, n_f, seed=trial_seed(seed, "falls", 0))
-    return run_balance_trial(store, cfg, noise_amp, seed, trial_id=trial_id, n_f=n_f)
-
-
 def sweep_sample_counts(cfg: ExperimentConfig) -> dict[int, list[TrialRecord]]:
     """Mean fall time versus number of recorded falls: cfg.trials independent
-    balance trials per sample count, each on freshly recorded fall data."""
-    n_f_list = list(dict.fromkeys(cfg.n_f_list))
-    noise_amp = cfg.noise_mult * cfg.sigma0
-    jobs = [
-        (cfg, n_f, noise_amp, trial_seed(cfg.master_seed, f"sweep-nf{n_f}", i), i)
-        for n_f in n_f_list
-        for i in range(cfg.trials)
-    ]
-    if cfg.workers > 1:
-        # Imported here: it loads multiprocessing, which serial sweeps never use.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_one_sweep_trial, jobs))
-    else:
-        records = [_one_sweep_trial(j) for j in jobs]
-    results = {n_f: [] for n_f in n_f_list}
-    for r in records:
-        results[r.n_f].append(r)
+    balance trials per sample count (a repeated n_f runs once), each on
+    freshly recorded fall data, under the disturbance NOISE_MULT *
+    SIGMA_BOOT."""
+    results = {n_f: [] for n_f in cfg.n_f_list}
+    for n_f, records in results.items():
+        for i in range(cfg.trials):
+            seed = trial_seed(cfg.master_seed, f"sweep-nf{n_f}", i)
+            store = generate_falls(cfg, n_f, seed=trial_seed(seed, "falls", 0))
+            records.append(run_balance_trial(store, cfg, NOISE_MULT * SIGMA_BOOT, seed, i, n_f))
     return results
 
 

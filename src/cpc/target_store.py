@@ -36,6 +36,7 @@ round-trips bit for bit, the sign of zero included.
 """
 
 import json
+import os
 
 import numpy as np
 
@@ -90,12 +91,21 @@ class TargetStore:
     # -- serialization ------------------------------------------------------
 
     def save_jsonl(self, path) -> None:
+        """Write the store to ``path`` as JSON Lines in a new file that
+        replaces any file there: a hard link to the old file keeps the old
+        bytes, and a symlink at ``path`` is replaced. (Truncating the old
+        file makes ext4's ``auto_da_alloc`` flush it on close, which stalls
+        repeated saves to one path.)"""
         n, m = self.n_links, len(self.actuated_joints)
         # '%.17g' on a Python float is format(x, ".17g"), which round-trips
         # every float64, so a loaded store is bit-equal to the saved one.
         template = '{"t": %%.17g, "q": %s, "qdot": %s, "tau": %s, "G": %%.17g}\n' % (
             _list_template(n), _list_template(n), _list_template(m)
         )
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            pass
         with open(path, "w", encoding="utf-8") as f:
             header = {
                 "format": DATASET_FORMAT,

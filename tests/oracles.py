@@ -85,7 +85,7 @@ from cpc.errors import (
     SingularMatrix,
     VelocityBarDegenerate,
 )
-from cpc.experiments import FALL_ANGLE, ExperimentConfig
+from cpc.experiments import FALL_ANGLE, FALL_DURATION
 from cpc.target_store import (
     DATASET_FORMAT,
     DEFAULT_GUARD_TOL,
@@ -396,16 +396,14 @@ def zd_rate(params: ChainParams, v) -> float:
 PATH_KP, PATH_KD = 400.0, 40.0
 
 
-def path_store(
-    params: ChainParams, a: float, n_f: int, seed, cfg: ExperimentConfig
-) -> TargetStore:
-    """``n_f`` recordings of ``cfg.fall_duration`` each on the straight path
+def path_store(params: ChainParams, a: float, n_f: int, seed) -> TargetStore:
+    """``n_f`` recordings of ``FALL_DURATION`` each on the straight path
     q[1] = a q[0] of a two-link chain with its elbow actuated.
 
     Each recording starts at rest at q = (1, a) theta0, theta0 ~ N(0, 0.01),
     and computed torque drives the path error e = q[1] - a q[0] by
     e'' = -PATH_KP e - PATH_KD e', from the exact D, H and control matrix B
-    at each step, with N(0, sigma0) torque noise on top; the recorded torque
+    at each step, with N(0, SIGMA_BOOT) torque noise on top; the recorded torque
     includes the noise. Along the path q[0] follows the path's zero
     dynamics, which ``zd_rate`` gives at upright. Every point has zero
     return, as in ``experiments.generate_falls``.
@@ -417,15 +415,15 @@ def path_store(
     rows = []
     for _ in range(n_f):
         st = State(np.array([1.0, a]) * rng.normal(0.0, 0.01), np.zeros(2))
-        for _ in range(round(cfg.fall_duration / cfg.dt)):
+        for _ in range(round(FALL_DURATION / controller.DT)):
             terms = manipulator_terms(params, st.q, st.qdot)
             e, edot = float(c @ st.q), float(c @ st.qdot)
             # e'' = c' B tau - c' D^-1 H.
             drift = float(c @ np.linalg.solve(terms.D, terms.H))
             cb = float(c @ exact_control_matrix(params, st.q)[:, 0])
-            tau = (-PATH_KP * e - PATH_KD * edot + drift) / cb + rng.normal(0.0, cfg.sigma0)
+            tau = (-PATH_KP * e - PATH_KD * edot + drift) / cb + rng.normal(0.0, controller.SIGMA_BOOT)
             rows.append((st.t, *st.q, *st.qdot, tau))
-            st = step(params, st, np.array([tau]), cfg.dt)
+            st = step(params, st, np.array([tau]), controller.DT)
     t, q0, q1, qd0, qd1, tau = np.array(rows).T
     return TargetStore(
         t, np.column_stack((q0, q1)), np.column_stack((qd0, qd1)), tau[:, None],
@@ -678,10 +676,10 @@ def deque_controller_step(ctrl: DequeController, x0, targets, cfg) -> np.ndarray
     np.isfinite. The cycle itself is ``controller.cpc_loop``, looked up at
     call time."""
     if ctrl.prev_tau is not None:
-        u = (x0.qdot - ctrl.prev_qdot) / cfg.dt
+        u = (x0.qdot - ctrl.prev_qdot) / controller.DT
         ctrl.history.append((ctrl.prev_tau, u))
     if len(ctrl.history) < controller.HISTORY_N:
-        tau = ctrl.rng.normal(0.0, cfg.sigma_boot, size=ctrl.n_controls)
+        tau = ctrl.rng.normal(0.0, controller.SIGMA_BOOT, size=ctrl.n_controls)
     else:
         taus = np.array([h[0] for h in ctrl.history])
         us = np.array([h[1] for h in ctrl.history])

@@ -4,7 +4,8 @@ import sys
 import time
 from pathlib import Path
 
-from cpc.experiments import ExperimentConfig, generate_falls, run_balance_trial, trial_seed
+from cpc.controller import SIGMA_BOOT
+from cpc.experiments import NOISE_MULT, ExperimentConfig, generate_falls, run_balance_trial, trial_seed
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SMOKE = BENCH / "smoke.py"
@@ -51,7 +52,7 @@ def test_tracer_reaches_every_balance_layer():
     cfg = ExperimentConfig(t_max=0.3)
     seed = trial_seed(0, "tracer", 0)
     store = generate_falls(cfg, 3, seed=trial_seed(seed, "falls", 0))
-    noise_amp = cfg.noise_mult * cfg.sigma0
+    noise_amp = NOISE_MULT * SIGMA_BOOT
     want = run_balance_trial(store, cfg, noise_amp, seed, 0, 3)
     with tracing.Tracer(time.perf_counter) as tracer:
         got = run_balance_trial(store, cfg, noise_amp, seed, 0, 3)

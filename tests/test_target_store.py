@@ -12,7 +12,8 @@ import cpc
 from cpc.control_law import CoordSplit
 from cpc.dynamics import ChainParams, State, acrobot_params, exact_control_matrix, step
 from cpc.errors import DatasetSchemaMismatch, EmptyDataset, VelocityBarDegenerate
-from cpc.experiments import ExperimentConfig, generate_falls
+from cpc.controller import DT
+from cpc.experiments import FALL_DURATION, ExperimentConfig, generate_falls
 from cpc.target_store import (
     _BLOCK,
     DEFAULT_GUARD_TOL,
@@ -402,8 +403,9 @@ print(h.hexdigest())
 _TRIAL_DIGEST = """
 import hashlib
 from cpc import experiments
+from cpc.controller import SIGMA_BOOT
 from cpc.dynamics import ChainParams
-from cpc.experiments import ExperimentConfig, generate_falls, run_balance_trial, trial_seed
+from cpc.experiments import NOISE_MULT, ExperimentConfig, generate_falls, run_balance_trial, trial_seed
 
 h = hashlib.sha256()
 controller_step = experiments.controller_step
@@ -421,7 +423,7 @@ cfg = ExperimentConfig(t_max=2.0)
 for i in range(10):
     seed = trial_seed(0, "blas", i)
     store = generate_falls(cfg, 3, seed=trial_seed(seed, "falls", 0), params=params)
-    run_balance_trial(store, cfg, cfg.noise_mult * cfg.sigma0, seed, i, 3, params)
+    run_balance_trial(store, cfg, NOISE_MULT * SIGMA_BOOT, seed, i, 3, params)
 print(h.hexdigest())
 """
 
@@ -501,6 +503,21 @@ def test_jsonl_roundtrip_and_determinism(tmp_path, fall_store):
     assert loaded.n_links == 2 and loaded.actuated_joints == (1,)
     loaded.save_jsonl(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_jsonl_save_replaces_the_file(tmp_path, fall_store):
+    # A save over an existing file writes a new file: a hard link to the
+    # old one keeps the first store's bytes, and the path holds what a save
+    # to a fresh path holds. Truncating in place rewrote the shared file.
+    path, link, fresh = tmp_path / "store.jsonl", tmp_path / "link.jsonl", tmp_path / "fresh.jsonl"
+    fall_store.save_jsonl(path)
+    first = path.read_bytes()
+    os.link(path, link)
+    other = _special_value_store()
+    other.save_jsonl(path)
+    other.save_jsonl(fresh)
+    assert link.read_bytes() == first
+    assert path.read_bytes() == fresh.read_bytes() != first
 
 
 def _special_value_store():
@@ -583,7 +600,7 @@ def test_unactuated_chain_falls_record_and_roundtrip(tmp_path, n_links):
     # infer the row count from them.
     params = ChainParams(n_links=n_links, actuated_joints=())
     store = generate_falls(ExperimentConfig(), 2, 0, params=params)
-    rows = 2 * round(ExperimentConfig().fall_duration / ExperimentConfig().dt)
+    rows = 2 * round(FALL_DURATION / DT)
     assert (store.q.shape, store.tau.shape) == ((rows, n_links), (rows, 0))
     store.save_jsonl(tmp_path / "a.jsonl")
     _assert_stores_bit_equal(TargetStore.load_jsonl(tmp_path / "a.jsonl"), store)

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from cpc.control_law import CoordSplit
+from cpc.controller import SIGMA_BOOT
 from cpc.dynamics import acrobot_params, exact_control_matrix
-from cpc.experiments import ExperimentConfig, run_balance_trial, trial_seed
+from cpc.experiments import NOISE_MULT, ExperimentConfig, run_balance_trial, trial_seed
 from oracles import path_store, upright_linearization, zd_rate
 
 IN_WINDOW = (-3.6, -3.3)
@@ -64,8 +65,8 @@ def test_in_window_path_stores_outlast_out_of_window_ones():
     cfg = ExperimentConfig(t_max=10.0, trials=10)
     mean_tf = {}
     for a in IN_WINDOW + OUT_OF_WINDOW:
-        store = path_store(params, a, 10, trial_seed(0, f"path-store{a}", 0), cfg)
+        store = path_store(params, a, 10, trial_seed(0, f"path-store{a}", 0))
         seeds = [trial_seed(0, f"path-trial{a}", i) for i in range(cfg.trials)]
-        noise = cfg.noise_mult * cfg.sigma0
+        noise = NOISE_MULT * SIGMA_BOOT
         mean_tf[a] = np.mean([run_balance_trial(store, cfg, noise, s).t_f for s in seeds])
     assert min(mean_tf[a] for a in IN_WINDOW) > 2.0 * max(mean_tf[a] for a in OUT_OF_WINDOW)
