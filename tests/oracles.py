@@ -623,21 +623,21 @@ def step_axpy(params: ChainParams, state: State, tau, dt: float) -> State:
     """``dynamics.step`` of a finite state, on the lanes ``step`` picks, with
     q and qdot integrated as two vectors by ``_rk4_axpy``: lists of floats
     for one state or a one-row batch, (N, K) arrays for K > 1 rows."""
-    kernel = _chain_consts(params).accel
+    accel = _chain_consts(params).accel
     tau = np.asarray(tau, dtype=float)
     q, qdot = state.q, state.qdot
     if q.ndim == 2 and len(q) > 1:
         gen = _generalized_forces(params, tau.T)
 
         def deriv(q, qdot):
-            return np.array(kernel(np.sin, np.cos, np.sqrt, q, qdot, gen))
+            return np.array(accel[np](q, qdot, gen))
 
         qn, vn = _rk4_axpy(_array_axpy, operator.add, deriv, q.T, qdot.T, dt)
         return State(qn.T, vn.T, state.t + dt)
     gen = _generalized_forces(params, tau.reshape(-1).tolist())
 
     def deriv(q, qdot):
-        return kernel(math.sin, math.cos, math.sqrt, q, qdot, gen)
+        return accel[math](q, qdot, gen)
 
     q_l, qdot_l = q.reshape(-1).tolist(), qdot.reshape(-1).tolist()
     qn, vn = _rk4_axpy(_float_axpy, _float_add, deriv, q_l, qdot_l, dt)

@@ -1,8 +1,10 @@
 import ast
 import math
 import re
+import tracemalloc
 import warnings
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from cpc import dynamics
 from cpc.dynamics import (
     ChainParams,
     State,
+    _bind,
     _chain_consts,
     _generalized_forces,
     _lane_solve,
@@ -181,7 +184,7 @@ def _accel(params, q, qdot, tau):
     ops = math
     gen = _generalized_forces(params, np.asarray(tau, dtype=float).tolist())
     lanes = (np.asarray(v, dtype=float).tolist() for v in (q, qdot))
-    return np.array(_chain_consts(params).accel(ops.sin, ops.cos, ops.sqrt, *lanes, gen))
+    return np.array(_chain_consts(params).accel[ops](*lanes, gen))
 
 
 def test_single_link_upright_no_gravity_torque():
@@ -358,6 +361,16 @@ def test_control_matrix_columns_follow_actuated_joint_order(rng):
         assert exact_control_matrix(backward, q).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "n_links, actuated_joints", [(1, ()), (2, ()), (3, (0, 2))], ids=["n1_m0", "n2_m0", "n3_m2"]
+)
+def test_control_matrix_shape_is_n_by_m(n_links, actuated_joints):
+    # N x M, an empty (N, 0) matrix for a chain with no actuated joint.
+    p = ChainParams(n_links=n_links, actuated_joints=actuated_joints)
+    B = exact_control_matrix(p, np.full(n_links, 0.2))
+    assert B.shape == (n_links, len(actuated_joints)) and B.dtype == np.float64
+
+
 def test_control_matrix_continuity(rng):
     p = acrobot_params()
     q = rng.uniform(-1, 1, size=2)
@@ -451,6 +464,22 @@ def test_batched_step_matches_single_steps(params, k):
         singles = [step(params, s, tau[r], 5e-3) for r, s in enumerate(singles)]
     assert batch.q.shape == batch.qdot.shape == (k, n)
     assert batch.t == singles[0].t
+    assert batch.q.tobytes() == np.stack([s.q for s in singles]).tobytes()
+    assert batch.qdot.tobytes() == np.stack([s.qdot for s in singles]).tobytes()
+
+
+@pytest.mark.parametrize("params, k", [(acrobot_params(), 100), (_N5, 20)], ids=["n2_k100", "n5_k20"])
+def test_batched_step_matches_single_steps_at_recording_sizes(params, k):
+    # The batch sizes the falls are recorded at: 100 acrobot falls and 20
+    # five-link falls in lockstep.
+    rng = np.random.default_rng(k)
+    n, m = params.n_links, params.n_controls
+    batch = State(rng.uniform(-0.3, 0.3, (k, n)), rng.uniform(-0.3, 0.3, (k, n)))
+    singles = [State(batch.q[r].copy(), batch.qdot[r].copy()) for r in range(k)]
+    for _ in range(40):
+        tau = rng.normal(0.0, 0.05, (k, m))
+        batch = step(params, batch, tau, 1e-2)
+        singles = [step(params, s, tau[r], 1e-2) for r, s in enumerate(singles)]
     assert batch.q.tobytes() == np.stack([s.q for s in singles]).tobytes()
     assert batch.qdot.tobytes() == np.stack([s.qdot for s in singles]).tobytes()
 
@@ -692,14 +721,14 @@ def test_traced_kernel_matches_lane_kernel(kwargs, monkeypatch):
     params, c = chain
     q, qdot, gen = _trace_inputs(params.n_links)
     ops = math
-    traced = _float_outcomes(partial(c.accel, ops.sin, ops.cos, ops.sqrt), q, qdot, gen)
+    traced = _float_outcomes(c.accel[ops], q, qdot, gen)
     assert traced == _float_outcomes(partial(_lane_reference, ops, c), q, qdot, gen)
     assert ValueError in traced
     finite = np.isfinite(q).all(1) & np.isfinite(qdot).all(1)
     assert all(type(x) is bytes for x, ok in zip(traced, finite) if ok)
     ops = np
     with np.errstate(all="ignore"):
-        traced = c.accel(ops.sin, ops.cos, ops.sqrt, q.T, qdot.T, list(gen.T))
+        traced = c.accel[ops](q.T, qdot.T, list(gen.T))
         reference = _lane_reference(ops, c, q.T, qdot.T, list(gen.T))
     assert np.array(traced).tobytes() == np.array(reference).tobytes()
 
@@ -708,6 +737,44 @@ def test_chain_trace_built_once():
     # Equal parameters share one trace, so it is built once per chain.
     traced = _chain_consts(ChainParams(n_links=4, actuated_joints=(3,))).accel
     assert _chain_consts(ChainParams(n_links=4, actuated_joints=(3,))).accel is traced
+
+
+@pytest.mark.parametrize("n_links", [1, 2, 5])
+def test_traced_kernel_bindings_share_code_and_constants(n_links):
+    # One compiled function bound per lane type. On array lanes each
+    # constant is a read-only 0-d float64 array holding the bits of the
+    # float lanes' Python float, so no ufunc takes numpy's Python-scalar
+    # path, and no caller can change a cached chain's constants.
+    c = _chain_consts(ChainParams(n_links=n_links, actuated_joints=(0,)))
+    float_accel, array_accel = c.accel[math], c.accel[np]
+    assert float_accel.__code__ is array_accel.__code__
+    _, consts = _trace_accel(c)
+    assert consts
+    for name, value in consts.items():
+        assert type(float_accel.__globals__[name]) is float
+        assert float_accel.__globals__[name] == value
+        lifted = array_accel.__globals__[name]
+        assert type(lifted) is np.ndarray and lifted.shape == () and lifted.dtype == np.float64
+        assert not lifted.flags.writeable
+        assert lifted.tobytes() == np.float64(value).tobytes()
+    for f in ("sin", "cos", "sqrt"):
+        assert float_accel.__globals__[f] is getattr(math, f)
+        assert array_accel.__globals__[f] is getattr(np, f)
+
+
+def test_chain_trace_memory_bounded():
+    # Tracing, compiling and binding the five-link kernel peaks at about
+    # 0.81 MB; tracing a whole RK4 step instead peaked at 3.87 MB, a cost
+    # every process that builds the chain pays.
+    _chain_consts.cache_clear()
+    tracemalloc.start()
+    try:
+        ChainParams(n_links=5, actuated_joints=(1, 2, 3, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _chain_consts.cache_info().misses == 1
+    assert peak < 1_500_000
 
 
 @pytest.mark.parametrize("kwargs", _TRACE_CHAINS, ids=_TRACE_IDS)
@@ -740,14 +807,14 @@ def test_traced_kernel_matches_full_kernel(kwargs, monkeypatch):
         return np.array([np.frombuffer(x) if type(x) is bytes else [np.nan] * n for x in outcomes])
 
     ops = math
-    traced = _float_outcomes(partial(c.accel, ops.sin, ops.cos, ops.sqrt), q, qdot, gen)
+    traced = _float_outcomes(c.accel[ops], q, qdot, gen)
     full = _float_outcomes(partial(_full_reference, ops, c), q, qdot, gen)
     assert raised(traced) == raised(full)
     assert ValueError in raised(full)
     check(lanes(traced), lanes(full))
     ops = np
     with np.errstate(all="ignore"):
-        x = c.accel(ops.sin, ops.cos, ops.sqrt, q.T, qdot.T, list(gen.T))
+        x = c.accel[ops](q.T, qdot.T, list(gen.T))
         x_full = _full_reference(ops, c, q.T, qdot.T, list(gen.T))
     check(np.array(x).T, np.array(x_full).T)
 
@@ -793,10 +860,10 @@ def test_traced_kernel_forms_each_pair_once(n_links):
 
         return call
 
-    c = _chain_consts(ChainParams(n_links=n_links, actuated_joints=(0,)))
+    code, consts = _trace_accel(_chain_consts(ChainParams(n_links=n_links, actuated_joints=(0,))))
+    ops = SimpleNamespace(sin=counted("sin", math.sin), cos=counted("cos", math.cos), sqrt=math.sqrt)
     lanes = [0.1] * n_links
-    c.accel(counted("sin", math.sin), counted("cos", math.cos), math.sqrt,
-            lanes, lanes, lanes)
+    _bind(code, ops, consts)(lanes, lanes, lanes)
     pairs = n_links * (n_links - 1) // 2
     assert calls == {"sin": pairs + n_links, "cos": pairs}
 
@@ -806,8 +873,8 @@ def test_traced_source_records_each_expression_once(n_links, monkeypatch):
     # The tape gives an expression it has already recorded its first
     # symbol, and the solve records no pivot test: the traced source holds
     # no two assignments with one right-hand side, and no <= or |. It is
-    # straight-line code: no try, except or nan, and every constant a
-    # finite float literal.
+    # straight-line code: no try, except or nan, no float literal, and
+    # every bound constant a finite float.
     c = _chain_consts(ChainParams(n_links=n_links, actuated_joints=(0,)))
     sources = []
 
@@ -816,7 +883,7 @@ def test_traced_source_records_each_expression_once(n_links, monkeypatch):
         return compile(src, *args)
 
     monkeypatch.setattr(dynamics, "compile", spy, raising=False)
-    _trace_accel(c)
+    _, bound = _trace_accel(c)
     [src] = sources
     # Assignments of a temporary, each with one target.
     rhs = [m[1] for m in re.finditer(r"^ +t\d+ = ([^=]+)$", src, re.MULTILINE)]
@@ -825,9 +892,9 @@ def test_traced_source_records_each_expression_once(n_links, monkeypatch):
     assert not re.search(r"\b(try|except|nan|inf)\b", src)
     nodes = list(ast.walk(ast.parse(src)))
     names = {node.id for node in nodes if isinstance(node, ast.Name)}
-    assert all(re.fullmatch(r"sin|cos|sqrt|q|qdot|gen|(q|qd|g|t)\d+", v) for v in names)
-    consts = [node.value for node in nodes if isinstance(node, ast.Constant)]
-    assert consts and all(type(v) is float and math.isfinite(v) for v in consts)
+    assert all(re.fullmatch(r"sin|cos|sqrt|q|qdot|gen|(q|qd|g|t|k)\d+", v) for v in names)
+    assert not any(type(node.value) is float for node in nodes if isinstance(node, ast.Constant))
+    assert bound and all(type(v) is float and math.isfinite(v) for v in bound.values())
 
 
 @pytest.mark.parametrize(
