@@ -16,8 +16,10 @@ There are no joint limits and no friction.
 
 A state is one chain, with ``q`` and ``qdot`` of shape (N,), or, for
 ``step``, a batch of K independent chains advanced in lockstep, with ``q``
-and ``qdot`` of shape (K, N). Each row of a batch evolves bit for bit as it
-would alone.
+and ``qdot`` of shape (K, N). ``step`` takes a small batch one row after
+another on Python floats and a large one as whole arrays (see
+``_ARRAY_LANE_ROWS``); either way each row of a batch evolves bit for bit
+as it would alone.
 """
 
 import math
@@ -182,13 +184,15 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 #
 # ``_lane_terms`` and ``_lane_solve`` are the one statement of the dynamics.
 # They run over lanes: a lane list holds the N per-coordinate values of a
-# state, Python floats for one state or (K,) arrays for K states in
-# lockstep. Both lane types execute the same statements in the same order,
-# so a row of a batch comes out bit-equal to the same state run alone,
-# provided numpy's float64 sin/cos return the same bits as math.sin/cos
-# (they do with numpy 2.4 on x86-64; the batched-step tests check it). No
-# statement updates a lane in place (no +=), because an array lane may be a
-# view of the caller's state.
+# state, Python floats for one state (float lanes) or (K,) arrays for K
+# states in lockstep (array lanes). ``step`` takes a batch of fewer than
+# ``_ARRAY_LANE_ROWS`` rows on float lanes, one row after another, and a
+# larger one on array lanes. Both lane types execute the same statements in
+# the same order, so a row of a batch comes out bit-equal to the same state
+# run alone, provided numpy's float64 sin/cos return the same bits as
+# math.sin/cos (they do with numpy 2.4 on x86-64; the batched-step tests
+# check it). No statement updates a lane in place (no +=), because an array
+# lane may be a view of the caller's state.
 #
 # ``_lane_terms`` forms each pair of links once. Against forming all N^2
 # ordered pairs it makes two rewrites, both exact on finite lanes:
@@ -238,13 +242,13 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # constant. ``_rk4_step`` lifts its three step sizes to the lane type, as
 # the traced kernel's constants are. On float lanes y is one list of 2N
 # Python floats, the N angles and then the N velocities, and a derivative
-# is the velocity half of y joined to the kernel's fresh list; one state
-# stays on float lanes from the first stage to the last, as ``step``
-# converts it from numpy once on the way in and once on the way out. On
-# array lanes y is the pair of (N, K) arrays, so each entry is a whole
-# array and the same expressions run as whole-array ufuncs. Either way each
-# value of y gets the operations, in the same order, that integrating q and
-# qdot as two vectors gives it (``q + (0.5*dt)*qdot``,
+# is the velocity half of y joined to the kernel's fresh list; a state, or
+# a row of a small batch, stays on float lanes from the first stage to the
+# last, as ``step`` converts it from numpy once on the way in and once on
+# the way out. On array lanes y is the pair of (N, K) arrays, so each entry
+# is a whole array and the same expressions run as whole-array ufuncs.
+# Either way each value of y gets the operations, in the same order, that
+# integrating q and qdot as two vectors gives it (``q + (0.5*dt)*qdot``,
 # ``qdot + (0.5*dt)*k1``, and so on), so the lane types agree bit for bit.
 # A lane type is its numeric namespace: ``math`` for float lanes, ``numpy``
 # for array lanes and ``_Tape`` for symbolic ones each give ``_lane_terms``,
@@ -527,6 +531,28 @@ def _generalized_forces(params: ChainParams, tau, zero=0.0) -> list:
     return gen
 
 
+def _float_step(params: ChainParams, kernel, y: list, tau: list, dt: float, t: float) -> list:
+    """One state's RK4 step on float lanes: y is the list of its N angles
+    and then its N velocities, tau its M torques, and ``kernel`` the traced
+    kernel's ``math`` binding, which returns a fresh list that the
+    velocities are joined to. Returns the new y; raises NonFiniteState
+    unless it is finite (see the kernel comment)."""
+    n = params.n_links
+    gen = _generalized_forces(params, tau)
+
+    def deriv(y):
+        v = y[n:]
+        return v + kernel(y[:n], v, gen)
+
+    try:
+        y = _rk4_step(deriv, y, dt, float)
+    except (ValueError, ZeroDivisionError) as e:
+        raise NonFiniteState(f"integration diverged at t={t:.6g}") from e
+    if not all(map(math.isfinite, y)):
+        raise NonFiniteState(f"integration diverged at t={t:.6g}")
+    return y
+
+
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -571,12 +597,27 @@ def exact_control_matrix(params: ChainParams, q: np.ndarray) -> np.ndarray:
     return np.array(columns).reshape(m, n).T
 
 
+# ``step`` runs a batch of at least this many rows on array lanes, and a
+# smaller one row after row on float lanes. A float-lane row costs the same
+# at every K, while an array-lane step pays numpy's per-call cost once for
+# all rows, so rows win below a crossover in K that grows with N. A K-row
+# step on rows in turn against the same step on array lanes (numpy 2.4,
+# Python 3.11, 2-vCPU x86-64 host, best of 10 interleaved repetitions)
+# crosses at about K = 7 for N = 1, 11.5 for N = 2, 15 for N = 3, 19 for
+# N = 4 and 20 for N = 5. One boundary serves every N, the smallest
+# crossover: each batch that runs on float lanes is faster there, and each
+# larger batch keeps the array lanes it ran on before.
+_ARRAY_LANE_ROWS = 7
+
+
 def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State:
     """Advance one fixed RK4 step with tau held constant (zero-order hold).
 
     ``state`` is one state, with q and qdot of shape (N,) and tau of shape
     (M,), or a batch of K states advanced in lockstep, with q and qdot of
-    shape (K, N) and tau of shape (K, M). Each row of a batch comes out
+    shape (K, N) and tau of shape (K, M). A batch of fewer than
+    ``_ARRAY_LANE_ROWS`` rows is stepped one row after another on float
+    lanes, a larger one on array lanes; each row of a batch comes out
     bit-equal to stepping it alone. Raises ValueError on any other shape
     or unless dt is positive and finite, and NonFiniteState if a torque is
     not finite or any row does not stay finite (see the kernel comment).
@@ -596,7 +637,7 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
         raise ValueError(f"tau must have shape {tau_shape}")
     if not all(map(math.isfinite, tau.ravel().tolist())):
         raise NonFiniteState(f"non-finite torque at t={state.t:.6g}")
-    if q.ndim == 2 and len(q) > 1:
+    if q.ndim == 2 and len(q) >= _ARRAY_LANE_ROWS:
         # Array lanes: a state is the pair of (N, K) transposes, whose rows
         # are lanes.
         kernel = c.accel[np]
@@ -610,21 +651,14 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
         if not (np.isfinite(q).all() and np.isfinite(qdot).all()):
             raise NonFiniteState(f"integration diverged at t={state.t:.6g}")
         return State(q.T, qdot.T, state.t + dt)
-    # Float lanes, also for a one-row batch: a state is one list of the N
-    # angles and then the N velocities, and the traced kernel returns a
-    # fresh list, which the velocities are joined to.
+    # Float lanes, for one state and for each row of a small batch in turn.
+    # tau.tolist() has a row per state also with no actuated joint (M = 0),
+    # where tau.reshape(-1, 0) would raise.
     kernel = c.accel[math]
-    gen = _generalized_forces(params, tau.reshape(-1).tolist())
-
-    def deriv(y):
-        v = y[n:]
-        return v + kernel(y[:n], v, gen)
-
-    try:
-        y = _rk4_step(deriv, q.reshape(-1).tolist() + qdot.reshape(-1).tolist(), dt, float)
-    except (ValueError, ZeroDivisionError) as e:
-        raise NonFiniteState(f"integration diverged at t={state.t:.6g}") from e
-    if not all(map(math.isfinite, y)):
-        raise NonFiniteState(f"integration diverged at t={state.t:.6g}")
-    # One array per vector; ndmin keeps the (1, N) shape of a one-row batch.
-    return State(np.array(y[:n], ndmin=q.ndim), np.array(y[n:], ndmin=q.ndim), state.t + dt)
+    if q.ndim == 1:
+        y = _float_step(params, kernel, q.tolist() + qdot.tolist(), tau.tolist(), dt, state.t)
+        return State(np.array(y[:n]), np.array(y[n:]), state.t + dt)
+    rows = zip(q.tolist(), qdot.tolist(), tau.tolist())
+    y = np.array([_float_step(params, kernel, qr + vr, tr, dt, state.t) for qr, vr, tr in rows])
+    # Both halves are views of the one (K, 2N) result, in separate columns.
+    return State(y[:, :n], y[:, n:], state.t + dt)

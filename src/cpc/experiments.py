@@ -119,7 +119,9 @@ def generate_falls(
     # buffers are the column-major arrays the store keeps.
     q = np.empty((n, n_f, n_steps))
     qdot = np.empty((n, n_f, n_steps))
-    # The falls are independent, so they advance together as one batch.
+    # The falls are independent, so one batch ``step`` per time step
+    # advances them all: row after row for a few falls, as whole arrays for
+    # many (see ``dynamics.step``).
     st = State(np.zeros((n_f, n)), np.zeros((n_f, n)), 0.0)
     for i in range(n_steps):
         t[i], q[:, :, i], qdot[:, :, i] = st.t, st.q.T, st.qdot.T

@@ -1,6 +1,7 @@
 import ast
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from functools import partial
@@ -450,10 +451,11 @@ def test_nonfinite_detection():
 
 @pytest.mark.parametrize("params", [acrobot_params(), _N5], ids=["n2", "n5"])
 # step integrates with RK4; the ids name the scheme.
-@pytest.mark.parametrize("k", [1, 3], ids=["1-rk4", "3-rk4"])
+@pytest.mark.parametrize("k", [1, 3, 6, 7], ids=["1-rk4", "3-rk4", "6-rk4", "7-rk4"])
 def test_batched_step_matches_single_steps(params, k):
     # A (K, N) batch must give, row for row, the bits of K single-state
-    # steps; K = 1 is a one-row batch.
+    # steps; K = 1 is a one-row batch. K = 6 is the largest batch on float
+    # lanes and K = 7 the smallest on array lanes.
     rng = np.random.default_rng(11)
     n, m = params.n_links, params.n_controls
     batch = State(rng.uniform(-0.3, 0.3, (k, n)), rng.uniform(-0.3, 0.3, (k, n)))
@@ -497,16 +499,16 @@ def test_batched_step_matches_single_steps_at_recording_sizes(params, k):
 def test_step_matches_axpy_rk4(params):
     # step integrates one first-order state (q, qdot); integrating q and
     # qdot as two vectors by axpy must give the same bits, on float lanes
-    # for one state and a one-row batch and on array lanes for K = 3 and
-    # K = 20 rows. A quarter of the entries, and every entry of the last
-    # draw, are -0.0.
+    # for one state and batches of 1, 3 and 6 rows and on array lanes for
+    # K = 7 and K = 20 rows. A quarter of the entries, and every entry of
+    # the last draw, are -0.0.
     rng = np.random.default_rng(params.n_links)
     n, m = params.n_links, params.n_controls
 
     def draw(shape, scale, p_zero):
         return np.where(rng.random(shape) < p_zero, -0.0, rng.normal(0.0, scale, shape))
 
-    for shape in ((n,), (1, n), (3, n), (20, n)):
+    for shape in ((n,), (1, n), (3, n), (6, n), (7, n), (20, n)):
         tau_shape = shape[:-1] + (m,)
         for p_zero in [0.25] * 20 + [1.0]:
             st = State(draw(shape, 0.5, p_zero), draw(shape, 1.0, p_zero), 0.25)
@@ -518,23 +520,61 @@ def test_step_matches_axpy_rk4(params):
             assert got.t == want.t
 
 
+_BAD_ROWS = {
+    "overflow_qdot": ([0.1, 0.1], [1e155, 0.0]),
+    "inf_q": ([np.inf, 0.1], [0.0, 0.0]),
+    "nan_q": ([np.nan, 0.1], [0.0, 0.0]),
+}
+
+
 @pytest.mark.parametrize(
-    "q, qdot",
-    [
-        ([0.1, 0.1], [1e155, 0.0]),
-        ([np.inf, 0.1], [0.0, 0.0]),
-        ([np.nan, 0.1], [0.0, 0.0]),
-    ],
-    ids=["overflow_qdot", "inf_q", "nan_q"],
+    "q, qdot, k",
+    [(q, qdot, 3) for q, qdot in _BAD_ROWS.values()]
+    + [(q, qdot, 7) for q, qdot in _BAD_ROWS.values()],
+    ids=[*_BAD_ROWS, *(f"{name}_array_lanes" for name in _BAD_ROWS)],
 )
-def test_batched_step_nonfinite_row(q, qdot):
-    # One bad row fails the whole batch, silently apart from the exception.
-    qs = np.array([[0.1, -0.1], q, [0.2, 0.0]])
-    qdots = np.array([[0.0, 0.1], qdot, [0.0, 0.0]])
+def test_batched_step_nonfinite_row(q, qdot, k):
+    # One bad row fails the whole batch, silently apart from the exception,
+    # on float lanes (K = 3, rows in turn) and on array lanes (K = 7, where
+    # the bad value comes out as NaN or inf under np.errstate).
+    qs = np.array([[0.1, -0.1], q, *[[0.2, 0.0]] * (k - 2)])
+    qdots = np.array([[0.0, 0.1], qdot, *[[0.0, 0.0]] * (k - 2)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteState):
-            step(acrobot_params(), State(qs, qdots), np.zeros((3, 1)), 1e-2)
+            step(acrobot_params(), State(qs, qdots), np.zeros((k, 1)), 1e-2)
+
+
+def _kernel_sins(params, k):
+    """The ``sin`` globals of the traced kernel calls that one ``step`` of
+    a K-row batch (or of one state, for k = 0) makes. Both bindings share
+    one code object, so only their namespaces tell them apart."""
+    shape = (k, params.n_links) if k else (params.n_links,)
+    st = State(np.zeros(shape), np.zeros(shape))
+    tau = np.zeros(shape[:-1] + (params.n_controls,))
+    seen = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "accel":
+            seen.append(frame.f_globals["sin"])
+
+    sys.setprofile(hook)
+    try:
+        step(params, st, tau, 1e-2)
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+@pytest.mark.parametrize("params", [acrobot_params(), _N5], ids=["n2", "n5"])
+@pytest.mark.parametrize("k, ops", [(0, math), (1, math), (6, math), (7, np)],
+                         ids=["state", "k1", "k6", "k7"])
+def test_step_lanes_by_batch_size(params, k, ops):
+    # A batch of fewer than 7 rows runs each row's four RK4 stages through
+    # the math binding of the kernel; a larger batch makes four calls of
+    # the numpy binding for all rows.
+    calls = 4 * k if ops is math and k else 4
+    assert _kernel_sins(params, k) == [ops.sin] * calls
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "neg_inf", "nan"])
@@ -546,8 +586,11 @@ def test_batched_step_nonfinite_row(q, qdot):
         lambda p, bad: step(
             p, State(np.zeros((3, 2)), np.zeros((3, 2))), np.array([[0.0], [bad], [0.0]]), 1e-2
         ),
+        lambda p, bad: step(
+            p, State(np.zeros((7, 2)), np.zeros((7, 2))), np.array([[0.0], [bad]] + [[0.0]] * 5), 1e-2
+        ),
     ],
-    ids=["step_state", "step_one_row_batch", "step_batch"],
+    ids=["step_state", "step_one_row_batch", "step_batch", "step_array_lane_batch"],
 )
 def test_non_finite_torque_raises_without_warning(call, bad):
     # A torque entry of inf would meet the zeros of the torque selection in

@@ -91,12 +91,14 @@ _N5 = ChainParams(n_links=5, actuated_joints=(1, 2, 3, 4))
 
 @pytest.mark.parametrize(
     "n_f, seed, params",
-    [(100, 5, None), (1, 6, None), (2, 7, _N5), (1, 8, _N5)],
-    ids=["n2_nf100", "n2_nf1", "n5_nf2", "n5_nf1"],
+    [(100, 5, None), (1, 6, None), (2, 7, _N5), (1, 8, _N5),
+     (6, 9, None), (7, 10, None), (6, 11, _N5), (7, 12, _N5)],
+    ids=["n2_nf100", "n2_nf1", "n5_nf2", "n5_nf1", "n2_nf6", "n2_nf7", "n5_nf6", "n5_nf7"],
 )
 def test_generate_falls_matches_per_fall_recorder(fall_store, n_f, seed, params):
-    # generate_falls advances all falls in one batch; the store must hold
-    # the bytes of recording each fall alone with single-state steps.
+    # generate_falls advances all falls in one batch, on float lanes up to
+    # 6 falls and on array lanes from 7; the store must hold the bytes of
+    # recording each fall alone with single-state steps.
     store = generate_falls(ExperimentConfig(), n_f, seed=seed, params=params)
     ref = fall_store if n_f == 100 else _fall_like_store(n_f, seed=seed, p=params)
     assert (store.n_links, store.actuated_joints) == (ref.n_links, ref.actuated_joints)
