@@ -19,12 +19,15 @@ A state is one chain, with ``q`` and ``qdot`` of shape (N,), or, for
 and ``qdot`` of shape (K, N). ``step`` takes a small batch one row after
 another on Python floats and a large one as whole arrays (see
 ``_ARRAY_LANE_ROWS``); either way each row of a batch evolves bit for bit
-as it would alone.
+as it would alone. On Python floats each state or row is one call of the
+chain's traced RK4 step, a straight-line function that calls the traced
+dynamics once per stage. On whole arrays ``_rk4_step`` runs on the (N, K)
+blocks, where each of its operations is one ufunc call for a whole block.
 """
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -82,7 +85,16 @@ class ChainParams:
             raise ValueError("segment_length, capsule_radius, density must be positive")
         object.__setattr__(self, "n_links", n)
         object.__setattr__(self, "actuated_joints", joints)
-        _chain_consts(self)  # raises if the chain's constants overflow
+        # The chain's constants and traces, so that ``step`` need not hash
+        # the chain to find them; equal chains share one (see
+        # ``_chain_consts``). Not a field, so eq, hash, repr and asdict
+        # leave it out. Raises if the chain's constants overflow.
+        object.__setattr__(self, "consts", _chain_consts(self))
+
+    def __reduce__(self):
+        # The traced functions cannot be pickled: a copy is built anew from
+        # the fields and takes the cached constants of its equal chain.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n_controls(self) -> int:
@@ -148,6 +160,9 @@ class _ChainConsts(NamedTuple):
     # or ``numpy``: accel[ops](q, qdot, gen) -> the N lanes of the joint
     # accelerations. Both functions share one code object; see _trace_accel.
     accel: MappingProxyType
+    # The traced RK4 step of this chain on float lanes, which calls
+    # accel[math]: rk4(y, tau, dt) -> the new y. See _trace_rk4.
+    rk4: object
 
 
 @lru_cache(maxsize=32)
@@ -166,14 +181,19 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
     diag = [coef[j][j] + i_com for j in range(n)]
     if not all(map(math.isfinite, [i_com, *grav_w, *diag, *(x for row in coef for x in row)])):
         raise ValueError("the chain's masses, inertias and gravity weights must be finite")
-    c = _ChainConsts(coef, grav_w, i_com, None)
+    c = _ChainConsts(coef, grav_w, i_com, None, None)
     code, consts = _trace_accel(c)
     # Array lanes take each constant as a read-only 0-d float64 array.
     lifted = {name: np.array(v) for name, v in consts.items()}
     for a in lifted.values():
         a.flags.writeable = False
-    accel = {math: _bind(code, math, consts), np: _bind(code, np, lifted)}
-    return c._replace(accel=MappingProxyType(accel))
+    accel = {
+        ops: _bind(code, "accel", {"sin": ops.sin, "cos": ops.cos, "sqrt": ops.sqrt, **k})
+        for ops, k in ((math, consts), (np, lifted))
+    }
+    code, consts = _trace_rk4(params)
+    rk4 = _bind(code, "rk4", {"accel": accel[math], **consts})
+    return c._replace(accel=MappingProxyType(accel), rk4=rk4)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +270,24 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # Either way each value of y gets the operations, in the same order, that
 # integrating q and qdot as two vectors gives it (``q + (0.5*dt)*qdot``,
 # ``qdot + (0.5*dt)*k1``, and so on), so the lane types agree bit for bit.
+#
+# Float lanes do not run ``_rk4_step`` itself: at N = 2 its comprehensions,
+# slices, list joins and ``deriv`` closure took about 5 us of an 8.2 us
+# step, the four kernel calls 3.1 us. Once per chain, after the kernel,
+# ``_chain_consts`` traces ``_rk4_step`` with the generalized forces on a
+# new tape (``_trace_rk4``), where the kernel is one opaque record per
+# stage: ``a0, a1, = accel([y0, y1], [y2, y3], [k0, t0])``. Its source has
+# 27N + 10 lines, and its compile peaks below the kernel's (0.50 against
+# 0.79 MB at N = 5 under tracemalloc); inlining the kernel instead made
+# about 1 300 statements at N = 5, whose compile peaked at 3.87 MB. The
+# compiled ``rk4(y, tau, dt)`` is bound to the kernel's ``math`` binding
+# and performs ``_rk4_step``'s operations on the same operands, so ``step``
+# makes one call per state or row and gets the same bits (the tests compare
+# it with ``_rk4_step`` run directly). Array lanes keep ``_rk4_step``: there
+# y holds two (N, K) blocks, so a stage makes 2 ufunc calls per block, where
+# a trace, which forms each of the N lanes of a block apart, would make 2N;
+# a prototype that bound the trace to numpy as well measured 2-4% slower at
+# N = 5, K = 20.
 # A lane type is its numeric namespace: ``math`` for float lanes, ``numpy``
 # for array lanes and ``_Tape`` for symbolic ones each give ``_lane_terms``,
 # ``_lane_solve`` and the traced kernel's binding their sin/cos/sqrt.
@@ -257,7 +295,7 @@ def _chain_consts(params: ChainParams) -> _ChainConsts:
 # regression, norms, costs and projections.
 #
 # Bad values are checked in ``ChainParams`` and ``step`` only; the kernel
-# and its trace are straight-line arithmetic. ``ChainParams`` rejects a
+# and the traces are straight-line arithmetic. ``ChainParams`` rejects a
 # chain whose coef, grav_w, i_cap or coef[j][j] + i_cap is not finite, so
 # the tracer binds only finite constants. ``step`` raises NonFiniteState for
 # a NaN or infinite torque, and for a state that does not stay finite. On
@@ -424,16 +462,17 @@ class _Sym:
 
 class _Tape:
     """The lane operations of symbolic lanes: the assignment lines that
-    ``_Sym`` operators and ``sin``/``cos``/``sqrt`` record, in program
-    order, each right-hand side once. A constant operand is written as a
-    name, one per distinct finite Python float; ``consts`` maps each name
-    to its value."""
+    ``_Sym`` operators, ``sin``/``cos``/``sqrt`` and ``call`` record, in
+    program order, each right-hand side once. A constant operand is
+    written as a name, one per distinct finite Python float; ``consts``
+    maps each name to its value."""
 
     def __init__(self):
         self.lines = []
         self.symbols = {}  # right-hand side -> the symbol assigned it
         self.consts = {}  # constant name -> its value
         self.const_names = {}  # repr of a constant -> its name
+        self.calls = 0  # results recorded by ``call``
 
     def operand(self, x) -> str:
         if isinstance(x, _Sym):
@@ -456,6 +495,20 @@ class _Tape:
 
     def binary(self, a, op: str, b) -> _Sym:
         return self.assign(f"{self.operand(a)} {op} {self.operand(b)}")
+
+    def names(self, lanes) -> str:
+        return ", ".join(self.operand(v) for v in lanes)
+
+    def call(self, fn: str, n_out: int, *args) -> list:
+        """One opaque call of ``fn`` on lists of lanes, recorded as one
+        line that unpacks its ``n_out`` results into fresh symbols."""
+        expr = f"{fn}({', '.join(f'[{self.names(a)}]' for a in args)})"
+        if expr not in self.symbols:
+            self.calls += n_out
+            out = [_Sym(self, f"a{i}") for i in range(self.calls - n_out, self.calls)]
+            self.lines.append(f"{self.names(out)}, = {expr}")
+            self.symbols[expr] = out
+        return self.symbols[expr]
 
     def sin(self, a):
         return self.assign(f"sin({self.operand(a)})")
@@ -481,36 +534,63 @@ def _trace_accel(c: _ChainConsts):
     q, qdot, gen = ([_Sym(tape, f"{v}{i}") for i in range(n)] for v in ("q", "qd", "g"))
     D, H = _lane_terms(tape, c, q, qdot)
     (x,) = _lane_solve(tape, D, [[g - h for g, h in zip(gen, H)]])
-
-    def names(lanes):
-        return ", ".join(tape.operand(v) for v in lanes)
-
     src = "\n".join(
         [
             "def accel(q, qdot, gen):",
-            f"    {names(q)}, = q",
-            f"    {names(qdot)}, = qdot",
-            f"    {names(gen)}, = gen",
+            f"    {tape.names(q)}, = q",
+            f"    {tape.names(qdot)}, = qdot",
+            f"    {tape.names(gen)}, = gen",
             *(f"    {line}" for line in tape.lines),
-            f"    return [{names(x)}]",
+            f"    return [{tape.names(x)}]",
         ]
     )
     return compile(src, f"<traced accel, N={n}>", "exec"), tape.consts
 
 
-def _bind(code, ops, consts: dict):
-    """The ``accel`` function that ``code`` defines, bound to the lane
-    namespace ``ops`` (its sin, cos and sqrt) and the constants ``consts``."""
-    namespace = {"sin": ops.sin, "cos": ops.cos, "sqrt": ops.sqrt, **consts}
+def _trace_rk4(params: ChainParams):
+    """``_rk4_step`` of the chain ``params`` on float lanes, with its
+    generalized forces, traced around the kernel and compiled into a code
+    object that defines ``rk4(y, tau, dt) -> y``: the new y, in a fresh
+    list, from y (the N angles and then the N velocities), the M torques
+    tau and the step dt, all Python floats. Each RK4 stage is one call of
+    the global ``accel``, which ``_bind`` supplies: the kernel's ``math``
+    binding. Returns the code object and the map of its constant names to
+    their Python floats."""
+    n, m = params.n_links, params.n_controls
+    tape = _Tape()
+    y = [_Sym(tape, f"y{i}") for i in range(2 * n)]
+    tau = [_Sym(tape, f"u{i}") for i in range(m)]
+    gen = _generalized_forces(params, tau)
+
+    def deriv(y):
+        return y[n:] + tape.call("accel", n, y[:n], y[n:], gen)
+
+    y_new = _rk4_step(deriv, y, _Sym(tape, "dt"), lambda h: h)
+    # A list target, as a chain with no actuated joint unpacks no torque.
+    src = "\n".join(
+        [
+            "def rk4(y, tau, dt):",
+            f"    [{tape.names(y)}] = y",
+            f"    [{tape.names(tau)}] = tau",
+            *(f"    {line}" for line in tape.lines),
+            f"    return [{tape.names(y_new)}]",
+        ]
+    )
+    return compile(src, f"<traced rk4, N={n}>", "exec"), tape.consts
+
+
+def _bind(code, name: str, namespace: dict):
+    """The function ``name`` that ``code`` defines, with ``namespace`` (the
+    lane functions and constants it reads) as its globals."""
     exec(code, namespace)
-    return namespace["accel"]
+    return namespace[name]
 
 
 def _rk4_step(deriv, y, dt, lift):
     """The state after one classical RK4 step of the autonomous first-order
-    system y' = deriv(y), on float or array lanes (see the kernel comment);
-    ``lift`` turns a step size into the lanes' scalar: ``float``, or
-    ``np.array`` for a 0-d array."""
+    system y' = deriv(y), on float, array or symbolic lanes (see the kernel
+    comment); ``lift`` turns a step size into the lanes' scalar: ``float``,
+    ``np.array`` for a 0-d array, or the identity on a symbol."""
     h = lift(0.5 * dt)
     f1 = deriv(y)
     f2 = deriv(_stage(y, h, f1))
@@ -531,21 +611,14 @@ def _generalized_forces(params: ChainParams, tau, zero=0.0) -> list:
     return gen
 
 
-def _float_step(params: ChainParams, kernel, y: list, tau: list, dt: float, t: float) -> list:
-    """One state's RK4 step on float lanes: y is the list of its N angles
-    and then its N velocities, tau its M torques, and ``kernel`` the traced
-    kernel's ``math`` binding, which returns a fresh list that the
-    velocities are joined to. Returns the new y; raises NonFiniteState
-    unless it is finite (see the kernel comment)."""
-    n = params.n_links
-    gen = _generalized_forces(params, tau)
-
-    def deriv(y):
-        v = y[n:]
-        return v + kernel(y[:n], v, gen)
-
+def _float_step(rk4, y: list, tau: list, dt: float, t: float) -> list:
+    """One state's RK4 step on float lanes by the chain's traced ``rk4``: y
+    is the list of its N angles and then its N velocities, tau its M
+    torques. Returns the new y; raises NonFiniteState unless it is finite
+    (see the kernel comment)."""
     try:
-        y = _rk4_step(deriv, y, dt, float)
+        # The step sizes are Python floats, as _rk4_step's lift makes them.
+        y = rk4(y, tau, float(dt))
     except (ValueError, ZeroDivisionError) as e:
         raise NonFiniteState(f"integration diverged at t={t:.6g}") from e
     if not all(map(math.isfinite, y)):
@@ -577,7 +650,7 @@ def manipulator_terms(params: ChainParams, q: np.ndarray, qdot: np.ndarray) -> D
     q, qdot = q.tolist(), qdot.tolist()
     if all(map(math.isfinite, q)):
         try:
-            D, H = _lane_terms(math, _chain_consts(params), q, qdot)
+            D, H = _lane_terms(math, params.consts, q, qdot)
         except ValueError:
             pass
         else:
@@ -624,7 +697,7 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    c = _chain_consts(params)
+    c = params.consts
     tau = np.asarray(tau, dtype=float)
     q, qdot = state.q, state.qdot
     n = params.n_links
@@ -654,11 +727,10 @@ def step(params: ChainParams, state: State, tau: np.ndarray, dt: float) -> State
     # Float lanes, for one state and for each row of a small batch in turn.
     # tau.tolist() has a row per state also with no actuated joint (M = 0),
     # where tau.reshape(-1, 0) would raise.
-    kernel = c.accel[math]
     if q.ndim == 1:
-        y = _float_step(params, kernel, q.tolist() + qdot.tolist(), tau.tolist(), dt, state.t)
+        y = _float_step(c.rk4, q.tolist() + qdot.tolist(), tau.tolist(), dt, state.t)
         return State(np.array(y[:n]), np.array(y[n:]), state.t + dt)
     rows = zip(q.tolist(), qdot.tolist(), tau.tolist())
-    y = np.array([_float_step(params, kernel, qr + vr, tr, dt, state.t) for qr, vr, tr in rows])
+    y = np.array([_float_step(c.rk4, qr + vr, tr, dt, state.t) for qr, vr, tr in rows])
     # Both halves are views of the one (K, 2N) result, in separate columns.
     return State(y[:, :n], y[:, n:], state.t + dt)

@@ -48,7 +48,10 @@ Likewise the B regression forms each Gram entry once and factors once;
 ``estimate_per_column`` forms the whole Gram matrix and factors it again
 for each acceleration column. ``step`` integrates one first-order state
 (q, qdot); ``step_axpy`` integrates q and qdot as two vectors, each RK4
-stage formed by axpy (x + a*y) and add on lists or arrays.
+stage formed by axpy (x + a*y) and add on lists or arrays. On float lanes
+``step`` runs the chain's traced RK4 step; ``float_step_untraced`` runs
+``_rk4_step`` itself around the kernel, for the tests to require the same
+bits and errors from the trace.
 """
 
 import json
@@ -75,11 +78,13 @@ from cpc.dynamics import (
     _chain_consts,
     _dot,
     _generalized_forces,
+    _rk4_step,
     exact_control_matrix,
     manipulator_terms,
     step,
 )
 from cpc.errors import (
+    NonFiniteState,
     NoValidCandidates,
     RankDeficient,
     SingularMatrix,
@@ -620,9 +625,10 @@ def _rk4_axpy(axpy, add, deriv, q, qdot, dt):
 
 
 def step_axpy(params: ChainParams, state: State, tau, dt: float) -> State:
-    """``dynamics.step`` of a finite state, on the lanes ``step`` picks, with
-    q and qdot integrated as two vectors by ``_rk4_axpy``: lists of floats
-    for one state or a one-row batch, (N, K) arrays for K > 1 rows."""
+    """``dynamics.step`` of a finite state, with q and qdot integrated as
+    two vectors by ``_rk4_axpy``: lists of floats for one state or a
+    one-row batch, (N, K) arrays for K > 1 rows, of which ``step`` runs up
+    to 6 on float lanes (the lane types agree bit for bit)."""
     accel = _chain_consts(params).accel
     tau = np.asarray(tau, dtype=float)
     q, qdot = state.q, state.qdot
@@ -642,6 +648,28 @@ def step_axpy(params: ChainParams, state: State, tau, dt: float) -> State:
     q_l, qdot_l = q.reshape(-1).tolist(), qdot.reshape(-1).tolist()
     qn, vn = _rk4_axpy(_float_axpy, _float_add, deriv, q_l, qdot_l, dt)
     return State(np.array(qn, ndmin=q.ndim), np.array(vn, ndmin=q.ndim), state.t + dt)
+
+
+def float_step_untraced(params: ChainParams, y: list, tau: list, dt: float, t: float) -> list:
+    """``dynamics._float_step`` without the traced RK4 step: ``_rk4_step``
+    itself on the float lanes y (N angles, then N velocities), each stage's
+    derivative the velocity half of its y joined to the kernel's ``math``
+    binding. Returns the new y, or raises the same NonFiniteState."""
+    n = params.n_links
+    kernel = _chain_consts(params).accel[math]
+    gen = _generalized_forces(params, tau)
+
+    def deriv(y):
+        v = y[n:]
+        return v + kernel(y[:n], v, gen)
+
+    try:
+        y = _rk4_step(deriv, y, dt, float)
+    except (ValueError, ZeroDivisionError) as e:
+        raise NonFiniteState(f"integration diverged at t={t:.6g}") from e
+    if not all(map(math.isfinite, y)):
+        raise NonFiniteState(f"integration diverged at t={t:.6g}")
+    return y
 
 
 def has_fallen_cumsum(q) -> bool:

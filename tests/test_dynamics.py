@@ -1,15 +1,17 @@
 import ast
+import copy
+import dataclasses
 import math
+import pickle
 import re
 import sys
 import tracemalloc
 import warnings
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import b_tau, energy, lane_terms_full, step_axpy
+from oracles import b_tau, energy, float_step_untraced, lane_terms_full, step_axpy
 
 from cpc import dynamics
 from cpc.dynamics import (
@@ -21,6 +23,7 @@ from cpc.dynamics import (
     _lane_solve,
     _lane_terms,
     _trace_accel,
+    _trace_rk4,
     acrobot_params,
     capsule_mass_props,
     exact_control_matrix,
@@ -545,18 +548,19 @@ def test_batched_step_nonfinite_row(q, qdot, k):
             step(acrobot_params(), State(qs, qdots), np.zeros((k, 1)), 1e-2)
 
 
-def _kernel_sins(params, k):
-    """The ``sin`` globals of the traced kernel calls that one ``step`` of
-    a K-row batch (or of one state, for k = 0) makes. Both bindings share
-    one code object, so only their namespaces tell them apart."""
+def _traced_calls(params, k):
+    """(name, globals) of each call of a traced function, ``accel`` or
+    ``rk4``, that one ``step`` of a K-row batch (or of one state, for
+    k = 0) makes. Both kernel bindings share one code object, so only their
+    namespaces tell them apart."""
     shape = (k, params.n_links) if k else (params.n_links,)
     st = State(np.zeros(shape), np.zeros(shape))
     tau = np.zeros(shape[:-1] + (params.n_controls,))
     seen = []
 
     def hook(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "accel":
-            seen.append(frame.f_globals["sin"])
+        if event == "call" and frame.f_code.co_name in ("accel", "rk4"):
+            seen.append((frame.f_code.co_name, frame.f_globals))
 
     sys.setprofile(hook)
     try:
@@ -566,15 +570,38 @@ def _kernel_sins(params, k):
     return seen
 
 
+_LANES_BY_K = pytest.mark.parametrize(
+    "k, ops", [(0, math), (1, math), (6, math), (7, np)], ids=["state", "k1", "k6", "k7"]
+)
+
+
 @pytest.mark.parametrize("params", [acrobot_params(), _N5], ids=["n2", "n5"])
-@pytest.mark.parametrize("k, ops", [(0, math), (1, math), (6, math), (7, np)],
-                         ids=["state", "k1", "k6", "k7"])
+@_LANES_BY_K
 def test_step_lanes_by_batch_size(params, k, ops):
     # A batch of fewer than 7 rows runs each row's four RK4 stages through
     # the math binding of the kernel; a larger batch makes four calls of
     # the numpy binding for all rows.
     calls = 4 * k if ops is math and k else 4
-    assert _kernel_sins(params, k) == [ops.sin] * calls
+    sins = [g["sin"] for name, g in _traced_calls(params, k) if name == "accel"]
+    assert sins == [ops.sin] * calls
+
+
+@pytest.mark.parametrize("params", [acrobot_params(), _N5], ids=["n2", "n5"])
+@_LANES_BY_K
+def test_float_lane_rows_enter_traced_rk4_once(params, k, ops):
+    # On float lanes each row (or the one state) enters the chain's traced
+    # RK4 step once, which makes the row's four kernel calls; array lanes
+    # run _rk4_step on the blocks and never enter it.
+    calls = _traced_calls(params, k)
+    names = [name for name, _ in calls]
+    if ops is np:
+        assert "rk4" not in names
+    else:
+        # Each entry makes the row's four kernel calls, from rk4's namespace.
+        assert names == ["rk4", *["accel"] * 4] * max(k, 1)
+        rk4 = params.consts.rk4
+        assert all(g is rk4.__globals__ for name, g in calls if name == "rk4")
+        assert rk4.__globals__["accel"] is params.consts.accel[math]
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "neg_inf", "nan"])
@@ -677,6 +704,30 @@ def test_chain_params_rejects_non_finite(kwargs):
         ChainParams(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [acrobot_params(), ChainParams(n_links=3, actuated_joints=(1, 2)), _N5],
+    ids=["n2", "n3", "n5"],
+)
+@pytest.mark.parametrize(
+    "clone", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_chain_params_pickle_and_deepcopy(params, clone):
+    # A pickled or deep-copied chain is an equal chain with the same hash,
+    # repr and fields, and it steps one state and a batch to the same bits.
+    other = clone(params)
+    assert other == params and hash(other) == hash(params) and repr(other) == repr(params)
+    assert dataclasses.asdict(other) == dataclasses.asdict(params)
+    rng = np.random.default_rng(params.n_links)
+    n, m = params.n_links, params.n_controls
+    for shape in ((n,), (3, n), (7, n)):
+        st = State(rng.uniform(-0.3, 0.3, shape), rng.uniform(-0.3, 0.3, shape))
+        tau = rng.normal(0.0, 0.1, shape[:-1] + (m,))
+        got, want = step(other, st, tau, 1e-2), step(params, st, tau, 1e-2)
+        assert got.q.tobytes() == want.q.tobytes()
+        assert got.qdot.tobytes() == want.qdot.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Traced kernel vs the lane kernel it is traced from
 # ---------------------------------------------------------------------------
@@ -777,9 +828,11 @@ def test_traced_kernel_matches_lane_kernel(kwargs, monkeypatch):
 
 
 def test_chain_trace_built_once():
-    # Equal parameters share one trace, so it is built once per chain.
-    traced = _chain_consts(ChainParams(n_links=4, actuated_joints=(3,))).accel
-    assert _chain_consts(ChainParams(n_links=4, actuated_joints=(3,))).accel is traced
+    # Equal parameters share one trace, so it is built once per chain, and
+    # each chain keeps it, so that step looks nothing up.
+    params = ChainParams(n_links=4, actuated_joints=(3,))
+    other = ChainParams(n_links=4, actuated_joints=(3,))
+    assert params.consts is other.consts is _chain_consts(other)
 
 
 @pytest.mark.parametrize("n_links", [1, 2, 5])
@@ -806,8 +859,9 @@ def test_traced_kernel_bindings_share_code_and_constants(n_links):
 
 
 def test_chain_trace_memory_bounded():
-    # Tracing, compiling and binding the five-link kernel peaks at about
-    # 0.81 MB; tracing a whole RK4 step instead peaked at 3.87 MB, a cost
+    # Tracing, compiling and binding the five-link kernel and then the RK4
+    # step that calls it peaks at about 0.81 MB, the kernel's own peak; a
+    # whole step traced with the kernel inlined peaked at 3.87 MB, a cost
     # every process that builds the chain pays.
     _chain_consts.cache_clear()
     tracemalloc.start()
@@ -904,9 +958,9 @@ def test_traced_kernel_forms_each_pair_once(n_links):
         return call
 
     code, consts = _trace_accel(_chain_consts(ChainParams(n_links=n_links, actuated_joints=(0,))))
-    ops = SimpleNamespace(sin=counted("sin", math.sin), cos=counted("cos", math.cos), sqrt=math.sqrt)
+    namespace = {"sin": counted("sin", math.sin), "cos": counted("cos", math.cos), "sqrt": math.sqrt}
     lanes = [0.1] * n_links
-    _bind(code, ops, consts)(lanes, lanes, lanes)
+    _bind(code, "accel", {**namespace, **consts})(lanes, lanes, lanes)
     pairs = n_links * (n_links - 1) // 2
     assert calls == {"sin": pairs + n_links, "cos": pairs}
 
@@ -938,6 +992,82 @@ def test_traced_source_records_each_expression_once(n_links, monkeypatch):
     assert all(re.fullmatch(r"sin|cos|sqrt|q|qdot|gen|(q|qd|g|t|k)\d+", v) for v in names)
     assert not any(type(node.value) is float for node in nodes if isinstance(node, ast.Constant))
     assert bound and all(type(v) is float and math.isfinite(v) for v in bound.values())
+
+
+_RK4_CHAINS = [
+    ChainParams(n_links=1, actuated_joints=(0,)),
+    ChainParams(n_links=1, actuated_joints=()),
+    acrobot_params(),
+    ChainParams(n_links=3, actuated_joints=(1, 2)),
+    _N5,
+]
+_RK4_IDS = ["n1", "n1_m0", "n2", "n3", "n5"]
+
+
+@pytest.mark.parametrize("params", _RK4_CHAINS, ids=_RK4_IDS)
+def test_traced_rk4_source_calls_kernel_four_times(params, monkeypatch):
+    # The traced RK4 step is straight-line code around four opaque kernel
+    # calls, one per stage: it holds no sin, cos or sqrt of its own, no
+    # float literal, no two assignments with one right-hand side, and every
+    # bound constant is a finite float.
+    sources = []
+
+    def spy(src, *args):
+        sources.append(src)
+        return compile(src, *args)
+
+    monkeypatch.setattr(dynamics, "compile", spy, raising=False)
+    _, bound = _trace_rk4(params)
+    [src] = sources
+    nodes = list(ast.walk(ast.parse(src)))
+    calls = [node.func.id for node in nodes if isinstance(node, ast.Call)]
+    assert calls == ["accel"] * 4
+    # Every line between the def and the return is one assignment.
+    rhs = [line.split(" = ")[1] for line in src.splitlines()[1:-1]]
+    assert len(set(rhs)) == len(rhs)
+    assert not re.search(r"\b(try|except|nan|inf|if|for)\b", src)
+    names = {node.id for node in nodes if isinstance(node, ast.Name)}
+    assert all(re.fullmatch(r"accel|y|tau|dt|(y|u|t|k|a)\d+", v) for v in names)
+    assert not any(type(node.value) is float for node in nodes if isinstance(node, ast.Constant))
+    assert bound and all(type(v) is float and math.isfinite(v) for v in bound.values())
+
+
+def _step_outcome(f, *args):
+    """The bytes of f(*args), or the message and cause of the
+    NonFiniteState it raised."""
+    try:
+        return np.array(f(*args)).tobytes()
+    except NonFiniteState as e:
+        return str(e), type(e.__cause__)
+
+
+@pytest.mark.parametrize("params", _RK4_CHAINS, ids=_RK4_IDS)
+def test_traced_rk4_matches_untraced_rk4(params):
+    # The traced step gives the bits of _rk4_step run on float lanes around
+    # the kernel, on random rows of which a quarter of the entries (and
+    # every entry of the last rows) are -0.0, at two step sizes.
+    rng = np.random.default_rng(params.n_links)
+    n, m = params.n_links, params.n_controls
+    rk4 = params.consts.rk4
+    for p_zero in [0.25] * 300 + [1.0] * 20:
+        zero = rng.random(2 * n + m) < p_zero
+        row = np.where(zero, -0.0, rng.normal(0.0, 1.0, 2 * n + m)).tolist()
+        y, tau = row[: 2 * n], row[2 * n :]
+        for dt in (1e-2, 0.3):
+            got = _step_outcome(dynamics._float_step, rk4, y, tau, dt, 0.5)
+            assert type(got) is bytes
+            assert got == _step_outcome(float_step_untraced, params, y, tau, dt, 0.5)
+
+
+@pytest.mark.parametrize("q, qdot", list(_BAD_ROWS.values()), ids=list(_BAD_ROWS))
+def test_traced_rk4_bad_rows_raise_as_untraced(q, qdot):
+    # A state that does not stay finite raises the same NonFiniteState,
+    # from the same cause, traced or not.
+    params = acrobot_params()
+    y, tau = q + qdot, [0.0]
+    got = _step_outcome(dynamics._float_step, params.consts.rk4, y, tau, 1e-2, 0.25)
+    assert type(got) is tuple
+    assert got == _step_outcome(float_step_untraced, params, y, tau, 1e-2, 0.25)
 
 
 @pytest.mark.parametrize(
